@@ -23,7 +23,7 @@ import numpy as np
 
 from .choice import softmax
 from .errors import ConfigurationError, DomainError, IntegrationDivergedError
-from .games import GameSpec, expected_payoff_vector, pure_payoff
+from .games import GameSpec, expected_payoff_vector
 
 
 @dataclass(frozen=True)
@@ -273,13 +273,14 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
     dt = float(dt)
     t_end = float(t_end)
     record_every = int(record_every)
-    if dt <= 0.0 or t_end <= 0.0 or record_every < 1:
-        raise DomainError("dt, t_end must be positive and record_every >= 1")
+    if not (dt > 0.0 and dt <= t_end < np.inf) or record_every < 1:
+        raise DomainError("dt must be positive, t_end finite and >= dt, "
+                          "and record_every >= 1")
     s = np.array(state0, dtype=float)
     batched = s.ndim == 2
     if s.ndim not in (1, 2):
         raise DomainError("state0 must be a vector or a batch of vectors")
-    n_steps = max(1, int(round(t_end / dt)))
+    n_steps = int(round(t_end / dt))
     rec_states = [s.copy()]
     rec_steps = [0]
     sixth = dt / 6.0
@@ -463,9 +464,15 @@ def stochastic_step(z, game: GameSpec, params: LearningParams, alpha: float,
     return z_next, softmax(z_next, params.eps, game.action_counts), acts, realized
 
 
+def _check_record_every(record_every: int) -> None:
+    if record_every < 1:
+        raise DomainError(f"record_every must be >= 1, got {record_every!r}")
+
+
 def run_discrete(game: GameSpec, params: LearningParams, z0, alpha: float,
                  steps: int, record_every: int = 1):
     """Iterate euler_step; returns (ks, Z samples, X samples)."""
+    _check_record_every(record_every)
     z = np.asarray(z0, dtype=float)
     ks = [0]
     zs = [z.copy()]
@@ -493,9 +500,9 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
     Returns a dict with sampled ks, Z, X, realized joint actions and
     realized payoffs (aligned with the post-step sample index).
     """
+    _check_record_every(record_every)
     rng = np.random.default_rng(rng)
     z = np.asarray(z0, dtype=float)
-    x = softmax(z, params.eps, game.action_counts)
     ks = [0]
     zs = [z.copy()]
     acts_log = [None]

@@ -57,6 +57,8 @@ class GameSpec:
         tensors = tuple(np.ascontiguousarray(t, dtype=float) for t in self.payoff_tensors)
         if len(tensors) != len(counts):
             raise DomainError("one payoff tensor per player is required")
+        if not all(np.all(np.isfinite(t)) for t in tensors):
+            raise DomainError("payoff tensors must be finite")
         if self.matching:
             if len(counts) != 1:
                 raise DomainError("matching games have a single population")
@@ -75,6 +77,8 @@ class GameSpec:
             lin = np.ascontiguousarray(lin, dtype=float)
             if lin.shape != (n_total, n_total):
                 raise DomainError(f"linear map must be {n_total}x{n_total}, got {lin.shape}")
+            if not np.all(np.isfinite(lin)):
+                raise DomainError("linear map must be finite")
             lin.setflags(write=False)
         for t in tensors:
             t.setflags(write=False)

@@ -5,13 +5,16 @@ numbers, solved rest points, convergence statuses over a fixed set of seeds,
 and bifurcation thresholds.  run_example computes the observed values and
 returns a row-per-check report; rows carry a note saying where the expected
 number comes from.  Rows whose expectation is known only to limited precision
-are recorded without being asserted.
+are recorded without being asserted.  Every scenario solves each rest point
+and integrates each seed batch once; the speed and learning-rate rows read
+the runs behind the status rows.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -84,88 +87,100 @@ def _fmt(value) -> str:
     return "(" + ", ".join(f"{v:.6g}" for v in arr) + ")"
 
 
+def _filter(game: GameSpec) -> FeedbackBlock:
+    return FeedbackBlock.high_pass(1.0, 1.0, game.action_counts)
+
+
 def _simulate(game: GameSpec, eps: float, scheme: str, t_end: float,
               gamma: float = 1.0, seeds=SEEDS):
     params = LearningParams(gamma=gamma, eps=eps)
     z0 = np.stack([seeded_initial_scores(game.total_actions, s) for s in seeds])
     if scheme == "higher-order":
-        block = FeedbackBlock.high_pass(1.0, 1.0, game.action_counts)
-        trajs = simulate_higher_order(game, params, block, z0, dt=DT,
-                                      t_end=t_end, record_every=RECORD_EVERY)
-    else:
-        trajs = simulate_first_order(game, params, z0, dt=DT, t_end=t_end,
-                                     record_every=RECORD_EVERY)
-    return trajs
+        return simulate_higher_order(game, params, _filter(game), z0, dt=DT,
+                                     t_end=t_end, record_every=RECORD_EVERY)
+    return simulate_first_order(game, params, z0, dt=DT, t_end=t_end,
+                                record_every=RECORD_EVERY)
 
 
-def _statuses(game, eps, scheme, t_end, x_star, gamma=1.0, seeds=SEEDS):
-    trajs = _simulate(game, eps, scheme, t_end, gamma=gamma, seeds=seeds)
-    return [convergence_report(t, x_star=x_star).status for t in trajs], trajs
+def _runs(game, eps, t_end_fo, t_end_ho):
+    """First-order and filtered runs from every seed, one batch per scheme."""
+    return (_simulate(game, eps, "first-order", t_end_fo),
+            _simulate(game, eps, "higher-order", t_end_ho))
 
 
-def _dichotomy(rep, game, eps, fo_expected, ho_expected, t_end_fo, t_end_ho,
-               note_fo="", note_ho=""):
-    rp = rest_point(game, eps)
+def _statuses(trajs, rp):
     x_star = rp.x_star if rp.converged else None
-    st_fo, trajs_fo = _statuses(game, eps, "first-order", t_end_fo, x_star)
-    st_ho, trajs_ho = _statuses(game, eps, "higher-order", t_end_ho, x_star)
-    rep.check_status(f"first-order status, eps={eps:g}", fo_expected, st_fo, note_fo)
-    rep.check_status(f"higher-order status, eps={eps:g}", ho_expected, st_ho, note_ho)
-    return rp, trajs_fo, trajs_ho
+    return [convergence_report(t, x_star=x_star).status for t in trajs]
 
 
-def _speed_rows(rep, game, eps, x_star, label, seeds=SEEDS):
+def _status_text(statuses) -> str:
+    return statuses[0] if len(set(statuses)) == 1 else str(statuses)
+
+
+def _dichotomy(rep, game, rp, fo_expected, ho_expected, t_end_fo, t_end_ho,
+               note_fo="", note_ho=""):
+    """Check the statuses of both schemes at rp.eps and return their runs."""
+    trajs_fo, trajs_ho = _runs(game, rp.eps, t_end_fo, t_end_ho)
+    rep.check_status(f"first-order status, eps={rp.eps:g}", fo_expected,
+                     _statuses(trajs_fo, rp), note_fo)
+    rep.check_status(f"higher-order status, eps={rp.eps:g}", ho_expected,
+                     _statuses(trajs_ho, rp), note_ho)
+    return trajs_fo, trajs_ho
+
+
+def _speed_rows(rep, trajs_fo, trajs_ho, x_star, label):
     wins = 0
-    for s in seeds:
-        t_fo = time_to_tolerance(_simulate(game, eps, "first-order",
-                                           T_END_SETTLED, seeds=[s])[0], x_star)
-        t_ho = time_to_tolerance(_simulate(game, eps, "higher-order",
-                                           T_END_SETTLED, seeds=[s])[0], x_star)
+    for traj_fo, traj_ho in zip(trajs_fo, trajs_ho):
+        t_fo = time_to_tolerance(traj_fo, x_star)
+        t_ho = time_to_tolerance(traj_ho, x_star)
         if t_ho is not None and (t_fo is None or t_ho < t_fo):
             wins += 1
-    rep.check_true(label, f"faster for > {len(seeds) // 2} of {len(seeds)} seeds",
-                   f"faster for {wins} of {len(seeds)} seeds",
-                   wins > len(seeds) // 2,
+    n = len(trajs_fo)
+    rep.check_true(label, f"faster for > {n // 2} of {n} seeds",
+                   f"faster for {wins} of {n} seeds", wins > n // 2,
                    "ordinal check: time to reach max-norm strategy error 1e-3")
 
 
-def _example_1(variant_l: float):
-    def run(out_dir=None):
-        game = preset("rps", {"l": variant_l})
-        l = variant_l
-        rep = ExampleReport(f"1-l{l:g}", f"single-population RPS, l={l:g}, eps=1")
-        cls = classify(game)
-        rep.check("tangent eigenvalues", [l - 1.0, l - 1.0],
-                  np.sort(cls.tangent_eigenvalues), 1e-9,
-                  "closed form: both tangent-space eigenvalues of A + A^T equal l-1")
-        z_star = np.full(3, (1.0 - l) / 3.0)
-        rp = rest_point(game, 1.0)
-        rep.check("rest point scores", z_star, rp.z_star, 1e-8,
-                  "closed form (1-l)/3 * ones; the uniform point is fixed for every l")
-        if l < 7.0:
-            _dichotomy(rep, game, 1.0, "converged", "converged",
-                       T_END_SETTLED, T_END_SETTLED)
-            if l > 1.0:
-                _speed_rows(rep, game, 1.0, rp.x_star,
-                            "filtered scheme reaches the rest point first")
-        else:
-            _dichotomy(rep, game, 1.0, "limit-cycle", "converged",
-                       T_END_CYCLE, 450.0,
-                       note_ho="weakly damped near the threshold, long horizon")
-            res = bifurcation_epsilon(game, LearningParams(1.0, 1.0),
-                                      eps_range=(0.5, 3.0))
-            rep.check("first-order bifurcation eps*", 7.0 / 6.0,
-                      res.eps_star if res.eps_star is not None else np.nan, 1e-3,
-                      "closed form (l-1)/6 from the rest-point Jacobian")
-            block = FeedbackBlock.high_pass(1.0, 1.0, game.action_counts)
-            res_ho = bifurcation_epsilon(game, LearningParams(1.0, 1.0),
-                                         block=block, eps_range=(0.1, 3.0))
-            rep.check("higher-order bifurcation eps*", 0.86,
-                      res_ho.eps_star if res_ho.eps_star is not None else np.nan,
-                      0.02, "reference value quoted as approximate; computed 0.8695")
-        return rep
+def _check_terminal(rep, rp, trajs_ho):
+    rep.check("terminal strategies match solved fixed point", rp.x_star,
+              trajs_ho[0].strategies[-1], 1e-6,
+              "internal consistency between solver and integrator")
 
-    return run
+
+def _check_bifurcation(rep, game, scheme, expected, tol, eps_range, note):
+    block = _filter(game) if scheme == "higher-order" else None
+    res = bifurcation_epsilon(game, LearningParams(1.0, 1.0), block=block,
+                              eps_range=eps_range)
+    rep.check(f"{scheme} bifurcation eps*", expected,
+              res.eps_star if res.eps_star is not None else np.nan, tol, note)
+
+
+def _example_1(l: float, out_dir=None):
+    game = preset("rps", {"l": l})
+    rep = ExampleReport(f"1-l{l:g}", f"single-population RPS, l={l:g}, eps=1")
+    cls = classify(game)
+    rep.check("tangent eigenvalues", [l - 1.0, l - 1.0],
+              np.sort(cls.tangent_eigenvalues), 1e-9,
+              "closed form: both tangent-space eigenvalues of A + A^T equal l-1")
+    z_star = np.full(3, (1.0 - l) / 3.0)
+    rp = rest_point(game, 1.0)
+    rep.check("rest point scores", z_star, rp.z_star, 1e-8,
+              "closed form (1-l)/3 * ones; the uniform point is fixed for every l")
+    if l < 7.0:
+        trajs_fo, trajs_ho = _dichotomy(rep, game, rp, "converged", "converged",
+                                        T_END_SETTLED, T_END_SETTLED)
+        if l > 1.0:
+            _speed_rows(rep, trajs_fo, trajs_ho, rp.x_star,
+                        "filtered scheme reaches the rest point first")
+    else:
+        _dichotomy(rep, game, rp, "limit-cycle", "converged",
+                   T_END_CYCLE, 450.0,
+                   note_ho="weakly damped near the threshold, long horizon")
+        _check_bifurcation(rep, game, "first-order", 7.0 / 6.0, 1e-3, (0.5, 3.0),
+                           "closed form (l-1)/6 from the rest-point Jacobian")
+        _check_bifurcation(rep, game, "higher-order", 0.86, 0.02, (0.1, 3.0),
+                           "reference value quoted as approximate; computed 0.8695")
+    return rep
 
 
 def _example_2(out_dir=None):
@@ -184,7 +199,7 @@ def _example_2(out_dir=None):
     rep.check("eps=0.1 fixed point near exact equilibrium", nash, rp01.x_star,
               0.01, "computed gap 0.0329 at eps=0.1; the gap falls below 0.01 "
               "only near eps=0.03 (0.0038 at eps=0.01)")
-    _dichotomy(rep, game, 1.0, "converged", "converged",
+    _dichotomy(rep, game, rp1, "converged", "converged",
                T_END_SETTLED, T_END_SETTLED)
     return rep
 
@@ -199,15 +214,15 @@ def _example_3(out_dir=None):
     rp = rest_point(game, 1.0)
     rep.check("fixed point", np.full(4, 0.5), rp.x_star, 1e-8,
               "uniform equilibrium; scores vanish so the choice map is uniform")
-    _dichotomy(rep, game, 1.0, "converged", "converged",
-               T_END_SETTLED, T_END_SETTLED)
-    for scheme in ("first-order", "higher-order"):
+    runs = _dichotomy(rep, game, rp, "converged", "converged",
+                      T_END_SETTLED, T_END_SETTLED)
+    for scheme, trajs in zip(("first-order", "higher-order"), runs):
+        fast = _simulate(game, 1.0, scheme, T_END_SETTLED, gamma=4.0,
+                         seeds=SEEDS[:3])
         wins = 0
-        for s in SEEDS[:3]:
-            t1 = time_to_tolerance(_simulate(game, 1.0, scheme, T_END_SETTLED,
-                                             gamma=1.0, seeds=[s])[0], rp.x_star)
-            t4 = time_to_tolerance(_simulate(game, 1.0, scheme, T_END_SETTLED,
-                                             gamma=4.0, seeds=[s])[0], rp.x_star)
+        for traj_1, traj_4 in zip(trajs, fast):
+            t1 = time_to_tolerance(traj_1, rp.x_star)
+            t4 = time_to_tolerance(traj_4, rp.x_star)
             if t4 is not None and t1 is not None and t4 < t1:
                 wins += 1
         rep.check_true(f"gamma=4 reaches tolerance first ({scheme})",
@@ -216,74 +231,67 @@ def _example_3(out_dir=None):
     return rep
 
 
-def _example_4(variant: str):
-    def run(out_dir=None):
-        if variant == "l1":
-            game = preset("two_player_rps", {"l": 1.0})
-            rep = ExampleReport("4-l1", "two-player RPS, l=1, eps=1")
-            cls = classify(game)
-            rep.check("full eigenvalues", np.zeros(6),
-                      np.sort(cls.full_eigenvalues), 1e-9,
-                      "zero-sum case: Phi + Phi^T = 0")
-            _dichotomy(rep, game, 1.0, "converged", "converged",
-                       T_END_SETTLED, T_END_SETTLED)
-            return rep
-        if variant == "l5":
-            game = preset("two_player_rps", {"l": 5.0})
-            rep = ExampleReport("4-l5", "two-player RPS, l=5, eps=1")
-            cls = classify(game)
-            expect = np.sort([8.0, -8.0, -4.0, -4.0, 4.0, 4.0])
-            rep.check("full eigenvalues", expect, np.sort(cls.full_eigenvalues),
-                      1e-9, "closed form {+-2(l-1), +-(1-l), +-(1-l)}")
-            rep.check("mu", 2.0, cls.mu, 1e-9, "mu = |l-1|/2")
-            _dichotomy(rep, game, 1.0, "converged", "converged",
-                       T_END_SETTLED, T_END_SETTLED)
-            return rep
-        game = preset("two_player_rps", {"l": 5.0})
-        rep = ExampleReport("4-l5-eps0.5", "two-player RPS, l=5, eps=0.5")
-        _dichotomy(rep, game, 0.5, "limit-cycle", "converged",
-                   T_END_CYCLE, T_END_SETTLED)
-        res = bifurcation_epsilon(game, LearningParams(1.0, 1.0),
-                                  eps_range=(0.2, 2.0))
-        rep.check("first-order bifurcation eps*", 2.0 / 3.0,
-                  res.eps_star if res.eps_star is not None else np.nan, 1e-3,
-                  "closed form (l-1)/6 per population")
-        block = FeedbackBlock.high_pass(1.0, 1.0, game.action_counts)
-        res_ho = bifurcation_epsilon(game, LearningParams(1.0, 1.0), block=block,
-                                     eps_range=(0.05, 2.0))
-        rep.check("higher-order bifurcation eps*", 0.347,
-                  res_ho.eps_star if res_ho.eps_star is not None else np.nan,
-                  5e-3, "reference value 0.347; computed 0.34722")
-        return rep
-
-    return run
+def _example_4_l1(out_dir=None):
+    game = preset("two_player_rps", {"l": 1.0})
+    rep = ExampleReport("4-l1", "two-player RPS, l=1, eps=1")
+    cls = classify(game)
+    rep.check("full eigenvalues", np.zeros(6), np.sort(cls.full_eigenvalues),
+              1e-9, "zero-sum case: Phi + Phi^T = 0")
+    _dichotomy(rep, game, rest_point(game, 1.0), "converged", "converged",
+               T_END_SETTLED, T_END_SETTLED)
+    return rep
 
 
-def _example_5(variant: str):
-    def run(out_dir=None):
-        game = preset("shapley")
-        if variant == "eps1":
-            rep = ExampleReport("5", "two-player Shapley game, eps=1")
-            cls = classify(game)
-            rep.check("mu", 0.5, cls.mu, 1e-9,
-                      "the l=0 analogue of two-player RPS, mu = |l-1|/2 = 0.5")
-            _dichotomy(rep, game, 1.0, "converged", "converged",
-                       T_END_SETTLED, T_END_SETTLED)
-            return rep
-        rep = ExampleReport("5-eps0.1", "two-player Shapley game, eps=0.1")
-        rp = rest_point(game, 0.1)
-        st, trajs = _statuses(game, 0.1, "first-order", T_END_CYCLE, rp.x_star)
-        rep.check_status("first-order status, eps=0.1", "limit-cycle", st,
-                         "closed orbit around the uniform point")
-        if out_dir is not None:
-            path = os.path.join(out_dir, "shapley_eps0.1_seed0.csv")
-            write_trajectory_csv(path, trajs[0], game.action_counts, ternary=True)
-            rep.record("orbit trace", "2-simplex projection columns",
-                       f"written to {path}",
-                       "triangular orbit, plottable from the ternary columns")
-        return rep
+def _example_4_l5(out_dir=None):
+    game = preset("two_player_rps", {"l": 5.0})
+    rep = ExampleReport("4-l5", "two-player RPS, l=5, eps=1")
+    cls = classify(game)
+    expect = np.sort([8.0, -8.0, -4.0, -4.0, 4.0, 4.0])
+    rep.check("full eigenvalues", expect, np.sort(cls.full_eigenvalues),
+              1e-9, "closed form {+-2(l-1), +-(1-l), +-(1-l)}")
+    rep.check("mu", 2.0, cls.mu, 1e-9, "mu = |l-1|/2")
+    _dichotomy(rep, game, rest_point(game, 1.0), "converged", "converged",
+               T_END_SETTLED, T_END_SETTLED)
+    return rep
 
-    return run
+
+def _example_4_l5_eps05(out_dir=None):
+    game = preset("two_player_rps", {"l": 5.0})
+    rep = ExampleReport("4-l5-eps0.5", "two-player RPS, l=5, eps=0.5")
+    _dichotomy(rep, game, rest_point(game, 0.5), "limit-cycle", "converged",
+               T_END_CYCLE, T_END_SETTLED)
+    _check_bifurcation(rep, game, "first-order", 2.0 / 3.0, 1e-3, (0.2, 2.0),
+                       "closed form (l-1)/6 per population")
+    _check_bifurcation(rep, game, "higher-order", 0.347, 5e-3, (0.05, 2.0),
+                       "reference value 0.347; computed 0.34722")
+    return rep
+
+
+def _example_5(out_dir=None):
+    game = preset("shapley")
+    rep = ExampleReport("5", "two-player Shapley game, eps=1")
+    cls = classify(game)
+    rep.check("mu", 0.5, cls.mu, 1e-9,
+              "the l=0 analogue of two-player RPS, mu = |l-1|/2 = 0.5")
+    _dichotomy(rep, game, rest_point(game, 1.0), "converged", "converged",
+               T_END_SETTLED, T_END_SETTLED)
+    return rep
+
+
+def _example_5_eps01(out_dir=None):
+    game = preset("shapley")
+    rep = ExampleReport("5-eps0.1", "two-player Shapley game, eps=0.1")
+    rp = rest_point(game, 0.1)
+    trajs = _simulate(game, 0.1, "first-order", T_END_CYCLE)
+    rep.check_status("first-order status, eps=0.1", "limit-cycle",
+                     _statuses(trajs, rp), "closed orbit around the uniform point")
+    if out_dir is not None:
+        path = os.path.join(out_dir, "shapley_eps0.1_seed0.csv")
+        write_trajectory_csv(path, trajs[0], game.action_counts, ternary=True)
+        rep.record("orbit trace", "2-simplex projection columns",
+                   f"written to {path}",
+                   "triangular orbit, plottable from the ternary columns")
+    return rep
 
 
 def _example_6(out_dir=None):
@@ -294,7 +302,7 @@ def _example_6(out_dir=None):
     rp = rest_point(game, 1.0)
     rep.check("fixed point", np.full(6, 0.5), rp.x_star, 1e-8,
               "uniform equilibrium on every edge game")
-    _dichotomy(rep, game, 1.0, "converged", "converged",
+    _dichotomy(rep, game, rp, "converged", "converged",
                T_END_SETTLED, T_END_SETTLED)
     return rep
 
@@ -310,119 +318,105 @@ def _example_7(out_dir=None):
     rp = rest_point(game, 1.0)
     rep.check("fixed point", np.full(6, 0.5), rp.x_star, 1e-8,
               "uniform equilibrium, unchanged by the temperature")
-    x_star = rp.x_star
-    st_fo, _ = _statuses(game, 1.0, "first-order", T_END_SETTLED, x_star)
-    st_ho, _ = _statuses(game, 1.0, "higher-order", T_END_SETTLED, x_star)
+    trajs_fo, trajs_ho = _runs(game, 1.0, T_END_SETTLED, T_END_SETTLED)
     rep.record("first-order status, eps=1", "observed status recorded",
-               st_fo[0] if len(set(st_fo)) == 1 else str(st_fo),
+               _status_text(_statuses(trajs_fo, rp)),
                "eps=1 sits on the guarantee boundary (mu=1), so the status is "
                "recorded rather than asserted")
     rep.record("higher-order status, eps=1", "observed status recorded",
-               st_ho[0] if len(set(st_ho)) == 1 else str(st_ho),
+               _status_text(_statuses(trajs_ho, rp)),
                "same boundary note as the first-order run")
     return rep
 
 
-def _example_8(variant: str):
-    def run(out_dir=None):
-        if variant == "A" or variant.startswith("A-"):
-            game = preset("modified_rps_A")
-        else:
-            game = preset("modified_rps_Abar")
-        if variant == "A":
-            rep = ExampleReport("8-A", "modified RPS (stable variant), eps=1")
-            cls = classify(game)
-            rep.check("full eigenvalues", np.sort([3.3723, -2.3723, -1.0]),
-                      np.sort(cls.full_eigenvalues), 1e-3,
-                      "quoted spectrum of A + A^T")
-            rep.check("tangent-aligned eigenvalue", [-1.0],
-                      cls.aligned_eigenvalues, 1e-3,
-                      "the eigenvalue whose eigenvector lies in the tangent space")
-            rep.check_true("classification", "strictly-monotone",
-                           cls.monotonicity_class,
-                           cls.monotonicity_class == "strictly-monotone", "")
-            rp = rest_point(game, 1.0)
-            rep.check("fixed point at eps=1", [0.379, 0.2997, 0.3213],
-                      rp.x_star, 1e-3,
-                      "reference distribution; computed fixed point "
-                      "(0.37848, 0.29801, 0.32351)")
-            _, _, trajs_ho = _dichotomy(rep, game, 1.0, "converged",
-                                        "converged", T_END_SETTLED, T_END_SETTLED)
-            term = trajs_ho[0].strategies[-1]
-            rep.check("terminal strategies match solved fixed point",
-                      rp.x_star, term, 1e-6,
-                      "internal consistency between solver and integrator")
-            return rep
-        if variant == "A-eps0.2":
-            rep = ExampleReport("8-A-eps0.2", "modified RPS (stable variant), eps=0.2")
-            rp = rest_point(game, 0.2)
-            rep.check("fixed point at eps=0.2", [0.4025, 0.3024, 0.2951],
-                      rp.x_star, 1e-3,
-                      "reference distribution; computed fixed point "
-                      "(0.40393, 0.30391, 0.29217)")
-            _, _, trajs_ho = _dichotomy(rep, game, 0.2, "converged",
-                                        "converged", T_END_SETTLED, T_END_SETTLED)
-            term = trajs_ho[0].strategies[-1]
-            rep.check("terminal strategies match solved fixed point",
-                      rp.x_star, term, 1e-6,
-                      "internal consistency between solver and integrator")
-            return rep
-        if variant == "Abar":
-            rep = ExampleReport("8-Abar", "modified RPS (cyclic variant), eps=1")
-            cls = classify(game)
-            rep.check("full eigenvalues", np.sort([-3.3723, 2.3723, 1.0]),
-                      np.sort(cls.full_eigenvalues), 1e-3,
-                      "quoted spectrum of A + A^T")
-            rep.check("tangent-aligned eigenvalue", [1.0],
-                      cls.aligned_eigenvalues, 1e-3, "")
-            rep.check("mu from the aligned eigenvalue", 0.5,
-                      cls.mu_aligned if cls.mu_aligned is not None else np.nan,
-                      1e-3, "half the aligned eigenvalue")
-            rp = rest_point(game, 1.0)
-            rep.check("fixed point at eps=1", [0.2741, 0.3647, 0.3612],
-                      rp.x_star, 1e-3, "reference distribution")
-            _dichotomy(rep, game, 1.0, "converged", "converged",
-                       T_END_SETTLED, T_END_SETTLED)
-            return rep
-        if variant == "Abar-eps0.2":
-            rep = ExampleReport("8-Abar-eps0.2",
-                                "modified RPS (cyclic variant), eps=0.2")
-            rp, _, trajs_ho = _dichotomy(rep, game, 0.2, "limit-cycle",
-                                         "converged", T_END_CYCLE, T_END_SETTLED)
-            term = trajs_ho[0].strategies[-1]
-            rep.check("higher-order terminal distribution",
-                      [0.2653, 0.3237, 0.4109], term, 1e-3,
-                      "reference distribution; computed fixed point "
-                      "(0.27199, 0.32457, 0.40345), which the run reaches to 1e-9")
-            rep.check("terminal strategies match solved fixed point",
-                      rp.x_star, term, 1e-6,
-                      "internal consistency between solver and integrator")
-            return rep
-        rep = ExampleReport("8-Abar-eps0.1",
-                            "modified RPS (cyclic variant), eps=0.1")
-        rp = rest_point(game, 0.1)
-        x_star = rp.x_star if rp.converged else None
-        st_fo, _ = _statuses(game, 0.1, "first-order", T_END_CYCLE, x_star)
-        st_ho, _ = _statuses(game, 0.1, "higher-order", T_END_CYCLE, x_star)
-        rep.check_status("first-order status, eps=0.1", "limit-cycle", st_fo)
-        rep.record("higher-order status, eps=0.1",
-                   "reference reports a cycle; observed status recorded",
-                   st_ho[0] if len(set(st_ho)) == 1 else str(st_ho),
-                   "with gain 1 and cutoff 1 the filtered run settles onto the "
-                   "fixed point, so the quoted cycle does not reproduce")
-        return rep
+def _example_8_A(out_dir=None):
+    game = preset("modified_rps_A")
+    rep = ExampleReport("8-A", "modified RPS (stable variant), eps=1")
+    cls = classify(game)
+    rep.check("full eigenvalues", np.sort([3.3723, -2.3723, -1.0]),
+              np.sort(cls.full_eigenvalues), 1e-3, "quoted spectrum of A + A^T")
+    rep.check("tangent-aligned eigenvalue", [-1.0], cls.aligned_eigenvalues,
+              1e-3, "the eigenvalue whose eigenvector lies in the tangent space")
+    rep.check_true("classification", "strictly-monotone", cls.monotonicity_class,
+                   cls.monotonicity_class == "strictly-monotone", "")
+    rp = rest_point(game, 1.0)
+    rep.check("fixed point at eps=1", [0.379, 0.2997, 0.3213], rp.x_star, 1e-3,
+              "reference distribution; computed fixed point "
+              "(0.37848, 0.29801, 0.32351)")
+    _, trajs_ho = _dichotomy(rep, game, rp, "converged", "converged",
+                             T_END_SETTLED, T_END_SETTLED)
+    _check_terminal(rep, rp, trajs_ho)
+    return rep
 
-    return run
+
+def _example_8_A_eps02(out_dir=None):
+    game = preset("modified_rps_A")
+    rep = ExampleReport("8-A-eps0.2", "modified RPS (stable variant), eps=0.2")
+    rp = rest_point(game, 0.2)
+    rep.check("fixed point at eps=0.2", [0.4025, 0.3024, 0.2951], rp.x_star,
+              1e-3, "reference distribution; computed fixed point "
+              "(0.40393, 0.30391, 0.29217)")
+    _, trajs_ho = _dichotomy(rep, game, rp, "converged", "converged",
+                             T_END_SETTLED, T_END_SETTLED)
+    _check_terminal(rep, rp, trajs_ho)
+    return rep
+
+
+def _example_8_Abar(out_dir=None):
+    game = preset("modified_rps_Abar")
+    rep = ExampleReport("8-Abar", "modified RPS (cyclic variant), eps=1")
+    cls = classify(game)
+    rep.check("full eigenvalues", np.sort([-3.3723, 2.3723, 1.0]),
+              np.sort(cls.full_eigenvalues), 1e-3, "quoted spectrum of A + A^T")
+    rep.check("tangent-aligned eigenvalue", [1.0], cls.aligned_eigenvalues,
+              1e-3, "")
+    rep.check("mu from the aligned eigenvalue", 0.5,
+              cls.mu_aligned if cls.mu_aligned is not None else np.nan,
+              1e-3, "half the aligned eigenvalue")
+    rp = rest_point(game, 1.0)
+    rep.check("fixed point at eps=1", [0.2741, 0.3647, 0.3612], rp.x_star,
+              1e-3, "reference distribution")
+    _dichotomy(rep, game, rp, "converged", "converged",
+               T_END_SETTLED, T_END_SETTLED)
+    return rep
+
+
+def _example_8_Abar_eps02(out_dir=None):
+    game = preset("modified_rps_Abar")
+    rep = ExampleReport("8-Abar-eps0.2", "modified RPS (cyclic variant), eps=0.2")
+    rp = rest_point(game, 0.2)
+    _, trajs_ho = _dichotomy(rep, game, rp, "limit-cycle", "converged",
+                             T_END_CYCLE, T_END_SETTLED)
+    rep.check("higher-order terminal distribution", [0.2653, 0.3237, 0.4109],
+              trajs_ho[0].strategies[-1], 1e-3,
+              "reference distribution; computed fixed point "
+              "(0.27199, 0.32457, 0.40345), which the run reaches to 1e-9")
+    _check_terminal(rep, rp, trajs_ho)
+    return rep
+
+
+def _example_8_Abar_eps01(out_dir=None):
+    game = preset("modified_rps_Abar")
+    rep = ExampleReport("8-Abar-eps0.1", "modified RPS (cyclic variant), eps=0.1")
+    rp = rest_point(game, 0.1)
+    trajs_fo, trajs_ho = _runs(game, 0.1, T_END_CYCLE, T_END_CYCLE)
+    rep.check_status("first-order status, eps=0.1", "limit-cycle",
+                     _statuses(trajs_fo, rp))
+    rep.record("higher-order status, eps=0.1",
+               "reference reports a cycle; observed status recorded",
+               _status_text(_statuses(trajs_ho, rp)),
+               "with gain 1 and cutoff 1 the filtered run settles onto the "
+               "fixed point, so the quoted cycle does not reproduce")
+    return rep
 
 
 def _example_9(out_dir=None):
     game = preset("modified_jordan")
     rep = ExampleReport("9", "modified three-player Jordan game, eps=0.1")
-    rp, _, trajs_ho = _dichotomy(rep, game, 0.1, "limit-cycle", "converged",
-                                 T_END_CYCLE, T_END_SETTLED)
-    term = trajs_ho[0].strategies[-1]
-    rep.check("terminal strategies match solved fixed point", rp.x_star, term,
-              1e-6, "internal consistency between solver and integrator")
+    rp = rest_point(game, 0.1)
+    _, trajs_ho = _dichotomy(rep, game, rp, "limit-cycle", "converged",
+                             T_END_CYCLE, T_END_SETTLED)
+    _check_terminal(rep, rp, trajs_ho)
     nash = np.array([0.25, 0.75, 2.0 / 3.0, 1.0 / 3.0, 0.5, 0.5])
     rep.record("distance to exact equilibrium",
                "close to (1/4, 3/4, 2/3, 1/3, 1/2, 1/2)",
@@ -432,24 +426,24 @@ def _example_9(out_dir=None):
 
 
 _RUNNERS = {
-    "1-l1": _example_1(1.0),
-    "1-l2.5": _example_1(2.5),
-    "1-l5": _example_1(5.0),
-    "1-l8": _example_1(8.0),
+    "1-l1": partial(_example_1, 1.0),
+    "1-l2.5": partial(_example_1, 2.5),
+    "1-l5": partial(_example_1, 5.0),
+    "1-l8": partial(_example_1, 8.0),
     "2": _example_2,
     "3": _example_3,
-    "4-l1": _example_4("l1"),
-    "4-l5": _example_4("l5"),
-    "4-l5-eps0.5": _example_4("l5-eps0.5"),
-    "5": _example_5("eps1"),
-    "5-eps0.1": _example_5("eps0.1"),
+    "4-l1": _example_4_l1,
+    "4-l5": _example_4_l5,
+    "4-l5-eps0.5": _example_4_l5_eps05,
+    "5": _example_5,
+    "5-eps0.1": _example_5_eps01,
     "6": _example_6,
     "7": _example_7,
-    "8-A": _example_8("A"),
-    "8-A-eps0.2": _example_8("A-eps0.2"),
-    "8-Abar": _example_8("Abar"),
-    "8-Abar-eps0.2": _example_8("Abar-eps0.2"),
-    "8-Abar-eps0.1": _example_8("Abar-eps0.1"),
+    "8-A": _example_8_A,
+    "8-A-eps0.2": _example_8_A_eps02,
+    "8-Abar": _example_8_Abar,
+    "8-Abar-eps0.2": _example_8_Abar_eps02,
+    "8-Abar-eps0.1": _example_8_Abar_eps01,
     "9": _example_9,
 }
 

@@ -156,6 +156,25 @@ def test_malformed_seeds(tmp_path, capsys):
     assert "seeds" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "classify"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_payoff_parameter_rejected(command, value, capsys):
+    code, out, err = run_cli(capsys, command, "--preset", "rps",
+                             "--param", f"l={value}")
+    assert code == 2
+    assert out == ""
+    assert "payoff tensors must be finite" in err
+
+
+@pytest.mark.parametrize("scheme", ["discrete", "stochastic"])
+def test_record_every_zero_rejected(scheme, tmp_path, capsys):
+    code, _, err = run_cli(capsys, "simulate", "--preset", "rps",
+                           "--param", "l=2", "--scheme", scheme,
+                           "--record-every", "0", "--out", str(tmp_path))
+    assert code == 2
+    assert "record_every" in err
+
+
 def test_discrete_scheme(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "simulate", "--preset", "anticoord123",
                          "--scheme", "discrete", "--alpha", "0.1",

@@ -140,6 +140,18 @@ def test_record_every_and_final_sample():
                                atol=1e-12)
 
 
+def test_horizon_shorter_than_step_rejected():
+    game = preset("rps", {"l": 2.5})
+    with pytest.raises(DomainError):
+        simulate_first_order(game, LearningParams(1.0, 1.0), np.zeros(3),
+                             dt=0.5, t_end=0.2)
+    for t_end in (0.05, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            integrate(lambda s: -s, np.ones(2), dt=0.1, t_end=t_end)
+    traj = integrate(lambda s: -s, np.ones(2), dt=0.1, t_end=0.1)
+    np.testing.assert_allclose(traj.times, [0.0, 0.1], atol=1e-12)
+
+
 def test_divergence_reports_last_good_time():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationDivergedError) as err:

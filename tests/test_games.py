@@ -29,6 +29,17 @@ def test_linear_map_shape_checked():
                  linear_map=np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_payoffs_rejected(bad):
+    a_mat = np.zeros((2, 2))
+    a_mat[0, 1] = bad
+    with pytest.raises(DomainError):
+        GameSpec((2,), (a_mat,), matching=True)
+    with pytest.raises(DomainError):
+        GameSpec((2, 2), (np.zeros((2, 2)), np.zeros((2, 2))),
+                 linear_map=np.pad(a_mat, ((0, 2), (0, 2))))
+
+
 def test_pure_payoff_matching_pennies():
     game = preset("matching_pennies")
     # (H, H): row player wins 1, column player loses 1

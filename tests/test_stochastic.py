@@ -114,6 +114,20 @@ def test_harmonic_schedule_values():
     assert harmonic_schedule(3) == 0.25
 
 
+@pytest.mark.parametrize("scheme", ["discrete", "stochastic"])
+@pytest.mark.parametrize("record_every", [0, -1])
+def test_record_every_must_be_positive(scheme, record_every):
+    game = preset("rps", {"l": 2.0})
+    params = LearningParams(eps=1.0, gamma=1.0)
+    with pytest.raises(DomainError):
+        if scheme == "discrete":
+            run_discrete(game, params, np.zeros(3), alpha=0.1, steps=5,
+                         record_every=record_every)
+        else:
+            run_stochastic(game, params, np.zeros(3), steps=5, rng=0,
+                           record_every=record_every)
+
+
 def test_run_discrete_settles_matching_pennies():
     game = preset("matching_pennies")
     params = LearningParams(eps=1.0, gamma=1.0)
