@@ -10,7 +10,7 @@ import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 from scipy.optimize import minimize_scalar
 
-from .choice import bregman_lse, profile_jacobian, softmax
+from .choice import _check_eps, bregman_lse, profile_jacobian, softmax
 from .dynamics import (FeedbackBlock, LearningParams, Trajectory,
                        first_order_field, higher_order_field)
 from .errors import ConfigurationError, DomainError, NumericsError, UsageError
@@ -164,9 +164,7 @@ def rest_point(game: GameSpec, eps: float, z0=None, beta: float = 0.5,
     unstable rest points); Newton with a halving line search then drives the
     best iterate to newton_tol.
     """
-    eps = float(eps)
-    if eps <= 0.0:
-        raise DomainError(f"eps must be positive, got {eps!r}")
+    eps = _check_eps(eps)
     n = game.total_actions
     z = np.zeros(n) if z0 is None else np.asarray(z0, dtype=float).copy()
     if z.shape != (n,):

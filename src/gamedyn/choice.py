@@ -17,16 +17,24 @@ import numpy as np
 
 from .errors import DomainError
 
+# Reductions called as ufuncs skip the per-call wrapper cost of
+# ndarray.all/max/sum and give the same values.
+_all = np.logical_and.reduce
+_max = np.maximum.reduce
+_sum = np.add.reduce
+
 
 def _check_eps(eps: float) -> float:
     eps = float(eps)
-    if not np.isfinite(eps) or eps <= 0.0:
+    if not 0.0 < eps < np.inf:
         raise DomainError(f"temperature must be positive, got {eps!r}")
+    if 1.0 / eps == np.inf:
+        raise DomainError(f"temperature eps={eps!r} is too small: 1/eps is not finite")
     return eps
 
 
 def _check_finite(z: np.ndarray) -> None:
-    if not np.all(np.isfinite(z)):
+    if not _all(np.isfinite(z), axis=None):
         raise DomainError("non-finite entries in score input")
 
 
@@ -34,10 +42,9 @@ def softmax_block(z_block, eps: float) -> np.ndarray:
     """Soft-max over the last axis of a single score block."""
     eps = _check_eps(eps)
     z = np.asarray(z_block, dtype=float)
-    _check_finite(z)
-    m = z.max(axis=-1, keepdims=True)
-    w = np.exp((z - m) / eps)
-    return w / w.sum(axis=-1, keepdims=True)
+    if z.ndim == 0:
+        raise DomainError("softmax_block takes a score block, not a scalar")
+    return _bind_softmax(eps, z.shape[-1:])(z)
 
 
 def softmax(z, eps: float, action_counts: Sequence[int]) -> np.ndarray:
@@ -48,20 +55,39 @@ def softmax(z, eps: float, action_counts: Sequence[int]) -> np.ndarray:
     n = sum(counts)
     if z.shape[-1] != n:
         raise DomainError(f"score vector has length {z.shape[-1]}, expected {n}")
-    _check_finite(z)
+    return _bind_softmax(eps, counts)(z)
+
+
+def _bind_softmax(eps: float, counts: tuple[int, ...]):
+    """The per-player soft-max for a validated eps and block layout.
+
+    The returned map checks only that its float input is finite; equal
+    blocks are reshaped and reduced together, unequal ones block by block.
+    """
     if len(set(counts)) == 1:
-        k = counts[0]
-        blocks = z.reshape(z.shape[:-1] + (len(counts), k))
-        m = blocks.max(axis=-1, keepdims=True)
-        w = np.exp((blocks - m) / eps)
-        w = w / w.sum(axis=-1, keepdims=True)
-        return w.reshape(z.shape)
-    out = np.empty_like(z)
-    start = 0
-    for c in counts:
-        out[..., start:start + c] = softmax_block(z[..., start:start + c], eps)
-        start += c
-    return out
+        block_shape = (len(counts), counts[0])
+
+        def sigma(z: np.ndarray) -> np.ndarray:
+            _check_finite(z)
+            blocks = z.reshape(z.shape[:-1] + block_shape)
+            w = np.exp((blocks - _max(blocks, axis=-1, keepdims=True)) / eps)
+            w /= _sum(w, axis=-1, keepdims=True)
+            return w.reshape(z.shape)
+
+        return sigma
+    starts = np.cumsum((0,) + counts).tolist()
+    slices = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
+
+    def sigma_blocks(z: np.ndarray) -> np.ndarray:
+        _check_finite(z)
+        out = np.empty_like(z)
+        for sl in slices:
+            zb = z[..., sl]
+            w = np.exp((zb - _max(zb, axis=-1, keepdims=True)) / eps)
+            out[..., sl] = w / _sum(w, axis=-1, keepdims=True)
+        return out
+
+    return sigma_blocks
 
 
 def log_sum_exp(z_block, eps: float) -> np.ndarray:

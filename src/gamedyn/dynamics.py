@@ -21,9 +21,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .choice import softmax
+from .choice import _bind_softmax, _check_eps, softmax
 from .errors import ConfigurationError, DomainError, IntegrationDivergedError
-from .games import GameSpec, expected_payoff_vector
+from .games import (GameSpec, _bind_contraction, expected_payoff_vector,
+                    linear_game_map)
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,7 @@ class LearningParams:
     def __post_init__(self):
         if not (np.isfinite(self.gamma) and self.gamma > 0.0):
             raise DomainError(f"gamma must be positive, got {self.gamma!r}")
-        if not (np.isfinite(self.eps) and self.eps > 0.0):
-            raise DomainError(f"eps must be positive, got {self.eps!r}")
+        _check_eps(self.eps)
 
 
 @dataclass
@@ -166,14 +166,75 @@ def verify_feedback_block(block: FeedbackBlock, freqs: np.ndarray | None = None,
 
 # ---------------------------------------------------------------- vector fields
 
+def _check_length(state: np.ndarray, n: int, what: str = "score vector") -> None:
+    length = state.shape[-1] if state.ndim else 0
+    if length != n:
+        raise DomainError(f"{what} has length {length}, expected {n}")
+
+
+def _bind_field(game: GameSpec, params: LearningParams,
+                block: FeedbackBlock | None = None) -> Callable[[np.ndarray], np.ndarray]:
+    """The score field of one game, parameter set and (optional) validated
+    filter, with everything that is fixed across RK4 stages bound once.
+
+    The payoff map is the matrix Phi^T of linear_game_map when the game has
+    one and a per-player einsum otherwise.  With a filter, the stacked
+
+        W = [[Phi^T - D^T, B^T], [-C^T, A^T]]
+
+    turns [sigma(z), xi] into (U - v, xidot) in one product.  The returned
+    map takes float arrays of the right length and checks only that each
+    soft-max input is finite.
+    """
+    n = game.total_actions
+    gamma = params.gamma
+    sigma = _bind_softmax(params.eps, game.action_counts)
+    phi = linear_game_map(game)
+    if phi is None:
+        payoff = _bind_contraction(game)
+    else:
+        phi_t = phi.T
+
+        def payoff(x: np.ndarray) -> np.ndarray:
+            return x @ phi_t
+
+    if block is None:
+        if params.undiscounted:
+            return lambda z: payoff(sigma(z))
+
+        def first_order(z: np.ndarray) -> np.ndarray:
+            dz = payoff(sigma(z))
+            dz -= z
+            dz *= gamma
+            return dz
+
+        return first_order
+
+    if block.dim != n:
+        raise DomainError(f"feedback block has dimension {block.dim}, expected {n}")
+    top = -block.d_mat.T if phi is None else phi.T - block.d_mat.T
+    w_mat = np.block([[top, block.b_mat.T], [-block.c_mat.T, block.a_mat.T]])
+
+    def higher_order(state: np.ndarray) -> np.ndarray:
+        z = state[..., :n]
+        y = state.copy()
+        y[..., :n] = sigma(z)
+        out = y @ w_mat
+        dz = out[..., :n]
+        if phi is None:
+            dz += payoff(y[..., :n])
+        dz -= z
+        dz *= gamma
+        return out
+
+    return higher_order
+
+
 def first_order_field(z, game: GameSpec, params: LearningParams) -> np.ndarray:
     """zdot = gamma (U(sigma(z)) - z), or U(sigma(z)) when undiscounted."""
     z = np.asarray(z, dtype=float)
-    x = softmax(z, params.eps, game.action_counts)
-    u = expected_payoff_vector(game, x)
-    if params.undiscounted:
-        return u
-    return params.gamma * (u - z)
+    _check_length(z, game.total_actions)
+    return _bind_field(game, params)(z)
 
 
 def higher_order_field(state, game: GameSpec, params: LearningParams,
@@ -181,17 +242,8 @@ def higher_order_field(state, game: GameSpec, params: LearningParams,
     """Combined (z, xi) field of the filtered score dynamics."""
     block.ensure_valid()
     state = np.asarray(state, dtype=float)
-    n = game.total_actions
-    if state.shape[-1] != 2 * n:
-        raise DomainError(f"state has length {state.shape[-1]}, expected {2 * n}")
-    z = state[..., :n]
-    xi = state[..., n:]
-    x = softmax(z, params.eps, game.action_counts)
-    u = expected_payoff_vector(game, x)
-    v = xi @ block.c_mat.T + x @ block.d_mat.T
-    dz = params.gamma * (u - z - v)
-    dxi = xi @ block.a_mat.T + x @ block.b_mat.T
-    return np.concatenate([dz, dxi], axis=-1)
+    _check_length(state, 2 * game.total_actions, "state")
+    return _bind_field(game, params, block)(state)
 
 
 def induced_strategy_field(z, game: GameSpec, params: LearningParams) -> np.ndarray:
@@ -320,15 +372,14 @@ def simulate_first_order(game: GameSpec, params: LearningParams, z0,
                          dt: float = 0.01, t_end: float = 500.0,
                          record_every: int = 10):
     """Integrate the first-order score flow from z0 ((n,) or batch (b, n))."""
+    z0 = np.asarray(z0, dtype=float)
+    _check_length(z0, game.total_actions)
     counts = game.action_counts
-
-    def field(z: np.ndarray) -> np.ndarray:
-        return first_order_field(z, game, params)
 
     def strat(zs: np.ndarray) -> np.ndarray:
         return softmax(zs, params.eps, counts)
 
-    return integrate(field, z0, dt, t_end, record_every, strat)
+    return integrate(_bind_field(game, params), z0, dt, t_end, record_every, strat)
 
 
 def simulate_higher_order(game: GameSpec, params: LearningParams,
@@ -339,6 +390,7 @@ def simulate_higher_order(game: GameSpec, params: LearningParams,
     block.ensure_valid()
     n = game.total_actions
     z0 = np.asarray(z0, dtype=float)
+    _check_length(z0, n)
     if xi0 is None:
         xi0 = np.zeros_like(z0)
     else:
@@ -348,13 +400,11 @@ def simulate_higher_order(game: GameSpec, params: LearningParams,
     state0 = np.concatenate([z0, xi0], axis=-1)
     counts = game.action_counts
 
-    def field(state: np.ndarray) -> np.ndarray:
-        return higher_order_field(state, game, params, block)
-
     def strat(states: np.ndarray) -> np.ndarray:
         return softmax(states[..., :n], params.eps, counts)
 
-    return integrate(field, state0, dt, t_end, record_every, strat)
+    return integrate(_bind_field(game, params, block), state0, dt, t_end,
+                     record_every, strat)
 
 
 # ------------------------------------------------- discrete-time recursions
@@ -365,14 +415,25 @@ def euler_step(z, game: GameSpec, params: LearningParams, alpha: float):
     Returns (Z+, sigma(Z+)).  With alpha * gamma = 1 this is the exact
     best-scored update Z+ = U(sigma(Z)).
     """
+    alpha = _check_alpha(alpha)
+    z = np.asarray(z, dtype=float)
+    _check_length(z, game.total_actions)
+    z_next = z + alpha * params.gamma * _euler_increment(game, params)(z)
+    return z_next, softmax(z_next, params.eps, game.action_counts)
+
+
+def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"step size must lie in [0, 1], got {alpha!r}")
-    z = np.asarray(z, dtype=float)
-    x = softmax(z, params.eps, game.action_counts)
-    u = expected_payoff_vector(game, x)
-    z_next = z + alpha * params.gamma * (u - z)
-    return z_next, softmax(z_next, params.eps, game.action_counts)
+    return alpha
+
+
+def _euler_increment(game: GameSpec, params: LearningParams):
+    """U(sigma(Z)) - Z as the bound first-order field at gamma = 1; the
+    discrete scheme scales it by alpha gamma and ignores the discount
+    switch."""
+    return _bind_field(game, LearningParams(1.0, params.eps))
 
 
 def sample_joint_actions(game: GameSpec, x, rng, size: int | None = None) -> np.ndarray:
@@ -454,9 +515,7 @@ def stochastic_step(z, game: GameSpec, params: LearningParams, alpha: float,
     Returns (Z+, sigma(Z+), actions, realized_payoffs).  alpha = 0 leaves
     the scores unchanged.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"step size must lie in [0, 1], got {alpha!r}")
+    alpha = _check_alpha(alpha)
     z = np.asarray(z, dtype=float)
     x = softmax(z, params.eps, game.action_counts)
     u_hat, acts, realized = payoff_estimate(game, x, rng, mode=mode)
@@ -464,20 +523,26 @@ def stochastic_step(z, game: GameSpec, params: LearningParams, alpha: float,
     return z_next, softmax(z_next, params.eps, game.action_counts), acts, realized
 
 
-def _check_record_every(record_every: int) -> None:
+def _check_run(steps: int, record_every: int) -> int:
     if record_every < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
+    if steps < 0:
+        raise DomainError(f"steps must be >= 0, got {steps!r}")
+    return int(steps)
 
 
 def run_discrete(game: GameSpec, params: LearningParams, z0, alpha: float,
                  steps: int, record_every: int = 1):
-    """Iterate euler_step; returns (ks, Z samples, X samples)."""
-    _check_record_every(record_every)
+    """Iterate the euler_step update; returns (ks, Z samples, X samples)."""
+    steps = _check_run(steps, record_every)
+    rate = _check_alpha(alpha) * params.gamma
     z = np.asarray(z0, dtype=float)
+    _check_length(z, game.total_actions)
+    increment = _euler_increment(game, params)
     ks = [0]
     zs = [z.copy()]
-    for k in range(int(steps)):
-        z, _ = euler_step(z, game, params, alpha)
+    for k in range(steps):
+        z = z + rate * increment(z)
         if (k + 1) % record_every == 0 or k + 1 == steps:
             ks.append(k + 1)
             zs.append(z.copy())
@@ -500,14 +565,14 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
     Returns a dict with sampled ks, Z, X, realized joint actions and
     realized payoffs (aligned with the post-step sample index).
     """
-    _check_record_every(record_every)
+    steps = _check_run(steps, record_every)
     rng = np.random.default_rng(rng)
     z = np.asarray(z0, dtype=float)
     ks = [0]
     zs = [z.copy()]
     acts_log = [None]
     pay_log = [None]
-    for k in range(int(steps)):
+    for k in range(steps):
         z, x, acts, realized = stochastic_step(z, game, params,
                                                alpha_schedule(k), rng, mode)
         if (k + 1) % record_every == 0 or k + 1 == steps:

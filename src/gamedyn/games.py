@@ -224,19 +224,29 @@ def expected_payoff_vector(game: GameSpec, x) -> np.ndarray:
         raise DomainError(f"profile has length {x.shape[-1]}, expected {n}")
     if game.matching:
         return x @ game.payoff_tensors[0].T
+    return _bind_contraction(game)(x)
+
+
+def _bind_contraction(game: GameSpec):
+    """U(x) of a tensor game as one einsum per player, with the subscripts
+    and block slices built once; the returned map does not check x."""
     n_players = game.player_count
-    blocks = game.split(x)
-    outs = []
+    slices = game.block_slices
+    if n_players == 1:
+        tensor = game.payoff_tensors[0]
+        return lambda x: np.broadcast_to(tensor, x.shape[:-1] + tensor.shape).copy()
+    terms = []
     for p, tensor in enumerate(game.payoff_tensors):
-        if n_players == 1:
-            outs.append(np.broadcast_to(tensor, x.shape[:-1] + tensor.shape).copy())
-            continue
-        lhs = _AXES[:n_players]
-        rest = ",".join("..." + _AXES[q] for q in range(n_players) if q != p)
-        sub = f"{lhs},{rest}->...{_AXES[p]}"
-        others = [blocks[q] for q in range(n_players) if q != p]
-        outs.append(np.einsum(sub, tensor, *others))
-    return np.concatenate(outs, axis=-1)
+        others = [q for q in range(n_players) if q != p]
+        rest = ",".join("..." + _AXES[q] for q in others)
+        terms.append((f"{_AXES[:n_players]},{rest}->...{_AXES[p]}", tensor,
+                      [slices[q] for q in others]))
+
+    def contract(x: np.ndarray) -> np.ndarray:
+        return np.concatenate([np.einsum(sub, tensor, *(x[..., sl] for sl in sls))
+                               for sub, tensor, sls in terms], axis=-1)
+
+    return contract
 
 
 def linear_game_map(game: GameSpec) -> np.ndarray | None:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gamedyn import DomainError, bregman_lse, profile_jacobian, softmax
+from gamedyn import (DomainError, LearningParams, bregman_lse, profile_jacobian,
+                     softmax)
 from gamedyn.analysis import numeric_jacobian
 from gamedyn.choice import log_sum_exp, softmax_block, softmax_jacobian
 
@@ -27,6 +28,16 @@ def test_temperature_must_be_positive():
         softmax_block(np.zeros(3), -1.0)
     with pytest.raises(DomainError):
         softmax_block(np.array([np.nan, 0.0]), 1.0)
+
+
+def test_temperature_too_small_for_its_reciprocal():
+    for call in (lambda: softmax_block(np.zeros(3), 1e-320),
+                 lambda: softmax(np.zeros(3), 1e-320, (3,)),
+                 lambda: LearningParams(gamma=1.0, eps=1e-320)):
+        with pytest.raises(DomainError, match="temperature eps=1e-320"):
+            call()
+    # an eps just above the smallest normal double has a finite reciprocal
+    assert np.isfinite(softmax(np.zeros(3), 2.3e-308, (3,))).all()
 
 
 def test_shift_invariance_per_block(rng):

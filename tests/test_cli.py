@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,33 @@ def test_record_every_zero_rejected(scheme, tmp_path, capsys):
                            "--record-every", "0", "--out", str(tmp_path))
     assert code == 2
     assert "record_every" in err
+
+
+@pytest.mark.parametrize("scheme", ["discrete", "stochastic"])
+def test_negative_steps_rejected(scheme, tmp_path, capsys):
+    code, _, err = run_cli(capsys, "simulate", "--preset", "rps",
+                           "--param", "l=2", "--scheme", scheme,
+                           "--steps", "-3", "--out", str(tmp_path))
+    assert code == 2
+    assert "steps must be >= 0" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve",),
+    ("simulate", "--scheme", "first-order"),
+    ("simulate", "--scheme", "discrete"),
+])
+def test_temperature_too_small_rejected(argv, tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, argv[0], "--preset", "rps",
+                                 "--param", "l=2", "--eps", "1e-320",
+                                 *argv[1:], "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "temperature eps=1e-320 is too small" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_discrete_scheme(tmp_path, capsys):

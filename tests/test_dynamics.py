@@ -3,13 +3,13 @@ import pytest
 
 from gamedyn import (DomainError, FeedbackBlock,
                      IntegrationDivergedError, LearningParams, Trajectory,
-                     expected_payoff_vector, first_order_field,
+                     expected_payoff_vector, first_order_field, game_from_dict,
                      higher_order_field, induced_strategy_field, integrate,
                      preset, profile_jacobian, rest_point,
-                     revision_protocol_field, score_bound, score_bound_excess,
-                     seeded_initial_scores, simulate_first_order,
-                     simulate_higher_order, softmax, verify_feedback_block,
-                     write_trajectory_csv)
+                     revision_protocol_field, run_discrete, score_bound,
+                     score_bound_excess, seeded_initial_scores,
+                     simulate_first_order, simulate_higher_order, softmax,
+                     verify_feedback_block, write_trajectory_csv)
 
 
 def test_learning_params_validation():
@@ -226,3 +226,155 @@ def test_trajectory_csv_layout(tmp_path):
     assert sum(1 for h in header if h.startswith("x_")) == 6
     assert sum(1 for h in header if h.startswith("tern")) == 4
     assert len(lines) == len(traj.times) + 1
+
+
+# ------------------------------------------- bound field vs. a written-out one
+
+def _random_tensor_game(counts, seed):
+    rng = np.random.default_rng(seed)
+    size = int(np.prod(counts))
+    return game_from_dict({"players": len(counts), "action_counts": list(counts),
+                           "payoffs": [rng.uniform(-1, 1, size).tolist()
+                                       for _ in counts]})
+
+
+REFERENCE_GAMES = {
+    "rps": lambda: preset("rps", {"l": 2.0}),
+    "two_player_rps": lambda: preset("two_player_rps", {"l": 3.0}),
+    "bimatrix23": lambda: _random_tensor_game((2, 3), 7),
+    "jordan_mp": lambda: preset("jordan_mp"),
+    "tensor232": lambda: _random_tensor_game((2, 3, 2), 11),
+}
+
+
+def _coupled_block(n, seed):
+    """A filter with full, non-symmetric A, B, C and D = C A^-1 B, so H(0) = 0
+    and any transposed or swapped matrix changes the field."""
+    rng = np.random.default_rng(seed)
+    a_mat = -4.0 * np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n))
+    b_mat = rng.uniform(-1, 1, (n, n))
+    c_mat = rng.uniform(-1, 1, (n, n))
+    return FeedbackBlock(a_mat, b_mat, c_mat, c_mat @ np.linalg.solve(a_mat, b_mat))
+
+
+def _reference_field(game, params, block):
+    """The score field composed from the public soft-max and payoff vector,
+    with the filter written out from its four matrices."""
+    n = game.total_actions
+
+    def field(state):
+        z = state[..., :n]
+        x = softmax(z, params.eps, game.action_counts)
+        u = expected_payoff_vector(game, x)
+        if block is None:
+            return u if params.undiscounted else params.gamma * (u - z)
+        xi = state[..., n:]
+        v = xi @ block.c_mat.T + x @ block.d_mat.T
+        dxi = xi @ block.a_mat.T + x @ block.b_mat.T
+        return np.concatenate([params.gamma * (u - z - v), dxi], axis=-1)
+
+    return field
+
+
+def _reference_rk4(field, state, dt, steps):
+    states = [state]
+    for _ in range(steps):
+        k1 = field(state)
+        k2 = field(state + 0.5 * dt * k1)
+        k3 = field(state + 0.5 * dt * k2)
+        k4 = field(state + dt * k3)
+        state = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(state)
+    return np.stack(states, axis=1)
+
+
+def _initial_scores(game, batch):
+    rng = np.random.default_rng(batch)
+    return rng.uniform(-2, 2, (batch, game.total_actions))
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("regime", ["discounted", "undiscounted", "filtered"])
+@pytest.mark.parametrize("game_key", list(REFERENCE_GAMES))
+def test_simulate_matches_reference_field(game_key, regime, batch):
+    game = REFERENCE_GAMES[game_key]()
+    n = game.total_actions
+    params = LearningParams(gamma=1.5, eps=0.7,
+                            undiscounted=regime == "undiscounted")
+    z0 = _initial_scores(game, batch)
+    dt, steps = 0.05, 40
+    if regime == "filtered":
+        block = _coupled_block(n, 3)
+        xi0 = np.random.default_rng(4).uniform(-1, 1, z0.shape)
+        trajs = simulate_higher_order(game, params, block, z0, xi0, dt=dt,
+                                      t_end=dt * steps, record_every=1)
+        state0 = np.concatenate([z0, xi0], axis=-1)
+    else:
+        block = None
+        trajs = simulate_first_order(game, params, z0, dt=dt, t_end=dt * steps,
+                                     record_every=1)
+        state0 = z0
+    expect = _reference_rk4(_reference_field(game, params, block), state0, dt, steps)
+    assert len(trajs) == batch
+    for b, traj in enumerate(trajs):
+        assert traj.states.shape == (steps + 1, state0.shape[1])
+        np.testing.assert_allclose(traj.states, expect[b], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            traj.strategies, softmax(expect[b][:, :n], params.eps, game.action_counts),
+            rtol=0.0, atol=1e-12)
+    # the public fields are the same bound kernel
+    field = (first_order_field if block is None else
+             lambda s, g, p: higher_order_field(s, g, p, block))
+    np.testing.assert_allclose(field(state0, game, params),
+                               _reference_field(game, params, block)(state0),
+                               rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("game_key", list(REFERENCE_GAMES))
+def test_run_discrete_matches_reference_update(game_key, batch):
+    game = REFERENCE_GAMES[game_key]()
+    # the discrete scheme ignores the discount switch
+    params = LearningParams(gamma=1.5, eps=0.7, undiscounted=True)
+    alpha, steps = 0.3, 25
+    z = _initial_scores(game, batch)
+    expect = [z]
+    for _ in range(steps):
+        u = expected_payoff_vector(game, softmax(z, params.eps, game.action_counts))
+        z = z + alpha * params.gamma * (u - z)
+        expect.append(z)
+    expect = np.stack(expect)
+    ks, zs, xs = run_discrete(game, params, _initial_scores(game, batch),
+                              alpha=alpha, steps=steps)
+    np.testing.assert_array_equal(ks, np.arange(steps + 1))
+    np.testing.assert_allclose(zs, expect, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(xs, softmax(expect, params.eps, game.action_counts),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_bound_field_rejects_mismatched_inputs():
+    game = preset("rps", {"l": 2.0})
+    params = LearningParams(1.0, 1.0)
+    with pytest.raises(DomainError, match="score vector has length 4"):
+        simulate_first_order(game, params, np.zeros(4), dt=0.1, t_end=1.0)
+    with pytest.raises(DomainError, match="score vector has length 2"):
+        first_order_field(np.zeros(2), game, params)
+    with pytest.raises(DomainError, match="state has length 3"):
+        higher_order_field(np.zeros(3), game, params,
+                           FeedbackBlock.high_pass(1.0, 1.0, (3,)))
+    with pytest.raises(DomainError, match="feedback block has dimension 4"):
+        simulate_higher_order(game, params, FeedbackBlock.high_pass(1.0, 1.0, (4,)),
+                              np.zeros(3), dt=0.1, t_end=1.0)
+    with pytest.raises(DomainError, match="non-finite entries in score input"):
+        first_order_field(np.array([0.0, np.nan, 0.0]), game, params)
+
+
+def test_large_step_overflow_is_refused():
+    """A step far beyond RK4's stability region must end in an error, never
+    in a returned trajectory."""
+    game = preset("rps", {"l": 8.0})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises((DomainError, IntegrationDivergedError)):
+            simulate_first_order(game, LearningParams(1.0, 1.0),
+                                 seeded_initial_scores(3, 0), dt=40.0,
+                                 t_end=40000.0, record_every=500)

@@ -128,6 +128,31 @@ def test_record_every_must_be_positive(scheme, record_every):
                            record_every=record_every)
 
 
+@pytest.mark.parametrize("scheme", ["discrete", "stochastic"])
+def test_negative_steps_rejected(scheme):
+    game = preset("rps", {"l": 2.0})
+    params = LearningParams(eps=1.0, gamma=1.0)
+    with pytest.raises(DomainError, match="steps"):
+        if scheme == "discrete":
+            run_discrete(game, params, np.zeros(3), alpha=0.1, steps=-3)
+        else:
+            run_stochastic(game, params, np.zeros(3), steps=-3, rng=0)
+
+
+@pytest.mark.parametrize("scheme", ["discrete", "stochastic"])
+def test_zero_steps_returns_initial_sample(scheme):
+    game = preset("rps", {"l": 2.0})
+    params = LearningParams(eps=1.0, gamma=1.0)
+    z0 = np.array([0.3, -0.2, 0.1])
+    if scheme == "discrete":
+        ks, zs, _ = run_discrete(game, params, z0, alpha=0.1, steps=0)
+    else:
+        record = run_stochastic(game, params, z0, steps=0, rng=0)
+        ks, zs = record["ks"], record["z"]
+    assert list(ks) == [0]
+    np.testing.assert_array_equal(zs, [z0])
+
+
 def test_run_discrete_settles_matching_pennies():
     game = preset("matching_pennies")
     params = LearningParams(eps=1.0, gamma=1.0)
