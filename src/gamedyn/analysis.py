@@ -10,12 +10,13 @@ import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 from scipy.optimize import minimize_scalar
 
-from .choice import _check_eps, bregman_lse, profile_jacobian, softmax
+from .choice import (_bind_softmax, _check_eps, block_slices, bregman_lse,
+                     profile_jacobian, softmax)
 from .dynamics import (FeedbackBlock, LearningParams, Trajectory,
                        first_order_field, higher_order_field)
 from .errors import ConfigurationError, DomainError, NumericsError, UsageError
-from .games import (GameSpec, expected_payoff_vector, linear_game_map,
-                    payoff_jacobian, tangent_basis)
+from .games import (GameSpec, _bind_payoff, linear_game_map, payoff_jacobian,
+                    tangent_basis)
 
 
 # --------------------------------------------------------------- classification
@@ -67,8 +68,7 @@ def _class_of(lambda_max: float, tol: float) -> str:
 
 
 def classify(game: GameSpec, sample_count: int = 200, seed: int = 0,
-             step: float = 1e-5, tol: float = 1e-9,
-             alignment_tol: float = 1e-8) -> ClassificationReport:
+             tol: float = 1e-9, alignment_tol: float = 1e-8) -> ClassificationReport:
     """Classify the game as strictly-/null-/hypo-monotone.
 
     With a linear game map the tangent spectrum is exact; otherwise the payoff
@@ -103,7 +103,7 @@ def classify(game: GameSpec, sample_count: int = 200, seed: int = 0,
     best_x = None
     for _ in range(int(sample_count)):
         x = np.concatenate([rng.dirichlet(np.ones(c)) for c in game.action_counts])
-        du = payoff_jacobian(game, x, step=step)
+        du = payoff_jacobian(game, x)
         eigs = np.linalg.eigvalsh(e_mat.T @ (du + du.T) @ e_mat)
         if eigs[-1] > best_lambda:
             best_lambda = float(eigs[-1])
@@ -149,10 +149,6 @@ class RestPointResult:
         }
 
 
-def _score_map(game: GameSpec, eps: float, z: np.ndarray) -> np.ndarray:
-    return expected_payoff_vector(game, softmax(z, eps, game.action_counts))
-
-
 def rest_point(game: GameSpec, eps: float, z0=None, beta: float = 0.5,
                fp_tol: float = 1e-8, newton_tol: float = 1e-12,
                max_fp_iter: int = 100000, max_newton_iter: int = 50,
@@ -169,16 +165,18 @@ def rest_point(game: GameSpec, eps: float, z0=None, beta: float = 0.5,
     z = np.zeros(n) if z0 is None else np.asarray(z0, dtype=float).copy()
     if z.shape != (n,):
         raise DomainError(f"z0 has shape {z.shape}, expected ({n},)")
+    sigma = _bind_softmax(eps, game.action_counts)
+    payoff = _bind_payoff(game)
 
     def residual_of(v: np.ndarray) -> float:
-        return float(np.abs(_score_map(game, eps, v) - v).max())
+        return float(np.abs(payoff(sigma(v)) - v).max())
 
     best_z = z.copy()
     best_res = residual_of(z)
     iters = 0
     since_improve = 0
     while iters < max_fp_iter and best_res > fp_tol:
-        z = (1.0 - beta) * z + beta * _score_map(game, eps, z)
+        z = (1.0 - beta) * z + beta * payoff(sigma(z))
         iters += 1
         res = residual_of(z)
         if res < 0.99 * best_res:
@@ -200,8 +198,8 @@ def rest_point(game: GameSpec, eps: float, z0=None, beta: float = 0.5,
         for _ in range(max_newton_iter):
             if res <= newton_tol:
                 break
-            x = softmax(z, eps, game.action_counts)
-            f_val = expected_payoff_vector(game, x) - z
+            x = sigma(z)
+            f_val = payoff(x) - z
             jac = payoff_jacobian(game, x) @ profile_jacobian(z, eps, game.action_counts) - eye
             try:
                 step_dir = np.linalg.solve(jac, -f_val)
@@ -221,7 +219,7 @@ def rest_point(game: GameSpec, eps: float, z0=None, beta: float = 0.5,
             if not improved:
                 break
     status = "converged" if res <= success_tol else "not-found"
-    return RestPointResult(z_star=z, x_star=softmax(z, eps, game.action_counts),
+    return RestPointResult(z_star=z, x_star=sigma(z),
                            residual=res, iterations=iters, method=method,
                            status=status, eps=eps)
 
@@ -281,24 +279,21 @@ def dynamics_jacobian(z_star: np.ndarray, game: GameSpec, params: LearningParams
     eye = np.eye(n)
     if block is None:
         jac = gamma * (du @ d_sigma - eye)
-        if fd_check:
-            fd = numeric_jacobian(lambda z: first_order_field(z, game, params),
-                                  z_star, step=fd_step)
-            err = float(np.abs(jac - fd).max())
-            if err > fd_tol:
-                raise NumericsError(
-                    f"analytic Jacobian differs from finite differences by {err:.3e}")
-        return jac
-    block.ensure_valid()
-    xi_star = block.equilibrium_filter_state(x)
-    top = np.hstack([gamma * ((du - block.d_mat) @ d_sigma - eye), -gamma * block.c_mat])
-    bottom = np.hstack([block.b_mat @ d_sigma, block.a_mat])
-    jac = np.vstack([top, bottom])
+        state = z_star
+
+        def field(z: np.ndarray) -> np.ndarray:
+            return first_order_field(z, game, params)
+    else:
+        block.ensure_valid()
+        top = np.hstack([gamma * ((du - block.d_mat) @ d_sigma - eye), -gamma * block.c_mat])
+        bottom = np.hstack([block.b_mat @ d_sigma, block.a_mat])
+        jac = np.vstack([top, bottom])
+        state = np.concatenate([z_star, block.equilibrium_filter_state(x)])
+
+        def field(s: np.ndarray) -> np.ndarray:
+            return higher_order_field(s, game, params, block)
     if fd_check:
-        state = np.concatenate([z_star, xi_star])
-        fd = numeric_jacobian(lambda s: higher_order_field(s, game, params, block),
-                              state, step=fd_step)
-        err = float(np.abs(jac - fd).max())
+        err = float(np.abs(jac - numeric_jacobian(field, state, step=fd_step)).max())
         if err > fd_tol:
             raise NumericsError(
                 f"analytic Jacobian differs from finite differences by {err:.3e}")
@@ -313,15 +308,10 @@ def tangent_mode_abscissa(jac: np.ndarray, action_counts: Sequence[int],
     The soft-max shift invariance pins one structural mode per player along
     the block ones direction; those modes never cross and are excluded.
     """
-    counts = tuple(int(c) for c in action_counts)
-    n = sum(counts)
+    slices = block_slices(action_counts)
+    n = slices[-1].stop
     eigvals, eigvecs = np.linalg.eig(jac)
     best = -np.inf
-    start = 0
-    slices = []
-    for c in counts:
-        slices.append(slice(start, start + c))
-        start += c
     for lam, vec in zip(eigvals, eigvecs.T):
         z_part = vec[:n]
         tangential = z_part.copy()
@@ -363,6 +353,9 @@ def bifurcation_epsilon(game: GameSpec, params: LearningParams,
     lo, hi = float(eps_range[0]), float(eps_range[1])
     if not (0.0 < lo < hi):
         raise DomainError(f"invalid eps range {eps_range!r}")
+    tol = float(tol)
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"bisection tolerance must be positive and finite, got {tol!r}")
     warm = {"z": None}
 
     def abscissa(eps: float) -> float:
@@ -389,6 +382,8 @@ def bifurcation_epsilon(game: GameSpec, params: LearningParams,
     a, b, f_a = lo, hi, f_lo
     while b - a > tol:
         mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break  # the bracket is down to adjacent floats
         f_mid = abscissa(mid)
         iterations += 1
         if (f_mid > 0.0) == (f_a > 0.0):

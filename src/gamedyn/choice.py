@@ -11,6 +11,7 @@ Bregman divergence serves as a Lyapunov function for the score dynamics.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +23,12 @@ from .errors import DomainError
 _all = np.logical_and.reduce
 _max = np.maximum.reduce
 _sum = np.add.reduce
+
+
+def block_slices(action_counts: Sequence[int]) -> tuple[slice, ...]:
+    """Slices of the per-player blocks in a concatenated profile."""
+    counts = [int(c) for c in action_counts]
+    return tuple(slice(end - c, end) for c, end in zip(counts, accumulate(counts)))
 
 
 def _check_eps(eps: float) -> float:
@@ -75,8 +82,7 @@ def _bind_softmax(eps: float, counts: tuple[int, ...]):
             return w.reshape(z.shape)
 
         return sigma
-    starts = np.cumsum((0,) + counts).tolist()
-    slices = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
+    slices = block_slices(counts)
 
     def sigma_blocks(z: np.ndarray) -> np.ndarray:
         _check_finite(z)
@@ -117,10 +123,8 @@ def profile_jacobian(z, eps: float, action_counts: Sequence[int]) -> np.ndarray:
     if z.shape != (n,):
         raise DomainError(f"score vector has shape {z.shape}, expected ({n},)")
     jac = np.zeros((n, n))
-    start = 0
-    for c in counts:
-        jac[start:start + c, start:start + c] = softmax_jacobian(z[start:start + c], eps)
-        start += c
+    for sl in block_slices(counts):
+        jac[sl, sl] = softmax_jacobian(z[sl], eps)
     return jac
 
 
@@ -142,12 +146,10 @@ def bregman_lse(z, z_ref, eps: float, action_counts: Sequence[int]) -> np.ndarra
     _check_finite(z)
     _check_finite(ref)
     total = np.zeros(z.shape[:-1])
-    start = 0
-    for c in counts:
-        zb = z[..., start:start + c]
-        rb = ref[start:start + c]
+    for sl in block_slices(counts):
+        zb = z[..., sl]
+        rb = ref[sl]
         sb = softmax_block(rb, eps)
         total = total + (log_sum_exp(zb, eps) - log_sum_exp(rb, eps)
                          - (zb - rb) @ sb)
-        start += c
     return total

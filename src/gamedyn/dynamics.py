@@ -21,9 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .choice import _bind_softmax, _check_eps, softmax
+from .choice import _bind_softmax, _check_eps, block_slices, softmax
 from .errors import ConfigurationError, DomainError, IntegrationDivergedError
-from .games import (GameSpec, _bind_contraction, expected_payoff_vector,
+from .games import (GameSpec, _bind_payoff, expected_payoff_vector,
                     linear_game_map)
 
 
@@ -52,13 +52,13 @@ class FeedbackBlock:
     d_mat: np.ndarray
 
     def __post_init__(self):
-        mats = []
-        for m in (self.a_mat, self.b_mat, self.c_mat, self.d_mat):
-            m = np.ascontiguousarray(m, dtype=float)
-            mats.append(m)
+        mats = [np.ascontiguousarray(m, dtype=float)
+                for m in (self.a_mat, self.b_mat, self.c_mat, self.d_mat)]
         shapes = {m.shape for m in mats}
         if len(shapes) != 1 or mats[0].ndim != 2 or mats[0].shape[0] != mats[0].shape[1]:
             raise DomainError("feedback block matrices must be square and equally sized")
+        if not all(np.all(np.isfinite(m)) for m in mats):
+            raise DomainError("feedback block matrices must be finite")
         self.a_mat, self.b_mat, self.c_mat, self.d_mat = mats
         self._valid: bool | None = None
 
@@ -67,10 +67,10 @@ class FeedbackBlock:
         """First-order high-pass filter K s / (s + a) applied per coordinate."""
         gain = float(gain)
         cutoff = float(cutoff)
-        if cutoff <= 0.0:
-            raise DomainError(f"cutoff must be positive, got {cutoff!r}")
-        if gain < 0.0:
-            raise DomainError(f"gain must be nonnegative, got {gain!r}")
+        if not 0.0 < cutoff < np.inf:
+            raise DomainError(f"cutoff must be positive and finite, got {cutoff!r}")
+        if not 0.0 <= gain < np.inf:
+            raise DomainError(f"gain must be nonnegative and finite, got {gain!r}")
         n = int(sum(action_counts))
         eye = np.eye(n)
         return cls(-cutoff * eye, -cutoff * eye, gain * eye, gain * eye)
@@ -177,27 +177,19 @@ def _bind_field(game: GameSpec, params: LearningParams,
     """The score field of one game, parameter set and (optional) validated
     filter, with everything that is fixed across RK4 stages bound once.
 
-    The payoff map is the matrix Phi^T of linear_game_map when the game has
-    one and a per-player einsum otherwise.  With a filter, the stacked
+    The payoff map is games._bind_payoff.  With a filter, the stacked
 
         W = [[Phi^T - D^T, B^T], [-C^T, A^T]]
 
-    turns [sigma(z), xi] into (U - v, xidot) in one product.  The returned
+    turns [sigma(z), xi] into (U - v, xidot) in one product; a game without
+    a linear map Phi leaves Phi^T out of W and adds U(sigma(z)).  The returned
     map takes float arrays of the right length and checks only that each
     soft-max input is finite.
     """
     n = game.total_actions
     gamma = params.gamma
     sigma = _bind_softmax(params.eps, game.action_counts)
-    phi = linear_game_map(game)
-    if phi is None:
-        payoff = _bind_contraction(game)
-    else:
-        phi_t = phi.T
-
-        def payoff(x: np.ndarray) -> np.ndarray:
-            return x @ phi_t
-
+    payoff = _bind_payoff(game)
     if block is None:
         if params.undiscounted:
             return lambda z: payoff(sigma(z))
@@ -212,6 +204,7 @@ def _bind_field(game: GameSpec, params: LearningParams,
 
     if block.dim != n:
         raise DomainError(f"feedback block has dimension {block.dim}, expected {n}")
+    phi = linear_game_map(game)
     top = -block.d_mat.T if phi is None else phi.T - block.d_mat.T
     w_mat = np.block([[top, block.b_mat.T], [-block.c_mat.T, block.a_mat.T]])
 
@@ -560,7 +553,8 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
                    rng, mode: str = "full-info",
                    alpha_schedule: Callable[[int], float] = harmonic_schedule,
                    record_every: int = 1):
-    """Iterate stochastic_step with a step-size schedule.
+    """Iterate the stochastic_step update with a step-size schedule, with
+    the soft-max bound once and one soft-max per step.
 
     Returns a dict with sampled ks, Z, X, realized joint actions and
     realized payoffs (aligned with the post-step sample index).
@@ -568,13 +562,16 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
     steps = _check_run(steps, record_every)
     rng = np.random.default_rng(rng)
     z = np.asarray(z0, dtype=float)
+    _check_length(z, game.total_actions)
+    sigma = _bind_softmax(params.eps, game.action_counts)
     ks = [0]
     zs = [z.copy()]
     acts_log = [None]
     pay_log = [None]
     for k in range(steps):
-        z, x, acts, realized = stochastic_step(z, game, params,
-                                               alpha_schedule(k), rng, mode)
+        rate = _check_alpha(alpha_schedule(k)) * params.gamma
+        u_hat, acts, realized = payoff_estimate(game, sigma(z), rng, mode=mode)
+        z = z + rate * (u_hat - z)
         if (k + 1) % record_every == 0 or k + 1 == steps:
             ks.append(k + 1)
             zs.append(z.copy())
@@ -615,12 +612,10 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory,
         header.append("V")
     tern_blocks = []
     if ternary:
-        start = 0
-        for p, c in enumerate(counts):
-            if c == 3:
-                tern_blocks.append((p, slice(start, start + 3)))
+        for p, sl in enumerate(block_slices(counts)):
+            if counts[p] == 3:
+                tern_blocks.append(sl)
                 header += [f"tern{p + 1}_u", f"tern{p + 1}_v"]
-            start += c
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -632,7 +627,7 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory,
                 row += [_fmt(v) for v in traj.states[i, n:]]
             if traj.lyapunov is not None:
                 row.append(_fmt(traj.lyapunov[i]))
-            for _, sl in tern_blocks:
+            for sl in tern_blocks:
                 u, v = ternary_coordinates(traj.strategies[i, sl])
                 row += [_fmt(float(u)), _fmt(float(v))]
             writer.writerow(row)

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .choice import block_slices
 from .errors import DomainError, UsageError
 
 _AXES = "abcdefgh"
@@ -40,7 +41,9 @@ class GameSpec:
     payoff_tensors: one dense float64 array per player.  Shape is the joint
         action set, except for matching games where the single tensor is the
         (n, n) contest matrix indexed (own action, opponent action).
-    linear_map: optional matrix Phi with U(x) = Phi x exactly.
+    linear_map: optional matrix Phi with U(x) = Phi x exactly; it must agree
+        with the payoff tensors at every joint pure profile, and so on the
+        whole product of simplices, as U is multilinear.
     matching: single-population random-matching payoff mechanism.
     """
 
@@ -82,13 +85,28 @@ class GameSpec:
             lin.setflags(write=False)
         for t in tensors:
             t.setflags(write=False)
-        starts = [0]
-        for c in counts:
-            starts.append(starts[-1] + c)
+        stored_map = self.linear_map is not None
         object.__setattr__(self, "action_counts", counts)
         object.__setattr__(self, "payoff_tensors", tensors)
         object.__setattr__(self, "linear_map", lin)
-        object.__setattr__(self, "_slices", tuple(slice(a, b) for a, b in zip(starts[:-1], starts[1:])))
+        object.__setattr__(self, "_slices", block_slices(counts))
+        if stored_map:
+            self._check_linear_map()
+
+    def _check_linear_map(self) -> None:
+        """Compare the stored map with the tensor-only U at every joint pure
+        profile (one one-hot row per profile)."""
+        idx = np.indices(self.action_counts).reshape(self.player_count, -1)
+        pure = np.concatenate([np.eye(c)[i] for c, i in zip(self.action_counts, idx)],
+                              axis=-1)
+        if self.matching:
+            expect = pure @ self.payoff_tensors[0].T
+        else:
+            expect = _bind_contraction(self)(pure)
+        gap = float(np.abs(pure @ self.linear_map.T - expect).max())
+        if gap > 1e-9 * max(1.0, self.max_abs_payoff()):
+            raise DomainError(f"linear map disagrees with the payoff tensors by {gap:.3g} "
+                              "at a pure profile")
 
     @property
     def player_count(self) -> int:
@@ -124,22 +142,17 @@ class MixedProfile:
             raise DomainError(f"profile has shape {v.shape}, expected ({sum(counts)},)")
         if np.any(v < -1e-12):
             raise DomainError("negative strategy weight")
-        start = 0
-        for c in counts:
-            s = float(v[start:start + c].sum())
+        for sl in block_slices(counts):
+            s = float(v[sl].sum())
             if abs(s - 1.0) > 1e-9:
                 raise DomainError(f"strategy block sums to {s!r}, not 1")
-            start += c
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
         object.__setattr__(self, "action_counts", counts)
 
     @property
     def blocks(self) -> list[np.ndarray]:
-        starts = [0]
-        for c in self.action_counts:
-            starts.append(starts[-1] + c)
-        return [self.vector[a:b] for a, b in zip(starts[:-1], starts[1:])]
+        return [self.vector[sl] for sl in block_slices(self.action_counts)]
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[np.ndarray]) -> "MixedProfile":
@@ -222,9 +235,21 @@ def expected_payoff_vector(game: GameSpec, x) -> np.ndarray:
     n = game.total_actions
     if x.shape[-1] != n:
         raise DomainError(f"profile has length {x.shape[-1]}, expected {n}")
-    if game.matching:
-        return x @ game.payoff_tensors[0].T
-    return _bind_contraction(game)(x)
+    return _bind_payoff(game)(x)
+
+
+def _bind_payoff(game: GameSpec):
+    """The payoff map U of a game, for float profiles of the right length:
+    x @ Phi^T when linear_game_map has a matrix (every matching game), the
+    per-player einsum of _bind_contraction otherwise.  expected_payoff_vector,
+    the bound score fields and rest_point all take U from here (the filtered
+    field folds the same Phi^T into its stacked matrix); the returned map
+    does not check x."""
+    phi = linear_game_map(game)
+    if phi is None:
+        return _bind_contraction(game)
+    phi_t = phi.T
+    return lambda x: x @ phi_t
 
 
 def _bind_contraction(game: GameSpec):
@@ -269,20 +294,31 @@ def linear_game_map(game: GameSpec) -> np.ndarray | None:
     return None
 
 
-def payoff_jacobian(game: GameSpec, x, step: float = 1e-5) -> np.ndarray:
-    """Jacobian DU(x) of the payoff vector map, from the linear map when
-    available and by central differences otherwise."""
+def payoff_jacobian(game: GameSpec, x) -> np.ndarray:
+    """Jacobian DU(x) of the payoff vector map at a single profile.
+
+    With a linear map this is Phi.  Otherwise U is multilinear, so block
+    (p, q) is player p's tensor contracted with the strategy of every player
+    except p and q, and the diagonal blocks are zero.
+    """
+    x = as_profile_vector(x)
+    n = game.total_actions
+    if x.shape != (n,):
+        raise DomainError(f"profile has shape {x.shape}, expected ({n},)")
     phi = linear_game_map(game)
     if phi is not None:
         return np.array(phi)
-    x = as_profile_vector(x)
-    n = game.total_actions
+    n_players = game.player_count
+    slices = game.block_slices
     jac = np.zeros((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = step
-        jac[:, j] = (expected_payoff_vector(game, x + e)
-                     - expected_payoff_vector(game, x - e)) / (2.0 * step)
+    for p, tensor in enumerate(game.payoff_tensors):
+        for q in range(n_players):
+            if q == p:
+                continue
+            others = [r for r in range(n_players) if r not in (p, q)]
+            sub = ",".join([_AXES[:n_players]] + [_AXES[r] for r in others])
+            jac[slices[p], slices[q]] = np.einsum(f"{sub}->{_AXES[p]}{_AXES[q]}", tensor,
+                                                  *(x[slices[r]] for r in others))
     return jac
 
 

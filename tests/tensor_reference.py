@@ -1,0 +1,38 @@
+"""A payoff map written out from the payoff tensors alone, so tests can
+check the package's payoff evaluation without going through it."""
+
+import itertools
+
+import numpy as np
+
+from gamedyn import game_from_dict
+
+
+def tensor_payoff(game, x):
+    """U(x) summed term by term over joint pure profiles: entry i of block p
+    is the sum of T_p[s] times the others' probabilities of s, over profiles
+    s with s_p = i.  A matching game gives A x.  Batch dims are allowed."""
+    x = np.asarray(x, dtype=float)
+    if game.matching:
+        a_mat = game.payoff_tensors[0]
+        return sum(a_mat[:, j] * x[..., j, None] for j in range(a_mat.shape[1]))
+    offsets = np.cumsum((0,) + game.action_counts[:-1])
+    u = np.zeros_like(x)
+    for profile in itertools.product(*(range(c) for c in game.action_counts)):
+        for p, tensor in enumerate(game.payoff_tensors):
+            weight = np.ones(x.shape[:-1])
+            for q, action in enumerate(profile):
+                if q != p:
+                    weight = weight * x[..., offsets[q] + action]
+            u[..., offsets[p] + profile[p]] += tensor[profile] * weight
+    return u
+
+
+def random_tensor_game(counts, seed):
+    """A game with uniform random payoff tensors and no linear map (for more
+    than two players)."""
+    rng = np.random.default_rng(seed)
+    size = int(np.prod(counts))
+    return game_from_dict({"players": len(counts), "action_counts": list(counts),
+                           "payoffs": [rng.uniform(-1, 1, size).tolist()
+                                       for _ in counts]})

@@ -264,6 +264,28 @@ def test_bifurcation_range_validation():
         bifurcation_epsilon(game, params, eps_range=(2.0, 1.0))
 
 
+def _refuse_rest_point(*args, **kwargs):
+    raise AssertionError("the bisection started")
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_bifurcation_tolerance_validation(tol, monkeypatch):
+    monkeypatch.setattr("gamedyn.analysis.rest_point", _refuse_rest_point)
+    with pytest.raises(DomainError, match="bisection tolerance"):
+        bifurcation_epsilon(preset("rps", {"l": 8.0}), LearningParams(eps=1.0, gamma=1.0),
+                            eps_range=(0.5, 3.0), tol=tol)
+
+
+def test_bifurcation_stops_at_adjacent_floats():
+    result = bifurcation_epsilon(preset("rps", {"l": 8.0}),
+                                 LearningParams(eps=1.0, gamma=1.0),
+                                 eps_range=(0.5, 3.0), tol=1e-300)
+    assert result.status == "found"
+    lo, hi = result.bracket
+    assert np.nextafter(lo, np.inf) == hi
+    assert result.eps_star == pytest.approx(7.0 / 6.0, abs=1e-9)
+
+
 # ------------------------------------------------------------ Lyapunov monitors
 
 def test_lyapunov_trace_decreases_on_monotone_game():

@@ -257,6 +257,46 @@ def test_bifurcation_usage_errors(capsys):
         assert "error:" in err
 
 
+def test_game_file_with_wrong_linear_map_rejected(tmp_path, capsys):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"players": 2, "action_counts": [2, 2],
+                                "payoffs": [[3, 0, 0, 1], [3, 0, 0, 1]],
+                                "linear_map": [0.0] * 16}))
+    for argv in (("solve",), ("simulate", "--out", str(tmp_path))):
+        code, out, err = run_cli(capsys, *argv, "--game", str(path))
+        assert code == 2
+        assert out == ""
+        assert "linear map disagrees with the payoff tensors" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("option", ["--K", "--a"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_filter_parameter_rejected(option, value, tmp_path, capsys):
+    code, _, err = run_cli(capsys, "simulate", "--preset", "rps", "--param", "l=5",
+                           "--scheme", "higher-order", option, value,
+                           "--t-end", "1", "--out", str(tmp_path))
+    assert code == 2
+    assert "finite" in err
+    code, _, err = run_cli(capsys, "bifurcation", "--preset", "rps", "--param", "l=8",
+                           "--scheme", "higher-order", option, value)
+    assert code == 2
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_bifurcation_tolerance_rejected(tol, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bisection started")
+
+    monkeypatch.setattr("gamedyn.analysis.rest_point", refuse)
+    code, out, err = run_cli(capsys, "bifurcation", "--preset", "rps", "--param", "l=8",
+                             "--eps-range", "0.5,3", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "bisection tolerance must be positive and finite" in err
+
+
 def test_reproduce_passing_example(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "reproduce", "4-l1", "--out", str(tmp_path))
     assert code == 0

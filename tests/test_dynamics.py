@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from tensor_reference import random_tensor_game, tensor_payoff
 
 from gamedyn import (DomainError, FeedbackBlock,
                      IntegrationDivergedError, LearningParams, Trajectory,
-                     expected_payoff_vector, first_order_field, game_from_dict,
+                     expected_payoff_vector, first_order_field,
                      higher_order_field, induced_strategy_field, integrate,
                      preset, profile_jacobian, rest_point,
                      revision_protocol_field, run_discrete, score_bound,
@@ -37,6 +38,20 @@ def test_high_pass_parameter_validation():
         FeedbackBlock.high_pass(1.0, 0.0, (3,))
     with pytest.raises(DomainError):
         FeedbackBlock.high_pass(-1.0, 1.0, (3,))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_feedback_block_rejects_non_finite_values(bad):
+    with pytest.raises(DomainError, match="gain must be nonnegative and finite"):
+        FeedbackBlock.high_pass(bad, 1.0, (3,))
+    with pytest.raises(DomainError, match="cutoff must be positive and finite"):
+        FeedbackBlock.high_pass(1.0, bad, (3,))
+    mats = [-np.eye(2), -np.eye(2), np.eye(2), np.eye(2)]
+    for i in range(4):
+        broken = [m.copy() for m in mats]
+        broken[i][1, 0] = bad
+        with pytest.raises(DomainError, match="matrices must be finite"):
+            FeedbackBlock(*broken)
 
 
 def test_verify_feedback_block_pass_and_fail():
@@ -230,20 +245,12 @@ def test_trajectory_csv_layout(tmp_path):
 
 # ------------------------------------------- bound field vs. a written-out one
 
-def _random_tensor_game(counts, seed):
-    rng = np.random.default_rng(seed)
-    size = int(np.prod(counts))
-    return game_from_dict({"players": len(counts), "action_counts": list(counts),
-                           "payoffs": [rng.uniform(-1, 1, size).tolist()
-                                       for _ in counts]})
-
-
 REFERENCE_GAMES = {
     "rps": lambda: preset("rps", {"l": 2.0}),
     "two_player_rps": lambda: preset("two_player_rps", {"l": 3.0}),
-    "bimatrix23": lambda: _random_tensor_game((2, 3), 7),
+    "bimatrix23": lambda: random_tensor_game((2, 3), 7),
     "jordan_mp": lambda: preset("jordan_mp"),
-    "tensor232": lambda: _random_tensor_game((2, 3, 2), 11),
+    "tensor232": lambda: random_tensor_game((2, 3, 2), 11),
 }
 
 
@@ -258,14 +265,15 @@ def _coupled_block(n, seed):
 
 
 def _reference_field(game, params, block):
-    """The score field composed from the public soft-max and payoff vector,
-    with the filter written out from its four matrices."""
+    """The score field composed from the public soft-max and a payoff vector
+    summed from the payoff tensors, with the filter written out from its four
+    matrices."""
     n = game.total_actions
 
     def field(state):
         z = state[..., :n]
         x = softmax(z, params.eps, game.action_counts)
-        u = expected_payoff_vector(game, x)
+        u = tensor_payoff(game, x)
         if block is None:
             return u if params.undiscounted else params.gamma * (u - z)
         xi = state[..., n:]
@@ -340,7 +348,7 @@ def test_run_discrete_matches_reference_update(game_key, batch):
     z = _initial_scores(game, batch)
     expect = [z]
     for _ in range(steps):
-        u = expected_payoff_vector(game, softmax(z, params.eps, game.action_counts))
+        u = tensor_payoff(game, softmax(z, params.eps, game.action_counts))
         z = z + alpha * params.gamma * (u - z)
         expect.append(z)
     expect = np.stack(expect)

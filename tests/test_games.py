@@ -1,10 +1,15 @@
+import inspect
+import pickle
+
 import numpy as np
 import pytest
+from tensor_reference import random_tensor_game, tensor_payoff
 
-from gamedyn import (DomainError, GameSpec, MixedProfile, expected_payoff_vector,
-                     game_from_dict, game_to_dict, linear_game_map, load_game,
-                     payoff_jacobian, preset, pure_payoff, save_game,
-                     tangent_basis)
+from gamedyn import (DomainError, GameSpec, MixedProfile, available_presets,
+                     classify, expected_payoff_vector, game_from_dict,
+                     game_to_dict, linear_game_map, load_game,
+                     numeric_jacobian, payoff_jacobian, preset, pure_payoff,
+                     save_game, tangent_basis)
 
 
 def test_action_count_validation():
@@ -53,7 +58,9 @@ def test_expected_payoff_linear_vs_tensor():
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = MixedProfile.random(game.action_counts, rng).vector
-        np.testing.assert_allclose(expected_payoff_vector(game, x), phi @ x,
+        expect = tensor_payoff(game, x)
+        np.testing.assert_allclose(phi @ x, expect, atol=1e-12)
+        np.testing.assert_allclose(expected_payoff_vector(game, x), expect,
                                    atol=1e-12)
 
 
@@ -82,7 +89,9 @@ def test_jordan_payoffs_reduce_to_linear_map():
     rng = np.random.default_rng(2)
     for _ in range(20):
         x = MixedProfile.random(game.action_counts, rng).vector
-        np.testing.assert_allclose(expected_payoff_vector(game, x), phi @ x,
+        expect = tensor_payoff(game, x)
+        np.testing.assert_allclose(phi @ x, expect, atol=1e-12)
+        np.testing.assert_allclose(expected_payoff_vector(game, x), expect,
                                    atol=1e-12)
 
 
@@ -162,3 +171,76 @@ def test_preset_parameter_errors():
         preset("rps")
     with pytest.raises(UsageError):
         preset("nonexistent_game")
+
+
+# ------------------------------------------------- linear maps and the Jacobian
+
+PRESET_PARAMS = {"rps": {"l": 2.5}, "two_player_rps": {"l": 5.0}}
+
+
+@pytest.mark.parametrize("name", sorted(available_presets()))
+def test_every_preset_map_matches_its_tensors(name):
+    game = preset(name, PRESET_PARAMS.get(name))
+    phi = linear_game_map(game)
+    rng = np.random.default_rng(5)
+    xs = np.stack([MixedProfile.random(game.action_counts, rng).vector
+                   for _ in range(10)])
+    expect = tensor_payoff(game, xs)
+    if phi is not None:
+        np.testing.assert_allclose(xs @ phi.T, expect, atol=1e-12)
+    np.testing.assert_allclose(expected_payoff_vector(game, xs), expect, atol=1e-12)
+
+
+def test_linear_map_disagreeing_with_tensors_rejected():
+    doc = {"players": 2, "action_counts": [2, 2],
+           "payoffs": [[3, 0, 0, 1], [3, 0, 0, 1]],
+           "linear_map": np.zeros(16).tolist()}
+    with pytest.raises(DomainError, match="linear map disagrees"):
+        game_from_dict(doc)
+    # a 3-player map off in one entry, and a matching game whose map is A^T
+    jordan = game_to_dict(preset("jordan_mp"))
+    jordan["linear_map"][5] += 1e-6
+    with pytest.raises(DomainError, match="linear map disagrees"):
+        game_from_dict(jordan)
+    a_mat = np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 1.0], [1.0, 2.0, 0.0]])
+    with pytest.raises(DomainError, match="linear map disagrees"):
+        GameSpec((3,), (a_mat,), linear_map=a_mat.T, matching=True)
+    # the right maps are kept
+    assert np.array_equal(GameSpec((3,), (a_mat,), linear_map=a_mat,
+                                   matching=True).linear_map, a_mat)
+    jordan["linear_map"][5] -= 1e-6
+    assert game_from_dict(jordan).linear_map is not None
+
+
+def test_game_spec_pickle_round_trip():
+    rng = np.random.default_rng(6)
+    for name in ("shapley", "jordan_mp", "rps"):
+        game = preset(name, PRESET_PARAMS.get(name))
+        clone = pickle.loads(pickle.dumps(game))
+        assert clone.action_counts == game.action_counts
+        assert clone.matching == game.matching
+        assert clone.block_slices == game.block_slices
+        x = MixedProfile.random(game.action_counts, rng).vector
+        assert np.array_equal(expected_payoff_vector(clone, x),
+                              expected_payoff_vector(game, x))
+
+
+@pytest.mark.parametrize("counts", [(2, 3, 2), (3, 3, 3), (2, 2, 2, 2)])
+def test_payoff_jacobian_is_exact_for_tensor_games(counts):
+    game = random_tensor_game(counts, sum(counts))
+    assert linear_game_map(game) is None
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        x = MixedProfile.random(counts, rng).vector
+        jac = payoff_jacobian(game, x)
+        fd = numeric_jacobian(lambda v: tensor_payoff(game, v), x)
+        assert float(np.abs(jac - fd).max()) <= 1e-9
+        for sl in game.block_slices:
+            assert not jac[sl, sl].any()
+    with pytest.raises(DomainError):
+        payoff_jacobian(game, np.zeros(3))
+
+
+def test_no_finite_difference_step_option():
+    assert list(inspect.signature(payoff_jacobian).parameters) == ["game", "x"]
+    assert "step" not in inspect.signature(classify).parameters

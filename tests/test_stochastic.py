@@ -179,6 +179,47 @@ def test_run_stochastic_deterministic_per_seed():
     assert rec_a["x"].shape == rec_a["z"].shape
 
 
+@pytest.mark.parametrize("mode", ["full-info", "bandit"])
+@pytest.mark.parametrize("name", ["rps", "shapley", "jordan_mp"])
+def test_run_stochastic_matches_stochastic_step_loop(name, mode):
+    game = preset(name, {"l": 2.5} if name == "rps" else None)
+    params = LearningParams(eps=0.7, gamma=1.5)
+    z0 = np.random.default_rng(1).uniform(-1, 1, game.total_actions)
+    steps, record_every = 60, 7
+    rec = run_stochastic(game, params, z0, steps=steps,
+                         rng=np.random.default_rng(9), mode=mode,
+                         record_every=record_every)
+    rng = np.random.default_rng(9)
+    z = z0
+    ks, zs, xs, acts, pays = [0], [z0], [softmax(z0, params.eps, game.action_counts)], [], []
+    for k in range(steps):
+        z, x, a, r = stochastic_step(z, game, params, harmonic_schedule(k), rng, mode)
+        if (k + 1) % record_every == 0 or k + 1 == steps:
+            ks.append(k + 1)
+            zs.append(z)
+            xs.append(x)
+            acts.append(a)
+            pays.append(r)
+    np.testing.assert_array_equal(rec["ks"], ks)
+    np.testing.assert_array_equal(rec["z"], np.stack(zs))
+    np.testing.assert_array_equal(rec["x"], np.stack(xs))
+    assert rec["actions"][0] is None and rec["payoffs"][0] is None
+    for got, want in zip(rec["actions"][1:], acts):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(rec["payoffs"][1:], pays):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_run_stochastic_checks_schedule_and_scores():
+    game = preset("rps", {"l": 2.5})
+    params = LearningParams(eps=1.0, gamma=1.0)
+    with pytest.raises(DomainError, match="step size"):
+        run_stochastic(game, params, np.zeros(3), steps=5, rng=0,
+                       alpha_schedule=lambda k: 1.5)
+    with pytest.raises(DomainError, match="score vector has length 4"):
+        run_stochastic(game, params, np.zeros(4), steps=5, rng=0)
+
+
 def test_run_stochastic_tracks_simplex():
     game = preset("jordan_mp")
     params = LearningParams(eps=0.5, gamma=1.0)
