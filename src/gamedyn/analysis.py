@@ -3,17 +3,14 @@ search, Lyapunov monitoring, and trajectory verdicts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
-from scipy.optimize import minimize_scalar
 
 from .choice import (_bind_softmax, _check_eps, block_slices, bregman_lse,
                      profile_jacobian, softmax)
-from .dynamics import (FeedbackBlock, LearningParams, Trajectory,
-                       first_order_field, higher_order_field)
+from .dynamics import FeedbackBlock, LearningParams, Trajectory, _bind_field
 from .errors import ConfigurationError, DomainError, NumericsError, UsageError
 from .games import (GameSpec, _bind_payoff, linear_game_map, payoff_jacobian,
                     tangent_basis)
@@ -75,6 +72,8 @@ def classify(game: GameSpec, sample_count: int = 200, seed: int = 0,
     Jacobian is sampled at random interior profiles and the worst case over
     samples is reported as an estimate.
     """
+    if sample_count < 1:
+        raise DomainError(f"sample_count must be at least 1, got {sample_count!r}")
     basis = tangent_basis(game.action_counts)
     e_mat = basis.matrix
     phi = linear_game_map(game)
@@ -280,19 +279,14 @@ def dynamics_jacobian(z_star: np.ndarray, game: GameSpec, params: LearningParams
     if block is None:
         jac = gamma * (du @ d_sigma - eye)
         state = z_star
-
-        def field(z: np.ndarray) -> np.ndarray:
-            return first_order_field(z, game, params)
     else:
         block.ensure_valid()
         top = np.hstack([gamma * ((du - block.d_mat) @ d_sigma - eye), -gamma * block.c_mat])
         bottom = np.hstack([block.b_mat @ d_sigma, block.a_mat])
         jac = np.vstack([top, bottom])
         state = np.concatenate([z_star, block.equilibrium_filter_state(x)])
-
-        def field(s: np.ndarray) -> np.ndarray:
-            return higher_order_field(s, game, params, block)
     if fd_check:
+        field = _bind_field(game, params, block)
         err = float(np.abs(jac - numeric_jacobian(field, state, step=fd_step)).max())
         if err > fd_tol:
             raise NumericsError(
@@ -407,38 +401,44 @@ def lyapunov_trace(traj: Trajectory, z_star: np.ndarray, eps: float,
     return values, verdict
 
 
-def storage_matrix(block: FeedbackBlock, p_scale: float | None = None,
-                   certify_tol: float = 1e-8) -> np.ndarray:
-    """Quadratic storage matrix P for the feedback block.
+_CERTIFY_TOL = 1e-8
+_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
-    Solves A^T P0 + P0 A = -I, then scales it.  With p_scale None the scale
-    is chosen to minimize the largest eigenvalue of the passivity matrix
-    [[A^T P + P A, P B - C^T], [B^T P - C, -(D + D^T)]]; the scaled P then
-    certifies v_a-to-x passivity whenever a scalar multiple of P0 can.
-    """
-    p0 = solve_continuous_lyapunov(block.a_mat.T, -np.eye(block.dim))
+
+def storage_matrix(block: FeedbackBlock) -> np.ndarray:
+    """Quadratic storage matrix P = s P0 for the feedback block, where
+    A^T P0 + P0 A = -I.  A golden-section search over log10 s in [-6, 6]
+    minimizes the largest eigenvalue of the passivity matrix
+    [[A^T P + P A, P B - C^T], [B^T P - C, -(D + D^T)]]; s = 1 unless that
+    eigenvalue is at most 1e-8, when P certifies v_a-to-x passivity."""
+    a_t, eye = block.a_mat.T, np.eye(block.dim)
+    p0 = np.linalg.solve(np.kron(eye, a_t) + np.kron(a_t, eye), -eye.ravel()).reshape(eye.shape)
     p0 = 0.5 * (p0 + p0.T)
-    if p_scale is not None:
-        return float(p_scale) * p0
 
     def worst_eigenvalue(log_s: float) -> float:
-        s = 10.0 ** log_s
-        p = s * p0
-        top = np.hstack([block.a_mat.T @ p + p @ block.a_mat, p @ block.b_mat - block.c_mat.T])
+        p = 10.0 ** log_s * p0
+        top = np.hstack([a_t @ p + p @ block.a_mat, p @ block.b_mat - block.c_mat.T])
         bottom = np.hstack([block.b_mat.T @ p - block.c_mat, -(block.d_mat + block.d_mat.T)])
         return float(np.linalg.eigvalsh(np.vstack([top, bottom])).max())
 
-    opt = minimize_scalar(worst_eigenvalue, bounds=(-6.0, 6.0), method="bounded",
-                          options={"xatol": 1e-10})
-    scale = 10.0 ** float(opt.x) if opt.fun <= certify_tol else 1.0
-    return scale * p0
+    # lo..hi may run either way; best sits at its golden point nearer lo
+    lo, hi = -6.0, 6.0
+    best = hi - _INV_GOLDEN * (hi - lo)
+    f_best = worst_eigenvalue(best)
+    while abs(hi - lo) > 1e-10:
+        probe = lo + _INV_GOLDEN * (hi - lo)
+        f_probe = worst_eigenvalue(probe)
+        if f_probe < f_best:
+            lo, best, f_best = best, probe, f_probe
+        else:
+            lo, hi = probe, lo
+    return (10.0 ** best if f_best <= _CERTIFY_TOL else 1.0) * p0
 
 
 def composite_lyapunov_trace(traj: Trajectory, z_star: np.ndarray,
                              xi_star: np.ndarray, eps: float,
                              block: FeedbackBlock, action_counts: Sequence[int],
                              gamma: float = 1.0, p_mat: np.ndarray | None = None,
-                             p_scale: float | None = None,
                              increase_tol: float = 1e-9) -> tuple[np.ndarray, str]:
     """Composite storage W = V + (gamma/2) (xi - xi*)^T P (xi - xi*) per sample."""
     z_star = np.asarray(z_star, dtype=float)
@@ -446,7 +446,7 @@ def composite_lyapunov_trace(traj: Trajectory, z_star: np.ndarray,
     n = z_star.size
     if traj.states.shape[1] != 2 * n:
         raise DomainError("trajectory does not carry a filter state")
-    p_mat = storage_matrix(block, p_scale) if p_mat is None else np.asarray(p_mat, dtype=float)
+    p_mat = storage_matrix(block) if p_mat is None else np.asarray(p_mat, dtype=float)
     if np.abs(p_mat - p_mat.T).max() > 1e-12 or np.linalg.eigvalsh(p_mat).min() <= 0.0:
         raise ConfigurationError("storage matrix P must be symmetric positive definite")
     scores = traj.states[:, :n]

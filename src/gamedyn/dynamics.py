@@ -60,7 +60,6 @@ class FeedbackBlock:
         if not all(np.all(np.isfinite(m)) for m in mats):
             raise DomainError("feedback block matrices must be finite")
         self.a_mat, self.b_mat, self.c_mat, self.d_mat = mats
-        self._valid: bool | None = None
 
     @classmethod
     def high_pass(cls, gain: float, cutoff: float, action_counts: Sequence[int]) -> "FeedbackBlock":
@@ -91,15 +90,12 @@ class FeedbackBlock:
         return -self.c_mat @ inv_b + self.d_mat
 
     def ensure_valid(self, dc_tol: float = 1e-10) -> None:
-        """Check A Hurwitz and zero DC gain once, then cache the verdict."""
-        if self._valid is True:
-            return
+        """Check that A is Hurwitz and the DC gain is zero."""
         if self.spectral_abscissa() >= 0.0:
             raise ConfigurationError("feedback block A matrix is not Hurwitz")
         dc = float(np.abs(self.dc_gain()).max())
         if dc > dc_tol:
             raise ConfigurationError(f"feedback block DC gain {dc:.3e} exceeds {dc_tol:.1e}")
-        self._valid = True
 
     def equilibrium_filter_state(self, x_star: np.ndarray) -> np.ndarray:
         """xi* = -A^-1 B x*, the filter state at a rest point with strategy x*."""

@@ -33,7 +33,7 @@ def as_profile_vector(x) -> np.ndarray:
     return np.asarray(getattr(x, "vector", x), dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameSpec:
     """A finite game in normal form.
 

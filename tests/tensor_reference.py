@@ -1,11 +1,12 @@
 """A payoff map written out from the payoff tensors alone, so tests can
-check the package's payoff evaluation without going through it."""
+check the package's payoff evaluation without going through it, plus the
+random games and filters those checks run on."""
 
 import itertools
 
 import numpy as np
 
-from gamedyn import game_from_dict
+from gamedyn import FeedbackBlock, game_from_dict
 
 
 def tensor_payoff(game, x):
@@ -36,3 +37,13 @@ def random_tensor_game(counts, seed):
     return game_from_dict({"players": len(counts), "action_counts": list(counts),
                            "payoffs": [rng.uniform(-1, 1, size).tolist()
                                        for _ in counts]})
+
+
+def coupled_block(n, seed):
+    """A filter with full, non-symmetric A, B, C and D = C A^-1 B, so H(0) = 0
+    and any transposed or swapped matrix changes the field."""
+    rng = np.random.default_rng(seed)
+    a_mat = -4.0 * np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n))
+    b_mat = rng.uniform(-1, 1, (n, n))
+    c_mat = rng.uniform(-1, 1, (n, n))
+    return FeedbackBlock(a_mat, b_mat, c_mat, c_mat @ np.linalg.solve(a_mat, b_mat))

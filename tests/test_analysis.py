@@ -3,6 +3,8 @@ search, and the trajectory monitors."""
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_lyapunov
+from tensor_reference import coupled_block, random_tensor_game
 
 from gamedyn import (ConfigurationError, DomainError, FeedbackBlock, GameSpec,
                      LearningParams, Trajectory, UsageError,
@@ -90,6 +92,17 @@ def test_classify_aligned_eigenvalues():
         atol=1e-9)
     # coordinate-axis eigenvectors of a diagonal map never lie in the tangent
     assert classify(preset("anticoord123")).aligned_eigenvalues is None
+
+
+@pytest.mark.parametrize("sample_count", [0, -1])
+def test_classify_needs_a_sample(sample_count, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("classify worked before checking sample_count")
+
+    monkeypatch.setattr("gamedyn.analysis.tangent_basis", no_work)
+    for game in (random_tensor_game((2, 2, 2), 4), preset("shapley")):
+        with pytest.raises(DomainError, match="sample_count"):
+            classify(game, sample_count=sample_count)
 
 
 def test_classify_sampled_tensor_game():
@@ -311,14 +324,35 @@ def test_lyapunov_trace_flags_increase_near_unstable_point():
     assert verdict == "increased"
 
 
+def _passivity_worst_eigenvalue(block, p_mat):
+    top = np.hstack([block.a_mat.T @ p_mat + p_mat @ block.a_mat,
+                     p_mat @ block.b_mat - block.c_mat.T])
+    bottom = np.hstack([block.b_mat.T @ p_mat - block.c_mat,
+                        -(block.d_mat + block.d_mat.T)])
+    return np.linalg.eigvalsh(np.vstack([top, bottom])).max()
+
+
 def test_storage_matrix_scaling():
-    block = FeedbackBlock.high_pass(1.0, 1.0, (3,))
-    np.testing.assert_allclose(storage_matrix(block, p_scale=1.0),
-                               0.5 * np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(storage_matrix(block), np.eye(3), atol=1e-6)
-    block32 = FeedbackBlock.high_pass(3.0, 2.0, (3,))
-    np.testing.assert_allclose(storage_matrix(block32), 1.5 * np.eye(3),
-                               atol=1e-6)
+    # for K s / (s + a) the passivity matrix is certified only by P = (K/a) I
+    for gain in (0.5, 1.0, 2.5, 4.0):
+        for cutoff in (0.25, 0.7, 1.0, 2.0):
+            for counts in ((3,), (2, 3)):
+                block = FeedbackBlock.high_pass(gain, cutoff, counts)
+                p_mat = storage_matrix(block)
+                np.testing.assert_allclose(p_mat, gain / cutoff * np.eye(block.dim),
+                                           rtol=1e-7, atol=0.0)
+                assert _passivity_worst_eigenvalue(block, p_mat) <= 1e-8
+
+
+def test_storage_matrix_of_non_certifiable_block_solves_lyapunov():
+    block = coupled_block(5, 3)
+    p_mat = storage_matrix(block)
+    # no scale certifies this block, so P is the unscaled Lyapunov solution
+    assert min(_passivity_worst_eigenvalue(block, s * p_mat)
+               for s in np.logspace(-6, 6, 49)) > 1e-8
+    np.testing.assert_allclose(
+        p_mat, solve_continuous_lyapunov(block.a_mat.T, -np.eye(5)),
+        rtol=0.0, atol=1e-12)
 
 
 def test_composite_lyapunov_trace_decreases():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from tensor_reference import random_tensor_game, tensor_payoff
+from tensor_reference import coupled_block, random_tensor_game, tensor_payoff
 
-from gamedyn import (DomainError, FeedbackBlock,
+from gamedyn import (ConfigurationError, DomainError, FeedbackBlock,
                      IntegrationDivergedError, LearningParams, Trajectory,
                      expected_payoff_vector, first_order_field,
                      higher_order_field, induced_strategy_field, integrate,
@@ -68,6 +68,17 @@ def test_verify_feedback_block_pass_and_fail():
                           d_mat=np.zeros((3, 3)))
     rep = verify_feedback_block(leaky)
     assert not rep.zero_dc_ok and not rep.passed
+
+
+def test_ensure_valid_checks_the_current_matrices():
+    block = FeedbackBlock.high_pass(1.0, 1.0, (3,))
+    block.ensure_valid()
+    block.a_mat = np.eye(3)
+    with pytest.raises(ConfigurationError, match="not Hurwitz"):
+        block.ensure_valid()
+    with pytest.raises(ConfigurationError, match="not Hurwitz"):
+        simulate_higher_order(preset("rps", {"l": 2.0}), LearningParams(1.0, 1.0),
+                              block, np.zeros(3), dt=0.1, t_end=1.0)
 
 
 def test_equilibrium_filter_state_cancels_input():
@@ -254,16 +265,6 @@ REFERENCE_GAMES = {
 }
 
 
-def _coupled_block(n, seed):
-    """A filter with full, non-symmetric A, B, C and D = C A^-1 B, so H(0) = 0
-    and any transposed or swapped matrix changes the field."""
-    rng = np.random.default_rng(seed)
-    a_mat = -4.0 * np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n))
-    b_mat = rng.uniform(-1, 1, (n, n))
-    c_mat = rng.uniform(-1, 1, (n, n))
-    return FeedbackBlock(a_mat, b_mat, c_mat, c_mat @ np.linalg.solve(a_mat, b_mat))
-
-
 def _reference_field(game, params, block):
     """The score field composed from the public soft-max and a payoff vector
     summed from the payoff tensors, with the filter written out from its four
@@ -312,7 +313,7 @@ def test_simulate_matches_reference_field(game_key, regime, batch):
     z0 = _initial_scores(game, batch)
     dt, steps = 0.05, 40
     if regime == "filtered":
-        block = _coupled_block(n, 3)
+        block = coupled_block(n, 3)
         xi0 = np.random.default_rng(4).uniform(-1, 1, z0.shape)
         trajs = simulate_higher_order(game, params, block, z0, xi0, dt=dt,
                                       t_end=dt * steps, record_every=1)

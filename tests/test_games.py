@@ -225,6 +225,14 @@ def test_game_spec_pickle_round_trip():
                               expected_payoff_vector(game, x))
 
 
+def test_game_spec_compares_by_identity():
+    game = preset("shapley")
+    other = preset("shapley")
+    assert (game == other) is False
+    assert game == game
+    assert hash(game) == hash(game)
+
+
 @pytest.mark.parametrize("counts", [(2, 3, 2), (3, 3, 3), (2, 2, 2, 2)])
 def test_payoff_jacobian_is_exact_for_tensor_games(counts):
     game = random_tensor_game(counts, sum(counts))
