@@ -15,15 +15,16 @@ from .analysis import (BifurcationResult, ClassificationReport,
 from .choice import (bregman_lse, log_sum_exp, profile_jacobian, softmax,
                      softmax_block, softmax_jacobian)
 from .dynamics import (FeedbackBlock, FeedbackBlockReport, LearningParams,
-                       Trajectory, euler_step, first_order_field,
+                       SimulationRun, Trajectory, euler_step, first_order_field,
                        harmonic_schedule, higher_order_field,
                        induced_strategy_field, integrate,
                        payoff_estimate, revision_protocol_field, run_discrete,
                        run_stochastic, sample_joint_actions,
-                       seeded_initial_scores, simulate_first_order,
-                       simulate_higher_order, stochastic_step,
-                       ternary_coordinates, verify_feedback_block,
-                       write_stochastic_csv, write_trajectory_csv)
+                       seeded_initial_scores, simulate_batch,
+                       simulate_first_order, simulate_higher_order,
+                       stochastic_step, ternary_coordinates,
+                       verify_feedback_block, write_stochastic_csv,
+                       write_trajectory_csv)
 from .errors import (ConfigurationError, DomainError, GameDynError,
                      IntegrationDivergedError, NumericsError, UsageError)
 from .games import (GameSpec, MixedProfile, TangentBasis,
@@ -43,13 +44,14 @@ __all__ = [
     "tangent_mode_abscissa", "time_to_tolerance",
     "bregman_lse", "log_sum_exp", "profile_jacobian", "softmax",
     "softmax_block", "softmax_jacobian",
-    "FeedbackBlock", "FeedbackBlockReport", "LearningParams", "Trajectory",
-    "euler_step", "first_order_field", "harmonic_schedule",
+    "FeedbackBlock", "FeedbackBlockReport", "LearningParams", "SimulationRun",
+    "Trajectory", "euler_step", "first_order_field", "harmonic_schedule",
     "higher_order_field",
     "induced_strategy_field", "integrate", "payoff_estimate",
     "revision_protocol_field", "run_discrete", "run_stochastic",
-    "sample_joint_actions", "seeded_initial_scores", "simulate_first_order",
-    "simulate_higher_order", "stochastic_step", "ternary_coordinates",
+    "sample_joint_actions", "seeded_initial_scores", "simulate_batch",
+    "simulate_first_order", "simulate_higher_order", "stochastic_step",
+    "ternary_coordinates",
     "verify_feedback_block", "write_stochastic_csv", "write_trajectory_csv",
     "ConfigurationError", "DomainError", "GameDynError",
     "IntegrationDivergedError", "NumericsError", "UsageError",

@@ -168,19 +168,27 @@ def _check_length(state: np.ndarray, n: int, what: str = "score vector") -> None
         raise DomainError(f"{what} has length {length}, expected {n}")
 
 
+def _filter_matrix(game: GameSpec, block: FeedbackBlock):
+    """Phi (or None) and the stacked W = [[Phi^T - D^T, B^T], [-C^T, A^T]],
+    which turns [sigma(z), xi] into (U - v, xidot) in one product; a game
+    without a linear map Phi leaves Phi^T out of W."""
+    n = game.total_actions
+    if block.dim != n:
+        raise DomainError(f"feedback block has dimension {block.dim}, expected {n}")
+    phi = linear_game_map(game)
+    top = -block.d_mat.T if phi is None else phi.T - block.d_mat.T
+    return phi, np.block([[top, block.b_mat.T], [-block.c_mat.T, block.a_mat.T]])
+
+
 def _bind_field(game: GameSpec, params: LearningParams,
                 block: FeedbackBlock | None = None) -> Callable[[np.ndarray], np.ndarray]:
     """The score field of one game, parameter set and (optional) validated
     filter, with everything that is fixed across RK4 stages bound once.
 
-    The payoff map is games._bind_payoff.  With a filter, the stacked
-
-        W = [[Phi^T - D^T, B^T], [-C^T, A^T]]
-
-    turns [sigma(z), xi] into (U - v, xidot) in one product; a game without
-    a linear map Phi leaves Phi^T out of W and adds U(sigma(z)).  The returned
-    map takes float arrays of the right length and checks only that each
-    soft-max input is finite.
+    The payoff map is games._bind_payoff; the filtered field multiplies by
+    the stacked W of _filter_matrix and adds U(sigma(z)) when the game has
+    no linear map.  The returned map takes float arrays of the right length
+    and checks only that each soft-max input is finite.
     """
     n = game.total_actions
     gamma = params.gamma
@@ -198,11 +206,7 @@ def _bind_field(game: GameSpec, params: LearningParams,
 
         return first_order
 
-    if block.dim != n:
-        raise DomainError(f"feedback block has dimension {block.dim}, expected {n}")
-    phi = linear_game_map(game)
-    top = -block.d_mat.T if phi is None else phi.T - block.d_mat.T
-    w_mat = np.block([[top, block.b_mat.T], [-block.c_mat.T, block.a_mat.T]])
+    phi, w_mat = _filter_matrix(game, block)
 
     def higher_order(state: np.ndarray) -> np.ndarray:
         z = state[..., :n]
@@ -217,6 +221,75 @@ def _bind_field(game: GameSpec, params: LearningParams,
         return out
 
     return higher_order
+
+
+def _bind_batch_field(
+    game: GameSpec, eps: float, block: FeedbackBlock | None,
+    groups: Sequence[tuple[int, bool, float]],
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The score field of a lockstep batch made of consecutive row groups
+    (rows, filtered, gamma), one per run, that share the game, eps and the
+    validated block.  It takes the rows of any leading groups, so rows can
+    leave the batch at group boundaries.
+
+    Every row gets the arithmetic of a separate run of its group.  BLAS
+    rounds a one-row product (gemv) differently from a product over several
+    rows (gemm), and a wider or zero-padded product differently again, so
+    each stage multiplies every group by its own map: filtered rows by W,
+    first-order rows by Phi^T (or U(x) without a linear map).  Neighbouring
+    groups of one scheme that each have several rows share one product,
+    since gemm rounds each row of such a product alike.  First-order rows
+    carry a zero filter state when the batch has filtered rows.  A batch
+    that is one such product at one gamma is the plain _bind_field kernel.
+    """
+    n = game.total_actions
+    plans = {}
+    segments: list[list] = []
+    gammas: list[float] = []
+    stop = 0
+    for rows, filtered, gamma in groups:
+        start, stop = stop, stop + rows
+        if segments and segments[-1][2:] == [filtered, True] and rows > 1:
+            segments[-1][1] = stop
+        else:
+            segments.append([start, stop, filtered, rows > 1])
+        gammas += [gamma] * rows
+        g = gammas[0] if len(set(gammas)) == 1 else np.array(gammas)[:, None]
+        plans[stop] = ([(slice(a, b), f) for a, b, f, _ in segments], g)
+    segs, g = plans[stop]
+    if len(segs) == 1 and not isinstance(g, np.ndarray):
+        return _bind_field(game, LearningParams(g, eps), block if segs[0][1] else None)
+
+    sigma = _bind_softmax(eps, game.action_counts)
+    payoff = _bind_payoff(game)
+    phi = linear_game_map(game)
+    phi_t = None if phi is None else phi.T
+    w_mat = None if block is None else _filter_matrix(game, block)[1]
+
+    def batch_field(state: np.ndarray) -> np.ndarray:
+        segs, g = plans[len(state)]
+        z = state[:, :n]
+        x = sigma(z)
+        out = np.zeros(state.shape)
+        if w_mat is not None:
+            y = state.copy()
+            y[:, :n] = x
+        u = None if phi is not None else payoff(x)
+        for rows, filtered in segs:
+            if filtered:
+                np.matmul(y[rows], w_mat, out=out[rows])
+                if u is not None:
+                    out[rows, :n] += u[rows]
+            elif u is None:
+                np.matmul(x[rows], phi_t, out=out[rows, :n])
+            else:
+                out[rows, :n] = u[rows]
+        dz = out[:, :n]
+        dz -= z
+        dz *= g
+        return out
+
+    return batch_field
 
 
 def first_order_field(z, game: GameSpec, params: LearningParams) -> np.ndarray:
@@ -301,54 +374,88 @@ class Trajectory:
             self.strategies = np.asarray(self.strategies, dtype=float)
 
 
+def _horizon_steps(dt: float, t_end: float, record_every: int = 1) -> int:
+    """The RK4 step count of a horizon, after checking the sampling."""
+    if not (dt > 0.0 and dt <= t_end < np.inf) or record_every < 1:
+        raise DomainError("dt must be positive, t_end finite and >= dt, "
+                          "and record_every >= 1")
+    return int(round(t_end / dt))
+
+
 def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
               t_end: float, record_every: int = 1,
-              strategy_fn: Callable[[np.ndarray], np.ndarray] | None = None):
+              strategy_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+              row_t_end: Sequence[float] | None = None):
     """Classical fixed-step RK4.
 
     state0 of shape (d,) yields one Trajectory; shape (b, d) integrates a
     batch in lockstep and yields a list of Trajectories.  Samples are taken
-    every record_every steps plus the final step; a non-finite sample stops
-    integration with IntegrationDivergedError carrying the last good time.
+    every record_every steps plus the final step.  row_t_end gives each row
+    of a batch its own horizon, longest first, the first equal to t_end: a
+    row leaves the batch after its final step, and field then gets the
+    leading rows that remain.  Each row records the samples a run to its
+    own horizon records.  A non-finite sample, or a DomainError from field
+    on a non-finite stage input, stops integration with
+    IntegrationDivergedError carrying the last good time.
     """
     dt = float(dt)
     t_end = float(t_end)
     record_every = int(record_every)
-    if not (dt > 0.0 and dt <= t_end < np.inf) or record_every < 1:
-        raise DomainError("dt must be positive, t_end finite and >= dt, "
-                          "and record_every >= 1")
+    n_steps = _horizon_steps(dt, t_end, record_every)
     s = np.array(state0, dtype=float)
-    batched = s.ndim == 2
     if s.ndim not in (1, 2):
         raise DomainError("state0 must be a vector or a batch of vectors")
-    n_steps = int(round(t_end / dt))
-    rec_states = [s.copy()]
-    rec_steps = [0]
+    batched = s.ndim == 2
+    row_steps = [n_steps] * (len(s) if batched else 1)
+    if row_t_end is not None:
+        row_steps = [_horizon_steps(dt, float(h)) for h in row_t_end]
+        if (not batched or len(row_steps) != len(s) or row_steps[0] != n_steps
+                or any(a < b for a, b in zip(row_steps, row_steps[1:]))):
+            raise DomainError("row_t_end needs one horizon per batch row, "
+                              "longest first, the first equal to t_end")
+    ends = sorted(set(row_steps))
+    remaining = {end: sum(r > end for r in row_steps) for end in ends}
+    sample_steps = np.array(sorted({*range(0, n_steps + 1, record_every), *ends}))
+    rec = np.empty((len(sample_steps),) + s.shape)
+    rec[0] = s
+    i = 1
+    next_end = ends[0]
     sixth = dt / 6.0
-    for k in range(n_steps):
-        k1 = field(s)
-        k2 = field(s + 0.5 * dt * k1)
-        k3 = field(s + 0.5 * dt * k2)
-        k4 = field(s + dt * k3)
-        s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        step = k + 1
-        if step % record_every == 0 or step == n_steps:
-            if not np.all(np.isfinite(s)):
-                raise IntegrationDivergedError(
-                    f"non-finite state at t={step * dt:.6g}",
-                    last_good_time=rec_steps[-1] * dt)
-            rec_states.append(s.copy())
-            rec_steps.append(step)
-    times = np.asarray(rec_steps, dtype=float) * dt
-    stacked = np.stack(rec_states)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n_steps):
+                k1 = field(s)
+                k2 = field(s + 0.5 * dt * k1)
+                k3 = field(s + 0.5 * dt * k2)
+                k4 = field(s + dt * k3)
+                s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                step = k + 1
+                if step % record_every == 0 or step == next_end:
+                    if not np.all(np.isfinite(s)):
+                        raise IntegrationDivergedError(
+                            f"non-finite state at t={step * dt:.6g}",
+                            last_good_time=float(sample_steps[i - 1] * dt))
+                    rec[i, :len(s)] = s  # rows that left keep their samples
+                    i += 1
+                    if step == next_end and step < n_steps:
+                        s = s[:remaining[step]]
+                        next_end = ends[ends.index(step) + 1]
+    except DomainError as exc:
+        last_good = float(sample_steps[i - 1] * dt)
+        raise IntegrationDivergedError(
+            f"non-finite stage input after t={last_good:.6g}",
+            last_good_time=last_good) from exc
+    times = sample_steps * dt
     if not batched:
-        strategies = strategy_fn(stacked) if strategy_fn is not None else None
-        return Trajectory(times, stacked, strategies)
+        strategies = strategy_fn(rec) if strategy_fn is not None else None
+        return Trajectory(times, rec, strategies)
+    on_grid = sample_steps % record_every == 0
     trajs = []
-    for b in range(s.shape[0]):
-        states_b = stacked[:, b, :]
-        strategies = strategy_fn(states_b) if strategy_fn is not None else None
-        trajs.append(Trajectory(times.copy(), states_b.copy(), strategies))
+    for row, last in enumerate(row_steps):
+        keep = (sample_steps <= last) & (on_grid | (sample_steps == last))
+        states = rec[keep, row]
+        strategies = strategy_fn(states) if strategy_fn is not None else None
+        trajs.append(Trajectory(times[keep], states, strategies))
     return trajs
 
 
@@ -357,18 +464,104 @@ def seeded_initial_scores(n: int, seed: int, low: float = -1.0, high: float = 1.
     return np.random.default_rng(int(seed)).uniform(low, high, int(n))
 
 
+@dataclass(frozen=True, eq=False)
+class SimulationRun:
+    """One run of simulate_batch: initial scores z0, (n,) or a batch (b, n),
+    integrated to t_end under params.  A feedback block makes the run
+    filtered, with the filter state starting at xi0 (at rest by default)."""
+
+    params: LearningParams
+    z0: np.ndarray
+    t_end: float = 500.0
+    block: FeedbackBlock | None = None
+    xi0: np.ndarray | None = None
+
+
+def _same_block(a: FeedbackBlock, b: FeedbackBlock) -> bool:
+    return a is b or all(np.array_equal(m, k) for m, k in zip(
+        (a.a_mat, a.b_mat, a.c_mat, a.d_mat), (b.a_mat, b.b_mat, b.c_mat, b.d_mat)))
+
+
+def simulate_batch(game: GameSpec, runs: Sequence[SimulationRun], dt: float = 0.01,
+                   record_every: int = 10) -> list:
+    """Integrate several runs on one game as a single lockstep RK4 batch.
+
+    The runs share the game, the temperature eps and at most one feedback
+    block; each has its own gamma and horizon, and is filtered when it
+    carries the block.  An undiscounted first-order run is simulated alone.
+    All rows start together and each leaves the batch after its last
+    sample.  Returns one entry per run, as simulate_first_order or
+    simulate_higher_order returns it for that run alone, with the same
+    samples bit for bit.
+    """
+    runs = list(runs)
+    if not runs:
+        raise DomainError("simulate_batch needs at least one run")
+    n = game.total_actions
+    eps = runs[0].params.eps
+    blocks = [run.block for run in runs if run.block is not None]
+    block = blocks[0] if blocks else None
+    if any(run.params.eps != eps for run in runs):
+        raise DomainError("runs in one batch must share eps")
+    if any(not _same_block(b, block) for b in blocks):
+        raise DomainError("runs in one batch must share one feedback block")
+    if len(runs) > 1 and any(r.params.undiscounted and r.block is None for r in runs):
+        raise DomainError("an undiscounted run cannot share a batch")
+    if block is not None:
+        block.ensure_valid()
+    dt = float(dt)
+    starts = []
+    for run in runs:
+        z0 = np.asarray(run.z0, dtype=float)
+        _check_length(z0, n)
+        if run.block is None and run.xi0 is not None:
+            raise DomainError("xi0 needs a filtered run")
+        if block is None:
+            starts.append(z0)
+            continue
+        xi0 = np.zeros_like(z0) if run.xi0 is None else np.asarray(run.xi0, dtype=float)
+        if xi0.shape != z0.shape:
+            raise DomainError("xi0 must match the shape of z0")
+        starts.append(np.concatenate([z0, xi0], axis=-1))
+    counts = game.action_counts
+
+    def strat(states: np.ndarray) -> np.ndarray:
+        return softmax(states[..., :n], eps, counts)
+
+    if len(runs) == 1:
+        run = runs[0]
+        field = _bind_field(game, run.params, run.block)
+        return [integrate(field, starts[0], dt, run.t_end, record_every, strat)]
+
+    if any(z.ndim > 2 for z in starts):
+        raise DomainError("z0 must be a vector or a batch of vectors")
+    starts = [np.atleast_2d(z) for z in starts]
+    if not any(len(z) for z in starts):
+        raise DomainError("simulate_batch needs at least one initial score row")
+    steps = [_horizon_steps(dt, float(run.t_end), int(record_every)) for run in runs]
+    order = sorted(range(len(runs)), key=lambda i: (
+        -steps[i], runs[i].block is not None, len(starts[i]) == 1))
+    groups = [(len(starts[i]), runs[i].block is not None, runs[i].params.gamma)
+              for i in order]
+    field = _bind_batch_field(game, eps, block, groups)
+    row_t_end = [float(runs[i].t_end) for i in order for _ in range(len(starts[i]))]
+    row_trajs = integrate(field, np.concatenate([starts[i] for i in order]), dt,
+                          row_t_end[0], record_every, strat, row_t_end=row_t_end)
+    out: list = [None] * len(runs)
+    for i in order:
+        trajs, row_trajs = row_trajs[:len(starts[i])], row_trajs[len(starts[i]):]
+        if block is not None and runs[i].block is None:
+            trajs = [Trajectory(t.times, t.states[:, :n].copy(), t.strategies)
+                     for t in trajs]
+        out[i] = trajs if np.ndim(runs[i].z0) == 2 else trajs[0]
+    return out
+
+
 def simulate_first_order(game: GameSpec, params: LearningParams, z0,
                          dt: float = 0.01, t_end: float = 500.0,
                          record_every: int = 10):
     """Integrate the first-order score flow from z0 ((n,) or batch (b, n))."""
-    z0 = np.asarray(z0, dtype=float)
-    _check_length(z0, game.total_actions)
-    counts = game.action_counts
-
-    def strat(zs: np.ndarray) -> np.ndarray:
-        return softmax(zs, params.eps, counts)
-
-    return integrate(_bind_field(game, params), z0, dt, t_end, record_every, strat)
+    return simulate_batch(game, [SimulationRun(params, z0, t_end)], dt, record_every)[0]
 
 
 def simulate_higher_order(game: GameSpec, params: LearningParams,
@@ -376,24 +569,8 @@ def simulate_higher_order(game: GameSpec, params: LearningParams,
                           dt: float = 0.01, t_end: float = 500.0,
                           record_every: int = 10):
     """Integrate the filtered score flow; the filter starts at rest (xi0 = 0)."""
-    block.ensure_valid()
-    n = game.total_actions
-    z0 = np.asarray(z0, dtype=float)
-    _check_length(z0, n)
-    if xi0 is None:
-        xi0 = np.zeros_like(z0)
-    else:
-        xi0 = np.asarray(xi0, dtype=float)
-        if xi0.shape != z0.shape:
-            raise DomainError("xi0 must match the shape of z0")
-    state0 = np.concatenate([z0, xi0], axis=-1)
-    counts = game.action_counts
-
-    def strat(states: np.ndarray) -> np.ndarray:
-        return softmax(states[..., :n], params.eps, counts)
-
-    return integrate(_bind_field(game, params, block), state0, dt, t_end,
-                     record_every, strat)
+    return simulate_batch(game, [SimulationRun(params, z0, t_end, block, xi0)],
+                          dt, record_every)[0]
 
 
 # ------------------------------------------------- discrete-time recursions

@@ -6,8 +6,8 @@ and bifurcation thresholds.  run_example computes the observed values and
 returns a row-per-check report; rows carry a note saying where the expected
 number comes from.  Rows whose expectation is known only to limited precision
 are recorded without being asserted.  Every scenario solves each rest point
-and integrates each seed batch once; the speed and learning-rate rows read
-the runs behind the status rows.
+once and integrates all of its runs as one lockstep batch; the speed and
+learning-rate rows read the runs behind the status rows.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 
 from .analysis import (bifurcation_epsilon, classify, convergence_report,
                        rest_point, time_to_tolerance)
-from .dynamics import (FeedbackBlock, LearningParams, seeded_initial_scores,
-                       simulate_first_order, simulate_higher_order,
+from .dynamics import (FeedbackBlock, LearningParams, SimulationRun,
+                       seeded_initial_scores, simulate_batch,
                        write_trajectory_csv)
 from .errors import UsageError
 from .games import GameSpec
@@ -91,21 +91,21 @@ def _filter(game: GameSpec) -> FeedbackBlock:
     return FeedbackBlock.high_pass(1.0, 1.0, game.action_counts)
 
 
-def _simulate(game: GameSpec, eps: float, scheme: str, t_end: float,
-              gamma: float = 1.0, seeds=SEEDS):
-    params = LearningParams(gamma=gamma, eps=eps)
-    z0 = np.stack([seeded_initial_scores(game.total_actions, s) for s in seeds])
-    if scheme == "higher-order":
-        return simulate_higher_order(game, params, _filter(game), z0, dt=DT,
-                                     t_end=t_end, record_every=RECORD_EVERY)
-    return simulate_first_order(game, params, z0, dt=DT, t_end=t_end,
-                                record_every=RECORD_EVERY)
-
-
-def _runs(game, eps, t_end_fo, t_end_ho):
-    """First-order and filtered runs from every seed, one batch per scheme."""
-    return (_simulate(game, eps, "first-order", t_end_fo),
-            _simulate(game, eps, "higher-order", t_end_ho))
+def _runs(game: GameSpec, eps: float, t_end_fo: float, t_end_ho: float | None,
+          gamma_seeds=((1.0, SEEDS),)):
+    """For each (gamma, seeds), a first-order run to t_end_fo and, unless
+    t_end_ho is None, a filtered run to t_end_ho from every seed, all
+    integrated as one lockstep batch.  Returns one trajectory list per run,
+    first-order before filtered for each gamma."""
+    block = _filter(game)
+    runs = []
+    for gamma, seeds in gamma_seeds:
+        params = LearningParams(gamma=gamma, eps=eps)
+        z0 = np.stack([seeded_initial_scores(game.total_actions, s) for s in seeds])
+        runs.append(SimulationRun(params, z0, t_end_fo))
+        if t_end_ho is not None:
+            runs.append(SimulationRun(params, z0, t_end_ho, block))
+    return simulate_batch(game, runs, dt=DT, record_every=RECORD_EVERY)
 
 
 def _statuses(trajs, rp):
@@ -118,14 +118,15 @@ def _status_text(statuses) -> str:
 
 
 def _dichotomy(rep, game, rp, fo_expected, ho_expected, t_end_fo, t_end_ho,
-               note_fo="", note_ho=""):
-    """Check the statuses of both schemes at rp.eps and return their runs."""
-    trajs_fo, trajs_ho = _runs(game, rp.eps, t_end_fo, t_end_ho)
+               note_fo="", note_ho="", gamma_seeds=((1.0, SEEDS),)):
+    """Check the statuses of both schemes at rp.eps from the first (gamma,
+    seeds) and return the runs of _runs."""
+    runs = _runs(game, rp.eps, t_end_fo, t_end_ho, gamma_seeds)
     rep.check_status(f"first-order status, eps={rp.eps:g}", fo_expected,
-                     _statuses(trajs_fo, rp), note_fo)
+                     _statuses(runs[0], rp), note_fo)
     rep.check_status(f"higher-order status, eps={rp.eps:g}", ho_expected,
-                     _statuses(trajs_ho, rp), note_ho)
-    return trajs_fo, trajs_ho
+                     _statuses(runs[1], rp), note_ho)
+    return runs
 
 
 def _speed_rows(rep, trajs_fo, trajs_ho, x_star, label):
@@ -215,10 +216,9 @@ def _example_3(out_dir=None):
     rep.check("fixed point", np.full(4, 0.5), rp.x_star, 1e-8,
               "uniform equilibrium; scores vanish so the choice map is uniform")
     runs = _dichotomy(rep, game, rp, "converged", "converged",
-                      T_END_SETTLED, T_END_SETTLED)
-    for scheme, trajs in zip(("first-order", "higher-order"), runs):
-        fast = _simulate(game, 1.0, scheme, T_END_SETTLED, gamma=4.0,
-                         seeds=SEEDS[:3])
+                      T_END_SETTLED, T_END_SETTLED,
+                      gamma_seeds=((1.0, SEEDS), (4.0, SEEDS[:3])))
+    for scheme, trajs, fast in zip(("first-order", "higher-order"), runs[:2], runs[2:]):
         wins = 0
         for traj_1, traj_4 in zip(trajs, fast):
             t1 = time_to_tolerance(traj_1, rp.x_star)
@@ -282,7 +282,7 @@ def _example_5_eps01(out_dir=None):
     game = preset("shapley")
     rep = ExampleReport("5-eps0.1", "two-player Shapley game, eps=0.1")
     rp = rest_point(game, 0.1)
-    trajs = _simulate(game, 0.1, "first-order", T_END_CYCLE)
+    trajs, = _runs(game, 0.1, T_END_CYCLE, None)
     rep.check_status("first-order status, eps=0.1", "limit-cycle",
                      _statuses(trajs, rp), "closed orbit around the uniform point")
     if out_dir is not None:

@@ -13,14 +13,15 @@ import pytest
 from scipy.optimize import brentq, root
 from scipy.special import lambertw
 
-from gamedyn import (FeedbackBlock, LearningParams, bifurcation_epsilon,
-                     bregman_lse, classify, composite_lyapunov_trace,
-                     convergence_report, dynamics_jacobian,
-                     expected_payoff_vector, first_order_field,
-                     induced_strategy_field, lyapunov_trace, numeric_jacobian,
-                     payoff_estimate, preset, profile_jacobian, rest_point,
-                     revision_protocol_field, score_bound_excess,
-                     rps_matrix, seeded_initial_scores, simulate_first_order,
+from gamedyn import (FeedbackBlock, LearningParams, SimulationRun,
+                     bifurcation_epsilon, bregman_lse, classify,
+                     composite_lyapunov_trace, convergence_report,
+                     dynamics_jacobian, expected_payoff_vector,
+                     first_order_field, induced_strategy_field, lyapunov_trace,
+                     numeric_jacobian, payoff_estimate, preset,
+                     profile_jacobian, rest_point, revision_protocol_field,
+                     rps_matrix, score_bound_excess, seeded_initial_scores,
+                     simulate_batch, simulate_first_order,
                      simulate_higher_order, softmax, softmax_block,
                      storage_matrix, tangent_mode_abscissa, time_to_tolerance)
 
@@ -269,20 +270,33 @@ DICHOTOMY = [
 
 
 def test_criterion_5_convergence_dichotomy():
+    """One lockstep batch per (game, eps): both schemes from the same five
+    seeds, each to its own horizon."""
     failures = []
+    groups = {}
     for name, prm, eps, scheme, expected, t_end in DICHOTOMY:
+        groups.setdefault((name, str(prm), eps), (prm, []))[1].append(
+            (scheme, expected, t_end))
+    for (name, _, eps), (prm, cases) in groups.items():
         game = preset(name, prm)
-        trajs, block = _batch(game, eps, scheme, t_end)
-        x_star = (rest_point(game, eps).x_star if expected == "converged"
-                  else None)
-        statuses = [convergence_report(t, x_star=x_star).status for t in trajs]
-        excess = max(score_bound_excess(t, game, block=block) for t in trajs)
-        label = f"{game.name} eps={eps:g} {scheme}"
-        if any(s != expected for s in statuses):
-            failures.append(f"{label}: statuses {statuses}, expected "
-                            f"{expected} on all seeds")
-        if excess > 0.0:
-            failures.append(f"{label}: score bound exceeded by {excess:.2e}")
+        block = FeedbackBlock.high_pass(1.0, 1.0, game.action_counts)
+        z0 = _stacked_scores(game.total_actions, SEEDS5)
+        runs = [SimulationRun(LearningParams(gamma=1.0, eps=eps), z0, t_end,
+                              block if scheme == "higher-order" else None)
+                for scheme, _, t_end in cases]
+        batch = simulate_batch(game, runs, dt=DT, record_every=RECORD_EVERY)
+        solved = (rest_point(game, eps)
+                  if any(expected == "converged" for _, expected, _ in cases) else None)
+        for (scheme, expected, _), run, trajs in zip(cases, runs, batch):
+            x_star = solved.x_star if expected == "converged" else None
+            statuses = [convergence_report(t, x_star=x_star).status for t in trajs]
+            excess = max(score_bound_excess(t, game, block=run.block) for t in trajs)
+            label = f"{game.name} eps={eps:g} {scheme}"
+            if any(s != expected for s in statuses):
+                failures.append(f"{label}: statuses {statuses}, expected "
+                                f"{expected} on all seeds")
+            if excess > 0.0:
+                failures.append(f"{label}: score bound exceeded by {excess:.2e}")
     _conclude(5, "convergence dichotomy, unanimous over five seeds", failures)
 
 
@@ -302,20 +316,20 @@ def test_criterion_6_lyapunov_decrease():
         game = preset(name, prm)
         solved = rest_point(game, 1.0)
         z0 = _stacked_scores(game.total_actions, SEEDS10)
-        trajs = simulate_first_order(game, params, z0, dt=DT, t_end=100.0,
-                                     record_every=RECORD_EVERY)
-        for seed, traj in zip(SEEDS10, trajs):
+        block = FeedbackBlock.high_pass(1.0, 1.0, game.action_counts)
+        trajs_fo, trajs_ho = simulate_batch(
+            game, [SimulationRun(params, z0, 100.0),
+                   SimulationRun(params, z0, 100.0, block)],
+            dt=DT, record_every=RECORD_EVERY)
+        for seed, traj in zip(SEEDS10, trajs_fo):
             values, verdict = lyapunov_trace(traj, solved.z_star, 1.0,
                                              game.action_counts)
             if verdict != "non-increasing":
                 failures.append(f"{game.name} first-order seed {seed}: V "
                                 f"rose by {float(np.diff(values).max()):.2e}")
-        block = FeedbackBlock.high_pass(1.0, 1.0, game.action_counts)
         p_mat = storage_matrix(block)
         xi_star = block.equilibrium_filter_state(solved.x_star)
-        trajs = simulate_higher_order(game, params, block, z0, dt=DT,
-                                      t_end=100.0, record_every=RECORD_EVERY)
-        for seed, traj in zip(SEEDS10, trajs):
+        for seed, traj in zip(SEEDS10, trajs_ho):
             values, verdict = composite_lyapunov_trace(
                 traj, solved.z_star, xi_star, 1.0, block, game.action_counts,
                 gamma=1.0, p_mat=p_mat)

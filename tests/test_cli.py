@@ -203,6 +203,23 @@ def test_temperature_too_small_rejected(argv, tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_simulate_overflow_is_reported_as_divergence(tmp_path, capsys):
+    """A step that overflows between samples is a diverged run in
+    summary.json, with no RuntimeWarning and no usage error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, "simulate", "--preset", "rps",
+                               "--param", "l=8", "--dt", "40", "--t-end", "40000",
+                               "--record-every", "500", "--out", str(tmp_path))
+    assert code == 0
+    assert err == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    run = json.loads((tmp_path / "summary.json").read_text())["runs"]["0"]
+    assert run == {"status": "diverged", "last_good_time": 0.0,
+                   "terminal_x": None, "terminal_v": None}
+    assert not (tmp_path / "traj_seed0.csv").exists()
+
+
 def test_discrete_scheme(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "simulate", "--preset", "anticoord123",
                          "--scheme", "discrete", "--alpha", "0.1",

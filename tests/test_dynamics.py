@@ -1,14 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from tensor_reference import coupled_block, random_tensor_game, tensor_payoff
 
 from gamedyn import (ConfigurationError, DomainError, FeedbackBlock,
-                     IntegrationDivergedError, LearningParams, Trajectory,
-                     expected_payoff_vector, first_order_field,
+                     IntegrationDivergedError, LearningParams, SimulationRun,
+                     Trajectory, expected_payoff_vector, first_order_field,
                      higher_order_field, induced_strategy_field, integrate,
                      preset, profile_jacobian, rest_point,
                      revision_protocol_field, run_discrete, score_bound,
-                     score_bound_excess, seeded_initial_scores,
+                     score_bound_excess, seeded_initial_scores, simulate_batch,
                      simulate_first_order, simulate_higher_order, softmax,
                      verify_feedback_block, write_trajectory_csv)
 
@@ -379,11 +381,110 @@ def test_bound_field_rejects_mismatched_inputs():
 
 
 def test_large_step_overflow_is_refused():
-    """A step far beyond RK4's stability region must end in an error, never
-    in a returned trajectory."""
+    """A step far beyond RK4's stability region overflows inside a step, not
+    at a sample; it must end in divergence at the last good sample, without
+    a RuntimeWarning, never in a returned trajectory or a usage error."""
     game = preset("rps", {"l": 8.0})
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises((DomainError, IntegrationDivergedError)):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationDivergedError) as err:
             simulate_first_order(game, LearningParams(1.0, 1.0),
                                  seeded_initial_scores(3, 0), dt=40.0,
                                  t_end=40000.0, record_every=500)
+    assert err.value.last_good_time == 0.0
+
+
+# ------------------------------------------------------ lockstep batches
+
+BATCH_GAMES = {
+    "rps": lambda: preset("rps", {"l": 5.0}),
+    "two_player_rps": lambda: preset("two_player_rps", {"l": 5.0}),
+    "jordan_mp": lambda: preset("jordan_mp"),
+    "tensor232": lambda: random_tensor_game((2, 3, 2), 5),
+}
+
+
+def _assert_same_trajectories(got, expect):
+    assert len(got) == len(expect)
+    for a, b in zip(got, expect):
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.strategies, b.strategies)
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("horizons", [(150.0, 120.0), (150.0, 450.0)])
+@pytest.mark.parametrize("game_key", list(BATCH_GAMES))
+def test_simulate_batch_equals_separate_runs(game_key, horizons, batch):
+    """Every run of a mixed batch (both schemes, gamma 1 and 4, two
+    horizons, a full filter started off rest) records bit for bit what a
+    separate call records for it, at one row per run and at five.  Runs of
+    one scheme and horizon sit next to each other in the batch."""
+    game = BATCH_GAMES[game_key]()
+    n = game.total_actions
+    block = coupled_block(n, 3)
+    rng = np.random.default_rng(batch)
+    dt, record_every = 0.5, 7
+    runs = []
+    for filtered, gamma, t_end in [(False, 1.0, horizons[0]), (False, 4.0, horizons[0]),
+                                   (True, 1.0, horizons[0]), (True, 4.0, horizons[0]),
+                                   (False, 1.0, horizons[1]), (True, 4.0, horizons[1])]:
+        z0 = rng.uniform(-1, 1, (batch, n) if batch > 1 else n)
+        xi0 = rng.uniform(-1, 1, z0.shape) if filtered and gamma > 1 else None
+        runs.append(SimulationRun(LearningParams(gamma, 1.0), z0, t_end,
+                                  block if filtered else None, xi0))
+    got = simulate_batch(game, runs, dt=dt, record_every=record_every)
+    assert len(got) == len(runs)
+    for run, trajs in zip(runs, got):
+        if run.block is None:
+            expect = simulate_first_order(game, run.params, run.z0, dt=dt,
+                                          t_end=run.t_end, record_every=record_every)
+        else:
+            expect = simulate_higher_order(game, run.params, block, run.z0, run.xi0,
+                                           dt=dt, t_end=run.t_end,
+                                           record_every=record_every)
+        if batch == 1:
+            assert isinstance(trajs, Trajectory)
+            trajs, expect = [trajs], [expect]
+        assert trajs[0].times[-1] == pytest.approx(run.t_end)
+        _assert_same_trajectories(trajs, expect)
+
+
+def test_simulate_batch_refuses_what_rows_cannot_share():
+    game = preset("rps", {"l": 5.0})
+    z0 = seeded_initial_scores(3, 0)
+    one = LearningParams(1.0, 1.0)
+    block = FeedbackBlock.high_pass(1.0, 1.0, (3,))
+    with pytest.raises(DomainError, match="share eps"):
+        simulate_batch(game, [SimulationRun(one, z0, 1.0),
+                              SimulationRun(LearningParams(1.0, 0.5), z0, 1.0)], dt=0.1)
+    with pytest.raises(DomainError, match="share one feedback block"):
+        simulate_batch(game, [SimulationRun(one, z0, 1.0, block),
+                              SimulationRun(one, z0, 1.0,
+                                            FeedbackBlock.high_pass(2.0, 1.0, (3,)))],
+                       dt=0.1)
+    with pytest.raises(DomainError, match="undiscounted run cannot share a batch"):
+        simulate_batch(game, [SimulationRun(one, z0, 1.0),
+                              SimulationRun(LearningParams(1.0, 1.0, True), z0, 1.0)],
+                       dt=0.1)
+    # an equal block built twice is the same filter
+    same = simulate_batch(game, [SimulationRun(one, z0, 1.0, block),
+                                 SimulationRun(one, z0, 1.0,
+                                               FeedbackBlock.high_pass(1.0, 1.0, (3,)))],
+                          dt=0.1)
+    _assert_same_trajectories([same[0]], [same[1]])
+
+
+def test_integrate_row_horizons():
+    """Rows leave the batch after their own final sample and record what a
+    run to their horizon records; horizons must come longest first."""
+    state0 = np.array([[1.0, 0.5], [2.0, -1.0], [0.3, 0.2]])
+    trajs = integrate(lambda s: -s, state0, dt=0.1, t_end=1.0, record_every=3,
+                      row_t_end=[1.0, 0.5, 0.5])
+    for row, t_end, traj in zip(state0, [1.0, 0.5, 0.5], trajs):
+        alone = integrate(lambda s: -s, row, dt=0.1, t_end=t_end, record_every=3)
+        _assert_same_trajectories([traj], [alone])
+    np.testing.assert_allclose(trajs[1].times, [0.0, 0.3, 0.5], atol=1e-12)
+    for bad in ([0.5, 1.0, 0.5], [0.5, 0.5, 0.5], [1.0, 0.5]):
+        with pytest.raises(DomainError, match="longest first"):
+            integrate(lambda s: -s, state0, dt=0.1, t_end=1.0, row_t_end=bad)

@@ -1,33 +1,35 @@
 """The scenario catalogue solves and integrates each piece of work once."""
 
-import inspect
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from gamedyn import reproduce
+from gamedyn import dynamics, reproduce
 
 
 @pytest.fixture
 def work_log(monkeypatch):
     """Record every integrated row and every rest-point solve the catalogue
-    asks for, keyed by what determines its result."""
-    log = {"rows": [], "solves": [], "simulate_calls": 0}
+    asks for, keyed by what determines its result, and count the RK4 loops
+    that run them."""
+    log = {"rows": [], "solves": [], "integrate_calls": 0}
+    simulate_batch = reproduce.simulate_batch
 
-    def logged(scheme, fn):
-        sig = inspect.signature(fn)
+    def logged_batch(game, runs, *args, **kwargs):
+        dt = kwargs.get("dt", args[0] if args else None)
+        for run in runs:
+            scheme = "first-order" if run.block is None else "higher-order"
+            for row in np.atleast_2d(np.asarray(run.z0, dtype=float)):
+                log["rows"].append((scheme, game.name, run.params.eps,
+                                    run.params.gamma, dt, run.t_end, row.tobytes()))
+        return simulate_batch(game, runs, *args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            a = sig.bind(*args, **kwargs)
-            a.apply_defaults()
-            a = a.arguments
-            log["simulate_calls"] += 1
-            for row in np.atleast_2d(np.asarray(a["z0"], dtype=float)):
-                log["rows"].append((scheme, a["game"].name, a["params"].eps,
-                                    a["params"].gamma, a["dt"], a["t_end"],
-                                    row.tobytes()))
-            return fn(*args, **kwargs)
-        return wrapper
+    integrate = dynamics.integrate
+
+    def counted_integrate(*args, **kwargs):
+        log["integrate_calls"] += 1
+        return integrate(*args, **kwargs)
 
     solve = reproduce.rest_point
 
@@ -35,27 +37,30 @@ def work_log(monkeypatch):
         log["solves"].append((game.name, eps))
         return solve(game, eps, *args, **kwargs)
 
-    monkeypatch.setattr(reproduce, "simulate_first_order",
-                        logged("first-order", reproduce.simulate_first_order))
-    monkeypatch.setattr(reproduce, "simulate_higher_order",
-                        logged("higher-order", reproduce.simulate_higher_order))
+    monkeypatch.setattr(reproduce, "simulate_batch", logged_batch)
+    monkeypatch.setattr(dynamics, "integrate", counted_integrate)
     monkeypatch.setattr(reproduce, "rest_point", rest_point)
     return log
 
 
-@pytest.mark.parametrize("example_id, simulate_calls, timing_rows", [
-    ("1-l2.5", 2, {"filtered scheme reaches the rest point first":
-                   "faster for 5 of 5 seeds"}),
-    ("3", 4, {"gamma=4 reaches tolerance first (first-order)": "3 of 3 seeds",
-              "gamma=4 reaches tolerance first (higher-order)": "3 of 3 seeds"}),
-])
-def test_scenario_integrates_and_solves_once(work_log, example_id,
-                                             simulate_calls, timing_rows):
+@pytest.mark.parametrize("example_id, rows, outcomes, timing_rows", [
+    ("1-l2.5", 10, {"pass": 5}, {"filtered scheme reaches the rest point first":
+                                 "faster for 5 of 5 seeds"}),
+    ("3", 16, {"pass": 7}, {"gamma=4 reaches tolerance first (first-order)": "3 of 3 seeds",
+                            "gamma=4 reaches tolerance first (higher-order)": "3 of 3 seeds"}),
+    ("9", 10, {"pass": 3, "recorded": 1}, {}),
+], ids=["1-l2.5", "3", "9"])
+def test_scenario_integrates_and_solves_once(work_log, example_id, rows,
+                                             outcomes, timing_rows):
+    """One lockstep batch per scenario: one RK4 loop, no row integrated
+    twice, no (game, eps) solved twice.  Scenario 9 ends its two schemes at
+    different horizons."""
     report = reproduce.run_example(example_id)
+    assert work_log["integrate_calls"] == 1
+    assert len(work_log["rows"]) == rows
     assert len(work_log["rows"]) == len(set(work_log["rows"]))
     assert len(work_log["solves"]) == len(set(work_log["solves"]))
-    assert work_log["simulate_calls"] == simulate_calls
-    assert all(r.outcome == "pass" for r in report.rows)
+    assert Counter(r.outcome for r in report.rows) == outcomes
     observed = {r.label: r.observed for r in report.rows}
     for label, text in timing_rows.items():
         assert observed[label] == text
