@@ -4,7 +4,8 @@ Verbs: classify, solve, simulate, bifurcation, reproduce, list-games.
 Games come from --preset NAME (with repeatable --param k=v) or from a JSON
 file via --game.  The output directory is --out, overridden by the
 GAMEDYN_OUT environment variable when set.  Exit codes: 0 success, 1 failed
-reproduce checks, 2 usage errors.
+reproduce checks, 2 usage errors, 3 numerical failures (for example a
+bifurcation bracket where no rest point is found).
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ import numpy as np
 
 from .analysis import (bifurcation_epsilon, classify, composite_lyapunov_trace,
                        convergence_report, lyapunov_trace, rest_point,
-                       storage_matrix)
+                       score_bound_excess, storage_matrix)
 from .dynamics import (FeedbackBlock, IntegrationDivergedError, LearningParams,
-                       Trajectory, harmonic_schedule, run_discrete,
-                       run_stochastic, seeded_initial_scores,
-                       simulate_first_order, simulate_higher_order,
-                       write_stochastic_csv, write_trajectory_csv)
-from .errors import ConfigurationError, DomainError, UsageError
+                       SimulationRun, Trajectory, harmonic_schedule,
+                       run_discrete, run_stochastic, seeded_initial_scores,
+                       simulate_batch, write_stochastic_csv,
+                       write_trajectory_csv)
+from .errors import ConfigurationError, DomainError, NumericsError, UsageError
 from .games import GameSpec, load_game
 from .presets import available_presets, preset
 from .reproduce import EXAMPLE_IDS, format_report, run_example
@@ -147,15 +148,20 @@ def _verdict(traj, x_star) -> str:
         return "recorded"
 
 
-def _ode_run(game, args, seed, block):
+def _ode_runs(game, args, seeds, block) -> list:
+    """One trajectory, or the IntegrationDivergedError that ended it, per
+    seed.  The seeds are one lockstep batch, each seed a one-row run with
+    the samples of a separate call; only when the batch diverges are the
+    seeds run one by one, so each keeps its own status and last good time."""
     params = LearningParams(gamma=args.gamma, eps=args.eps)
-    z0 = seeded_initial_scores(game.total_actions, seed)
-    if block is not None:
-        return simulate_higher_order(game, params, block, z0, dt=args.dt,
-                                     t_end=args.t_end,
-                                     record_every=args.record_every)
-    return simulate_first_order(game, params, z0, dt=args.dt, t_end=args.t_end,
-                                record_every=args.record_every)
+    runs = [SimulationRun(params, seeded_initial_scores(game.total_actions, seed),
+                          args.t_end, block) for seed in seeds]
+    try:
+        return simulate_batch(game, runs, args.dt, args.record_every)
+    except IntegrationDivergedError as err:
+        if len(seeds) == 1:
+            return [err]
+    return [_ode_runs(game, args, [seed], block)[0] for seed in seeds]
 
 
 def _cmd_simulate(args) -> int:
@@ -193,15 +199,16 @@ def _cmd_simulate(args) -> int:
     if args.scheme == "stochastic":
         summary.update({"mode": args.mode, "steps": args.steps})
 
+    if args.scheme in ("first-order", "higher-order"):
+        ode_runs = dict(zip(seeds, _ode_runs(game, args, seeds, block)))
     for seed in seeds:
         run: dict = {}
         csv_name = f"traj_seed{seed}.csv"
         if args.scheme in ("first-order", "higher-order"):
-            try:
-                traj = _ode_run(game, args, seed, block)
-            except IntegrationDivergedError as err:
+            traj = ode_runs[seed]
+            if isinstance(traj, IntegrationDivergedError):
                 run = {"status": "diverged",
-                       "last_good_time": err.last_good_time,
+                       "last_good_time": traj.last_good_time,
                        "terminal_x": None, "terminal_v": None}
                 summary["runs"][str(seed)] = run
                 continue
@@ -222,6 +229,10 @@ def _cmd_simulate(args) -> int:
                    "terminal_v": (float(traj.lyapunov[-1])
                                   if traj.lyapunov is not None else None),
                    "csv": csv_name}
+            # a finite run that leaves the score bound took too large a step
+            excess = score_bound_excess(traj, game, block)
+            if excess > 0.0:
+                run.update(status="unstable-step", score_bound_excess=excess)
         elif args.scheme == "discrete":
             ks, zs, xs = run_discrete(game, params,
                                       seeded_initial_scores(game.total_actions, seed),
@@ -352,6 +363,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except NumericsError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -397,6 +397,11 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
     own horizon records.  A non-finite sample, or a DomainError from field
     on a non-finite stage input, stops integration with
     IntegrationDivergedError carrying the last good time.
+
+    field must be a pure function of the state, and give each row the same
+    result whichever rows share the batch: a recorded step whose state
+    equals the previous one bit for bit is an exact fixed point of the RK4
+    map, so the remaining samples repeat it and integration stops there.
     """
     dt = float(dt)
     t_end = float(t_end)
@@ -424,6 +429,7 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_steps):
+                prev = s
                 k1 = field(s)
                 k2 = field(s + 0.5 * dt * k1)
                 k3 = field(s + 0.5 * dt * k2)
@@ -437,6 +443,9 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
                             last_good_time=float(sample_steps[i - 1] * dt))
                     rec[i, :len(s)] = s  # rows that left keep their samples
                     i += 1
+                    if np.array_equal(s.view(np.uint64), prev.view(np.uint64)):
+                        rec[i:, :len(s)] = s
+                        break
                     if step == next_end and step < n_steps:
                         s = s[:remaining[step]]
                         next_end = ends[ends.index(step) + 1]
@@ -602,28 +611,95 @@ def _euler_increment(game: GameSpec, params: LearningParams):
     return _bind_field(game, LearningParams(1.0, params.eps))
 
 
+def _column_counts(game: GameSpec) -> tuple[int, ...]:
+    """The action count of each column of a joint action: one column per
+    player, or own and opponent draw in a matching game."""
+    n = game.total_actions
+    return (n, n) if game.matching else game.action_counts
+
+
+def _bind_sampler(game: GameSpec):
+    """The pure-action sampler of a game, with its block layout bound once:
+    draw(x, rng, m) returns (m, columns) actions drawn from the float
+    profile x, one column per entry of _column_counts.
+
+    Column c inverts the cumulative sum of its block, last entry pinned to
+    1, at uniforms u in [0, 1): the action is the number of entries <= u,
+    which is searchsorted(cum, u, side="right") since the sum only grows
+    before the pinned entry.  The blocks sit as rows of one zero-padded
+    table, so one cumsum serves them all, and one rng.random call takes
+    the m uniforms of each column in turn: the stream of one call per
+    column.  The map does not check x.
+    """
+    counts = np.array(_column_counts(game))
+    rows = np.repeat(np.arange(len(counts)), counts)
+    cols = np.concatenate([np.arange(c) for c in counts])
+    source = np.arange(len(rows)) % game.total_actions
+    pinned = np.arange(counts.max()) >= counts[:, None] - 1
+
+    def draw(x: np.ndarray, rng, m: int) -> np.ndarray:
+        table = np.zeros(pinned.shape)
+        table[rows, cols] = x[source]
+        cum = table.cumsum(axis=1)
+        cum[pinned] = 1.0
+        uniforms = rng.random((len(counts), m))
+        return (cum[:, None, :] <= uniforms[:, :, None]).sum(axis=2).T
+
+    return draw
+
+
+def _bind_estimate(game: GameSpec, mode: str):
+    """The payoff estimator of payoff_estimate for one game and mode, with
+    the sampler and the payoff tables built once: estimate(x, rng, m)
+    returns (u_hat, actions, realized payoffs), each with the m draws on
+    its first axis.  The map does not check x.
+
+    Every payoff is a gather from the flattened payoff tensors (the one
+    matrix of a matching game): the realized payoff of tensor p sits at
+    offsets[p] + a @ strides for the joint action a, and the payoff of
+    score entry j against the others' actions at base[j] + a @ others[:, j].
+    """
+    if mode not in ("full-info", "bandit"):
+        raise DomainError(f"unknown estimator mode {mode!r}")
+    draw = _bind_sampler(game)
+    full_info = mode == "full-info"
+    n = game.total_actions
+    counts = _column_counts(game)
+    columns = np.arange(len(counts))
+    payers = columns[:len(game.payoff_tensors)]
+    strides = np.array([int(np.prod(counts[c + 1:])) for c in columns])
+    flat = np.concatenate([t.ravel() for t in game.payoff_tensors])
+    offsets = payers * int(np.prod(counts))
+    column_of = np.repeat(payers, counts[:len(payers)])
+    own_action = np.concatenate([np.arange(counts[p]) for p in payers])
+    base = offsets[column_of] + own_action * strides[column_of]
+    others = np.where(columns[:, None] == column_of, 0, strides[:, None])
+    starts = np.array([sl.start for sl in game.block_slices])
+
+    def estimate(x: np.ndarray, rng, m: int):
+        acts = draw(x, rng, m)
+        realized = flat[offsets + (acts @ strides)[:, None]]
+        if full_info:
+            return flat[base + acts @ others], acts, realized
+        u_hat = np.zeros((m, n))
+        own = starts + acts[:, payers]
+        u_hat[np.arange(m)[:, None], own] = realized / x[own]
+        return u_hat, acts, realized
+
+    return estimate
+
+
 def sample_joint_actions(game: GameSpec, x, rng, size: int | None = None) -> np.ndarray:
     """Sample pure actions from a mixed profile, one column per player.
 
     Matching games return two columns (own draw, opponent draw from the same
     population).  With size=None a single (columns,) vector is returned.
     """
-    rng = np.random.default_rng(rng)
     x = np.asarray(getattr(x, "vector", x), dtype=float)
-    single = size is None
-    m = 1 if single else int(size)
-    if game.matching:
-        blocks = [x, x]
-    else:
-        blocks = game.split(x)
-    cols = []
-    for xb in blocks:
-        cum = np.cumsum(xb)
-        cum[-1] = 1.0
-        draws = np.searchsorted(cum, rng.random(m), side="right")
-        cols.append(np.minimum(draws, len(xb) - 1))
-    acts = np.column_stack(cols)
-    return acts[0] if single else acts
+    _check_length(x, game.total_actions, "profile")
+    acts = _bind_sampler(game)(x, np.random.default_rng(rng),
+                               1 if size is None else int(size))
+    return acts[0] if size is None else acts
 
 
 def payoff_estimate(game: GameSpec, x, rng, mode: str = "full-info",
@@ -637,41 +713,11 @@ def payoff_estimate(game: GameSpec, x, rng, mode: str = "full-info",
     Returns (u_hat, actions, realized_payoffs); with integer size the first
     axis of each output enumerates independent draws.
     """
-    if mode not in ("full-info", "bandit"):
-        raise DomainError(f"unknown estimator mode {mode!r}")
-    rng = np.random.default_rng(rng)
+    estimate = _bind_estimate(game, mode)
     x = np.asarray(getattr(x, "vector", x), dtype=float)
-    single = size is None
-    m = 1 if single else int(size)
-    acts = sample_joint_actions(game, x, rng, size=m)
-    n = game.total_actions
-    u_hat = np.zeros((m, n))
-    if game.matching:
-        a_mat = game.payoff_tensors[0]
-        own, opp = acts[:, 0], acts[:, 1]
-        realized = a_mat[own, opp][:, None]
-        if mode == "full-info":
-            u_hat = a_mat[:, opp].T.copy()
-        else:
-            u_hat[np.arange(m), own] = realized[:, 0] / x[own]
-    else:
-        realized = np.empty((m, game.player_count))
-        for p, tensor in enumerate(game.payoff_tensors):
-            idx = tuple(acts[:, q] for q in range(game.player_count))
-            realized[:, p] = tensor[idx]
-        if mode == "full-info":
-            for p, (tensor, sl) in enumerate(zip(game.payoff_tensors, game.block_slices)):
-                # own axis first so the draw axis lands in a fixed position
-                swapped = np.moveaxis(tensor, p, 0)
-                idx = tuple(acts[:, q] for q in range(game.player_count) if q != p)
-                u_hat[:, sl] = swapped[(slice(None),) + idx].T
-        else:
-            for p, sl in enumerate(game.block_slices):
-                own = acts[:, p]
-                u_hat[np.arange(m), sl.start + own] = realized[:, p] / x[sl][own]
-    if single:
-        return u_hat[0], acts[0], realized[0]
-    return u_hat, acts, realized
+    _check_length(x, game.total_actions, "profile")
+    draws = estimate(x, np.random.default_rng(rng), 1 if size is None else int(size))
+    return tuple(a[0] for a in draws) if size is None else draws
 
 
 def stochastic_step(z, game: GameSpec, params: LearningParams, alpha: float,
@@ -682,11 +728,12 @@ def stochastic_step(z, game: GameSpec, params: LearningParams, alpha: float,
     the scores unchanged.
     """
     alpha = _check_alpha(alpha)
+    estimate = _bind_estimate(game, mode)
     z = np.asarray(z, dtype=float)
     x = softmax(z, params.eps, game.action_counts)
-    u_hat, acts, realized = payoff_estimate(game, x, rng, mode=mode)
-    z_next = z + alpha * params.gamma * (u_hat - z)
-    return z_next, softmax(z_next, params.eps, game.action_counts), acts, realized
+    u_hat, acts, realized = estimate(x, np.random.default_rng(rng), 1)
+    z_next = z + alpha * params.gamma * (u_hat[0] - z)
+    return z_next, softmax(z_next, params.eps, game.action_counts), acts[0], realized[0]
 
 
 def _check_run(steps: int, record_every: int) -> int:
@@ -727,7 +774,8 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
                    alpha_schedule: Callable[[int], float] = harmonic_schedule,
                    record_every: int = 1):
     """Iterate the stochastic_step update with a step-size schedule, with
-    the soft-max bound once and one soft-max per step.
+    the soft-max and the payoff estimator bound once and one soft-max per
+    step.
 
     Returns a dict with sampled ks, Z, X, realized joint actions and
     realized payoffs (aligned with the post-step sample index).
@@ -737,19 +785,20 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
     z = np.asarray(z0, dtype=float)
     _check_length(z, game.total_actions)
     sigma = _bind_softmax(params.eps, game.action_counts)
+    estimate = _bind_estimate(game, mode)
     ks = [0]
     zs = [z.copy()]
     acts_log = [None]
     pay_log = [None]
     for k in range(steps):
         rate = _check_alpha(alpha_schedule(k)) * params.gamma
-        u_hat, acts, realized = payoff_estimate(game, sigma(z), rng, mode=mode)
-        z = z + rate * (u_hat - z)
+        u_hat, acts, realized = estimate(sigma(z), rng, 1)
+        z = z + rate * (u_hat[0] - z)
         if (k + 1) % record_every == 0 or k + 1 == steps:
             ks.append(k + 1)
             zs.append(z.copy())
-            acts_log.append(np.array(acts))
-            pay_log.append(np.array(realized))
+            acts_log.append(acts[0].copy())
+            pay_log.append(realized[0].copy())
     zs = np.stack(zs)
     xs = softmax(zs, params.eps, game.action_counts)
     return {"ks": np.asarray(ks), "z": zs, "x": xs,

@@ -7,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from gamedyn import preset, save_game
+from gamedyn import (IntegrationDivergedError, RestPointResult, preset, save_game,
+                     seeded_initial_scores, simulate_batch)
+from gamedyn import cli
 from gamedyn.cli import main
 
 
@@ -218,6 +220,107 @@ def test_simulate_overflow_is_reported_as_divergence(tmp_path, capsys):
     assert run == {"status": "diverged", "last_good_time": 0.0,
                    "terminal_x": None, "terminal_v": None}
     assert not (tmp_path / "traj_seed0.csv").exists()
+
+
+def _single_seed_runs(capsys, tmp_path, argv, seeds):
+    """Run argv once per seed; return each seed's output directory and
+    summary, checking every run exits 0."""
+    outs = {}
+    for seed in seeds:
+        out = tmp_path / f"seed{seed}"
+        code, _, _ = run_cli(capsys, *argv, "--seeds", str(seed), "--out", str(out))
+        assert code == 0
+        outs[seed] = (out, json.loads((out / "summary.json").read_text()))
+    return outs
+
+
+@pytest.mark.parametrize("scheme", ["first-order", "higher-order"])
+@pytest.mark.parametrize("game", [["--preset", "rps", "--param", "l=5"],
+                                  ["--preset", "shapley"], ["--preset", "jordan_mp"]],
+                         ids=["rps-l5", "shapley", "jordan_mp"])
+def test_simulate_seeds_equal_single_seed_commands(game, scheme, tmp_path, capsys):
+    """The seeds of one command are one lockstep batch, and every file it
+    writes equals what a command per seed writes, byte for byte."""
+    argv = ["simulate", *game, "--scheme", scheme, "--dt", "0.02", "--t-end", "20",
+            "--record-every", "10", "--emit-ternary"]
+    seeds = [0, 3, 17]
+    code, _, _ = run_cli(capsys, *argv, "--seeds", "0,3,17", "--out", str(tmp_path / "all"))
+    assert code == 0
+    singles = _single_seed_runs(capsys, tmp_path, argv, seeds)
+    expect = dict(singles[0][1], seeds=seeds,
+                  runs={str(s): singles[s][1]["runs"][str(s)] for s in seeds})
+    assert ((tmp_path / "all" / "summary.json").read_text()
+            == json.dumps(expect, indent=2, sort_keys=True) + "\n")
+    for seed, (out, _) in singles.items():
+        name = f"traj_seed{seed}.csv"
+        assert (tmp_path / "all" / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_simulate_divergence_is_reported_per_seed(tmp_path, capsys):
+    """A batch that diverges is re-run seed by seed, so each seed keeps the
+    status and last good time of its own command."""
+    argv = ["simulate", "--preset", "rps", "--param", "l=8", "--dt", "40",
+            "--t-end", "40000", "--record-every", "500"]
+    code, _, err = run_cli(capsys, *argv, "--seeds", "0,1", "--out", str(tmp_path / "all"))
+    assert code == 0 and err == ""
+    runs = json.loads((tmp_path / "all" / "summary.json").read_text())["runs"]
+    for seed, (_, summary) in _single_seed_runs(capsys, tmp_path, argv, [0, 1]).items():
+        assert runs[str(seed)] == summary["runs"][str(seed)]
+        assert runs[str(seed)]["status"] == "diverged"
+
+
+def test_simulate_divergence_of_one_seed_spares_the_others(tmp_path, capsys, monkeypatch):
+    """When only seed 1 diverges, the batch fails as a whole, and the re-run
+    gives seed 0 its own trajectory and seed 1 its own last good time."""
+    doomed = seeded_initial_scores(3, 1)
+
+    def diverge_on_seed_1(game, runs, *args, **kwargs):
+        if any(np.array_equal(run.z0, doomed) for run in runs):
+            raise IntegrationDivergedError("non-finite state", last_good_time=7.0)
+        return simulate_batch(game, runs, *args, **kwargs)
+
+    argv = ["simulate", "--preset", "rps", "--param", "l=5", "--dt", "0.05",
+            "--t-end", "5", "--record-every", "10"]
+    alone = _single_seed_runs(capsys, tmp_path, argv, [0])[0]
+    monkeypatch.setattr(cli, "simulate_batch", diverge_on_seed_1)
+    code, _, _ = run_cli(capsys, *argv, "--seeds", "0,1", "--out", str(tmp_path / "all"))
+    assert code == 0
+    runs = json.loads((tmp_path / "all" / "summary.json").read_text())["runs"]
+    assert runs["0"] == alone[1]["runs"]["0"]
+    assert ((tmp_path / "all" / "traj_seed0.csv").read_bytes()
+            == (alone[0] / "traj_seed0.csv").read_bytes())
+    assert runs["1"] == {"status": "diverged", "last_good_time": 7.0,
+                         "terminal_x": None, "terminal_v": None}
+
+
+def test_simulate_unstable_step_is_reported(tmp_path, capsys):
+    """A finite run that breaks the score bound |z_i| <= max(|z_i(0)|, M)
+    took too large a step: its status says so instead of a verdict."""
+    code, _, err = run_cli(capsys, "simulate", "--preset", "rps", "--param", "l=5",
+                           "--dt", "5", "--t-end", "500", "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    run = json.loads((tmp_path / "summary.json").read_text())["runs"]["0"]
+    assert run["status"] == "unstable-step"
+    assert run["score_bound_excess"] > 1e100
+    assert (tmp_path / run["csv"]).exists()
+
+
+def test_numerics_error_exits_3(monkeypatch, capsys):
+    """A solver that finds no rest point is a numerical failure: exit code
+    3 and one error line, not a traceback or a usage error."""
+    def not_found(game, eps, **kwargs):
+        n = game.total_actions
+        return RestPointResult(z_star=np.zeros(n), x_star=np.full(n, 1.0 / n),
+                               residual=1.0, iterations=1, method="damped",
+                               status="not-found", eps=eps)
+
+    monkeypatch.setattr("gamedyn.analysis.rest_point", not_found)
+    monkeypatch.setattr("gamedyn.analysis.multi_start_rest_points", lambda *a, **k: [])
+    code, out, err = run_cli(capsys, "bifurcation", "--preset", "rps", "--param", "l=8",
+                             "--eps-range", "0.5,3")
+    assert code == 3
+    assert out == ""
+    assert err == "error: no rest point found at eps=0.5\n"
 
 
 def test_discrete_scheme(tmp_path, capsys):

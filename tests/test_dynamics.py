@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from tensor_reference import coupled_block, random_tensor_game, tensor_payoff
 
+from gamedyn import dynamics
 from gamedyn import (ConfigurationError, DomainError, FeedbackBlock,
                      IntegrationDivergedError, LearningParams, SimulationRun,
                      Trajectory, expected_payoff_vector, first_order_field,
@@ -488,3 +489,42 @@ def test_integrate_row_horizons():
     for bad in ([0.5, 1.0, 0.5], [0.5, 0.5, 0.5], [1.0, 0.5]):
         with pytest.raises(DomainError, match="longest first"):
             integrate(lambda s: -s, state0, dt=0.1, t_end=1.0, row_t_end=bad)
+
+
+def _plain_rk4(field, state, dt, n_steps, record_every):
+    samples = [state]
+    for k in range(n_steps):
+        k1 = field(state)
+        k2 = field(state + 0.5 * dt * k1)
+        k3 = field(state + 0.5 * dt * k2)
+        k4 = field(state + dt * k3)
+        state = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (k + 1) % record_every == 0:
+            samples.append(state)
+    return np.stack(samples)
+
+
+def test_integrate_stops_at_an_exact_fixed_point():
+    """Once a recorded step returns the previous state bit for bit, the rest
+    of the samples repeat it and the field is called no more; every sample
+    still equals a plain RK4 loop to the horizon.  A rotation never repeats
+    its state and runs every step."""
+    calls = []
+
+    def counted(field):
+        return lambda state: calls.append(None) or field(state)
+
+    game = preset("rps", {"l": 5.0})
+    field = dynamics._bind_field(game, LearningParams(1.0, 1.0))
+    z0 = seeded_initial_scores(3, 0)
+    traj = integrate(counted(field), z0, dt=0.1, t_end=500.0, record_every=10)
+    assert np.array_equal(traj.states, _plain_rk4(field, z0, 0.1, 5000, 10))
+    assert len(calls) < 4 * 5000
+
+    calls.clear()
+    omega = np.array([[0.0, -1.0], [1.0, 0.0]])
+    rotation = lambda s: s @ omega.T  # noqa: E731
+    start = np.array([1.0, 0.0])
+    traj = integrate(counted(rotation), start, dt=0.01, t_end=1.0)
+    assert len(calls) == 4 * 100
+    assert np.array_equal(traj.states, _plain_rk4(rotation, start, 0.01, 100, 1))

@@ -88,6 +88,19 @@ def test_payoff_estimate_rejects_unknown_mode(rng):
     game = preset("matching_pennies")
     with pytest.raises(DomainError):
         payoff_estimate(game, np.full(4, 0.5), rng, mode="oracle")
+    # the estimator is bound before the first step, so even no step checks it
+    with pytest.raises(DomainError, match="unknown estimator mode"):
+        run_stochastic(game, LearningParams(), np.zeros(4), steps=0, rng=rng, mode="oracle")
+
+
+@pytest.mark.parametrize("name, length", [("rps", 2), ("rps", 4), ("shapley", 5)])
+def test_sampler_rejects_profile_of_wrong_length(name, length, rng):
+    game = preset(name, {"l": 2.0} if name == "rps" else None)
+    x = np.full(length, 1.0 / length)
+    with pytest.raises(DomainError, match=f"profile has length {length}"):
+        payoff_estimate(game, x, rng, size=3)
+    with pytest.raises(DomainError, match=f"profile has length {length}"):
+        sample_joint_actions(game, x, rng)
 
 
 def test_stochastic_step_zero_alpha_is_identity(rng):
@@ -246,3 +259,72 @@ def test_write_stochastic_csv_layout(tmp_path):
     # the initial sample has no realized action or payoff
     assert rows[1][7:] == ["", "", ""]
     assert rows[2][7] != ""
+
+
+def _reference_estimate(game, x, rng, mode, m):
+    """The unbound sampler: one rng.random(m) call per block, inverted by a
+    cumsum and searchsorted per block, then the payoffs gathered player by
+    player."""
+    blocks = [x, x] if game.matching else game.split(x)
+    cols = []
+    for xb in blocks:
+        cum = np.cumsum(xb)
+        cum[-1] = 1.0
+        draws = np.searchsorted(cum, rng.random(m), side="right")
+        cols.append(np.minimum(draws, len(xb) - 1))
+    acts = np.column_stack(cols)
+    u_hat = np.zeros((m, game.total_actions))
+    if game.matching:
+        a_mat = game.payoff_tensors[0]
+        own, opp = acts[:, 0], acts[:, 1]
+        realized = a_mat[own, opp][:, None]
+        if mode == "full-info":
+            u_hat = a_mat[:, opp].T.copy()
+        else:
+            u_hat[np.arange(m), own] = realized[:, 0] / x[own]
+        return u_hat, acts, realized
+    players = range(game.player_count)
+    realized = np.empty((m, game.player_count))
+    for p, tensor in enumerate(game.payoff_tensors):
+        realized[:, p] = tensor[tuple(acts[:, q] for q in players)]
+    for p, (tensor, sl) in enumerate(zip(game.payoff_tensors, game.block_slices)):
+        own = acts[:, p]
+        if mode == "full-info":
+            idx = tuple(acts[:, q] for q in players if q != p)
+            u_hat[:, sl] = np.moveaxis(tensor, p, 0)[(slice(None),) + idx].T
+        else:
+            u_hat[np.arange(m), sl.start + own] = realized[:, p] / x[sl][own]
+    return u_hat, acts, realized
+
+
+def _assert_identical(got, want):
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", ["full-info", "bandit"])
+@pytest.mark.parametrize("name", ["rps", "shapley", "jordan_mp"])
+def test_bound_sampler_matches_unbound_reference(name, mode):
+    """payoff_estimate and run_stochastic draw the same uniforms in the same
+    order as a sampler that takes one rng.random call per block, and give
+    the same actions, payoffs and scores bit for bit."""
+    game = preset(name, {"l": 2.5} if name == "rps" else None)
+    x = np.random.default_rng(2).dirichlet(np.ones(game.total_actions))
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for got, want in zip(payoff_estimate(game, x, rng, mode, size=500),
+                         _reference_estimate(game, x, ref_rng, mode, 500)):
+        _assert_identical(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    params = LearningParams(eps=0.7, gamma=1.5)
+    z0 = np.random.default_rng(1).uniform(-1, 1, game.total_actions)
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    rec = run_stochastic(game, params, z0, steps=300, rng=rng, mode=mode)
+    z = z0
+    for k in range(300):
+        u_hat, acts, realized = _reference_estimate(
+            game, softmax(z, params.eps, game.action_counts), ref_rng, mode, 1)
+        z = z + harmonic_schedule(k) * params.gamma * (u_hat[0] - z)
+        assert np.array_equal(rec["z"][k + 1], z)
+        _assert_identical(rec["actions"][k + 1], acts[0])
+        _assert_identical(rec["payoffs"][k + 1], realized[0])
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
