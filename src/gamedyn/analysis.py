@@ -245,6 +245,13 @@ def multi_start_rest_points(game: GameSpec, eps: float, n_starts: int = 20,
 
 # ---------------------------------------------------------------- linearization
 
+def _check_discounted(params: LearningParams) -> None:
+    if params.undiscounted:
+        raise DomainError("linearization needs the discounted flow; rest points "
+                          "solve z = U(sigma(z)), which the undiscounted flow "
+                          "does not rest at")
+
+
 def numeric_jacobian(func, x0: np.ndarray, step: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of a vector map."""
     x0 = np.asarray(x0, dtype=float)
@@ -265,8 +272,10 @@ def dynamics_jacobian(z_star: np.ndarray, game: GameSpec, params: LearningParams
     First order: J = gamma (DU Dsigma - I).  With a feedback block the
     2n x 2n matrix of the (z, xi) field is assembled at
     xi* = -A^-1 B sigma(z*).  A central-difference Jacobian of the actual
-    field cross-checks the closed form unless fd_check is disabled.
+    field cross-checks the closed form unless fd_check is disabled.  The
+    undiscounted flow is refused: z* is a rest point of the discounted one.
     """
+    _check_discounted(params)
     z_star = np.asarray(z_star, dtype=float)
     n = game.total_actions
     if z_star.shape != (n,):
@@ -286,7 +295,7 @@ def dynamics_jacobian(z_star: np.ndarray, game: GameSpec, params: LearningParams
         jac = np.vstack([top, bottom])
         state = np.concatenate([z_star, block.equilibrium_filter_state(x)])
     if fd_check:
-        field = _bind_field(game, params, block)
+        field = _bind_field(game, params.eps, block, [(1, block is not None, params.gamma)])
         err = float(np.abs(jac - numeric_jacobian(field, state, step=fd_step)).max())
         if err > fd_tol:
             raise NumericsError(
@@ -343,7 +352,9 @@ def bifurcation_epsilon(game: GameSpec, params: LearningParams,
                         eps_range: tuple[float, float] = (0.05, 5.0),
                         tol: float = 1e-4, proj_tol: float = 1e-8) -> BifurcationResult:
     """Bisect for the temperature where the tangent-mode spectral abscissa
-    of the linearization (at the eps-dependent rest point) crosses zero."""
+    of the linearization (at the eps-dependent rest point) crosses zero.
+    The undiscounted flow is refused, as in dynamics_jacobian."""
+    _check_discounted(params)
     lo, hi = float(eps_range[0]), float(eps_range[1])
     if not (0.0 < lo < hi):
         raise DomainError(f"invalid eps range {eps_range!r}")
@@ -361,8 +372,7 @@ def bifurcation_epsilon(game: GameSpec, params: LearningParams,
             if not result.converged:
                 raise NumericsError(f"no rest point found at eps={eps:.6g}")
         warm["z"] = result.z_star
-        params_eps = LearningParams(gamma=params.gamma, eps=eps,
-                                    undiscounted=params.undiscounted)
+        params_eps = LearningParams(gamma=params.gamma, eps=eps)
         jac = dynamics_jacobian(result.z_star, game, params_eps, block=block,
                                 fd_check=False)
         return tangent_mode_abscissa(jac, game.action_counts, proj_tol)

@@ -10,6 +10,10 @@ higher-order flow passes the payoff through a strictly-proper feedback
 filter (A, B, C, D) with zero DC gain before it reaches the score:
 
     zdot  = gamma * (U(x) - z - v),  xidot = A xi + B x,  v = C xi + D x.
+
+Every score field, including the increment of the discrete scheme, comes
+from one bound kernel, _bind_field, in which the filter is an option of a
+group of rows.
 """
 
 from __future__ import annotations
@@ -168,84 +172,56 @@ def _check_length(state: np.ndarray, n: int, what: str = "score vector") -> None
         raise DomainError(f"{what} has length {length}, expected {n}")
 
 
-def _filter_matrix(game: GameSpec, block: FeedbackBlock):
-    """Phi (or None) and the stacked W = [[Phi^T - D^T, B^T], [-C^T, A^T]],
-    which turns [sigma(z), xi] into (U - v, xidot) in one product; a game
-    without a linear map Phi leaves Phi^T out of W."""
+def _filter_matrix(game: GameSpec, block: FeedbackBlock) -> np.ndarray:
+    """The stacked W = [[Phi^T - D^T, B^T], [-C^T, A^T]], which turns
+    [sigma(z), xi] into (U - v, xidot) in one product; a game without a
+    linear map Phi leaves Phi^T out of W."""
     n = game.total_actions
     if block.dim != n:
         raise DomainError(f"feedback block has dimension {block.dim}, expected {n}")
     phi = linear_game_map(game)
     top = -block.d_mat.T if phi is None else phi.T - block.d_mat.T
-    return phi, np.block([[top, block.b_mat.T], [-block.c_mat.T, block.a_mat.T]])
+    return np.block([[top, block.b_mat.T], [-block.c_mat.T, block.a_mat.T]])
 
 
-def _bind_field(game: GameSpec, params: LearningParams,
-                block: FeedbackBlock | None = None) -> Callable[[np.ndarray], np.ndarray]:
-    """The score field of one game, parameter set and (optional) validated
-    filter, with everything that is fixed across RK4 stages bound once.
-
-    The payoff map is games._bind_payoff; the filtered field multiplies by
-    the stacked W of _filter_matrix and adds U(sigma(z)) when the game has
-    no linear map.  The returned map takes float arrays of the right length
-    and checks only that each soft-max input is finite.
-    """
-    n = game.total_actions
-    gamma = params.gamma
-    sigma = _bind_softmax(params.eps, game.action_counts)
-    payoff = _bind_payoff(game)
-    if block is None:
-        if params.undiscounted:
-            return lambda z: payoff(sigma(z))
-
-        def first_order(z: np.ndarray) -> np.ndarray:
-            dz = payoff(sigma(z))
-            dz -= z
-            dz *= gamma
-            return dz
-
-        return first_order
-
-    phi, w_mat = _filter_matrix(game, block)
-
-    def higher_order(state: np.ndarray) -> np.ndarray:
-        z = state[..., :n]
-        y = state.copy()
-        y[..., :n] = sigma(z)
-        out = y @ w_mat
-        dz = out[..., :n]
-        if phi is None:
-            dz += payoff(y[..., :n])
-        dz -= z
-        dz *= gamma
-        return out
-
-    return higher_order
+def _group(rows: int, params: LearningParams, filtered: bool) -> tuple:
+    """The row group (rows, filtered, gamma) of _bind_field for a run; gamma
+    None marks the undiscounted first-order field.  The filtered field
+    ignores the discount switch."""
+    undiscounted = params.undiscounted and not filtered
+    return rows, filtered, None if undiscounted else params.gamma
 
 
-def _bind_batch_field(
+def _bind_field(
     game: GameSpec, eps: float, block: FeedbackBlock | None,
-    groups: Sequence[tuple[int, bool, float]],
+    groups: Sequence[tuple[int, bool, float | None]],
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The score field of a lockstep batch made of consecutive row groups
-    (rows, filtered, gamma), one per run, that share the game, eps and the
-    validated block.  It takes the rows of any leading groups, so rows can
-    leave the batch at group boundaries.
+    """The score field of consecutive row groups (rows, filtered, gamma)
+    that share the game, eps and the validated block, with everything that
+    is fixed across RK4 stages bound once.  A filtered group evaluates
+    gamma (U - z - v) and xidot, a first-order group gamma (U - z), and a
+    first-order group with gamma None the undiscounted U(sigma(z)).
 
-    Every row gets the arithmetic of a separate run of its group.  BLAS
-    rounds a one-row product (gemv) differently from a product over several
-    rows (gemm), and a wider or zero-padded product differently again, so
-    each stage multiplies every group by its own map: filtered rows by W,
-    first-order rows by Phi^T (or U(x) without a linear map).  Neighbouring
-    groups of one scheme that each have several rows share one product,
-    since gemm rounds each row of such a product alike.  First-order rows
-    carry a zero filter state when the batch has filtered rows.  A batch
-    that is one such product at one gamma is the plain _bind_field kernel.
+    One group takes a state of any leading shape.  Several groups take the
+    rows of any leading groups, so rows can leave a batch at group
+    boundaries.  The map checks only that each soft-max input is finite.
+
+    The payoff map is games._bind_payoff; filtered rows multiply
+    [sigma(z), xi] by the stacked W of _filter_matrix and add U(sigma(z))
+    when the game has no linear map.  Every row gets the arithmetic of a
+    separate run of its group.  BLAS rounds a one-row product (gemv)
+    differently from a product over several rows (gemm), and a wider or
+    zero-padded product differently again, so each stage multiplies every
+    group by its own map: filtered rows by W, first-order rows by Phi^T (or
+    U(x) without a linear map).  Neighbouring groups of one scheme that
+    each have several rows share one product, since gemm rounds each row of
+    such a product alike.  First-order rows carry a zero filter state when
+    the batch has filtered rows.
     """
     n = game.total_actions
     plans = {}
     segments: list[list] = []
-    gammas: list[float] = []
+    gammas: list[float | None] = []
     stop = 0
     for rows, filtered, gamma in groups:
         start, stop = stop, stop + rows
@@ -256,47 +232,46 @@ def _bind_batch_field(
         gammas += [gamma] * rows
         g = gammas[0] if len(set(gammas)) == 1 else np.array(gammas)[:, None]
         plans[stop] = ([(slice(a, b), f) for a, b, f, _ in segments], g)
-    segs, g = plans[stop]
-    if len(segs) == 1 and not isinstance(g, np.ndarray):
-        return _bind_field(game, LearningParams(g, eps), block if segs[0][1] else None)
+    single = ([(..., groups[0][1])], groups[0][2]) if len(groups) == 1 else None
 
     sigma = _bind_softmax(eps, game.action_counts)
     payoff = _bind_payoff(game)
     phi = linear_game_map(game)
     phi_t = None if phi is None else phi.T
-    w_mat = None if block is None else _filter_matrix(game, block)[1]
+    w_mat = None if block is None else _filter_matrix(game, block)
 
-    def batch_field(state: np.ndarray) -> np.ndarray:
-        segs, g = plans[len(state)]
-        z = state[:, :n]
-        x = sigma(z)
+    def field(state: np.ndarray) -> np.ndarray:
+        segs, g = single or plans[len(state)]
         out = np.zeros(state.shape)
+        # without a filter the state is all scores
+        z, dz = (state, out) if w_mat is None else (state[..., :n], out[..., :n])
+        x = sigma(z)
         if w_mat is not None:
             y = state.copy()
-            y[:, :n] = x
-        u = None if phi is not None else payoff(x)
+            y[..., :n] = x
+        u = None if phi_t is not None else payoff(x)
         for rows, filtered in segs:
             if filtered:
                 np.matmul(y[rows], w_mat, out=out[rows])
                 if u is not None:
-                    out[rows, :n] += u[rows]
+                    dz[rows] += u[rows]
             elif u is None:
-                np.matmul(x[rows], phi_t, out=out[rows, :n])
+                np.matmul(x[rows], phi_t, out=dz[rows])
             else:
-                out[rows, :n] = u[rows]
-        dz = out[:, :n]
-        dz -= z
-        dz *= g
+                dz[rows] = u[rows]
+        if g is not None:
+            dz -= z
+            dz *= g
         return out
 
-    return batch_field
+    return field
 
 
 def first_order_field(z, game: GameSpec, params: LearningParams) -> np.ndarray:
     """zdot = gamma (U(sigma(z)) - z), or U(sigma(z)) when undiscounted."""
     z = np.asarray(z, dtype=float)
     _check_length(z, game.total_actions)
-    return _bind_field(game, params)(z)
+    return _bind_field(game, params.eps, None, [_group(1, params, False)])(z)
 
 
 def higher_order_field(state, game: GameSpec, params: LearningParams,
@@ -305,7 +280,7 @@ def higher_order_field(state, game: GameSpec, params: LearningParams,
     block.ensure_valid()
     state = np.asarray(state, dtype=float)
     _check_length(state, 2 * game.total_actions, "state")
-    return _bind_field(game, params, block)(state)
+    return _bind_field(game, params.eps, block, [_group(1, params, True)])(state)
 
 
 def induced_strategy_field(z, game: GameSpec, params: LearningParams) -> np.ndarray:
@@ -497,11 +472,11 @@ def simulate_batch(game: GameSpec, runs: Sequence[SimulationRun], dt: float = 0.
 
     The runs share the game, the temperature eps and at most one feedback
     block; each has its own gamma and horizon, and is filtered when it
-    carries the block.  An undiscounted first-order run is simulated alone.
-    All rows start together and each leaves the batch after its last
-    sample.  Returns one entry per run, as simulate_first_order or
-    simulate_higher_order returns it for that run alone, with the same
-    samples bit for bit.
+    carries the block.  An undiscounted first-order run cannot share a
+    batch.  A z0 of shape (n,) is a one-row run.  All rows start together
+    and each leaves the batch after its last sample.  Returns one entry per
+    run, as simulate_first_order or simulate_higher_order returns it for
+    that run alone, with the same samples bit for bit.
     """
     runs = list(runs)
     if not runs:
@@ -537,11 +512,6 @@ def simulate_batch(game: GameSpec, runs: Sequence[SimulationRun], dt: float = 0.
     def strat(states: np.ndarray) -> np.ndarray:
         return softmax(states[..., :n], eps, counts)
 
-    if len(runs) == 1:
-        run = runs[0]
-        field = _bind_field(game, run.params, run.block)
-        return [integrate(field, starts[0], dt, run.t_end, record_every, strat)]
-
     if any(z.ndim > 2 for z in starts):
         raise DomainError("z0 must be a vector or a batch of vectors")
     starts = [np.atleast_2d(z) for z in starts]
@@ -550,9 +520,9 @@ def simulate_batch(game: GameSpec, runs: Sequence[SimulationRun], dt: float = 0.
     steps = [_horizon_steps(dt, float(run.t_end), int(record_every)) for run in runs]
     order = sorted(range(len(runs)), key=lambda i: (
         -steps[i], runs[i].block is not None, len(starts[i]) == 1))
-    groups = [(len(starts[i]), runs[i].block is not None, runs[i].params.gamma)
+    groups = [_group(len(starts[i]), runs[i].params, runs[i].block is not None)
               for i in order]
-    field = _bind_batch_field(game, eps, block, groups)
+    field = _bind_field(game, eps, block, groups)
     row_t_end = [float(runs[i].t_end) for i in order for _ in range(len(starts[i]))]
     row_trajs = integrate(field, np.concatenate([starts[i] for i in order]), dt,
                           row_t_end[0], record_every, strat, row_t_end=row_t_end)
@@ -588,12 +558,14 @@ def euler_step(z, game: GameSpec, params: LearningParams, alpha: float):
     """One explicit Euler step Z+ = Z + alpha gamma (U(sigma(Z)) - Z).
 
     Returns (Z+, sigma(Z+)).  With alpha * gamma = 1 this is the exact
-    best-scored update Z+ = U(sigma(Z)).
+    best-scored update Z+ = U(sigma(Z)).  The increment is the first-order
+    field at gamma = 1, so the discount switch plays no part.
     """
     alpha = _check_alpha(alpha)
     z = np.asarray(z, dtype=float)
     _check_length(z, game.total_actions)
-    z_next = z + alpha * params.gamma * _euler_increment(game, params)(z)
+    increment = _bind_field(game, params.eps, None, [(1, False, 1.0)])
+    z_next = z + alpha * params.gamma * increment(z)
     return z_next, softmax(z_next, params.eps, game.action_counts)
 
 
@@ -602,13 +574,6 @@ def _check_alpha(alpha: float) -> float:
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"step size must lie in [0, 1], got {alpha!r}")
     return alpha
-
-
-def _euler_increment(game: GameSpec, params: LearningParams):
-    """U(sigma(Z)) - Z as the bound first-order field at gamma = 1; the
-    discrete scheme scales it by alpha gamma and ignores the discount
-    switch."""
-    return _bind_field(game, LearningParams(1.0, params.eps))
 
 
 def _column_counts(game: GameSpec) -> tuple[int, ...]:
@@ -741,6 +706,8 @@ def _check_run(steps: int, record_every: int) -> int:
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
     if steps < 0:
         raise DomainError(f"steps must be >= 0, got {steps!r}")
+    if not float(steps).is_integer():
+        raise DomainError(f"steps must be an integer, got {steps!r}")
     return int(steps)
 
 
@@ -751,7 +718,7 @@ def run_discrete(game: GameSpec, params: LearningParams, z0, alpha: float,
     rate = _check_alpha(alpha) * params.gamma
     z = np.asarray(z0, dtype=float)
     _check_length(z, game.total_actions)
-    increment = _euler_increment(game, params)
+    increment = _bind_field(game, params.eps, None, [(1, False, 1.0)])
     ks = [0]
     zs = [z.copy()]
     for k in range(steps):
@@ -822,7 +789,10 @@ def _fmt(v: float) -> str:
 def write_trajectory_csv(path: str | Path, traj: Trajectory,
                          action_counts: Sequence[int], ternary: bool = False) -> None:
     """One row per sample: t, scores, strategies, optional filter state,
-    optional Lyapunov value, optional ternary projections."""
+    optional Lyapunov value, optional ternary projections.  A trajectory
+    without strategies is refused before the file is opened."""
+    if traj.strategies is None:
+        raise DomainError("trajectory has no strategies to write")
     counts = tuple(int(c) for c in action_counts)
     n = sum(counts)
     d = traj.states.shape[1]

@@ -236,6 +236,20 @@ def test_jacobian_shape_validation():
         dynamics_jacobian(np.zeros(4), game, LearningParams(eps=1.0, gamma=1.0))
 
 
+@pytest.mark.parametrize("filtered", [False, True])
+def test_linearization_refuses_the_undiscounted_flow(filtered, monkeypatch):
+    """Rest points solve z = U(sigma(z)), where the undiscounted flow does
+    not rest; both linearizations refuse it before any solve."""
+    monkeypatch.setattr("gamedyn.analysis.rest_point", _refuse_rest_point)
+    game = preset("rps", {"l": 5.0})
+    block = FeedbackBlock.high_pass(1.0, 1.0, (3,)) if filtered else None
+    params = LearningParams(1.0, 1.0, undiscounted=True)
+    with pytest.raises(DomainError, match="discounted flow"):
+        dynamics_jacobian(np.zeros(3), game, params, block=block)
+    with pytest.raises(DomainError, match="discounted flow"):
+        bifurcation_epsilon(game, params, block=block, eps_range=(0.5, 3.0))
+
+
 def test_tangent_mode_abscissa_sign_flip():
     # the cycling regime loses stability below the critical temperature
     game = preset("rps", {"l": 8.0})

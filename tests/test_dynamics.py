@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from tensor_reference import coupled_block, random_tensor_game, tensor_payoff
 
-from gamedyn import dynamics
 from gamedyn import (ConfigurationError, DomainError, FeedbackBlock,
                      IntegrationDivergedError, LearningParams, SimulationRun,
                      Trajectory, expected_payoff_vector, first_order_field,
                      higher_order_field, induced_strategy_field, integrate,
-                     preset, profile_jacobian, rest_point,
+                     linear_game_map, preset, profile_jacobian, rest_point,
                      revision_protocol_field, run_discrete, score_bound,
                      score_bound_excess, seeded_initial_scores, simulate_batch,
                      simulate_first_order, simulate_higher_order, softmax,
@@ -257,6 +256,21 @@ def test_trajectory_csv_layout(tmp_path):
     assert len(lines) == len(traj.times) + 1
 
 
+def test_trajectory_csv_needs_strategies(tmp_path):
+    """A trajectory without strategies is refused before the file is
+    opened, so an existing file keeps its content."""
+    traj = integrate(lambda s: -s, np.array([1.0, 0.5, 0.2]), dt=0.1, t_end=1.0)
+    assert traj.strategies is None
+    path = tmp_path / "run.csv"
+    path.write_text("kept\n")
+    with pytest.raises(DomainError, match="no strategies"):
+        write_trajectory_csv(path, traj, (3,))
+    assert path.read_text() == "kept\n"
+    with pytest.raises(DomainError, match="no strategies"):
+        write_trajectory_csv(tmp_path / "new.csv", traj, (3,))
+    assert not (tmp_path / "new.csv").exists()
+
+
 # ------------------------------------------- bound field vs. a written-out one
 
 REFERENCE_GAMES = {
@@ -340,6 +354,54 @@ def test_simulate_matches_reference_field(game_key, regime, batch):
     np.testing.assert_allclose(field(state0, game, params),
                                _reference_field(game, params, block)(state0),
                                rtol=0.0, atol=1e-12)
+
+
+def _einsum_payoff(game, x):
+    """U(x) as one einsum per player over the others' blocks."""
+    axes = "abcdefgh"[:game.player_count]
+    slices = game.block_slices
+    parts = []
+    for p, tensor in enumerate(game.payoff_tensors):
+        others = [q for q in range(game.player_count) if q != p]
+        sub = f"{axes},{','.join('...' + axes[q] for q in others)}->...{axes[p]}"
+        parts.append(np.einsum(sub, tensor, *(x[..., slices[q]] for q in others)))
+    return np.concatenate(parts, axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (5,)])
+@pytest.mark.parametrize("regime", ["discounted", "undiscounted", "filtered"])
+def test_public_fields_are_the_plain_expression(regime, shape):
+    """first_order_field and higher_order_field equal, bit for bit, the
+    numpy expression of their flow: (sigma(z) @ Phi^T - z) gamma, the einsum
+    U without a linear map, U(sigma(z)) undiscounted, and [sigma(z), xi] @ W
+    with W assembled here from the four filter matrices."""
+    gamma = 1.5
+    for key, make in REFERENCE_GAMES.items():
+        game = make()
+        n = game.total_actions
+        params = LearningParams(gamma, 0.7, undiscounted=regime == "undiscounted")
+        rng = np.random.default_rng(n)
+        z = rng.uniform(-2, 2, shape + (n,))
+        x = softmax(z, params.eps, game.action_counts)
+        phi = linear_game_map(game)
+        assert (phi is None) == (key == "tensor232")
+        if regime == "filtered":
+            block = coupled_block(n, 3)
+            xi = rng.uniform(-1, 1, z.shape)
+            top = -block.d_mat.T if phi is None else phi.T - block.d_mat.T
+            w_mat = np.block([[top, block.b_mat.T], [-block.c_mat.T, block.a_mat.T]])
+            expect = np.concatenate([x, xi], axis=-1) @ w_mat
+            if phi is None:
+                expect[..., :n] += _einsum_payoff(game, x)
+            expect[..., :n] = (expect[..., :n] - z) * gamma
+            got = higher_order_field(np.concatenate([z, xi], axis=-1), game, params,
+                                     block)
+        else:
+            u = _einsum_payoff(game, x) if phi is None else x @ phi.T
+            expect = u if regime == "undiscounted" else (u - z) * gamma
+            got = first_order_field(z, game, params)
+        assert got.shape == expect.shape
+        assert np.array_equal(got, expect), key
 
 
 @pytest.mark.parametrize("batch", [1, 5])
@@ -515,7 +577,8 @@ def test_integrate_stops_at_an_exact_fixed_point():
         return lambda state: calls.append(None) or field(state)
 
     game = preset("rps", {"l": 5.0})
-    field = dynamics._bind_field(game, LearningParams(1.0, 1.0))
+    params = LearningParams(1.0, 1.0)
+    field = lambda z: first_order_field(z, game, params)  # noqa: E731
     z0 = seeded_initial_scores(3, 0)
     traj = integrate(counted(field), z0, dt=0.1, t_end=500.0, record_every=10)
     assert np.array_equal(traj.states, _plain_rk4(field, z0, 0.1, 5000, 10))

@@ -143,13 +143,15 @@ def test_record_every_must_be_positive(scheme, record_every):
 
 @pytest.mark.parametrize("scheme", ["discrete", "stochastic"])
 def test_negative_steps_rejected(scheme):
+    """Negative and non-integral step counts are refused, not truncated."""
     game = preset("rps", {"l": 2.0})
     params = LearningParams(eps=1.0, gamma=1.0)
-    with pytest.raises(DomainError, match="steps"):
-        if scheme == "discrete":
-            run_discrete(game, params, np.zeros(3), alpha=0.1, steps=-3)
-        else:
-            run_stochastic(game, params, np.zeros(3), steps=-3, rng=0)
+    for steps in (-3, 2.5, 2.7, np.nan):
+        with pytest.raises(DomainError, match="steps"):
+            if scheme == "discrete":
+                run_discrete(game, params, np.zeros(3), alpha=0.1, steps=steps)
+            else:
+                run_stochastic(game, params, np.zeros(3), steps=steps, rng=0)
 
 
 @pytest.mark.parametrize("scheme", ["discrete", "stochastic"])
