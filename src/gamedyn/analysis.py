@@ -8,8 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .choice import (_bind_softmax, _check_eps, block_slices, bregman_lse,
-                     profile_jacobian, softmax)
+from .choice import (_bind_softmax, _check_eps, _check_finite, block_slices,
+                     bregman_lse, profile_jacobian, softmax)
 from .dynamics import FeedbackBlock, LearningParams, Trajectory, _bind_field
 from .errors import ConfigurationError, DomainError, NumericsError, UsageError
 from .games import (GameSpec, _bind_payoff, linear_game_map, payoff_jacobian,
@@ -164,6 +164,7 @@ def rest_point(game: GameSpec, eps: float, z0=None, beta: float = 0.5,
     z = np.zeros(n) if z0 is None else np.asarray(z0, dtype=float).copy()
     if z.shape != (n,):
         raise DomainError(f"z0 has shape {z.shape}, expected ({n},)")
+    _check_finite(z)
     sigma = _bind_softmax(eps, game.action_counts)
     payoff = _bind_payoff(game)
 

@@ -51,6 +51,7 @@ def softmax_block(z_block, eps: float) -> np.ndarray:
     z = np.asarray(z_block, dtype=float)
     if z.ndim == 0:
         raise DomainError("softmax_block takes a score block, not a scalar")
+    _check_finite(z)
     return _bind_softmax(eps, z.shape[-1:])(z)
 
 
@@ -62,38 +63,50 @@ def softmax(z, eps: float, action_counts: Sequence[int]) -> np.ndarray:
     n = sum(counts)
     if z.shape[-1] != n:
         raise DomainError(f"score vector has length {z.shape[-1]}, expected {n}")
+    _check_finite(z)
     return _bind_softmax(eps, counts)(z)
 
 
-def _bind_softmax(eps: float, counts: tuple[int, ...]):
-    """The per-player soft-max for a validated eps and block layout.
+def _bind_softmax(eps: float, counts: tuple[int, ...], out: np.ndarray | None = None):
+    """The per-player soft-max for a validated eps and block layout.  The
+    map does not check its float scores z.
 
-    The returned map checks only that its float input is finite; equal
-    blocks are reshaped and reduced together, unequal ones block by block.
+    With out, the map writes sigma(z) for scores shaped like out into out
+    and returns it; out's block views and the scratch are made once, so the
+    map is not re-entrant.  Without out, the map returns a new array for
+    scores of any shape.
+
+    Equal blocks are reshaped and reduced together, unequal ones block by
+    block.  Each block is shifted by its maximum, divided by eps (left out
+    at eps == 1, where it is exact), exponentiated and divided by its sum,
+    the arithmetic of the plain expression.  The work runs in place in a
+    contiguous array (the block view of out when that is contiguous), as
+    ufuncs on strided views cost more per call, and the last division
+    writes into out.
     """
+    if out is None:
+        return lambda z: _bind_softmax(eps, counts, np.empty(z.shape))(z)
     if len(set(counts)) == 1:
-        block_shape = (len(counts), counts[0])
+        # splitting the last axis always gives a view of out
+        views = [(None, out.reshape(out.shape[:-1] + (len(counts), counts[0])))]
+    else:
+        views = [(sl, out[..., sl]) for sl in block_slices(counts)]
+    parts = [(sl, view, view if view.flags.c_contiguous else np.empty(view.shape),
+              np.empty(view.shape[:-1] + (1,))) for sl, view in views]
 
-        def sigma(z: np.ndarray) -> np.ndarray:
-            _check_finite(z)
-            blocks = z.reshape(z.shape[:-1] + block_shape)
-            w = np.exp((blocks - _max(blocks, axis=-1, keepdims=True)) / eps)
-            w /= _sum(w, axis=-1, keepdims=True)
-            return w.reshape(z.shape)
-
-        return sigma
-    slices = block_slices(counts)
-
-    def sigma_blocks(z: np.ndarray) -> np.ndarray:
-        _check_finite(z)
-        out = np.empty_like(z)
-        for sl in slices:
-            zb = z[..., sl]
-            w = np.exp((zb - _max(zb, axis=-1, keepdims=True)) / eps)
-            out[..., sl] = w / _sum(w, axis=-1, keepdims=True)
+    def sigma(z: np.ndarray) -> np.ndarray:
+        for sl, view, w, col in parts:
+            zb = z.reshape(w.shape) if sl is None else z[..., sl]
+            _max(zb, axis=-1, keepdims=True, out=col)
+            np.subtract(zb, col, out=w)
+            if eps != 1.0:
+                np.divide(w, eps, out=w)
+            np.exp(w, out=w)
+            _sum(w, axis=-1, keepdims=True, out=col)
+            np.divide(w, col, out=view)
         return out
 
-    return sigma_blocks
+    return sigma
 
 
 def log_sum_exp(z_block, eps: float) -> np.ndarray:

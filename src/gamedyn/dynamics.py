@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .choice import _bind_softmax, _check_eps, block_slices, softmax
+from .choice import (_all, _bind_softmax, _check_eps, _check_finite, block_slices,
+                     softmax)
 from .errors import ConfigurationError, DomainError, IntegrationDivergedError
 from .games import (GameSpec, _bind_payoff, expected_payoff_vector,
                     linear_game_map)
@@ -186,10 +187,13 @@ def _filter_matrix(game: GameSpec, block: FeedbackBlock) -> np.ndarray:
 
 def _group(rows: int, params: LearningParams, filtered: bool) -> tuple:
     """The row group (rows, filtered, gamma) of _bind_field for a run; gamma
-    None marks the undiscounted first-order field.  The filtered field
-    ignores the discount switch."""
-    undiscounted = params.undiscounted and not filtered
-    return rows, filtered, None if undiscounted else params.gamma
+    None marks the undiscounted first-order field.  The filtered flow has
+    no undiscounted form, so a filtered run with the discount switch on is
+    refused."""
+    if params.undiscounted and filtered:
+        raise DomainError("the filtered flow has no undiscounted form; "
+                          "undiscounted=True needs a first-order run")
+    return rows, filtered, None if params.undiscounted else params.gamma
 
 
 def _bind_field(
@@ -204,7 +208,15 @@ def _bind_field(
 
     One group takes a state of any leading shape.  Several groups take the
     rows of any leading groups, so rows can leave a batch at group
-    boundaries.  The map checks only that each soft-max input is finite.
+    boundaries.  The map checks nothing: a non-finite state gives a
+    non-finite result, which integrate finds at its next recorded sample.
+
+    Each state shape gets its plan and scratch once: the product operand
+    [sigma(z), xi] (sigma(z) alone without a filter), into which the bound
+    soft-max writes, and the soft-max's own scratch.  Every call returns a
+    new array and never writes into its input, but the shared scratch
+    makes a bound field not re-entrant.  gamma == 1 skips its exact
+    multiplication.
 
     The payoff map is games._bind_payoff; filtered rows multiply
     [sigma(z), xi] by the stacked W of _filter_matrix and add U(sigma(z))
@@ -234,34 +246,48 @@ def _bind_field(
         plans[stop] = ([(slice(a, b), f) for a, b, f, _ in segments], g)
     single = ([(..., groups[0][1])], groups[0][2]) if len(groups) == 1 else None
 
-    sigma = _bind_softmax(eps, game.action_counts)
     payoff = _bind_payoff(game)
     phi = linear_game_map(game)
     phi_t = None if phi is None else phi.T
     w_mat = None if block is None else _filter_matrix(game, block)
+    bound = {}
+
+    def bind(shape: tuple) -> tuple:
+        segs, g = single or plans[shape[0]]
+        # first-order rows next to filtered ones keep a zero xidot
+        mixed = w_mat is not None and not all(f for _, f in segs)
+        scale = None if g is None or (np.isscalar(g) and g == 1.0) else g
+        operand = np.empty(shape)
+        x, tail = (operand, None) if w_mat is None else (operand[..., :n], operand[..., n:])
+        products = [(rows, f, (operand if f else x)[rows]) for rows, f in segs]
+        plan = bound[shape] = (products, g is not None, scale, np.zeros if mixed else np.empty,
+                               _bind_softmax(eps, game.action_counts, x), x, tail)
+        return plan
 
     def field(state: np.ndarray) -> np.ndarray:
-        segs, g = single or plans[len(state)]
-        out = np.zeros(state.shape)
-        # without a filter the state is all scores
-        z, dz = (state, out) if w_mat is None else (state[..., :n], out[..., :n])
-        x = sigma(z)
-        if w_mat is not None:
-            y = state.copy()
-            y[..., :n] = x
+        products, discounted, scale, new, sigma, x, tail = (bound.get(state.shape)
+                                                            or bind(state.shape))
+        out = new(state.shape)
+        if tail is None:
+            z, dz = state, out
+        else:
+            z, dz = state[..., :n], out[..., :n]
+            tail[...] = state[..., n:]
+        sigma(z)
         u = None if phi_t is not None else payoff(x)
-        for rows, filtered in segs:
+        for rows, filtered, operand in products:
             if filtered:
-                np.matmul(y[rows], w_mat, out=out[rows])
+                np.matmul(operand, w_mat, out=out[rows])
                 if u is not None:
                     dz[rows] += u[rows]
             elif u is None:
-                np.matmul(x[rows], phi_t, out=dz[rows])
+                np.matmul(operand, phi_t, out=dz[rows])
             else:
                 dz[rows] = u[rows]
-        if g is not None:
+        if discounted:
             dz -= z
-            dz *= g
+            if scale is not None:
+                dz *= scale
         return out
 
     return field
@@ -271,16 +297,20 @@ def first_order_field(z, game: GameSpec, params: LearningParams) -> np.ndarray:
     """zdot = gamma (U(sigma(z)) - z), or U(sigma(z)) when undiscounted."""
     z = np.asarray(z, dtype=float)
     _check_length(z, game.total_actions)
+    _check_finite(z)
     return _bind_field(game, params.eps, None, [_group(1, params, False)])(z)
 
 
 def higher_order_field(state, game: GameSpec, params: LearningParams,
                        block: FeedbackBlock) -> np.ndarray:
-    """Combined (z, xi) field of the filtered score dynamics."""
+    """Combined (z, xi) field of the filtered score dynamics, which has no
+    undiscounted form."""
+    group = _group(1, params, True)
     block.ensure_valid()
     state = np.asarray(state, dtype=float)
     _check_length(state, 2 * game.total_actions, "state")
-    return _bind_field(game, params.eps, block, [_group(1, params, True)])(state)
+    _check_finite(state)
+    return _bind_field(game, params.eps, block, [group])(state)
 
 
 def induced_strategy_field(z, game: GameSpec, params: LearningParams) -> np.ndarray:
@@ -349,11 +379,19 @@ class Trajectory:
             self.strategies = np.asarray(self.strategies, dtype=float)
 
 
-def _horizon_steps(dt: float, t_end: float, record_every: int = 1) -> int:
-    """The RK4 step count of a horizon, after checking the sampling."""
-    if not (dt > 0.0 and dt <= t_end < np.inf) or record_every < 1:
-        raise DomainError("dt must be positive, t_end finite and >= dt, "
-                          "and record_every >= 1")
+def _check_whole(value, name: str, least: int) -> int:
+    """value as an int, refused unless it is a whole number >= least."""
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value!r}")
+    if not float(value).is_integer():
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _horizon_steps(dt: float, t_end: float) -> int:
+    """The RK4 step count of a horizon, after checking it."""
+    if not (dt > 0.0 and dt <= t_end < np.inf):
+        raise DomainError("dt must be positive, and t_end finite and >= dt")
     return int(round(t_end / dt))
 
 
@@ -369,19 +407,26 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
     of a batch its own horizon, longest first, the first equal to t_end: a
     row leaves the batch after its final step, and field then gets the
     leading rows that remain.  Each row records the samples a run to its
-    own horizon records.  A non-finite sample, or a DomainError from field
-    on a non-finite stage input, stops integration with
-    IntegrationDivergedError carrying the last good time.
+    own horizon records.
 
-    field must be a pure function of the state, and give each row the same
-    result whichever rows share the batch: a recorded step whose state
-    equals the previous one bit for bit is an exact fixed point of the RK4
-    map, so the remaining samples repeat it and integration stops there.
+    The loop checks nothing but its recorded samples.  A step that
+    overflows carries NaN or inf to the next recorded sample, where a
+    non-finite state stops integration with IntegrationDivergedError
+    carrying the last good time.  Stage inputs and the weighted sum of the
+    stages go to buffers allocated once, in the order of the plain
+    s + dt/6 (k1 + 2 k2 + 2 k3 + k4), so every value is the same bit for
+    bit.
+
+    field must be a pure function of the state that returns a new array,
+    and give each row the same result whichever rows share the batch: a
+    recorded step whose state equals the previous one bit for bit is an
+    exact fixed point of the RK4 map, so the remaining samples repeat it
+    and integration stops there.
     """
     dt = float(dt)
     t_end = float(t_end)
-    record_every = int(record_every)
-    n_steps = _horizon_steps(dt, t_end, record_every)
+    record_every = _check_whole(record_every, "record_every", 1)
+    n_steps = _horizon_steps(dt, t_end)
     s = np.array(state0, dtype=float)
     if s.ndim not in (1, 2):
         raise DomainError("state0 must be a vector or a batch of vectors")
@@ -400,35 +445,37 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
     rec[0] = s
     i = 1
     next_end = ends[0]
+    half = 0.5 * dt
     sixth = dt / 6.0
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_steps):
-                prev = s
-                k1 = field(s)
-                k2 = field(s + 0.5 * dt * k1)
-                k3 = field(s + 0.5 * dt * k2)
-                k4 = field(s + dt * k3)
-                s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                step = k + 1
-                if step % record_every == 0 or step == next_end:
-                    if not np.all(np.isfinite(s)):
-                        raise IntegrationDivergedError(
-                            f"non-finite state at t={step * dt:.6g}",
-                            last_good_time=float(sample_steps[i - 1] * dt))
-                    rec[i, :len(s)] = s  # rows that left keep their samples
-                    i += 1
-                    if np.array_equal(s.view(np.uint64), prev.view(np.uint64)):
-                        rec[i:, :len(s)] = s
-                        break
-                    if step == next_end and step < n_steps:
-                        s = s[:remaining[step]]
-                        next_end = ends[ends.index(step) + 1]
-    except DomainError as exc:
-        last_good = float(sample_steps[i - 1] * dt)
-        raise IntegrationDivergedError(
-            f"non-finite stage input after t={last_good:.6g}",
-            last_good_time=last_good) from exc
+    stage = np.empty_like(s)
+    # the weighted stage sum, then the new state; afterwards the previous one
+    acc = np.empty_like(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            k1 = field(s)
+            k2 = field(np.add(s, np.multiply(k1, half, out=stage), out=stage))
+            k3 = field(np.add(s, np.multiply(k2, half, out=stage), out=stage))
+            k4 = field(np.add(s, np.multiply(k3, dt, out=stage), out=stage))
+            np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
+            np.add(acc, np.multiply(k3, 2.0, out=stage), out=acc)
+            np.add(acc, k4, out=acc)
+            np.add(s, np.multiply(acc, sixth, out=acc), out=acc)
+            s, acc = acc, s
+            step = k + 1
+            if step % record_every == 0 or step == next_end:
+                if not _all(np.isfinite(s), axis=None):
+                    raise IntegrationDivergedError(
+                        f"non-finite state at t={step * dt:.6g}",
+                        last_good_time=float(sample_steps[i - 1] * dt))
+                rec[i, :len(s)] = s  # rows that left keep their samples
+                i += 1
+                if _all(np.equal(s.view(np.uint64), acc.view(np.uint64)), axis=None):
+                    rec[i:, :len(s)] = s
+                    break
+                if step == next_end and step < n_steps:
+                    rows = remaining[step]
+                    s, acc, stage = s[:rows], acc[:rows], stage[:rows]
+                    next_end = ends[ends.index(step) + 1]
     times = sample_steps * dt
     if not batched:
         strategies = strategy_fn(rec) if strategy_fn is not None else None
@@ -517,7 +564,8 @@ def simulate_batch(game: GameSpec, runs: Sequence[SimulationRun], dt: float = 0.
     starts = [np.atleast_2d(z) for z in starts]
     if not any(len(z) for z in starts):
         raise DomainError("simulate_batch needs at least one initial score row")
-    steps = [_horizon_steps(dt, float(run.t_end), int(record_every)) for run in runs]
+    record_every = _check_whole(record_every, "record_every", 1)
+    steps = [_horizon_steps(dt, float(run.t_end)) for run in runs]
     order = sorted(range(len(runs)), key=lambda i: (
         -steps[i], runs[i].block is not None, len(starts[i]) == 1))
     groups = [_group(len(starts[i]), runs[i].params, runs[i].block is not None)
@@ -564,6 +612,7 @@ def euler_step(z, game: GameSpec, params: LearningParams, alpha: float):
     alpha = _check_alpha(alpha)
     z = np.asarray(z, dtype=float)
     _check_length(z, game.total_actions)
+    _check_finite(z)
     increment = _bind_field(game, params.eps, None, [(1, False, 1.0)])
     z_next = z + alpha * params.gamma * increment(z)
     return z_next, softmax(z_next, params.eps, game.action_counts)
@@ -701,20 +750,11 @@ def stochastic_step(z, game: GameSpec, params: LearningParams, alpha: float,
     return z_next, softmax(z_next, params.eps, game.action_counts), acts[0], realized[0]
 
 
-def _check_run(steps: int, record_every: int) -> int:
-    if record_every < 1:
-        raise DomainError(f"record_every must be >= 1, got {record_every!r}")
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps!r}")
-    if not float(steps).is_integer():
-        raise DomainError(f"steps must be an integer, got {steps!r}")
-    return int(steps)
-
-
 def run_discrete(game: GameSpec, params: LearningParams, z0, alpha: float,
                  steps: int, record_every: int = 1):
     """Iterate the euler_step update; returns (ks, Z samples, X samples)."""
-    steps = _check_run(steps, record_every)
+    steps = _check_whole(steps, "steps", 0)
+    record_every = _check_whole(record_every, "record_every", 1)
     rate = _check_alpha(alpha) * params.gamma
     z = np.asarray(z0, dtype=float)
     _check_length(z, game.total_actions)
@@ -722,6 +762,7 @@ def run_discrete(game: GameSpec, params: LearningParams, z0, alpha: float,
     ks = [0]
     zs = [z.copy()]
     for k in range(steps):
+        _check_finite(z)
         z = z + rate * increment(z)
         if (k + 1) % record_every == 0 or k + 1 == steps:
             ks.append(k + 1)
@@ -741,17 +782,18 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
                    alpha_schedule: Callable[[int], float] = harmonic_schedule,
                    record_every: int = 1):
     """Iterate the stochastic_step update with a step-size schedule, with
-    the soft-max and the payoff estimator bound once and one soft-max per
-    step.
+    the soft-max (into one buffer, which the estimator only reads) and the
+    payoff estimator bound once, and one soft-max per step.
 
     Returns a dict with sampled ks, Z, X, realized joint actions and
     realized payoffs (aligned with the post-step sample index).
     """
-    steps = _check_run(steps, record_every)
+    steps = _check_whole(steps, "steps", 0)
+    record_every = _check_whole(record_every, "record_every", 1)
     rng = np.random.default_rng(rng)
     z = np.asarray(z0, dtype=float)
     _check_length(z, game.total_actions)
-    sigma = _bind_softmax(params.eps, game.action_counts)
+    sigma = _bind_softmax(params.eps, game.action_counts, np.empty(z.shape))
     estimate = _bind_estimate(game, mode)
     ks = [0]
     zs = [z.copy()]
@@ -759,6 +801,7 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
     pay_log = [None]
     for k in range(steps):
         rate = _check_alpha(alpha_schedule(k)) * params.gamma
+        _check_finite(z)
         u_hat, acts, realized = estimate(sigma(z), rng, 1)
         z = z + rate * (u_hat[0] - z)
         if (k + 1) % record_every == 0 or k + 1 == steps:

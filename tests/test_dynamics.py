@@ -6,13 +6,16 @@ from tensor_reference import coupled_block, random_tensor_game, tensor_payoff
 
 from gamedyn import (ConfigurationError, DomainError, FeedbackBlock,
                      IntegrationDivergedError, LearningParams, SimulationRun,
-                     Trajectory, expected_payoff_vector, first_order_field,
-                     higher_order_field, induced_strategy_field, integrate,
-                     linear_game_map, preset, profile_jacobian, rest_point,
-                     revision_protocol_field, run_discrete, score_bound,
-                     score_bound_excess, seeded_initial_scores, simulate_batch,
-                     simulate_first_order, simulate_higher_order, softmax,
-                     verify_feedback_block, write_trajectory_csv)
+                     Trajectory, euler_step, expected_payoff_vector,
+                     first_order_field, higher_order_field, induced_strategy_field,
+                     integrate, linear_game_map, preset, profile_jacobian,
+                     rest_point, revision_protocol_field, run_discrete,
+                     run_stochastic, score_bound, score_bound_excess,
+                     seeded_initial_scores, simulate_batch, simulate_first_order,
+                     simulate_higher_order, softmax, verify_feedback_block,
+                     write_trajectory_csv)
+from gamedyn.choice import softmax_block
+from gamedyn.dynamics import _bind_field
 
 
 def test_learning_params_validation():
@@ -591,3 +594,176 @@ def test_integrate_stops_at_an_exact_fixed_point():
     traj = integrate(counted(rotation), start, dt=0.01, t_end=1.0)
     assert len(calls) == 4 * 100
     assert np.array_equal(traj.states, _plain_rk4(rotation, start, 0.01, 100, 1))
+
+
+# ---------------------------------------- check-free kernel, buffered RK4
+
+@pytest.mark.parametrize("record_every", [2.5, np.nan])
+def test_non_integral_record_every_is_refused(record_every):
+    """record_every is refused unless it is a whole number, not truncated
+    (the ODE schemes) or compared with % (the discrete and stochastic
+    schemes)."""
+    game = preset("rps", {"l": 2.0})
+    params = LearningParams()
+    z0 = np.zeros(3)
+    calls = [
+        lambda: integrate(lambda s: -s, np.ones(2), dt=0.1, t_end=1.0,
+                          record_every=record_every),
+        lambda: simulate_first_order(game, params, z0, dt=0.1, t_end=1.0,
+                                     record_every=record_every),
+        lambda: simulate_batch(game, [SimulationRun(params, z0, 1.0)], dt=0.1,
+                               record_every=record_every),
+        lambda: run_discrete(game, params, z0, 0.1, 12, record_every=record_every),
+        lambda: run_stochastic(game, params, z0, 12, rng=0, record_every=record_every),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="record_every"):
+            call()
+
+
+def test_undiscounted_filtered_flow_is_refused():
+    """The filtered flow has no undiscounted form; asking for it is refused
+    instead of silently integrating the discounted one."""
+    game = preset("rps", {"l": 2.0})
+    undisc = LearningParams(1.0, 1.0, undiscounted=True)
+    block = FeedbackBlock.high_pass(1.0, 1.0, (3,))
+    z0 = seeded_initial_scores(3, 0)
+    with pytest.raises(DomainError, match="undiscounted"):
+        simulate_higher_order(game, undisc, block, z0, dt=0.1, t_end=1.0)
+    with pytest.raises(DomainError, match="undiscounted"):
+        simulate_batch(game, [SimulationRun(LearningParams(), z0, 1.0),
+                              SimulationRun(undisc, z0, 1.0, block)], dt=0.1)
+    with pytest.raises(DomainError, match="undiscounted"):
+        higher_order_field(np.zeros(6), game, undisc, block)
+
+
+@pytest.mark.parametrize("game_key", ["rps", "tensor232"])
+def test_bound_field_returns_fresh_arrays(game_key):
+    """A bound field keeps scratch per state shape, yet what it returned
+    stays unchanged by later calls, at the same height and at a smaller one
+    once rows have left, and it never writes into its input.  Each result
+    equals that of a field bound afresh for the call."""
+    game = BATCH_GAMES[game_key]()
+    n = game.total_actions
+    block = coupled_block(n, 3)
+    rng = np.random.default_rng(5)
+    binds = [
+        (block, [(2, True, 4.0), (1, True, 1.0), (2, False, 1.0)], [(5,), (5,), (3,), (2,)]),
+        (None, [(3, False, 4.0), (1, False, 1.0)], [(4,), (3,), (4,)]),
+        (None, [(1, False, None)], [(), (4,), ()]),
+        (block, [(1, True, 1.0)], [(4,), (), (2, 3)]),
+    ]
+    for bound_block, groups, leads in binds:
+        d = n if bound_block is None else 2 * n
+        field = _bind_field(game, 0.5, bound_block, groups)
+        states = [rng.uniform(-2, 2, lead + (d,)) for lead in leads]
+        inputs = [s.copy() for s in states]
+        results = [field(s) for s in states]
+        copies = [r.copy() for r in results]
+        results.append(field(states[0]))
+        for state, before in zip(states, inputs):
+            assert np.array_equal(state, before)
+        for result, copy in zip(results, copies):
+            assert np.array_equal(result, copy)
+        for state, result in zip(states, results):
+            fresh = _bind_field(game, 0.5, bound_block, groups)(state)
+            assert result.shape == fresh.shape
+            assert np.array_equal(result, fresh)
+        assert np.array_equal(results[-1], results[0])
+        assert results[-1] is not results[0]
+
+
+@pytest.mark.parametrize("game_key", list(BATCH_GAMES))
+def test_buffered_rk4_is_the_plain_expression(game_key):
+    """Every run of a mixed first-order/filtered batch (gamma 1 and 4, eps
+    0.5, three horizons) records, bit for bit, a test-local RK4 loop of the
+    plain expression s + dt/6 (k1 + 2 k2 + 2 k3 + k4) over the public field
+    of that run alone."""
+    game = BATCH_GAMES[game_key]()
+    n = game.total_actions
+    block = coupled_block(n, 3)
+    rng = np.random.default_rng(7)
+    dt, record_every = 0.25, 3
+    runs = []
+    for filtered, gamma, t_end, rows in [(False, 1.0, 20.0, 1), (True, 4.0, 20.0, 3),
+                                         (False, 4.0, 12.0, 2), (True, 1.0, 12.0, 1),
+                                         (True, 4.0, 6.0, 2)]:
+        z0 = rng.uniform(-1, 1, (rows, n) if rows > 1 else n)
+        xi0 = rng.uniform(-1, 1, z0.shape) if filtered else None
+        runs.append(SimulationRun(LearningParams(gamma, 0.5), z0, t_end,
+                                  block if filtered else None, xi0))
+    got = simulate_batch(game, runs, dt=dt, record_every=record_every)
+    for run, trajs in zip(runs, got):
+        if run.block is None:
+            state = run.z0
+            field = lambda s, p=run.params: first_order_field(s, game, p)  # noqa: E731
+        else:
+            state = np.concatenate([run.z0, run.xi0], axis=-1)
+            field = lambda s, p=run.params: higher_order_field(s, game, p, block)  # noqa: E731
+        steps = round(run.t_end / dt)
+        samples = [state]
+        for k in range(steps):
+            k1 = field(state)
+            k2 = field(state + 0.5 * dt * k1)
+            k3 = field(state + 0.5 * dt * k2)
+            k4 = field(state + dt * k3)
+            state = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if (k + 1) % record_every == 0 or k + 1 == steps:
+                samples.append(state)
+        expect = np.stack(samples, axis=-2)
+        if isinstance(trajs, Trajectory):
+            trajs, expect = [trajs], [expect]
+        for traj, states in zip(trajs, expect):
+            assert traj.times[-1] == pytest.approx(run.t_end)
+            assert np.array_equal(traj.states, states)
+
+
+@pytest.mark.parametrize("dt", [8.0, 15.0])
+def test_mid_step_overflow_keeps_the_last_good_sample(dt):
+    """The kernel does not check its input: an overflow inside a step
+    carries NaN to the next recorded sample, and the divergence names the
+    sample before the first step whose stages a checking field refuses."""
+    game = preset("rps", {"l": 8.0})
+    params = LearningParams(1.0, 1.0)
+    z0 = seeded_initial_scores(3, 0)
+    record_every = 3
+    state = z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, 2001):
+            try:
+                k1 = first_order_field(state, game, params)
+                k2 = first_order_field(state + 0.5 * dt * k1, game, params)
+                k3 = first_order_field(state + 0.5 * dt * k2, game, params)
+                k4 = first_order_field(state + dt * k3, game, params)
+            except DomainError:
+                break
+            state = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert 3 < k < 2000
+    with pytest.raises(IntegrationDivergedError) as err:
+        simulate_first_order(game, params, z0, dt=dt, t_end=2000 * dt,
+                             record_every=record_every)
+    assert err.value.last_good_time == (k - 1) // record_every * record_every * dt
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_public_boundaries_refuse_non_finite_scores(value):
+    """With the check out of the kernel, each public entry point still
+    refuses non-finite scores itself."""
+    game = preset("rps", {"l": 2.0})
+    params = LearningParams()
+    block = FeedbackBlock.high_pass(1.0, 1.0, (3,))
+    z = np.array([0.0, value, 0.0])
+    calls = [
+        lambda: softmax(z, 1.0, (3,)),
+        lambda: softmax_block(z, 1.0),
+        lambda: first_order_field(z, game, params),
+        lambda: higher_order_field(np.concatenate([z, np.zeros(3)]), game, params, block),
+        lambda: higher_order_field(np.concatenate([np.zeros(3), z]), game, params, block),
+        lambda: euler_step(z, game, params, 0.1),
+        lambda: run_discrete(game, params, z, 0.1, 5),
+        lambda: run_stochastic(game, params, z, 5, rng=0),
+        lambda: rest_point(game, 1.0, z0=z),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="non-finite entries in score input"):
+            call()
