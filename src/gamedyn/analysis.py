@@ -56,16 +56,16 @@ class ClassificationReport:
         }
 
 
-def _class_of(lambda_max: float, tol: float) -> str:
-    if lambda_max < -tol:
+def _class_of(lambda_max: float) -> str:
+    if lambda_max < -1e-9:
         return "strictly-monotone"
-    if lambda_max <= tol:
+    if lambda_max <= 1e-9:
         return "null-monotone"
     return "hypo-monotone"
 
 
-def classify(game: GameSpec, sample_count: int = 200, seed: int = 0,
-             tol: float = 1e-9, alignment_tol: float = 1e-8) -> ClassificationReport:
+def classify(game: GameSpec, sample_count: int = 200,
+             seed: int = 0) -> ClassificationReport:
     """Classify the game as strictly-/null-/hypo-monotone.
 
     With a linear game map the tangent spectrum is exact; otherwise the payoff
@@ -82,7 +82,7 @@ def classify(game: GameSpec, sample_count: int = 200, seed: int = 0,
         tangent_eigs = np.linalg.eigvalsh(e_mat.T @ sym @ e_mat)
         full_eigs, vecs = np.linalg.eigh(sym)
         proj = e_mat @ e_mat.T
-        in_tangent = np.linalg.norm(vecs - proj @ vecs, axis=0) <= alignment_tol
+        in_tangent = np.linalg.norm(vecs - proj @ vecs, axis=0) <= 1e-8
         aligned = full_eigs[in_tangent]
         lambda_max = float(tangent_eigs.max())
         mu_aligned = float(max(0.0, aligned.max() / 2.0)) if aligned.size else None
@@ -90,7 +90,7 @@ def classify(game: GameSpec, sample_count: int = 200, seed: int = 0,
             tangent_eigenvalues=tangent_eigs,
             lambda_max=lambda_max,
             mu=max(0.0, lambda_max / 2.0),
-            monotonicity_class=_class_of(lambda_max, tol),
+            monotonicity_class=_class_of(lambda_max),
             exact=True,
             full_eigenvalues=full_eigs,
             aligned_eigenvalues=aligned if aligned.size else None,
@@ -112,7 +112,7 @@ def classify(game: GameSpec, sample_count: int = 200, seed: int = 0,
         tangent_eigenvalues=best_eigs,
         lambda_max=best_lambda,
         mu=max(0.0, best_lambda / 2.0),
-        monotonicity_class=_class_of(best_lambda, tol),
+        monotonicity_class=_class_of(best_lambda),
         exact=False,
         sample_argmax=best_x,
     )
@@ -148,16 +148,13 @@ class RestPointResult:
         }
 
 
-def rest_point(game: GameSpec, eps: float, z0=None, beta: float = 0.5,
-               fp_tol: float = 1e-8, newton_tol: float = 1e-12,
-               max_fp_iter: int = 100000, max_newton_iter: int = 50,
-               success_tol: float = 1e-10) -> RestPointResult:
+def rest_point(game: GameSpec, eps: float, z0=None) -> RestPointResult:
     """Locate a rest point by damped fixed-point iteration with a Newton polish.
 
-    The damped stage z <- (1-beta) z + beta U(sigma(z)) runs until the
-    residual falls below fp_tol or stagnates (it need not contract near
-    unstable rest points); Newton with a halving line search then drives the
-    best iterate to newton_tol.
+    The damped stage z <- (z + U(sigma(z))) / 2 runs until the residual
+    falls below 1e-8 or stagnates (it need not contract near unstable rest
+    points); Newton with a halving line search then drives the best iterate
+    to 1e-12.  The result is converged when the residual is at most 1e-10.
     """
     eps = _check_eps(eps)
     n = game.total_actions
@@ -175,8 +172,8 @@ def rest_point(game: GameSpec, eps: float, z0=None, beta: float = 0.5,
     best_res = residual_of(z)
     iters = 0
     since_improve = 0
-    while iters < max_fp_iter and best_res > fp_tol:
-        z = (1.0 - beta) * z + beta * payoff(sigma(z))
+    while iters < 100000 and best_res > 1e-8:
+        z = 0.5 * z + 0.5 * payoff(sigma(z))
         iters += 1
         res = residual_of(z)
         if res < 0.99 * best_res:
@@ -192,41 +189,39 @@ def rest_point(game: GameSpec, eps: float, z0=None, beta: float = 0.5,
     z = best_z
     res = best_res
     method = "damped"
-    if res > newton_tol:
+    eye = np.eye(n)
+    for _ in range(50):
+        if res <= 1e-12:
+            break
         method = "damped+newton"
-        eye = np.eye(n)
-        for _ in range(max_newton_iter):
-            if res <= newton_tol:
+        x = sigma(z)
+        f_val = payoff(x) - z
+        jac = payoff_jacobian(game, x) @ profile_jacobian(z, eps, game.action_counts) - eye
+        try:
+            step_dir = np.linalg.solve(jac, -f_val)
+        except np.linalg.LinAlgError:
+            break
+        t = 1.0
+        improved = False
+        for _ in range(30):
+            cand = z + t * step_dir
+            cand_res = residual_of(cand)
+            if cand_res < res:
+                z, res = cand, cand_res
+                improved = True
                 break
-            x = sigma(z)
-            f_val = payoff(x) - z
-            jac = payoff_jacobian(game, x) @ profile_jacobian(z, eps, game.action_counts) - eye
-            try:
-                step_dir = np.linalg.solve(jac, -f_val)
-            except np.linalg.LinAlgError:
-                break
-            t = 1.0
-            improved = False
-            for _ in range(30):
-                cand = z + t * step_dir
-                cand_res = residual_of(cand)
-                if cand_res < res:
-                    z, res = cand, cand_res
-                    improved = True
-                    break
-                t *= 0.5
-            iters += 1
-            if not improved:
-                break
-    status = "converged" if res <= success_tol else "not-found"
+            t *= 0.5
+        iters += 1
+        if not improved:
+            break
+    status = "converged" if res <= 1e-10 else "not-found"
     return RestPointResult(z_star=z, x_star=sigma(z),
                            residual=res, iterations=iters, method=method,
                            status=status, eps=eps)
 
 
 def multi_start_rest_points(game: GameSpec, eps: float, n_starts: int = 20,
-                            seed: int = 0, dedup_tol: float = 1e-6,
-                            **solver_kwargs) -> list[RestPointResult]:
+                            seed: int = 0) -> list[RestPointResult]:
     """Solve from zero plus seeded random initializations, deduplicated."""
     rng = np.random.default_rng(seed)
     bound = game.max_abs_payoff() + 1.0
@@ -235,12 +230,10 @@ def multi_start_rest_points(game: GameSpec, eps: float, n_starts: int = 20,
     starts = [np.zeros(n)]
     starts += [rng.uniform(-bound, bound, n) for _ in range(int(n_starts) - 1)]
     for z0 in starts:
-        result = rest_point(game, eps, z0=z0, **solver_kwargs)
-        if not result.converged:
-            continue
-        if any(np.abs(result.z_star - prev.z_star).max() <= dedup_tol for prev in found):
-            continue
-        found.append(result)
+        result = rest_point(game, eps, z0=z0)
+        if result.converged and not any(
+                np.abs(result.z_star - prev.z_star).max() <= 1e-6 for prev in found):
+            found.append(result)
     return found
 
 
@@ -253,27 +246,30 @@ def _check_discounted(params: LearningParams) -> None:
                           "does not rest at")
 
 
-def numeric_jacobian(func, x0: np.ndarray, step: float = 1e-6) -> np.ndarray:
+_FD_STEP = 1e-6  # also the closed form's allowed gap from the differences
+
+
+def numeric_jacobian(func, x0: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of a vector map."""
     x0 = np.asarray(x0, dtype=float)
     f0 = np.asarray(func(x0), dtype=float)
     jac = np.empty((f0.size, x0.size))
     for j in range(x0.size):
         delta = np.zeros_like(x0)
-        delta[j] = step
-        jac[:, j] = (np.asarray(func(x0 + delta)) - np.asarray(func(x0 - delta))) / (2.0 * step)
+        delta[j] = _FD_STEP
+        jac[:, j] = (np.asarray(func(x0 + delta)) - np.asarray(func(x0 - delta))) / (2.0 * _FD_STEP)
     return jac
 
 
 def dynamics_jacobian(z_star: np.ndarray, game: GameSpec, params: LearningParams,
-                      block: FeedbackBlock | None = None, fd_check: bool = True,
-                      fd_tol: float = 1e-6, fd_step: float = 1e-6) -> np.ndarray:
+                      block: FeedbackBlock | None = None,
+                      fd_check: bool = True) -> np.ndarray:
     """Linearization of the score flow at a rest point.
 
     First order: J = gamma (DU Dsigma - I).  With a feedback block the
     2n x 2n matrix of the (z, xi) field is assembled at
-    xi* = -A^-1 B sigma(z*).  A central-difference Jacobian of the actual
-    field cross-checks the closed form unless fd_check is disabled.  The
+    xi* = -A^-1 B sigma(z*).  Unless fd_check is off, a central-difference
+    Jacobian of the actual field must match the closed form to 1e-6.  The
     undiscounted flow is refused: z* is a rest point of the discounted one.
     """
     _check_discounted(params)
@@ -297,17 +293,17 @@ def dynamics_jacobian(z_star: np.ndarray, game: GameSpec, params: LearningParams
         state = np.concatenate([z_star, block.equilibrium_filter_state(x)])
     if fd_check:
         field = _bind_field(game, params.eps, block, [(1, block is not None, params.gamma)])
-        err = float(np.abs(jac - numeric_jacobian(field, state, step=fd_step)).max())
-        if err > fd_tol:
+        err = float(np.abs(jac - numeric_jacobian(field, state)).max())
+        if err > _FD_STEP:
             raise NumericsError(
                 f"analytic Jacobian differs from finite differences by {err:.3e}")
     return jac
 
 
-def tangent_mode_abscissa(jac: np.ndarray, action_counts: Sequence[int],
-                          proj_tol: float = 1e-8) -> float:
-    """Largest real part over eigenvalues whose eigenvector has a nonzero
-    score component in the tangent space (per-block zero-sum directions).
+def tangent_mode_abscissa(jac: np.ndarray, action_counts: Sequence[int]) -> float:
+    """Largest real part over eigenvalues whose eigenvector has a score
+    component of norm above 1e-8 in the tangent space (per-block zero-sum
+    directions).
 
     The soft-max shift invariance pins one structural mode per player along
     the block ones direction; those modes never cross and are excluded.
@@ -317,11 +313,10 @@ def tangent_mode_abscissa(jac: np.ndarray, action_counts: Sequence[int],
     eigvals, eigvecs = np.linalg.eig(jac)
     best = -np.inf
     for lam, vec in zip(eigvals, eigvecs.T):
-        z_part = vec[:n]
-        tangential = z_part.copy()
+        tangential = vec[:n].copy()
         for sl in slices:
             tangential[sl] -= tangential[sl].mean()
-        if np.linalg.norm(tangential) > proj_tol:
+        if np.linalg.norm(tangential) > 1e-8:
             best = max(best, float(lam.real))
     return best
 
@@ -351,7 +346,7 @@ class BifurcationResult:
 def bifurcation_epsilon(game: GameSpec, params: LearningParams,
                         block: FeedbackBlock | None = None,
                         eps_range: tuple[float, float] = (0.05, 5.0),
-                        tol: float = 1e-4, proj_tol: float = 1e-8) -> BifurcationResult:
+                        tol: float = 1e-4) -> BifurcationResult:
     """Bisect for the temperature where the tangent-mode spectral abscissa
     of the linearization (at the eps-dependent rest point) crosses zero.
     The undiscounted flow is refused, as in dynamics_jacobian."""
@@ -376,7 +371,7 @@ def bifurcation_epsilon(game: GameSpec, params: LearningParams,
         params_eps = LearningParams(gamma=params.gamma, eps=eps)
         jac = dynamics_jacobian(result.z_star, game, params_eps, block=block,
                                 fd_check=False)
-        return tangent_mode_abscissa(jac, game.action_counts, proj_tol)
+        return tangent_mode_abscissa(jac, game.action_counts)
 
     f_lo = abscissa(lo)
     f_hi = abscissa(hi)
@@ -400,15 +395,17 @@ def bifurcation_epsilon(game: GameSpec, params: LearningParams,
 
 # ------------------------------------------------------------ Lyapunov monitors
 
+_INCREASE_TOL = 1e-9  # a rise between samples that still reads as non-increasing
+
+
 def lyapunov_trace(traj: Trajectory, z_star: np.ndarray, eps: float,
-                   action_counts: Sequence[int],
-                   increase_tol: float = 1e-9) -> tuple[np.ndarray, str]:
+                   action_counts: Sequence[int]) -> tuple[np.ndarray, str]:
     """Bregman storage V at each sample plus a monotonicity verdict."""
     z_star = np.asarray(z_star, dtype=float)
     n = z_star.size
     scores = traj.states[:, :n]
     values = bregman_lse(scores, z_star, eps, action_counts)
-    verdict = "non-increasing" if np.all(np.diff(values) <= increase_tol) else "increased"
+    verdict = "non-increasing" if np.all(np.diff(values) <= _INCREASE_TOL) else "increased"
     return values, verdict
 
 
@@ -449,8 +446,8 @@ def storage_matrix(block: FeedbackBlock) -> np.ndarray:
 def composite_lyapunov_trace(traj: Trajectory, z_star: np.ndarray,
                              xi_star: np.ndarray, eps: float,
                              block: FeedbackBlock, action_counts: Sequence[int],
-                             gamma: float = 1.0, p_mat: np.ndarray | None = None,
-                             increase_tol: float = 1e-9) -> tuple[np.ndarray, str]:
+                             gamma: float = 1.0,
+                             p_mat: np.ndarray | None = None) -> tuple[np.ndarray, str]:
     """Composite storage W = V + (gamma/2) (xi - xi*)^T P (xi - xi*) per sample."""
     z_star = np.asarray(z_star, dtype=float)
     xi_star = np.asarray(xi_star, dtype=float)
@@ -464,7 +461,7 @@ def composite_lyapunov_trace(traj: Trajectory, z_star: np.ndarray,
     xi_dev = traj.states[:, n:] - xi_star
     values = bregman_lse(scores, z_star, eps, action_counts)
     values = values + 0.5 * gamma * np.einsum("ti,ij,tj->t", xi_dev, p_mat, xi_dev)
-    verdict = "non-increasing" if np.all(np.diff(values) <= increase_tol) else "increased"
+    verdict = "non-increasing" if np.all(np.diff(values) <= _INCREASE_TOL) else "increased"
     return values, verdict
 
 
@@ -492,16 +489,14 @@ class ConvergenceReport:
         }
 
 
-def convergence_report(traj: Trajectory, x_star: np.ndarray | None = None,
-                       window: float = 0.2, converged_amp: float = 1e-6,
-                       terminal_tol: float = 1e-4, cycle_amp: float = 1e-3,
-                       drift_tol: float = 0.1) -> ConvergenceReport:
-    """Classify the tail of a trajectory as converged, limit-cycle, or
+def convergence_report(traj: Trajectory,
+                       x_star: np.ndarray | None = None) -> ConvergenceReport:
+    """Classify the last 20% of a trajectory as converged, limit-cycle, or
     undetermined from the per-coordinate strategy oscillation amplitude."""
     if traj.strategies is None:
         raise UsageError("trajectory carries no strategies to analyze")
     times = traj.times
-    t_cut = times[-1] - window * (times[-1] - times[0])
+    t_cut = times[-1] - 0.2 * (times[-1] - times[0])
     idx = np.nonzero(times >= t_cut)[0]
     if idx.size < 4:
         raise UsageError("trajectory is shorter than the analysis window")
@@ -517,9 +512,9 @@ def convergence_report(traj: Trajectory, x_star: np.ndarray | None = None,
     terminal = None
     if x_star is not None:
         terminal = float(np.abs(traj.strategies[-1] - np.asarray(x_star, dtype=float)).max())
-    if amplitude < converged_amp and (terminal is None or terminal < terminal_tol):
+    if amplitude < 1e-6 and (terminal is None or terminal < 1e-4):
         status = "converged"
-    elif amplitude > cycle_amp and abs(amp_second - amp_first) <= drift_tol * max(amp_first, 1e-300):
+    elif amplitude > 1e-3 and abs(amp_second - amp_first) <= 0.1 * max(amp_first, 1e-300):
         status = "limit-cycle"
     else:
         status = "undetermined"
@@ -545,11 +540,18 @@ def time_to_tolerance(traj: Trajectory, x_star: np.ndarray,
 def score_bound(game: GameSpec, z0: np.ndarray,
                 block: FeedbackBlock | None = None) -> np.ndarray:
     """Per-coordinate invariant bound max{|z_i(0)|, M} on simulated scores,
-    where M bounds the (filter-adjusted) payoff magnitude."""
+    where M bounds the (filter-adjusted) payoff magnitude.  A block is
+    refused unless A is Metzler and each column of B has one sign."""
     m_payoff = game.max_abs_payoff()
     if block is not None:
         # |v_a| <= ||C||_inf sup|xi| + ||D||_inf with sup|xi| <= ||A^-1 B||_inf
-        # for xi(0) = 0 and strategies bounded by 1.
+        # for xi(0) = 0 and strategies in [0, 1], which holds when no entry
+        # of the impulse response e^{At} B changes sign.
+        b = block.b_mat
+        off_diagonal = block.a_mat[~np.eye(block.dim, dtype=bool)]
+        if (off_diagonal < 0).any() or not ((b >= 0).all(0) | (b <= 0).all(0)).all():
+            raise ConfigurationError("the score bound needs a Metzler A and one "
+                                     "sign per column of B")
         gain = float(np.abs(np.linalg.solve(block.a_mat, block.b_mat)).sum(axis=1).max())
         m_payoff += float(np.abs(block.c_mat).sum(axis=1).max()) * gain
         m_payoff += float(np.abs(block.d_mat).sum(axis=1).max())
@@ -558,11 +560,10 @@ def score_bound(game: GameSpec, z0: np.ndarray,
 
 
 def score_bound_excess(traj: Trajectory, game: GameSpec,
-                       block: FeedbackBlock | None = None,
-                       slack: float = 1e-6) -> float:
+                       block: FeedbackBlock | None = None) -> float:
     """Worst violation of the score bound along a trajectory; <= 0 when the
-    bound holds with the given slack."""
+    bound holds with a slack of 1e-6."""
     n = game.total_actions
     scores = traj.states[:, :n]
-    bound = score_bound(game, scores[0], block=block) + slack
+    bound = score_bound(game, scores[0], block=block) + 1e-6
     return float((np.abs(scores) - bound).max())

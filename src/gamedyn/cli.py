@@ -5,7 +5,8 @@ Games come from --preset NAME (with repeatable --param k=v) or from a JSON
 file via --game.  The output directory is --out, overridden by the
 GAMEDYN_OUT environment variable when set.  Exit codes: 0 success, 1 failed
 reproduce checks, 2 usage errors, 3 numerical failures (for example a
-bifurcation bracket where no rest point is found).
+bifurcation bracket where no rest point is found).  A simulate run of any
+scheme whose state overflows is "diverged" in summary.json, with exit 0.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from .analysis import (bifurcation_epsilon, classify, composite_lyapunov_trace,
                        convergence_report, lyapunov_trace, rest_point,
                        score_bound_excess, storage_matrix)
 from .dynamics import (FeedbackBlock, IntegrationDivergedError, LearningParams,
-                       SimulationRun, Trajectory, harmonic_schedule,
-                       run_discrete, run_stochastic, seeded_initial_scores,
-                       simulate_batch, write_stochastic_csv,
-                       write_trajectory_csv)
+                       SimulationRun, Trajectory, run_discrete, run_stochastic,
+                       seeded_initial_scores, simulate_batch,
+                       write_stochastic_csv, write_trajectory_csv)
 from .errors import ConfigurationError, DomainError, NumericsError, UsageError
 from .games import GameSpec, load_game
 from .presets import available_presets, preset
@@ -78,6 +78,8 @@ def _parse_seeds(text: str) -> list[int]:
         raise UsageError(f"malformed --seeds {text!r}, expected comma-separated integers")
     if not seeds:
         raise UsageError("at least one seed is required")
+    if min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise UsageError(f"--seeds {text!r} must list distinct non-negative integers")
     return seeds
 
 
@@ -148,20 +150,11 @@ def _verdict(traj, x_star) -> str:
         return "recorded"
 
 
-def _ode_runs(game, args, seeds, block) -> list:
-    """One trajectory, or the IntegrationDivergedError that ended it, per
-    seed.  The seeds are one lockstep batch, each seed a one-row run with
-    the samples of a separate call; only when the batch diverges are the
-    seeds run one by one, so each keeps its own status and last good time."""
-    params = LearningParams(gamma=args.gamma, eps=args.eps)
-    runs = [SimulationRun(params, seeded_initial_scores(game.total_actions, seed),
-                          args.t_end, block) for seed in seeds]
-    try:
-        return simulate_batch(game, runs, args.dt, args.record_every)
-    except IntegrationDivergedError as err:
-        if len(seeds) == 1:
-            return [err]
-    return [_ode_runs(game, args, [seed], block)[0] for seed in seeds]
+def _ode_batch(game, args, params, starts, block) -> list:
+    """The trajectories from the initial scores as one lockstep batch, each
+    a one-row run with the samples of a separate call."""
+    runs = [SimulationRun(params, z0, args.t_end, block) for z0 in starts]
+    return simulate_batch(game, runs, args.dt, args.record_every)
 
 
 def _cmd_simulate(args) -> int:
@@ -199,66 +192,62 @@ def _cmd_simulate(args) -> int:
     if args.scheme == "stochastic":
         summary.update({"mode": args.mode, "steps": args.steps})
 
-    if args.scheme in ("first-order", "higher-order"):
-        ode_runs = dict(zip(seeds, _ode_runs(game, args, seeds, block)))
-    for seed in seeds:
-        run: dict = {}
-        csv_name = f"traj_seed{seed}.csv"
-        if args.scheme in ("first-order", "higher-order"):
-            traj = ode_runs[seed]
-            if isinstance(traj, IntegrationDivergedError):
-                run = {"status": "diverged",
-                       "last_good_time": traj.last_good_time,
-                       "terminal_x": None, "terminal_v": None}
-                summary["runs"][str(seed)] = run
-                continue
-            if solved.converged:
-                if block is None:
-                    values, _ = lyapunov_trace(traj, solved.z_star, args.eps,
-                                               game.action_counts)
+    starts = [seeded_initial_scores(game.total_actions, seed) for seed in seeds]
+    batch = None
+    if args.scheme in ("first-order", "higher-order") and len(seeds) > 1:
+        try:
+            batch = _ode_batch(game, args, params, starts, block)
+        except IntegrationDivergedError:
+            pass  # each seed then runs alone and keeps its own last good time
+    for i, (seed, z0) in enumerate(zip(seeds, starts)):
+        try:
+            if args.scheme == "stochastic":
+                record = run_stochastic(game, params, z0, steps=args.steps,
+                                        rng=np.random.default_rng(seed),
+                                        mode=args.mode,
+                                        record_every=args.record_every)
+                csv_name = f"stoch_seed{seed}.csv"
+                write_stochastic_csv(os.path.join(out_dir, csv_name), record,
+                                     game.action_counts, matching=game.matching)
+                run = {"status": "recorded",
+                       "terminal_x": [float(v) for v in record["x"][-1]],
+                       "terminal_v": None, "csv": csv_name}
+            else:
+                if args.scheme == "discrete":
+                    ks, zs, xs = run_discrete(game, params, z0, alpha=args.alpha,
+                                              steps=args.steps,
+                                              record_every=args.record_every)
+                    csv_name = f"discrete_seed{seed}.csv"
+                    traj = Trajectory(np.asarray(ks, dtype=float), zs, xs)
                 else:
-                    values, _ = composite_lyapunov_trace(
-                        traj, solved.z_star, xi_star, args.eps, block,
-                        game.action_counts, gamma=args.gamma, p_mat=p_mat)
-                traj = Trajectory(traj.times, traj.states, traj.strategies,
-                                  lyapunov=values)
-            write_trajectory_csv(os.path.join(out_dir, csv_name), traj,
-                                 game.action_counts, ternary=args.emit_ternary)
-            run = {"status": _verdict(traj, x_star),
-                   "terminal_x": [float(v) for v in traj.strategies[-1]],
-                   "terminal_v": (float(traj.lyapunov[-1])
-                                  if traj.lyapunov is not None else None),
-                   "csv": csv_name}
-            # a finite run that leaves the score bound took too large a step
-            excess = score_bound_excess(traj, game, block)
-            if excess > 0.0:
-                run.update(status="unstable-step", score_bound_excess=excess)
-        elif args.scheme == "discrete":
-            ks, zs, xs = run_discrete(game, params,
-                                      seeded_initial_scores(game.total_actions, seed),
-                                      alpha=args.alpha, steps=args.steps,
-                                      record_every=args.record_every)
-            csv_name = f"discrete_seed{seed}.csv"
-            traj = Trajectory(np.asarray(ks, dtype=float), zs, xs)
-            write_trajectory_csv(os.path.join(out_dir, csv_name), traj,
-                                 game.action_counts, ternary=args.emit_ternary)
-            run = {"status": _verdict(traj, x_star),
-                   "terminal_x": [float(v) for v in xs[-1]],
-                   "terminal_v": None, "csv": csv_name}
-        else:
-            record = run_stochastic(game, params,
-                                    seeded_initial_scores(game.total_actions, seed),
-                                    steps=args.steps,
-                                    rng=np.random.default_rng(seed),
-                                    mode=args.mode,
-                                    alpha_schedule=harmonic_schedule,
-                                    record_every=args.record_every)
-            csv_name = f"stoch_seed{seed}.csv"
-            write_stochastic_csv(os.path.join(out_dir, csv_name), record,
-                                 game.action_counts, matching=game.matching)
-            run = {"status": "recorded",
-                   "terminal_x": [float(v) for v in record["x"][-1]],
-                   "terminal_v": None, "csv": csv_name}
+                    traj = (batch[i] if batch is not None
+                            else _ode_batch(game, args, params, [z0], block)[0])
+                    csv_name = f"traj_seed{seed}.csv"
+                    if solved.converged:
+                        if block is None:
+                            values, _ = lyapunov_trace(traj, solved.z_star, args.eps,
+                                                       game.action_counts)
+                        else:
+                            values, _ = composite_lyapunov_trace(
+                                traj, solved.z_star, xi_star, args.eps, block,
+                                game.action_counts, gamma=args.gamma, p_mat=p_mat)
+                        traj = Trajectory(traj.times, traj.states, traj.strategies,
+                                          lyapunov=values)
+                write_trajectory_csv(os.path.join(out_dir, csv_name), traj,
+                                     game.action_counts, ternary=args.emit_ternary)
+                run = {"status": _verdict(traj, x_star),
+                       "terminal_x": [float(v) for v in traj.strategies[-1]],
+                       "terminal_v": (float(traj.lyapunov[-1])
+                                      if traj.lyapunov is not None else None),
+                       "csv": csv_name}
+                # a finite ODE run that leaves the score bound took too large a step
+                if args.scheme != "discrete":
+                    excess = score_bound_excess(traj, game, block)
+                    if excess > 0.0:
+                        run.update(status="unstable-step", score_bound_excess=excess)
+        except IntegrationDivergedError as err:
+            run = {"status": "diverged", "last_good_time": err.last_good_time,
+                   "terminal_x": None, "terminal_v": None}
         summary["runs"][str(seed)] = run
 
     _emit_json(summary, out_dir, "summary.json")

@@ -46,6 +46,9 @@ class LearningParams:
         _check_eps(self.eps)
 
 
+_DC_TOL = 1e-10  # the largest |H(0)| entry a feedback block may have
+
+
 @dataclass
 class FeedbackBlock:
     """State-space payoff filter H(s) = C (sI - A)^-1 B + D, stored as full
@@ -94,13 +97,13 @@ class FeedbackBlock:
             raise ConfigurationError("feedback block has singular A matrix") from exc
         return -self.c_mat @ inv_b + self.d_mat
 
-    def ensure_valid(self, dc_tol: float = 1e-10) -> None:
-        """Check that A is Hurwitz and the DC gain is zero."""
+    def ensure_valid(self) -> None:
+        """Check that A is Hurwitz and the DC gain is zero to 1e-10."""
         if self.spectral_abscissa() >= 0.0:
             raise ConfigurationError("feedback block A matrix is not Hurwitz")
         dc = float(np.abs(self.dc_gain()).max())
-        if dc > dc_tol:
-            raise ConfigurationError(f"feedback block DC gain {dc:.3e} exceeds {dc_tol:.1e}")
+        if dc > _DC_TOL:
+            raise ConfigurationError(f"feedback block DC gain {dc:.3e} exceeds {_DC_TOL:.1e}")
 
     def equilibrium_filter_state(self, x_star: np.ndarray) -> np.ndarray:
         """xi* = -A^-1 B x*, the filter state at a rest point with strategy x*."""
@@ -137,14 +140,11 @@ class FeedbackBlockReport:
         }
 
 
-def verify_feedback_block(block: FeedbackBlock, freqs: np.ndarray | None = None,
-                          dc_tol: float = 1e-10) -> FeedbackBlockReport:
-    """Certify a feedback block: A Hurwitz, H(0) = 0, and positive realness
-    of H(jw) on a logarithmic frequency grid (default 1e-3..1e3 rad/s,
+def verify_feedback_block(block: FeedbackBlock) -> FeedbackBlockReport:
+    """Certify a feedback block: A Hurwitz, H(0) = 0 to 1e-10, and positive
+    realness of H(jw) on a logarithmic frequency grid (1e-3..1e3 rad/s,
     200 points, minimum eigenvalue of the Hermitian part)."""
-    if freqs is None:
-        freqs = np.logspace(-3.0, 3.0, 200)
-    freqs = np.asarray(freqs, dtype=float)
+    freqs = np.logspace(-3.0, 3.0, 200)
     abscissa = block.spectral_abscissa()
     dc_norm = float(np.abs(block.dc_gain()).max())
     n = block.dim
@@ -157,7 +157,7 @@ def verify_feedback_block(block: FeedbackBlock, freqs: np.ndarray | None = None,
     return FeedbackBlockReport(
         hurwitz_ok=abscissa < 0.0,
         spectral_abscissa=abscissa,
-        zero_dc_ok=dc_norm <= dc_tol,
+        zero_dc_ok=dc_norm <= _DC_TOL,
         dc_gain_norm=dc_norm,
         grid_positive_real_ok=min_eig > 0.0,
         min_hermitian_eigenvalue=float(min_eig),
@@ -330,20 +330,15 @@ def induced_strategy_field(z, game: GameSpec, params: LearningParams) -> np.ndar
     return out
 
 
-def revision_protocol_field(x, z, game: GameSpec, params: LearningParams,
-                            adjustment: np.ndarray | None = None) -> np.ndarray:
+def revision_protocol_field(x, z, game: GameSpec, params: LearningParams) -> np.ndarray:
     """Mean dynamics of the pairwise revision protocol whose switch rate to
-    action j is (gamma/eps) x_j (u_j - adj_j - z_j), evaluated literally as
-    inflow minus outflow.  Equals induced_strategy_field when x = sigma(z)
-    and adjustment is None; pass the filter output v to get the
-    higher-order variant."""
+    action j is (gamma/eps) x_j (u_j - z_j), evaluated literally as inflow
+    minus outflow.  Equals induced_strategy_field when x = sigma(z)."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     if x.shape != z.shape or x.shape != (game.total_actions,):
         raise DomainError("x and z must be single profiles of matching length")
     u = expected_payoff_vector(game, x)
-    if adjustment is not None:
-        u = u - np.asarray(adjustment, dtype=float)
     scale = params.gamma / params.eps
     out = np.empty_like(x)
     for sl in game.block_slices:
@@ -490,9 +485,9 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
     return trajs
 
 
-def seeded_initial_scores(n: int, seed: int, low: float = -1.0, high: float = 1.0) -> np.ndarray:
-    """Deterministic initial score draw, uniform per coordinate."""
-    return np.random.default_rng(int(seed)).uniform(low, high, int(n))
+def seeded_initial_scores(n: int, seed: int) -> np.ndarray:
+    """Deterministic initial score draw, uniform on [-1, 1] per coordinate."""
+    return np.random.default_rng(int(seed)).uniform(-1.0, 1.0, int(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -750,6 +745,16 @@ def stochastic_step(z, game: GameSpec, params: LearningParams, alpha: float,
     return z_next, softmax(z_next, params.eps, game.action_counts), acts[0], realized[0]
 
 
+def _record(ks: list, zs: list, k: int, z: np.ndarray) -> None:
+    """Append sample k of a discrete or stochastic run.  As in integrate,
+    only recorded samples are checked: a non-finite one raises
+    IntegrationDivergedError with the last good k."""
+    if not _all(np.isfinite(z), axis=None):
+        raise IntegrationDivergedError(f"non-finite scores at k={k}", last_good_time=ks[-1])
+    ks.append(k)
+    zs.append(z.copy())
+
+
 def run_discrete(game: GameSpec, params: LearningParams, z0, alpha: float,
                  steps: int, record_every: int = 1):
     """Iterate the euler_step update; returns (ks, Z samples, X samples)."""
@@ -758,15 +763,15 @@ def run_discrete(game: GameSpec, params: LearningParams, z0, alpha: float,
     rate = _check_alpha(alpha) * params.gamma
     z = np.asarray(z0, dtype=float)
     _check_length(z, game.total_actions)
+    _check_finite(z)
     increment = _bind_field(game, params.eps, None, [(1, False, 1.0)])
     ks = [0]
     zs = [z.copy()]
-    for k in range(steps):
-        _check_finite(z)
-        z = z + rate * increment(z)
-        if (k + 1) % record_every == 0 or k + 1 == steps:
-            ks.append(k + 1)
-            zs.append(z.copy())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            z = z + rate * increment(z)
+            if (k + 1) % record_every == 0 or k + 1 == steps:
+                _record(ks, zs, k + 1, z)
     zs = np.stack(zs)
     xs = softmax(zs, params.eps, game.action_counts)
     return np.asarray(ks), zs, xs
@@ -793,22 +798,22 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
     rng = np.random.default_rng(rng)
     z = np.asarray(z0, dtype=float)
     _check_length(z, game.total_actions)
+    _check_finite(z)
     sigma = _bind_softmax(params.eps, game.action_counts, np.empty(z.shape))
     estimate = _bind_estimate(game, mode)
     ks = [0]
     zs = [z.copy()]
     acts_log = [None]
     pay_log = [None]
-    for k in range(steps):
-        rate = _check_alpha(alpha_schedule(k)) * params.gamma
-        _check_finite(z)
-        u_hat, acts, realized = estimate(sigma(z), rng, 1)
-        z = z + rate * (u_hat[0] - z)
-        if (k + 1) % record_every == 0 or k + 1 == steps:
-            ks.append(k + 1)
-            zs.append(z.copy())
-            acts_log.append(acts[0].copy())
-            pay_log.append(realized[0].copy())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            rate = _check_alpha(alpha_schedule(k)) * params.gamma
+            u_hat, acts, realized = estimate(sigma(z), rng, 1)
+            z = z + rate * (u_hat[0] - z)
+            if (k + 1) % record_every == 0 or k + 1 == steps:
+                _record(ks, zs, k + 1, z)
+                acts_log.append(acts[0].copy())
+                pay_log.append(realized[0].copy())
     zs = np.stack(zs)
     xs = softmax(zs, params.eps, game.action_counts)
     return {"ks": np.asarray(ks), "z": zs, "x": xs,

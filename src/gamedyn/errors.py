@@ -18,10 +18,10 @@ class ConfigurationError(GameDynError):
 
 
 class NumericsError(GameDynError):
-    """An internal numerical cross-check failed."""
+    """A numerical failure: a failed cross-check, no solution, a divergence."""
 
 
-class IntegrationDivergedError(GameDynError):
+class IntegrationDivergedError(NumericsError):
     """Integration produced a non-finite state."""
 
     def __init__(self, message: str, last_good_time: float):

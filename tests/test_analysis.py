@@ -1,6 +1,8 @@
 """Tests for classification, rest-point solving, linearization, bifurcation
 search, and the trajectory monitors."""
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_lyapunov
@@ -11,8 +13,8 @@ from gamedyn import (ConfigurationError, DomainError, FeedbackBlock, GameSpec,
                      bifurcation_epsilon, classify, composite_lyapunov_trace,
                      convergence_report, dynamics_jacobian, lyapunov_trace,
                      multi_start_rest_points, numeric_jacobian, preset,
-                     rest_point, score_bound, score_bound_excess,
-                     seeded_initial_scores, simulate_first_order,
+                     rest_point, revision_protocol_field, score_bound,
+                     score_bound_excess, seeded_initial_scores, simulate_first_order,
                      simulate_higher_order, storage_matrix,
                      tangent_mode_abscissa, time_to_tolerance,
                      verify_feedback_block)
@@ -481,6 +483,32 @@ def test_score_bound_values():
         [4.5, 4.5, 4.5])
 
 
+def test_score_bound_refuses_impulse_responses_that_change_sign():
+    """sup|xi| <= ||A^-1 B||_inf for strategies in [0, 1] needs every entry
+    of e^{At} B to keep its sign.  A lightly damped rotation drives xi_1 to
+    about 6.9 against the 1.09 that bound claims, so score_bound refuses it,
+    as it refuses a B column of mixed sign."""
+    rotation = np.array([[-0.1, 1.0], [-1.0, -0.1]])
+    lam, vec = np.linalg.eig(rotation)
+    t = np.linspace(0.0, 200.0, 40001)
+    impulse = np.einsum("ij,tj,jk->tik", vec, np.exp(np.outer(t, lam)),
+                        np.linalg.inv(vec)).real
+    sup_xi = np.clip(impulse[:, 0, :], 0.0, None).sum() * (t[1] - t[0])
+    assert sup_xi > 6.0
+    assert np.abs(np.linalg.inv(rotation)).sum(axis=1).max() < 1.1
+    game = preset("matching_pennies")
+    eye = np.eye(4)
+    z0 = np.zeros(4)
+    mixed_column = np.kron(np.eye(2), [[1.0, 0.0], [-1.0, 1.0]])
+    for a_mat, b_mat in [(np.kron(np.eye(2), rotation), eye), (-eye, mixed_column)]:
+        with pytest.raises(ConfigurationError, match="Metzler"):
+            score_bound(game, z0, block=FeedbackBlock(a_mat, b_mat, eye, 0.0 * eye))
+    metzler = np.kron(np.eye(2), [[-2.0, 1.0], [1.0, -2.0]])
+    np.testing.assert_allclose(
+        score_bound(game, z0, block=FeedbackBlock(metzler, eye, eye, 0.0 * eye)),
+        game.max_abs_payoff() + 1.0)
+
+
 def test_score_bound_excess_on_run():
     game = preset("rps", {"l": 5.0})
     params = LearningParams(eps=1.0, gamma=1.0)
@@ -496,3 +524,28 @@ def test_numeric_jacobian_smooth_map():
     x0 = np.array([0.7, -0.3])
     expected = np.array([[np.cos(0.7) * -0.3, np.sin(0.7)], [1.4, 0.0]])
     np.testing.assert_allclose(numeric_jacobian(func, x0), expected, atol=1e-8)
+
+
+def test_tuning_values_are_fixed():
+    """The solver, verdict and check thresholds are constants; only the
+    inputs some caller sets remain parameters."""
+    expected = {
+        rest_point: ["game", "eps", "z0"],
+        multi_start_rest_points: ["game", "eps", "n_starts", "seed"],
+        classify: ["game", "sample_count", "seed"],
+        numeric_jacobian: ["func", "x0"],
+        dynamics_jacobian: ["z_star", "game", "params", "block", "fd_check"],
+        tangent_mode_abscissa: ["jac", "action_counts"],
+        bifurcation_epsilon: ["game", "params", "block", "eps_range", "tol"],
+        lyapunov_trace: ["traj", "z_star", "eps", "action_counts"],
+        composite_lyapunov_trace: ["traj", "z_star", "xi_star", "eps", "block",
+                                   "action_counts", "gamma", "p_mat"],
+        convergence_report: ["traj", "x_star"],
+        score_bound_excess: ["traj", "game", "block"],
+        FeedbackBlock.ensure_valid: ["self"],
+        verify_feedback_block: ["block"],
+        seeded_initial_scores: ["n", "seed"],
+        revision_protocol_field: ["x", "z", "game", "params"],
+    }
+    for func, params in expected.items():
+        assert list(inspect.signature(func).parameters) == params, func.__name__

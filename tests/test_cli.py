@@ -152,11 +152,14 @@ def test_unknown_scheme_rejected(capsys):
 
 
 def test_malformed_seeds(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "simulate", "--preset", "rps",
-                           "--param", "l=1", "--seeds", "a,b",
-                           "--out", str(tmp_path))
-    assert code == 2
-    assert "seeds" in err
+    """Seeds that are not integers, negative or repeated are usage errors."""
+    for seeds in ("a,b", "-1", "3,3"):
+        code, _, err = run_cli(capsys, "simulate", "--preset", "rps",
+                               "--param", "l=1", f"--seeds={seeds}",
+                               "--out", str(tmp_path))
+        assert code == 2
+        assert "seeds" in err
+        assert not (tmp_path / "summary.json").exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "classify"])
@@ -207,19 +210,29 @@ def test_temperature_too_small_rejected(argv, tmp_path, capsys):
 
 def test_simulate_overflow_is_reported_as_divergence(tmp_path, capsys):
     """A step that overflows between samples is a diverged run in
-    summary.json, with no RuntimeWarning and no usage error."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, _, err = run_cli(capsys, "simulate", "--preset", "rps",
-                               "--param", "l=8", "--dt", "40", "--t-end", "40000",
-                               "--record-every", "500", "--out", str(tmp_path))
-    assert code == 0
-    assert err == ""
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    run = json.loads((tmp_path / "summary.json").read_text())["runs"]["0"]
-    assert run == {"status": "diverged", "last_good_time": 0.0,
-                   "terminal_x": None, "terminal_v": None}
-    assert not (tmp_path / "traj_seed0.csv").exists()
+    summary.json, with no RuntimeWarning, no usage error and no CSV, in
+    every scheme."""
+    commands = {
+        "first-order": (["--param", "l=8", "--dt", "40", "--t-end", "40000",
+                         "--record-every", "500"], 0.0),
+        "discrete": (["--param", "l=5", "--scheme", "discrete", "--gamma", "50",
+                      "--alpha", "1", "--steps", "2000", "--record-every", "100"], 100),
+        "stochastic": (["--param", "l=5", "--scheme", "stochastic", "--gamma", "1e6",
+                        "--alpha", "1", "--steps", "500", "--record-every", "100"], 0),
+    }
+    for scheme, (argv, last_good) in commands.items():
+        out = tmp_path / scheme
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "simulate", "--preset", "rps", *argv,
+                                   "--out", str(out))
+        assert code == 0
+        assert err == ""
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        run = json.loads((out / "summary.json").read_text())["runs"]["0"]
+        assert run == {"status": "diverged", "last_good_time": last_good,
+                       "terminal_x": None, "terminal_v": None}
+        assert not list(out.glob("*.csv"))
 
 
 def _single_seed_runs(capsys, tmp_path, argv, seeds):
@@ -321,6 +334,18 @@ def test_numerics_error_exits_3(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err == "error: no rest point found at eps=0.5\n"
+
+
+def test_reproduce_divergence_exits_3(monkeypatch, capsys):
+    """A divergence that escapes a scenario is a numerical failure too."""
+    def diverge(*args, **kwargs):
+        raise IntegrationDivergedError("non-finite state at t=1", last_good_time=0.5)
+
+    monkeypatch.setattr("gamedyn.reproduce.simulate_batch", diverge)
+    code, out, err = run_cli(capsys, "reproduce", "1-l1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: non-finite state at t=1\n"
 
 
 def test_discrete_scheme(tmp_path, capsys):
