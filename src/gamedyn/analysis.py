@@ -222,7 +222,9 @@ def rest_point(game: GameSpec, eps: float, z0=None) -> RestPointResult:
 
 def multi_start_rest_points(game: GameSpec, eps: float, n_starts: int = 20,
                             seed: int = 0) -> list[RestPointResult]:
-    """Solve from zero plus seeded random initializations, deduplicated."""
+    """Solve from zero plus n_starts - 1 seeded random starts, deduplicated."""
+    if n_starts < 1:
+        raise DomainError(f"n_starts must be at least 1, got {n_starts!r}")
     rng = np.random.default_rng(seed)
     bound = game.max_abs_payoff() + 1.0
     n = game.total_actions

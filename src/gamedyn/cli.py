@@ -5,8 +5,9 @@ Games come from --preset NAME (with repeatable --param k=v) or from a JSON
 file via --game.  The output directory is --out, overridden by the
 GAMEDYN_OUT environment variable when set.  Exit codes: 0 success, 1 failed
 reproduce checks, 2 usage errors, 3 numerical failures (for example a
-bifurcation bracket where no rest point is found).  A simulate run of any
-scheme whose state overflows is "diverged" in summary.json, with exit 0.
+bifurcation bracket where no rest point is found).  simulate runs every
+scheme through one per-seed pipeline, driven by the table _SCHEMES, to the
+one CSV writer; a run whose state overflows is "diverged", with exit 0.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,15 +24,12 @@ from .analysis import (bifurcation_epsilon, classify, composite_lyapunov_trace,
                        convergence_report, lyapunov_trace, rest_point,
                        score_bound_excess, storage_matrix)
 from .dynamics import (FeedbackBlock, IntegrationDivergedError, LearningParams,
-                       SimulationRun, Trajectory, run_discrete, run_stochastic,
-                       seeded_initial_scores, simulate_batch,
-                       write_stochastic_csv, write_trajectory_csv)
+                       SimulationRun, run_discrete, run_stochastic,
+                       seeded_initial_scores, simulate_batch, write_trajectory_csv)
 from .errors import ConfigurationError, DomainError, NumericsError, UsageError
 from .games import GameSpec, load_game
 from .presets import available_presets, preset
 from .reproduce import EXAMPLE_IDS, format_report, run_example
-
-SCHEMES = ("first-order", "higher-order", "discrete", "stochastic")
 
 
 def _add_game_options(sub):
@@ -73,11 +72,9 @@ def _out_dir(args) -> str | None:
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        seeds = [int(part) for part in text.split(",") if part != ""]
+        seeds = [int(part) for part in text.split(",")]
     except ValueError:
         raise UsageError(f"malformed --seeds {text!r}, expected comma-separated integers")
-    if not seeds:
-        raise UsageError("at least one seed is required")
     if min(seeds) < 0 or len(set(seeds)) < len(seeds):
         raise UsageError(f"--seeds {text!r} must list distinct non-negative integers")
     return seeds
@@ -150,11 +147,55 @@ def _verdict(traj, x_star) -> str:
         return "recorded"
 
 
-def _ode_batch(game, args, params, starts, block) -> list:
-    """The trajectories from the initial scores as one lockstep batch, each
-    a one-row run with the samples of a separate call."""
+def _each(run, *columns) -> list:
+    """run(*item) per item of the zipped columns, or the
+    IntegrationDivergedError that ended it.
+
+    Each scheme's runner below returns this list over its seeds.  It looks
+    run_discrete, run_stochastic and simulate_batch up by name at call time,
+    so rebinding those names in this module reaches every run."""
+    results = []
+    for item in zip(*columns):
+        try:
+            results.append(run(*item))
+        except IntegrationDivergedError as err:
+            results.append(err)
+    return results
+
+
+def _ode_runs(game, args, params, block, seeds, starts) -> list:
+    """The seeds as one lockstep batch of one-row runs; only if it diverges
+    does each seed run alone, to keep its own last good time."""
     runs = [SimulationRun(params, z0, args.t_end, block) for z0 in starts]
-    return simulate_batch(game, runs, args.dt, args.record_every)
+    if len(runs) > 1:
+        try:
+            return simulate_batch(game, runs, args.dt, args.record_every)
+        except IntegrationDivergedError:
+            pass
+    return _each(lambda run: simulate_batch(game, [run], args.dt, args.record_every)[0], runs)
+
+
+def _discrete_runs(game, args, params, block, seeds, starts) -> list:
+    return _each(lambda z0: run_discrete(game, params, z0, args.alpha, args.steps,
+                                         args.record_every), starts)
+
+
+def _stochastic_runs(game, args, params, block, seeds, starts) -> list:
+    return _each(lambda seed, z0: run_stochastic(
+        game, params, z0, steps=args.steps, rng=np.random.default_rng(seed),
+        mode=args.mode, record_every=args.record_every), seeds, starts)
+
+
+# Per scheme: CSV name prefix, the arguments summary.json records, runner,
+# and whether it has the high-pass filter, is an ODE (Lyapunov values and the
+# score-bound check) and gets a convergence_report verdict, not "recorded".
+_ODE_OPTIONS = ("dt", "t_end", "record_every")
+_SCHEMES = {
+    "first-order": ("traj", _ODE_OPTIONS, _ode_runs, False, True, True),
+    "higher-order": ("traj", _ODE_OPTIONS + ("K", "a"), _ode_runs, True, True, True),
+    "discrete": ("discrete", ("alpha", "steps"), _discrete_runs, False, False, True),
+    "stochastic": ("stoch", ("mode", "steps"), _stochastic_runs, False, False, False),
+}
 
 
 def _cmd_simulate(args) -> int:
@@ -162,17 +203,14 @@ def _cmd_simulate(args) -> int:
     out_dir = _out_dir(args)
     if out_dir is None:
         raise UsageError("simulate needs an output directory (--out or GAMEDYN_OUT)")
-    if args.scheme not in SCHEMES:
-        raise UsageError(f"unknown scheme {args.scheme!r}; choose from {SCHEMES}")
+    prefix, options, runner, filtered, ode, judged = _SCHEMES[args.scheme]
     seeds = _parse_seeds(args.seeds)
     params = LearningParams(gamma=args.gamma, eps=args.eps)
 
     solved = rest_point(game, args.eps)
     x_star = solved.x_star if solved.converged else None
-    block = None
-    p_mat = None
-    xi_star = None
-    if args.scheme == "higher-order":
+    block = p_mat = xi_star = None
+    if filtered:
         block = FeedbackBlock.high_pass(args.K, args.a, game.action_counts)
         p_mat = storage_matrix(block)
         if x_star is not None:
@@ -181,73 +219,37 @@ def _cmd_simulate(args) -> int:
     summary = {"game": _game_doc(game), "scheme": args.scheme,
                "eps": args.eps, "gamma": args.gamma, "seeds": seeds,
                "rest_point": solved.to_dict() if solved.converged else None,
-               "runs": {}}
-    if args.scheme in ("first-order", "higher-order"):
-        summary.update({"dt": args.dt, "t_end": args.t_end,
-                        "record_every": args.record_every})
-    if args.scheme == "higher-order":
-        summary.update({"K": args.K, "a": args.a})
-    if args.scheme == "discrete":
-        summary.update({"alpha": args.alpha, "steps": args.steps})
-    if args.scheme == "stochastic":
-        summary.update({"mode": args.mode, "steps": args.steps})
+               "runs": {}, **{name: getattr(args, name) for name in options}}
 
     starts = [seeded_initial_scores(game.total_actions, seed) for seed in seeds]
-    batch = None
-    if args.scheme in ("first-order", "higher-order") and len(seeds) > 1:
-        try:
-            batch = _ode_batch(game, args, params, starts, block)
-        except IntegrationDivergedError:
-            pass  # each seed then runs alone and keeps its own last good time
-    for i, (seed, z0) in enumerate(zip(seeds, starts)):
-        try:
-            if args.scheme == "stochastic":
-                record = run_stochastic(game, params, z0, steps=args.steps,
-                                        rng=np.random.default_rng(seed),
-                                        mode=args.mode,
-                                        record_every=args.record_every)
-                csv_name = f"stoch_seed{seed}.csv"
-                write_stochastic_csv(os.path.join(out_dir, csv_name), record,
-                                     game.action_counts, matching=game.matching)
-                run = {"status": "recorded",
-                       "terminal_x": [float(v) for v in record["x"][-1]],
-                       "terminal_v": None, "csv": csv_name}
+    for seed, traj in zip(seeds, runner(game, args, params, block, seeds, starts)):
+        if isinstance(traj, IntegrationDivergedError):
+            summary["runs"][str(seed)] = {"status": "diverged",
+                                          "last_good_time": traj.last_good_time,
+                                          "terminal_x": None, "terminal_v": None}
+            continue
+        if ode and solved.converged:
+            if block is None:
+                values, _ = lyapunov_trace(traj, solved.z_star, args.eps,
+                                           game.action_counts)
             else:
-                if args.scheme == "discrete":
-                    ks, zs, xs = run_discrete(game, params, z0, alpha=args.alpha,
-                                              steps=args.steps,
-                                              record_every=args.record_every)
-                    csv_name = f"discrete_seed{seed}.csv"
-                    traj = Trajectory(np.asarray(ks, dtype=float), zs, xs)
-                else:
-                    traj = (batch[i] if batch is not None
-                            else _ode_batch(game, args, params, [z0], block)[0])
-                    csv_name = f"traj_seed{seed}.csv"
-                    if solved.converged:
-                        if block is None:
-                            values, _ = lyapunov_trace(traj, solved.z_star, args.eps,
-                                                       game.action_counts)
-                        else:
-                            values, _ = composite_lyapunov_trace(
-                                traj, solved.z_star, xi_star, args.eps, block,
-                                game.action_counts, gamma=args.gamma, p_mat=p_mat)
-                        traj = Trajectory(traj.times, traj.states, traj.strategies,
-                                          lyapunov=values)
-                write_trajectory_csv(os.path.join(out_dir, csv_name), traj,
-                                     game.action_counts, ternary=args.emit_ternary)
-                run = {"status": _verdict(traj, x_star),
-                       "terminal_x": [float(v) for v in traj.strategies[-1]],
-                       "terminal_v": (float(traj.lyapunov[-1])
-                                      if traj.lyapunov is not None else None),
-                       "csv": csv_name}
-                # a finite ODE run that leaves the score bound took too large a step
-                if args.scheme != "discrete":
-                    excess = score_bound_excess(traj, game, block)
-                    if excess > 0.0:
-                        run.update(status="unstable-step", score_bound_excess=excess)
-        except IntegrationDivergedError as err:
-            run = {"status": "diverged", "last_good_time": err.last_good_time,
-                   "terminal_x": None, "terminal_v": None}
+                values, _ = composite_lyapunov_trace(
+                    traj, solved.z_star, xi_star, args.eps, block,
+                    game.action_counts, gamma=args.gamma, p_mat=p_mat)
+            traj = replace(traj, lyapunov=values)
+        csv_name = f"{prefix}_seed{seed}.csv"
+        write_trajectory_csv(os.path.join(out_dir, csv_name), traj,
+                             game.action_counts, ternary=args.emit_ternary)
+        run = {"status": _verdict(traj, x_star) if judged else "recorded",
+               "terminal_x": [float(v) for v in traj.strategies[-1]],
+               "terminal_v": (float(traj.lyapunov[-1])
+                              if traj.lyapunov is not None else None),
+               "csv": csv_name}
+        # a finite ODE run that leaves the score bound took too large a step
+        if ode:
+            excess = score_bound_excess(traj, game, block)
+            if excess > 0.0:
+                run.update(status="unstable-step", score_bound_excess=excess)
         summary["runs"][str(seed)] = run
 
     _emit_json(summary, out_dir, "summary.json")
@@ -295,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("simulate", help="integrate learning dynamics")
     _add_game_options(sub)
     _add_out_option(sub)
-    sub.add_argument("--scheme", default="first-order", choices=SCHEMES)
+    sub.add_argument("--scheme", default="first-order", choices=tuple(_SCHEMES))
     sub.add_argument("--eps", type=float, default=1.0)
     sub.add_argument("--gamma", type=float, default=1.0)
     sub.add_argument("--K", type=float, default=1.0, help="filter gain")

@@ -356,12 +356,17 @@ def revision_protocol_field(x, z, game: GameSpec, params: LearningParams) -> np.
 
 @dataclass
 class Trajectory:
-    """Sampled solution: times (m,), states (m, d), strategies (m, n)."""
+    """Sampled path of every scheme: times (m,) (the iteration k of a
+    recursion), states (m, d), strategies (m, n), Lyapunov values (m,), and
+    the stochastic recursion's realized joint actions and payoffs, whose
+    row 0 holds no draw (actions -1, payoffs NaN)."""
 
     times: np.ndarray
     states: np.ndarray
     strategies: np.ndarray | None = None
     lyapunov: np.ndarray | None = None
+    actions: np.ndarray | None = None
+    payoffs: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -372,6 +377,11 @@ class Trajectory:
             raise DomainError("times must be strictly increasing")
         if self.strategies is not None:
             self.strategies = np.asarray(self.strategies, dtype=float)
+        for name in ("strategies", "lyapunov", "actions", "payoffs"):
+            column = getattr(self, name)
+            if column is not None and np.shape(column)[:1] != self.times.shape:
+                raise DomainError(f"{name} of shape {np.shape(column)} needs "
+                                  f"{len(self.times)} rows, one per sample")
 
 
 def _check_whole(value, name: str, least: int) -> int:
@@ -756,8 +766,9 @@ def _record(ks: list, zs: list, k: int, z: np.ndarray) -> None:
 
 
 def run_discrete(game: GameSpec, params: LearningParams, z0, alpha: float,
-                 steps: int, record_every: int = 1):
-    """Iterate the euler_step update; returns (ks, Z samples, X samples)."""
+                 steps: int, record_every: int = 1) -> Trajectory:
+    """Iterate the euler_step update; returns the Trajectory of the samples,
+    with the iteration k as time."""
     steps = _check_whole(steps, "steps", 0)
     record_every = _check_whole(record_every, "record_every", 1)
     rate = _check_alpha(alpha) * params.gamma
@@ -773,8 +784,7 @@ def run_discrete(game: GameSpec, params: LearningParams, z0, alpha: float,
             if (k + 1) % record_every == 0 or k + 1 == steps:
                 _record(ks, zs, k + 1, z)
     zs = np.stack(zs)
-    xs = softmax(zs, params.eps, game.action_counts)
-    return np.asarray(ks), zs, xs
+    return Trajectory(ks, zs, softmax(zs, params.eps, game.action_counts))
 
 
 def harmonic_schedule(k: int) -> float:
@@ -785,13 +795,14 @@ def harmonic_schedule(k: int) -> float:
 def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
                    rng, mode: str = "full-info",
                    alpha_schedule: Callable[[int], float] = harmonic_schedule,
-                   record_every: int = 1):
+                   record_every: int = 1) -> Trajectory:
     """Iterate the stochastic_step update with a step-size schedule, with
     the soft-max (into one buffer, which the estimator only reads) and the
     payoff estimator bound once, and one soft-max per step.
 
-    Returns a dict with sampled ks, Z, X, realized joint actions and
-    realized payoffs (aligned with the post-step sample index).
+    Returns the Trajectory of the samples, with the iteration k as time and
+    the joint action and payoffs realized in the step that led to each
+    sample; the initial sample has none (actions -1, payoffs NaN).
     """
     steps = _check_whole(steps, "steps", 0)
     record_every = _check_whole(record_every, "record_every", 1)
@@ -803,8 +814,8 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
     estimate = _bind_estimate(game, mode)
     ks = [0]
     zs = [z.copy()]
-    acts_log = [None]
-    pay_log = [None]
+    acts_log = [np.full(len(_column_counts(game)), -1)]
+    pay_log = [np.full(game.player_count, np.nan)]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             rate = _check_alpha(alpha_schedule(k)) * params.gamma
@@ -812,12 +823,11 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
             z = z + rate * (u_hat[0] - z)
             if (k + 1) % record_every == 0 or k + 1 == steps:
                 _record(ks, zs, k + 1, z)
-                acts_log.append(acts[0].copy())
-                pay_log.append(realized[0].copy())
+                acts_log.append(acts[0])
+                pay_log.append(realized[0])
     zs = np.stack(zs)
-    xs = softmax(zs, params.eps, game.action_counts)
-    return {"ks": np.asarray(ks), "z": zs, "x": xs,
-            "actions": acts_log, "payoffs": pay_log}
+    return Trajectory(ks, zs, softmax(zs, params.eps, game.action_counts),
+                      actions=np.stack(acts_log), payoffs=np.stack(pay_log))
 
 
 # ------------------------------------------------------------------- CSV output
@@ -830,73 +840,57 @@ def ternary_coordinates(x_block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def write_trajectory_csv(path: str | Path, traj: Trajectory,
                          action_counts: Sequence[int], ternary: bool = False) -> None:
-    """One row per sample: t, scores, strategies, optional filter state,
-    optional Lyapunov value, optional ternary projections.  A trajectory
-    without strategies is refused before the file is opened."""
+    """The one CSV writer of every scheme.  One row per sample: t, scores,
+    strategies, optional filter state, Lyapunov value, realized actions and
+    payoffs, and ternary projections.  With realized actions, the first
+    column is the iteration k, and the action and payoff cells of row 0,
+    which no draw precedes, are empty.  A trajectory without strategies, or
+    with states whose width is neither n nor 2n, is refused before the file
+    is opened."""
     if traj.strategies is None:
         raise DomainError("trajectory has no strategies to write")
     counts = tuple(int(c) for c in action_counts)
     n = sum(counts)
-    d = traj.states.shape[1]
-    header = ["t"] + [f"z_{i + 1}" for i in range(n)] + [f"x_{i + 1}" for i in range(n)]
-    has_filter = d == 2 * n
-    if has_filter:
+    if traj.states.shape[1:] not in ((n,), (2 * n,)):
+        raise DomainError(f"states of shape {traj.states.shape} are neither "
+                          f"{n} scores nor {n} scores with a filter state")
+    events = traj.actions is not None
+    header = (["k" if events else "t"] + [f"z_{i + 1}" for i in range(n)]
+              + [f"x_{i + 1}" for i in range(n)])
+    blocks = [traj.times[:, None], traj.states[:, :n], traj.strategies]
+    if traj.states.shape[1] == 2 * n:
         header += [f"xi_{i + 1}" for i in range(n)]
+        blocks.append(traj.states[:, n:])
     if traj.lyapunov is not None:
         header.append("V")
-    tern_blocks = []
+        blocks.append(np.asarray(traj.lyapunov)[:, None])
+    start = len(header)
+    if events:
+        players = range(len(counts))
+        header += (["action_own", "action_opp", "payoff"]
+                   if traj.actions.shape[1] != len(counts) else
+                   [f"action_{p + 1}" for p in players] + [f"payoff_{p + 1}" for p in players])
+        blocks += [traj.actions, traj.payoffs]
+    stop = len(header)
     if ternary:
         for p, sl in enumerate(block_slices(counts)):
             if counts[p] == 3:
-                tern_blocks.append(sl)
                 header += [f"tern{p + 1}_u", f"tern{p + 1}_v"]
+                blocks.append(np.column_stack(ternary_coordinates(traj.strategies[:, sl])))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i, t in enumerate(traj.times):
-            row = [_fmt(t)]
-            row += [_fmt(v) for v in traj.states[i, :n]]
-            row += [_fmt(v) for v in traj.strategies[i]]
-            if has_filter:
-                row += [_fmt(v) for v in traj.states[i, n:]]
-            if traj.lyapunov is not None:
-                row.append(_fmt(traj.lyapunov[i]))
-            for sl in tern_blocks:
-                u, v = ternary_coordinates(traj.strategies[i, sl])
-                row += [_fmt(float(u)), _fmt(float(v))]
-            writer.writerow(row)
+        for i, row in enumerate(np.hstack(blocks).tolist()):
+            cells = [f"{v:.17g}" for v in row]
+            if i == 0:
+                cells[start:stop] = [""] * (stop - start)
+            writer.writerow(cells)
 
 
-def write_stochastic_csv(path: str | Path, record: dict,
-                         action_counts: Sequence[int], matching: bool = False) -> None:
-    """Rows k, Z, X plus the realized joint action and per-player payoff."""
-    counts = tuple(int(c) for c in action_counts)
-    n = sum(counts)
-    n_cols = 2 if matching else len(counts)
-    act_names = (["action_own", "action_opp"] if matching
-                 else [f"action_{p + 1}" for p in range(n_cols)])
-    pay_names = (["payoff"] if matching
-                 else [f"payoff_{p + 1}" for p in range(len(counts))])
-    header = (["k"] + [f"z_{i + 1}" for i in range(n)]
-              + [f"x_{i + 1}" for i in range(n)] + act_names + pay_names)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, k in enumerate(record["ks"]):
-            row = [str(int(k))]
-            row += [_fmt(v) for v in record["z"][i]]
-            row += [_fmt(v) for v in record["x"][i]]
-            acts = record["actions"][i]
-            pays = record["payoffs"][i]
-            if acts is None:
-                row += [""] * (n_cols + len(pay_names))
-            else:
-                row += [str(int(a)) for a in np.atleast_1d(acts)]
-                row += [_fmt(float(p)) for p in np.atleast_1d(pays)[:len(pay_names)]]
-            writer.writerow(row)
+def write_stochastic_csv(path: str | Path, record: Trajectory,
+                         action_counts: Sequence[int]) -> None:
+    """write_trajectory_csv under the name that perfbench's tracer still
+    looks up; the package itself no longer calls it."""
+    write_trajectory_csv(path, record, action_counts)

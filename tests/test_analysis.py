@@ -186,6 +186,18 @@ def test_multi_start_dedup():
     np.testing.assert_allclose(results[0].z_star, np.full(3, -0.5), atol=1e-8)
 
 
+@pytest.mark.parametrize("n_starts", [0, -3])
+def test_multi_start_needs_a_start(n_starts, monkeypatch):
+    """No start is refused before any solve, not turned into one solve from
+    zero."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("multi_start_rest_points solved before checking n_starts")
+
+    monkeypatch.setattr("gamedyn.analysis.rest_point", no_work)
+    with pytest.raises(DomainError, match="n_starts"):
+        multi_start_rest_points(preset("rps", {"l": 2.5}), 1.0, n_starts=n_starts)
+
+
 def test_rest_point_result_dict():
     d = rest_point(preset("rps", {"l": 2.5}), 1.0).to_dict()
     assert d["status"] == "converged"

@@ -152,8 +152,9 @@ def test_unknown_scheme_rejected(capsys):
 
 
 def test_malformed_seeds(tmp_path, capsys):
-    """Seeds that are not integers, negative or repeated are usage errors."""
-    for seeds in ("a,b", "-1", "3,3"):
+    """Seeds that are not integers, empty, negative or repeated are usage
+    errors."""
+    for seeds in ("a,b", "1,,2", ",3,", "-1", "3,3"):
         code, _, err = run_cli(capsys, "simulate", "--preset", "rps",
                                "--param", "l=1", f"--seeds={seeds}",
                                "--out", str(tmp_path))

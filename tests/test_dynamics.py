@@ -197,6 +197,16 @@ def test_trajectory_time_monotonicity():
         Trajectory(np.array([0.0, 0.0, 1.0]), np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("column", ["strategies", "lyapunov", "actions", "payoffs"])
+def test_trajectory_columns_align_with_times(column):
+    """Every optional column has one row per sample."""
+    times = np.arange(3.0)
+    Trajectory(times, np.zeros((3, 2)), **{column: np.zeros((3, 2))})
+    for rows in (np.zeros(2), np.zeros((4, 2)), np.float64(0.0)):
+        with pytest.raises(DomainError, match=column):
+            Trajectory(times, np.zeros((3, 2)), **{column: rows})
+
+
 def test_seeded_scores_deterministic_and_bounded():
     a = seeded_initial_scores(6, 42)
     b = seeded_initial_scores(6, 42)
@@ -272,6 +282,18 @@ def test_trajectory_csv_needs_strategies(tmp_path):
     with pytest.raises(DomainError, match="no strategies"):
         write_trajectory_csv(tmp_path / "new.csv", traj, (3,))
     assert not (tmp_path / "new.csv").exists()
+
+
+def test_trajectory_csv_needs_n_or_2n_state_columns(tmp_path):
+    """States whose width is neither n nor 2n are refused before the file
+    is opened, not cut to n scores."""
+    path = tmp_path / "run.csv"
+    path.write_text("kept\n")
+    for states in (np.zeros((3, 4)), np.zeros((3, 5)), np.zeros(3), np.zeros((3, 2, 3))):
+        traj = Trajectory(np.arange(3.0), states, strategies=np.full((3, 3), 1.0 / 3.0))
+        with pytest.raises(DomainError, match="neither"):
+            write_trajectory_csv(path, traj, (3,))
+        assert path.read_text() == "kept\n"
 
 
 # ------------------------------------------- bound field vs. a written-out one
@@ -421,11 +443,12 @@ def test_run_discrete_matches_reference_update(game_key, batch):
         z = z + alpha * params.gamma * (u - z)
         expect.append(z)
     expect = np.stack(expect)
-    ks, zs, xs = run_discrete(game, params, _initial_scores(game, batch),
-                              alpha=alpha, steps=steps)
-    np.testing.assert_array_equal(ks, np.arange(steps + 1))
-    np.testing.assert_allclose(zs, expect, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(xs, softmax(expect, params.eps, game.action_counts),
+    traj = run_discrete(game, params, _initial_scores(game, batch),
+                        alpha=alpha, steps=steps)
+    np.testing.assert_array_equal(traj.times, np.arange(steps + 1))
+    np.testing.assert_allclose(traj.states, expect, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(traj.strategies,
+                               softmax(expect, params.eps, game.action_counts),
                                rtol=0.0, atol=1e-12)
 
 

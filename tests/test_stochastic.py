@@ -5,11 +5,11 @@ import csv
 import numpy as np
 import pytest
 
-from gamedyn import (DomainError, LearningParams, euler_step,
+from gamedyn import (DomainError, LearningParams, Trajectory, euler_step,
                      expected_payoff_vector, harmonic_schedule,
                      payoff_estimate, preset, run_discrete, run_stochastic,
                      sample_joint_actions, softmax, stochastic_step,
-                     write_stochastic_csv)
+                     write_stochastic_csv, write_trajectory_csv)
 
 
 def test_sample_joint_actions_matching_columns(rng):
@@ -160,24 +160,29 @@ def test_zero_steps_returns_initial_sample(scheme):
     params = LearningParams(eps=1.0, gamma=1.0)
     z0 = np.array([0.3, -0.2, 0.1])
     if scheme == "discrete":
-        ks, zs, _ = run_discrete(game, params, z0, alpha=0.1, steps=0)
+        traj = run_discrete(game, params, z0, alpha=0.1, steps=0)
     else:
-        record = run_stochastic(game, params, z0, steps=0, rng=0)
-        ks, zs = record["ks"], record["z"]
-    assert list(ks) == [0]
-    np.testing.assert_array_equal(zs, [z0])
+        traj = run_stochastic(game, params, z0, steps=0, rng=0)
+    assert list(traj.times) == [0]
+    np.testing.assert_array_equal(traj.states, [z0])
 
 
 def test_run_discrete_settles_matching_pennies():
     game = preset("matching_pennies")
     params = LearningParams(eps=1.0, gamma=1.0)
-    ks, zs, xs = run_discrete(game, params, np.array([0.8, -0.4, 0.3, -0.6]),
-                              alpha=0.2, steps=400, record_every=50)
+    traj = run_discrete(game, params, np.array([0.8, -0.4, 0.3, -0.6]),
+                        alpha=0.2, steps=400, record_every=50)
+    ks, zs, xs = traj.times, traj.states, traj.strategies
     assert ks[0] == 0 and ks[-1] == 400
     assert zs.shape == (len(ks), 4) and xs.shape == zs.shape
     # the unique rest point of matching pennies is the uniform profile
     np.testing.assert_allclose(zs[-1], np.zeros(4), atol=1e-9)
     np.testing.assert_allclose(xs[-1], np.full(4, 0.5), atol=1e-9)
+
+
+def _assert_no_draw(rec):
+    """The initial sample of a stochastic run has no realized draw."""
+    assert np.all(rec.actions[0] == -1) and np.all(np.isnan(rec.payoffs[0]))
 
 
 def test_run_stochastic_deterministic_per_seed():
@@ -187,11 +192,11 @@ def test_run_stochastic_deterministic_per_seed():
     rec_a = run_stochastic(game, params, z0, steps=50, rng=7)
     rec_b = run_stochastic(game, params, z0, steps=50, rng=7)
     rec_c = run_stochastic(game, params, z0, steps=50, rng=8)
-    np.testing.assert_array_equal(rec_a["z"], rec_b["z"])
-    assert not np.array_equal(rec_a["z"], rec_c["z"])
-    assert rec_a["ks"][0] == 0 and rec_a["ks"][-1] == 50
-    assert rec_a["actions"][0] is None and rec_a["payoffs"][0] is None
-    assert rec_a["x"].shape == rec_a["z"].shape
+    np.testing.assert_array_equal(rec_a.states, rec_b.states)
+    assert not np.array_equal(rec_a.states, rec_c.states)
+    assert rec_a.times[0] == 0 and rec_a.times[-1] == 50
+    _assert_no_draw(rec_a)
+    assert rec_a.strategies.shape == rec_a.states.shape
 
 
 @pytest.mark.parametrize("mode", ["full-info", "bandit"])
@@ -215,13 +220,14 @@ def test_run_stochastic_matches_stochastic_step_loop(name, mode):
             xs.append(x)
             acts.append(a)
             pays.append(r)
-    np.testing.assert_array_equal(rec["ks"], ks)
-    np.testing.assert_array_equal(rec["z"], np.stack(zs))
-    np.testing.assert_array_equal(rec["x"], np.stack(xs))
-    assert rec["actions"][0] is None and rec["payoffs"][0] is None
-    for got, want in zip(rec["actions"][1:], acts):
+    np.testing.assert_array_equal(rec.times, ks)
+    np.testing.assert_array_equal(rec.states, np.stack(zs))
+    np.testing.assert_array_equal(rec.strategies, np.stack(xs))
+    _assert_no_draw(rec)
+    assert len(rec.actions) == len(rec.payoffs) == len(acts) + 1
+    for got, want in zip(rec.actions[1:], acts):
         np.testing.assert_array_equal(got, want)
-    for got, want in zip(rec["payoffs"][1:], pays):
+    for got, want in zip(rec.payoffs[1:], pays):
         np.testing.assert_array_equal(got, want)
 
 
@@ -240,27 +246,124 @@ def test_run_stochastic_tracks_simplex():
     params = LearningParams(eps=0.5, gamma=1.0)
     rec = run_stochastic(game, params, np.zeros(6), steps=200, rng=3,
                          record_every=20)
-    sums = np.add.reduceat(rec["x"], [0, 2, 4], axis=1)
+    sums = np.add.reduceat(rec.strategies, [0, 2, 4], axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
 def test_write_stochastic_csv_layout(tmp_path):
+    """The stochastic layout, written by the one writer and, with the same
+    bytes, by the write_stochastic_csv shim."""
     game = preset("rps", {"l": 1.0})
     params = LearningParams(eps=1.0, gamma=1.0)
     rec = run_stochastic(game, params, np.zeros(3), steps=10, rng=0,
                          record_every=5)
     path = tmp_path / "stoch.csv"
-    write_stochastic_csv(path, rec, game.action_counts, matching=game.matching)
+    write_trajectory_csv(path, rec, game.action_counts)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     header = rows[0]
     assert header == (["k"] + [f"z_{i}" for i in range(1, 4)]
                       + [f"x_{i}" for i in range(1, 4)]
                       + ["action_own", "action_opp", "payoff"])
-    assert len(rows) == 1 + len(rec["ks"])
+    assert len(rows) == 1 + len(rec.times)
     # the initial sample has no realized action or payoff
     assert rows[1][7:] == ["", "", ""]
     assert rows[2][7] != ""
+    write_stochastic_csv(tmp_path / "shim.csv", rec, game.action_counts)
+    assert (tmp_path / "shim.csv").read_bytes() == path.read_bytes()
+
+
+def _fmt(v):
+    return f"{v:.17g}"
+
+
+def _reference_stochastic_csv(path, record, action_counts, matching=False):
+    """The stochastic scheme's own CSV writer before the one writer took
+    its place, kept as the reference: record is a dict of ks, z, x and the
+    per-sample actions and payoffs, None for the initial sample."""
+    counts = tuple(int(c) for c in action_counts)
+    n = sum(counts)
+    n_cols = 2 if matching else len(counts)
+    act_names = (["action_own", "action_opp"] if matching
+                 else [f"action_{p + 1}" for p in range(n_cols)])
+    pay_names = (["payoff"] if matching
+                 else [f"payoff_{p + 1}" for p in range(len(counts))])
+    header = (["k"] + [f"z_{i + 1}" for i in range(n)]
+              + [f"x_{i + 1}" for i in range(n)] + act_names + pay_names)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i, k in enumerate(record["ks"]):
+            row = [str(int(k))]
+            row += [_fmt(v) for v in record["z"][i]]
+            row += [_fmt(v) for v in record["x"][i]]
+            acts = record["actions"][i]
+            pays = record["payoffs"][i]
+            if acts is None:
+                row += [""] * (n_cols + len(pay_names))
+            else:
+                row += [str(int(a)) for a in np.atleast_1d(acts)]
+                row += [_fmt(float(p)) for p in np.atleast_1d(pays)[:len(pay_names)]]
+            writer.writerow(row)
+
+
+def _reference_samples(game, params, z0, steps, record_every, step):
+    """The recorded samples of a loop over a public one-step update:
+    step(z, k) returns (Z+, sigma(Z+), *events)."""
+    ks = [0]
+    zs = [z0]
+    xs = [softmax(z0, params.eps, game.action_counts)]
+    events = [None]
+    z = z0
+    for k in range(steps):
+        z, x, *drawn = step(z, k)
+        if (k + 1) % record_every == 0 or k + 1 == steps:
+            ks.append(k + 1)
+            zs.append(z)
+            xs.append(x)
+            events.append(drawn)
+    return np.array(ks), np.stack(zs), np.stack(xs), events
+
+
+@pytest.mark.parametrize("steps", [0, 60])
+@pytest.mark.parametrize("name", ["rps", "shapley", "jordan_mp", "two_player_rps"])
+def test_one_writer_matches_the_scheme_writers(name, steps, tmp_path):
+    """write_trajectory_csv writes the bytes of the stochastic scheme's own
+    writer and of the discrete scheme's tuple wrapped as a Trajectory, for
+    samples recorded by loops over the public one-step updates."""
+    game = preset(name, {"l": 5.0 if name == "rps" else 3.0}
+                  if "rps" in name else None)
+    params = LearningParams(eps=0.7, gamma=1.5)
+    z0 = np.random.default_rng(1).uniform(-1, 1, game.total_actions)
+    record_every = 7
+
+    for mode in ("full-info", "bandit"):
+        rng = np.random.default_rng(9)
+        ks, zs, xs, events = _reference_samples(
+            game, params, z0, steps, record_every,
+            lambda z, k: stochastic_step(z, game, params, harmonic_schedule(k), rng, mode))
+        record = {"ks": ks, "z": zs, "x": xs,
+                  "actions": [e and e[0] for e in events],
+                  "payoffs": [e and e[1] for e in events]}
+        want, got = tmp_path / f"want_{mode}.csv", tmp_path / f"got_{mode}.csv"
+        _reference_stochastic_csv(want, record, game.action_counts, matching=game.matching)
+        write_trajectory_csv(got, run_stochastic(game, params, z0, steps=steps,
+                                                 rng=np.random.default_rng(9), mode=mode,
+                                                 record_every=record_every),
+                             game.action_counts)
+        assert got.read_bytes() == want.read_bytes(), mode
+
+    alpha = 0.3
+    ks, zs, xs, _ = _reference_samples(game, params, z0, steps, record_every,
+                                       lambda z, k: euler_step(z, game, params, alpha))
+    for ternary in (False, True):
+        want, got = tmp_path / f"want_{ternary}.csv", tmp_path / f"got_{ternary}.csv"
+        write_trajectory_csv(want, Trajectory(np.asarray(ks, dtype=float), zs, xs),
+                             game.action_counts, ternary=ternary)
+        write_trajectory_csv(got, run_discrete(game, params, z0, alpha, steps,
+                                               record_every=record_every),
+                             game.action_counts, ternary=ternary)
+        assert got.read_bytes() == want.read_bytes(), ternary
 
 
 def _reference_estimate(game, x, rng, mode, m):
@@ -326,7 +429,7 @@ def test_bound_sampler_matches_unbound_reference(name, mode):
         u_hat, acts, realized = _reference_estimate(
             game, softmax(z, params.eps, game.action_counts), ref_rng, mode, 1)
         z = z + harmonic_schedule(k) * params.gamma * (u_hat[0] - z)
-        assert np.array_equal(rec["z"][k + 1], z)
-        _assert_identical(rec["actions"][k + 1], acts[0])
-        _assert_identical(rec["payoffs"][k + 1], realized[0])
+        assert np.array_equal(rec.states[k + 1], z)
+        _assert_identical(rec.actions[k + 1], acts[0])
+        _assert_identical(rec.payoffs[k + 1], realized[0])
     assert rng.bit_generator.state == ref_rng.bit_generator.state
