@@ -8,11 +8,13 @@ reproduce checks, 2 usage errors, 3 numerical failures (for example a
 bifurcation bracket where no rest point is found).  simulate runs every
 scheme through one per-seed pipeline, driven by the table _SCHEMES, to the
 one CSV writer; a run whose state overflows is "diverged", with exit 0.
+main parses with one parser per process, built on its first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -343,9 +345,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of main in a process, built on first use; parsing
+    leaves it unchanged, so every call starts from the same defaults."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
     except (UsageError, DomainError, ConfigurationError) as err:

@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .choice import (_all, _bind_softmax, _check_eps, _check_finite, block_slices,
-                     softmax)
+from .choice import (_all, _bind_softmax, _check_eps, _check_finite, _sum,
+                     block_slices, softmax)
 from .errors import ConfigurationError, DomainError, IntegrationDivergedError
 from .games import (GameSpec, _bind_payoff, expected_payoff_vector,
                     linear_game_map)
@@ -227,8 +227,12 @@ def _bind_field(
     group by its own map: filtered rows by W, first-order rows by Phi^T (or
     U(x) without a linear map).  Neighbouring groups of one scheme that
     each have several rows share one product, since gemm rounds each row of
-    such a product alike.  First-order rows carry a zero filter state when
-    the batch has filtered rows.
+    such a product alike.  Neighbouring one-row groups of one scheme (the
+    seeds of simulate) share one stacked product, rows lifted to (rows, 1,
+    d), which numpy computes as one gemv per row: the bits of their
+    separate runs (tests/test_dynamics.py pins this for the BLAS at hand).
+    First-order rows carry a zero filter state when the batch has filtered
+    rows.
     """
     n = game.total_actions
     plans = {}
@@ -237,14 +241,19 @@ def _bind_field(
     stop = 0
     for rows, filtered, gamma in groups:
         start, stop = stop, stop + rows
-        if segments and segments[-1][2:] == [filtered, True] and rows > 1:
+        if segments and segments[-1][2:] == [filtered, rows > 1]:
             segments[-1][1] = stop
         else:
             segments.append([start, stop, filtered, rows > 1])
         gammas += [gamma] * rows
         g = gammas[0] if len(set(gammas)) == 1 else np.array(gammas)[:, None]
-        plans[stop] = ([(slice(a, b), f) for a, b, f, _ in segments], g)
-    single = ([(..., groups[0][1])], groups[0][2]) if len(groups) == 1 else None
+        segs = []
+        for a, b, f, several in segments:
+            span = slice(a, b)
+            # a stacked one-row product takes its rows as (rows, 1, d)
+            segs.append((span, f, span if several or b - a == 1 else (span, None)))
+        plans[stop] = (segs, g)
+    single = ([(..., groups[0][1], ...)], groups[0][2]) if len(groups) == 1 else None
 
     payoff = _bind_payoff(game)
     phi = linear_game_map(game)
@@ -255,11 +264,12 @@ def _bind_field(
     def bind(shape: tuple) -> tuple:
         segs, g = single or plans[shape[0]]
         # first-order rows next to filtered ones keep a zero xidot
-        mixed = w_mat is not None and not all(f for _, f in segs)
+        mixed = w_mat is not None and not all(f for _, f, _ in segs)
         scale = None if g is None or (np.isscalar(g) and g == 1.0) else g
         operand = np.empty(shape)
         x, tail = (operand, None) if w_mat is None else (operand[..., :n], operand[..., n:])
-        products = [(rows, f, (operand if f else x)[rows]) for rows, f in segs]
+        products = [(rows, f, (operand if f else x)[index], index)
+                    for rows, f, index in segs]
         plan = bound[shape] = (products, g is not None, scale, np.zeros if mixed else np.empty,
                                _bind_softmax(eps, game.action_counts, x), x, tail)
         return plan
@@ -275,13 +285,13 @@ def _bind_field(
             tail[...] = state[..., n:]
         sigma(z)
         u = None if phi_t is not None else payoff(x)
-        for rows, filtered, operand in products:
+        for rows, filtered, operand, index in products:
             if filtered:
-                np.matmul(operand, w_mat, out=out[rows])
+                np.matmul(operand, w_mat, out=out[index])
                 if u is not None:
                     dz[rows] += u[rows]
             elif u is None:
-                np.matmul(operand, phi_t, out=dz[rows])
+                np.matmul(operand, phi_t, out=dz[index])
             else:
                 dz[rows] = u[rows]
         if discounted:
@@ -637,75 +647,90 @@ def _column_counts(game: GameSpec) -> tuple[int, ...]:
     return (n, n) if game.matching else game.action_counts
 
 
-def _bind_sampler(game: GameSpec):
-    """The pure-action sampler of a game, with its block layout bound once:
-    draw(x, rng, m) returns (m, columns) actions drawn from the float
-    profile x, one column per entry of _column_counts.
-
-    Column c inverts the cumulative sum of its block, last entry pinned to
-    1, at uniforms u in [0, 1): the action is the number of entries <= u,
-    which is searchsorted(cum, u, side="right") since the sum only grows
-    before the pinned entry.  The blocks sit as rows of one zero-padded
-    table, so one cumsum serves them all, and one rng.random call takes
-    the m uniforms of each column in turn: the stream of one call per
-    column.  The map does not check x.
-    """
-    counts = np.array(_column_counts(game))
-    rows = np.repeat(np.arange(len(counts)), counts)
-    cols = np.concatenate([np.arange(c) for c in counts])
-    source = np.arange(len(rows)) % game.total_actions
-    pinned = np.arange(counts.max()) >= counts[:, None] - 1
-
-    def draw(x: np.ndarray, rng, m: int) -> np.ndarray:
-        table = np.zeros(pinned.shape)
-        table[rows, cols] = x[source]
-        cum = table.cumsum(axis=1)
-        cum[pinned] = 1.0
-        uniforms = rng.random((len(counts), m))
-        return (cum[:, None, :] <= uniforms[:, :, None]).sum(axis=2).T
-
-    return draw
+def _bandit(mode: str) -> bool:
+    """Whether an estimator mode is the bandit one, refusing unknown modes."""
+    if mode not in ("full-info", "bandit"):
+        raise DomainError(f"unknown estimator mode {mode!r}")
+    return mode == "bandit"
 
 
-def _bind_estimate(game: GameSpec, mode: str):
-    """The payoff estimator of payoff_estimate for one game and mode, with
-    the sampler and the payoff tables built once: estimate(x, rng, m)
-    returns (u_hat, actions, realized payoffs), each with the m draws on
-    its first axis.  The map does not check x.
+def _bind_draws(game: GameSpec, x: np.ndarray, bandit: bool = False):
+    """The sampler and payoff estimator of a game at the float profile x,
+    which the maps read at each call (through a view: a caller that
+    rewrites x between calls passes a contiguous x): returns (draw,
+    estimate, realize).  None of them checks x.
 
-    Every payoff is a gather from the flattened payoff tensors (the one
-    matrix of a matching game): the realized payoff of tensor p sits at
+    draw(u) maps uniforms u in [0, 1) of shape (..., columns), one column
+    per entry of _column_counts, to pure actions of the same shape.  Column
+    c inverts the cumulative sum of its block at u: the action is the
+    number of the block's first count - 1 partial sums that are <= u, the
+    count of searchsorted(cum, u, side="right") with the last sum pinned
+    to 1.  A matching game's population and equal-sized blocks take their
+    sums from a reshaped view of x, so one cumsum and one comparison serve
+    every column; unequal blocks copy x into a zero-padded table whose
+    entries from each block's last on are pinned to 1.
+
+    estimate(acts) returns u_hat and realize(acts) the realized payoffs,
+    both gathered from the flattened payoff tensors (the one matrix of a
+    matching game): the realized payoff of tensor p sits at
     offsets[p] + a @ strides for the joint action a, and the payoff of
     score entry j against the others' actions at base[j] + a @ others[:, j].
     """
-    if mode not in ("full-info", "bandit"):
-        raise DomainError(f"unknown estimator mode {mode!r}")
-    draw = _bind_sampler(game)
-    full_info = mode == "full-info"
+    counts = np.array(_column_counts(game))
     n = game.total_actions
-    counts = _column_counts(game)
+    if game.matching or len(set(counts)) == 1:
+        table = None
+        sums = x.reshape(-1, counts[0])
+    else:
+        table = sums = np.zeros((len(counts), counts.max()))
+        rows = np.repeat(np.arange(len(counts)), counts)
+        cols = np.concatenate([np.arange(c) for c in counts])
+        pinned = np.arange(counts.max()) >= counts[:, None] - 1
+    cum = np.empty(sums.shape)
+    partial = cum[:, :-1]
+
+    def draw(u: np.ndarray) -> np.ndarray:
+        if table is not None:
+            table[rows, cols] = x
+        np.add.accumulate(sums, axis=1, out=cum)
+        if table is not None:
+            np.copyto(cum, 1.0, where=pinned)
+        return _sum(partial <= u[..., None], axis=-1)
+
     columns = np.arange(len(counts))
-    payers = columns[:len(game.payoff_tensors)]
+    payers = len(game.payoff_tensors)
     strides = np.array([int(np.prod(counts[c + 1:])) for c in columns])
     flat = np.concatenate([t.ravel() for t in game.payoff_tensors])
-    offsets = payers * int(np.prod(counts))
-    column_of = np.repeat(payers, counts[:len(payers)])
-    own_action = np.concatenate([np.arange(counts[p]) for p in payers])
+    offsets = np.arange(payers) * int(np.prod(counts))
+    column_of = np.repeat(columns[:payers], counts[:payers])
+    own_action = np.concatenate([np.arange(c) for c in counts[:payers]])
     base = offsets[column_of] + own_action * strides[column_of]
     others = np.where(columns[:, None] == column_of, 0, strides[:, None])
     starts = np.array([sl.start for sl in game.block_slices])
 
-    def estimate(x: np.ndarray, rng, m: int):
-        acts = draw(x, rng, m)
-        realized = flat[offsets + (acts @ strides)[:, None]]
-        if full_info:
-            return flat[base + acts @ others], acts, realized
-        u_hat = np.zeros((m, n))
-        own = starts + acts[:, payers]
-        u_hat[np.arange(m)[:, None], own] = realized / x[own]
-        return u_hat, acts, realized
+    def realize(acts: np.ndarray) -> np.ndarray:
+        return flat[offsets + (acts @ strides)[..., None]]
 
-    return estimate
+    def estimate(acts: np.ndarray) -> np.ndarray:
+        if not bandit:
+            return flat[base + acts @ others]
+        own = starts + acts[..., :payers]
+        u_hat = np.zeros(acts.shape[:-1] + (n,))
+        draws = () if acts.ndim == 1 else (np.arange(len(acts))[:, None],)
+        u_hat[draws + (own,)] = realize(acts) / x[own]
+        return u_hat
+
+    return draw, estimate, realize
+
+
+def _draw_columns(game: GameSpec, x: np.ndarray, rng, size: int | None,
+                  bandit: bool = False):
+    """The m = size (or 1) draws of sample_joint_actions and payoff_estimate,
+    one rng.random call taking the m uniforms of each column in turn:
+    the stream of one call per column.  Returns (acts, estimate, realize)."""
+    draw, estimate, realize = _bind_draws(game, x, bandit)
+    m = 1 if size is None else int(size)
+    return draw(rng.random((len(_column_counts(game)), m)).T), estimate, realize
 
 
 def sample_joint_actions(game: GameSpec, x, rng, size: int | None = None) -> np.ndarray:
@@ -716,8 +741,7 @@ def sample_joint_actions(game: GameSpec, x, rng, size: int | None = None) -> np.
     """
     x = np.asarray(getattr(x, "vector", x), dtype=float)
     _check_length(x, game.total_actions, "profile")
-    acts = _bind_sampler(game)(x, np.random.default_rng(rng),
-                               1 if size is None else int(size))
+    acts = _draw_columns(game, x, np.random.default_rng(rng), size)[0]
     return acts[0] if size is None else acts
 
 
@@ -732,10 +756,11 @@ def payoff_estimate(game: GameSpec, x, rng, mode: str = "full-info",
     Returns (u_hat, actions, realized_payoffs); with integer size the first
     axis of each output enumerates independent draws.
     """
-    estimate = _bind_estimate(game, mode)
+    bandit = _bandit(mode)
     x = np.asarray(getattr(x, "vector", x), dtype=float)
     _check_length(x, game.total_actions, "profile")
-    draws = estimate(x, np.random.default_rng(rng), 1 if size is None else int(size))
+    acts, estimate, realize = _draw_columns(game, x, np.random.default_rng(rng), size, bandit)
+    draws = estimate(acts), acts, realize(acts)
     return tuple(a[0] for a in draws) if size is None else draws
 
 
@@ -747,12 +772,13 @@ def stochastic_step(z, game: GameSpec, params: LearningParams, alpha: float,
     the scores unchanged.
     """
     alpha = _check_alpha(alpha)
-    estimate = _bind_estimate(game, mode)
+    bandit = _bandit(mode)
     z = np.asarray(z, dtype=float)
     x = softmax(z, params.eps, game.action_counts)
-    u_hat, acts, realized = estimate(x, np.random.default_rng(rng), 1)
-    z_next = z + alpha * params.gamma * (u_hat[0] - z)
-    return z_next, softmax(z_next, params.eps, game.action_counts), acts[0], realized[0]
+    draw, estimate, realize = _bind_draws(game, x, bandit)
+    acts = draw(np.random.default_rng(rng).random(len(_column_counts(game))))
+    z_next = z + alpha * params.gamma * (estimate(acts) - z)
+    return z_next, softmax(z_next, params.eps, game.action_counts), acts, realize(acts)
 
 
 def _record(ks: list, zs: list, k: int, z: np.ndarray) -> None:
@@ -792,13 +818,25 @@ def harmonic_schedule(k: int) -> float:
     return 1.0 / (k + 1.0)
 
 
+# run_stochastic draws the uniforms of at most this many steps per call
+_UNIFORM_BLOCK = 256
+
+
 def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
                    rng, mode: str = "full-info",
                    alpha_schedule: Callable[[int], float] = harmonic_schedule,
                    record_every: int = 1) -> Trajectory:
     """Iterate the stochastic_step update with a step-size schedule, with
-    the soft-max (into one buffer, which the estimator only reads) and the
-    payoff estimator bound once, and one soft-max per step.
+    the soft-max (into one buffer x) and the sampler and estimator of
+    _bind_draws (which read x) bound once: each step makes one soft-max and
+    one draw.  A full-info step gathers its realized payoffs only when it
+    is recorded.
+
+    The uniforms come in blocks of at most _UNIFORM_BLOCK steps from one
+    rng.random((m, columns)) call each: the stream of one call per step,
+    and, as exactly steps * columns are drawn, the same final state of the
+    generator.  A run that raises part way may leave the generator up to a
+    block ahead.
 
     Returns the Trajectory of the samples, with the iteration k as time and
     the joint action and payoffs realized in the step that led to each
@@ -806,25 +844,34 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
     """
     steps = _check_whole(steps, "steps", 0)
     record_every = _check_whole(record_every, "record_every", 1)
+    bandit = _bandit(mode)
     rng = np.random.default_rng(rng)
     z = np.asarray(z0, dtype=float)
     _check_length(z, game.total_actions)
+    if z.ndim != 1:
+        raise DomainError("z0 must be a single score vector")
     _check_finite(z)
-    sigma = _bind_softmax(params.eps, game.action_counts, np.empty(z.shape))
-    estimate = _bind_estimate(game, mode)
+    x = np.empty(z.shape)
+    sigma = _bind_softmax(params.eps, game.action_counts, x)
+    draw, estimate, realize = _bind_draws(game, x, bandit)
+    columns = len(_column_counts(game))
     ks = [0]
     zs = [z.copy()]
-    acts_log = [np.full(len(_column_counts(game)), -1)]
+    acts_log = [np.full(columns, -1)]
     pay_log = [np.full(game.player_count, np.nan)]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
+            i = k % _UNIFORM_BLOCK
+            if i == 0:
+                uniforms = rng.random((min(_UNIFORM_BLOCK, steps - k), columns))
             rate = _check_alpha(alpha_schedule(k)) * params.gamma
-            u_hat, acts, realized = estimate(sigma(z), rng, 1)
-            z = z + rate * (u_hat[0] - z)
+            sigma(z)
+            acts = draw(uniforms[i])
+            z = z + rate * (estimate(acts) - z)
             if (k + 1) % record_every == 0 or k + 1 == steps:
                 _record(ks, zs, k + 1, z)
-                acts_log.append(acts[0])
-                pay_log.append(realized[0])
+                acts_log.append(acts)
+                pay_log.append(realize(acts))
     zs = np.stack(zs)
     return Trajectory(ks, zs, softmax(zs, params.eps, game.action_counts),
                       actions=np.stack(acts_log), payoffs=np.stack(pay_log))

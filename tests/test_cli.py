@@ -143,6 +143,46 @@ def test_game_source_validation(tmp_path, capsys):
         assert "error:" in err
 
 
+def _command_outcomes(capsys, root, commands):
+    """Run commands in turn in this process; per command the exit code
+    (argparse's SystemExit code included), stdout, stderr and the bytes of
+    every file it wrote under root/<index>."""
+    outcomes = []
+    for i, argv in enumerate(commands):
+        out = root / str(i)
+        try:
+            code = main(argv + ["--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        files = ({p.name: p.read_bytes() for p in sorted(out.iterdir())}
+                 if out.exists() else {})
+        outcomes.append((code, captured.out, captured.err, files))
+    return outcomes
+
+
+def test_reused_parser_leaks_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    """main keeps one parser per process.  A simulate command with
+    non-default options, then a usage error, then commands that leave those
+    options at their defaults write the bytes that a freshly built parser
+    gives for each."""
+    assert cli._parser() is cli._parser()
+    game = ["simulate", "--preset", "shapley"]
+    commands = [
+        game + ["--scheme", "stochastic", "--steps", "40", "--emit-ternary",
+                "--mode", "bandit", "--seeds", "0,3"],
+        game + ["--scheme", "stochastic", "--mode", "oracle"],
+        game + ["--scheme", "stochastic", "--steps", "40"],
+        game + ["--t-end", "1"],
+    ]
+    reused = _command_outcomes(capsys, tmp_path / "reused", commands)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = _command_outcomes(capsys, tmp_path / "fresh", commands)
+    assert [code for code, *_ in reused] == [0, 2, 0, 0]
+    assert "tern1_u" in reused[0][3]["stoch_seed3.csv"].decode()
+    assert reused == fresh
+
+
 def test_unknown_scheme_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--preset", "rps", "--param", "l=1",

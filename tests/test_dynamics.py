@@ -501,6 +501,27 @@ def _assert_same_trajectories(got, expect):
         assert np.array_equal(a.strategies, b.strategies)
 
 
+@pytest.mark.parametrize("b", [2, 5, 16])
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 12])
+def test_stacked_one_row_products_are_separate_gemv(n, b):
+    """_bind_field multiplies neighbouring one-row groups in one stacked
+    product, rows lifted to (b, 1, n).  The BLAS must give every row the
+    bits of its own one-row product (gemv), also with the strided operand
+    and output views the field uses; a BLAS that breaks this fails here, by
+    name, rather than across the batch-equality tests."""
+    rng = np.random.default_rng(100 * n + b)
+    m = rng.standard_normal((n, n))
+    x = rng.standard_normal((b, n))
+    separate = np.stack([x[i] @ m for i in range(b)])
+    stacked = np.matmul(x[:, None, :], m)[:, 0]
+    assert np.array_equal(stacked.view(np.uint64), separate.view(np.uint64))
+    operand = rng.standard_normal((b, 2 * n))
+    out = np.empty((b, 2 * n))
+    np.matmul(operand[:, :n][:, None], m, out=out[:, :n][:, None])
+    separate = np.stack([operand[i, :n] @ m for i in range(b)])
+    assert np.array_equal(out[:, :n].view(np.uint64), separate.view(np.uint64))
+
+
 @pytest.mark.parametrize("batch", [1, 5])
 @pytest.mark.parametrize("horizons", [(150.0, 120.0), (150.0, 450.0)])
 @pytest.mark.parametrize("game_key", list(BATCH_GAMES))

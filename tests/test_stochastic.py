@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from gamedyn import (DomainError, LearningParams, Trajectory, euler_step,
-                     expected_payoff_vector, harmonic_schedule,
+                     expected_payoff_vector, game_from_dict, harmonic_schedule,
                      payoff_estimate, preset, run_discrete, run_stochastic,
                      sample_joint_actions, softmax, stochastic_step,
                      write_stochastic_csv, write_trajectory_csv)
+from gamedyn.dynamics import _UNIFORM_BLOCK
 
 
 def test_sample_joint_actions_matching_columns(rng):
@@ -199,21 +200,42 @@ def test_run_stochastic_deterministic_per_seed():
     assert rec_a.strategies.shape == rec_a.states.shape
 
 
+def _assert_identical(got, want):
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# One game per cumulative-sum layout of the sampler: a matching game (rps),
+# equal-sized blocks (shapley, jordan_mp) and unequal blocks, whose sums
+# come from a zero-padded table (a 2x3 bimatrix game).
+SAMPLER_GAMES = {
+    "rps": lambda: preset("rps", {"l": 2.5}),
+    "shapley": lambda: preset("shapley"),
+    "jordan_mp": lambda: preset("jordan_mp"),
+    "bimatrix23": lambda: game_from_dict({
+        "players": 2, "action_counts": [2, 3],
+        "payoffs": [[3.0, -1.0, 0.5, 1.0, 2.0, -2.0],
+                    [-1.0, 2.0, 1.5, 0.0, -3.0, 2.0]]}),
+}
+
+
 @pytest.mark.parametrize("mode", ["full-info", "bandit"])
-@pytest.mark.parametrize("name", ["rps", "shapley", "jordan_mp"])
+@pytest.mark.parametrize("name", list(SAMPLER_GAMES))
 def test_run_stochastic_matches_stochastic_step_loop(name, mode):
-    game = preset(name, {"l": 2.5} if name == "rps" else None)
+    """run_stochastic takes its uniforms _UNIFORM_BLOCK steps at a time.  A
+    run two blocks and three steps long equals a stochastic_step loop bit
+    for bit, actions and payoffs with their dtypes included, and leaves the
+    caller's generator in the loop's final state."""
+    game = SAMPLER_GAMES[name]()
     params = LearningParams(eps=0.7, gamma=1.5)
     z0 = np.random.default_rng(1).uniform(-1, 1, game.total_actions)
-    steps, record_every = 60, 7
-    rec = run_stochastic(game, params, z0, steps=steps,
-                         rng=np.random.default_rng(9), mode=mode,
+    steps, record_every = 2 * _UNIFORM_BLOCK + 3, 7
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    rec = run_stochastic(game, params, z0, steps=steps, rng=rng, mode=mode,
                          record_every=record_every)
-    rng = np.random.default_rng(9)
     z = z0
     ks, zs, xs, acts, pays = [0], [z0], [softmax(z0, params.eps, game.action_counts)], [], []
     for k in range(steps):
-        z, x, a, r = stochastic_step(z, game, params, harmonic_schedule(k), rng, mode)
+        z, x, a, r = stochastic_step(z, game, params, harmonic_schedule(k), ref_rng, mode)
         if (k + 1) % record_every == 0 or k + 1 == steps:
             ks.append(k + 1)
             zs.append(z)
@@ -226,9 +248,10 @@ def test_run_stochastic_matches_stochastic_step_loop(name, mode):
     _assert_no_draw(rec)
     assert len(rec.actions) == len(rec.payoffs) == len(acts) + 1
     for got, want in zip(rec.actions[1:], acts):
-        np.testing.assert_array_equal(got, want)
+        _assert_identical(got, want)
     for got, want in zip(rec.payoffs[1:], pays):
-        np.testing.assert_array_equal(got, want)
+        _assert_identical(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_run_stochastic_checks_schedule_and_scores():
@@ -239,6 +262,13 @@ def test_run_stochastic_checks_schedule_and_scores():
                        alpha_schedule=lambda k: 1.5)
     with pytest.raises(DomainError, match="score vector has length 4"):
         run_stochastic(game, params, np.zeros(4), steps=5, rng=0)
+    # a batch of score vectors is refused, not run into an IndexError
+    with pytest.raises(DomainError, match="single score vector"):
+        run_stochastic(game, params, np.zeros((2, 3)), steps=5, rng=0)
+    # the schedule is checked in every block of uniforms, not only the first
+    with pytest.raises(DomainError, match="step size"):
+        run_stochastic(game, params, np.zeros(3), steps=2 * _UNIFORM_BLOCK, rng=0,
+                       alpha_schedule=lambda k: 1.5 if k > _UNIFORM_BLOCK else 0.5)
 
 
 def test_run_stochastic_tracks_simplex():
@@ -402,17 +432,13 @@ def _reference_estimate(game, x, rng, mode, m):
     return u_hat, acts, realized
 
 
-def _assert_identical(got, want):
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
 @pytest.mark.parametrize("mode", ["full-info", "bandit"])
-@pytest.mark.parametrize("name", ["rps", "shapley", "jordan_mp"])
+@pytest.mark.parametrize("name", list(SAMPLER_GAMES))
 def test_bound_sampler_matches_unbound_reference(name, mode):
     """payoff_estimate and run_stochastic draw the same uniforms in the same
     order as a sampler that takes one rng.random call per block, and give
     the same actions, payoffs and scores bit for bit."""
-    game = preset(name, {"l": 2.5} if name == "rps" else None)
+    game = SAMPLER_GAMES[name]()
     x = np.random.default_rng(2).dirichlet(np.ones(game.total_actions))
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
     for got, want in zip(payoff_estimate(game, x, rng, mode, size=500),
