@@ -227,10 +227,11 @@ def _bind_field(
     group by its own map: filtered rows by W, first-order rows by Phi^T (or
     U(x) without a linear map).  Neighbouring groups of one scheme that
     each have several rows share one product, since gemm rounds each row of
-    such a product alike.  Neighbouring one-row groups of one scheme (the
-    seeds of simulate) share one stacked product, rows lifted to (rows, 1,
-    d), which numpy computes as one gemv per row: the bits of their
-    separate runs (tests/test_dynamics.py pins this for the BLAS at hand).
+    such a product alike.  One-row groups are multiplied as stacked
+    products, rows lifted to (rows, 1, d), and neighbouring ones of one
+    scheme (the seeds of simulate) share one: numpy computes it as one gemv
+    per row, the bits of their separate runs (tests/test_dynamics.py pins
+    this for the BLAS at hand).
     First-order rows carry a zero filter state when the batch has filtered
     rows.
     """
@@ -251,7 +252,7 @@ def _bind_field(
         for a, b, f, several in segments:
             span = slice(a, b)
             # a stacked one-row product takes its rows as (rows, 1, d)
-            segs.append((span, f, span if several or b - a == 1 else (span, None)))
+            segs.append((span, f, span if several else (span, None)))
         plans[stop] = (segs, g)
     single = ([(..., groups[0][1], ...)], groups[0][2]) if len(groups) == 1 else None
 
@@ -656,19 +657,18 @@ def _bandit(mode: str) -> bool:
 
 def _bind_draws(game: GameSpec, x: np.ndarray, bandit: bool = False):
     """The sampler and payoff estimator of a game at the float profile x,
-    which the maps read at each call (through a view: a caller that
-    rewrites x between calls passes a contiguous x): returns (draw,
-    estimate, realize).  None of them checks x.
+    which the maps read at each call (a caller rewrites x in place between
+    calls): returns (draw, estimate, realize).  None of them checks x.
 
     draw(u) maps uniforms u in [0, 1) of shape (..., columns), one column
     per entry of _column_counts, to pure actions of the same shape.  Column
     c inverts the cumulative sum of its block at u: the action is the
     number of the block's first count - 1 partial sums that are <= u, the
     count of searchsorted(cum, u, side="right") with the last sum pinned
-    to 1.  A matching game's population and equal-sized blocks take their
-    sums from a reshaped view of x, so one cumsum and one comparison serve
-    every column; unequal blocks copy x into a zero-padded table whose
-    entries from each block's last on are pinned to 1.
+    to 1.  Each draw copies x into the rows of a zero-padded table, one
+    row per block (a matching game's one population serves both columns),
+    whose entries from each block's last on are pinned to 1 after the
+    cumulative sum, so one cumsum and one comparison serve every column.
 
     estimate(acts) returns u_hat and realize(acts) the realized payoffs,
     both gathered from the flattened payoff tensors (the one matrix of a
@@ -678,23 +678,19 @@ def _bind_draws(game: GameSpec, x: np.ndarray, bandit: bool = False):
     """
     counts = np.array(_column_counts(game))
     n = game.total_actions
-    if game.matching or len(set(counts)) == 1:
-        table = None
-        sums = x.reshape(-1, counts[0])
-    else:
-        table = sums = np.zeros((len(counts), counts.max()))
-        rows = np.repeat(np.arange(len(counts)), counts)
-        cols = np.concatenate([np.arange(c) for c in counts])
-        pinned = np.arange(counts.max()) >= counts[:, None] - 1
-    cum = np.empty(sums.shape)
+    blocks = counts[:1] if game.matching else counts
+    width = blocks.max()
+    table = np.zeros((len(blocks), width))
+    cells = table.reshape(-1)
+    at = np.concatenate([b * width + np.arange(c) for b, c in enumerate(blocks)])
+    pinned = np.arange(width) >= blocks[:, None] - 1
+    cum = np.empty(table.shape)
     partial = cum[:, :-1]
 
     def draw(u: np.ndarray) -> np.ndarray:
-        if table is not None:
-            table[rows, cols] = x
-        np.add.accumulate(sums, axis=1, out=cum)
-        if table is not None:
-            np.copyto(cum, 1.0, where=pinned)
+        cells[at] = x
+        np.add.accumulate(table, axis=1, out=cum)
+        np.copyto(cum, 1.0, where=pinned)
         return _sum(partial <= u[..., None], axis=-1)
 
     columns = np.arange(len(counts))
@@ -844,13 +840,13 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
     """
     steps = _check_whole(steps, "steps", 0)
     record_every = _check_whole(record_every, "record_every", 1)
-    bandit = _bandit(mode)
     rng = np.random.default_rng(rng)
     z = np.asarray(z0, dtype=float)
     _check_length(z, game.total_actions)
+    _check_finite(z)
+    bandit = _bandit(mode)
     if z.ndim != 1:
         raise DomainError("z0 must be a single score vector")
-    _check_finite(z)
     x = np.empty(z.shape)
     sigma = _bind_softmax(params.eps, game.action_counts, x)
     draw, estimate, realize = _bind_draws(game, x, bandit)

@@ -501,14 +501,15 @@ def _assert_same_trajectories(got, expect):
         assert np.array_equal(a.strategies, b.strategies)
 
 
-@pytest.mark.parametrize("b", [2, 5, 16])
+@pytest.mark.parametrize("b", [1, 2, 5, 16])
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 12])
 def test_stacked_one_row_products_are_separate_gemv(n, b):
-    """_bind_field multiplies neighbouring one-row groups in one stacked
-    product, rows lifted to (b, 1, n).  The BLAS must give every row the
-    bits of its own one-row product (gemv), also with the strided operand
-    and output views the field uses; a BLAS that breaks this fails here, by
-    name, rather than across the batch-equality tests."""
+    """_bind_field multiplies a one-row group, or neighbouring one-row
+    groups, in one stacked product, rows lifted to (b, 1, n).  The BLAS
+    must give every row the bits of its own one-row product (gemv), also
+    with the strided operand and output views the field uses; a BLAS that
+    breaks this fails here, by name, rather than across the batch-equality
+    tests."""
     rng = np.random.default_rng(100 * n + b)
     m = rng.standard_normal((n, n))
     x = rng.standard_normal((b, n))

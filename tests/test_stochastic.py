@@ -204,9 +204,9 @@ def _assert_identical(got, want):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-# One game per cumulative-sum layout of the sampler: a matching game (rps),
-# equal-sized blocks (shapley, jordan_mp) and unequal blocks, whose sums
-# come from a zero-padded table (a 2x3 bimatrix game).
+# One game per shape of the sampler's zero-padded table: a matching game
+# (rps, one row for both draws), equal-sized blocks (shapley, jordan_mp) and
+# unequal blocks, whose padding takes part in the draw (a 2x3 bimatrix game).
 SAMPLER_GAMES = {
     "rps": lambda: preset("rps", {"l": 2.5}),
     "shapley": lambda: preset("shapley"),
@@ -262,6 +262,9 @@ def test_run_stochastic_checks_schedule_and_scores():
                        alpha_schedule=lambda k: 1.5)
     with pytest.raises(DomainError, match="score vector has length 4"):
         run_stochastic(game, params, np.zeros(4), steps=5, rng=0)
+    # the scores are checked before the mode
+    with pytest.raises(DomainError, match="score vector has length 4"):
+        run_stochastic(game, params, np.zeros(4), steps=5, rng=0, mode="semi")
     # a batch of score vectors is refused, not run into an IndexError
     with pytest.raises(DomainError, match="single score vector"):
         run_stochastic(game, params, np.zeros((2, 3)), steps=5, rng=0)
