@@ -18,18 +18,15 @@ from .dynamics import (FeedbackBlock, FeedbackBlockReport, LearningParams,
                        SimulationRun, Trajectory, euler_step, first_order_field,
                        harmonic_schedule, higher_order_field,
                        induced_strategy_field, integrate,
-                       payoff_estimate, revision_protocol_field, run_discrete,
-                       run_stochastic, sample_joint_actions,
-                       seeded_initial_scores, simulate_batch,
-                       simulate_first_order, simulate_higher_order,
-                       stochastic_step, ternary_coordinates,
-                       verify_feedback_block, write_stochastic_csv,
-                       write_trajectory_csv)
+                       payoff_estimate, run_discrete, run_stochastic,
+                       sample_joint_actions, seeded_initial_scores,
+                       simulate_batch, simulate_first_order,
+                       simulate_higher_order, stochastic_step,
+                       verify_feedback_block, write_trajectory_csv)
 from .errors import (ConfigurationError, DomainError, GameDynError,
                      IntegrationDivergedError, NumericsError, UsageError)
-from .games import (GameSpec, MixedProfile, TangentBasis,
-                    expected_payoff_vector, game_from_dict, game_to_dict,
-                    linear_game_map, load_game, payoff_jacobian, pure_payoff,
+from .games import (GameSpec, expected_payoff_vector, game_from_dict,
+                    game_to_dict, linear_game_map, load_game, payoff_jacobian,
                     save_game, tangent_basis)
 from .presets import available_presets, preset, rps_matrix
 
@@ -48,16 +45,15 @@ __all__ = [
     "Trajectory", "euler_step", "first_order_field", "harmonic_schedule",
     "higher_order_field",
     "induced_strategy_field", "integrate", "payoff_estimate",
-    "revision_protocol_field", "run_discrete", "run_stochastic",
+    "run_discrete", "run_stochastic",
     "sample_joint_actions", "seeded_initial_scores", "simulate_batch",
     "simulate_first_order", "simulate_higher_order", "stochastic_step",
-    "ternary_coordinates",
-    "verify_feedback_block", "write_stochastic_csv", "write_trajectory_csv",
+    "verify_feedback_block", "write_trajectory_csv",
     "ConfigurationError", "DomainError", "GameDynError",
     "IntegrationDivergedError", "NumericsError", "UsageError",
-    "GameSpec", "MixedProfile", "TangentBasis", "expected_payoff_vector",
+    "GameSpec", "expected_payoff_vector",
     "game_from_dict", "game_to_dict", "linear_game_map", "load_game",
-    "payoff_jacobian", "pure_payoff", "save_game", "tangent_basis",
+    "payoff_jacobian", "save_game", "tangent_basis",
     "available_presets", "preset", "rps_matrix",
     "__version__",
 ]

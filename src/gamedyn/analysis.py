@@ -64,18 +64,18 @@ def _class_of(lambda_max: float) -> str:
     return "hypo-monotone"
 
 
-def classify(game: GameSpec, sample_count: int = 200,
-             seed: int = 0) -> ClassificationReport:
+_CLASSIFY_SAMPLES = 200  # random interior profiles of a game without a linear map
+_CLASSIFY_SEED = 0
+
+
+def classify(game: GameSpec) -> ClassificationReport:
     """Classify the game as strictly-/null-/hypo-monotone.
 
     With a linear game map the tangent spectrum is exact; otherwise the payoff
-    Jacobian is sampled at random interior profiles and the worst case over
-    samples is reported as an estimate.
+    Jacobian is sampled at 200 random interior profiles (seed 0) and the
+    worst case over samples is reported as an estimate.
     """
-    if sample_count < 1:
-        raise DomainError(f"sample_count must be at least 1, got {sample_count!r}")
-    basis = tangent_basis(game.action_counts)
-    e_mat = basis.matrix
+    e_mat = tangent_basis(game.action_counts)
     phi = linear_game_map(game)
     if phi is not None:
         sym = phi + phi.T
@@ -96,11 +96,11 @@ def classify(game: GameSpec, sample_count: int = 200,
             aligned_eigenvalues=aligned if aligned.size else None,
             mu_aligned=mu_aligned,
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_CLASSIFY_SEED)
     best_eigs = None
     best_lambda = -np.inf
     best_x = None
-    for _ in range(int(sample_count)):
+    for _ in range(_CLASSIFY_SAMPLES):
         x = np.concatenate([rng.dirichlet(np.ones(c)) for c in game.action_counts])
         du = payoff_jacobian(game, x)
         eigs = np.linalg.eigvalsh(e_mat.T @ (du + du.T) @ e_mat)
@@ -241,13 +241,6 @@ def multi_start_rest_points(game: GameSpec, eps: float, n_starts: int = 20,
 
 # ---------------------------------------------------------------- linearization
 
-def _check_discounted(params: LearningParams) -> None:
-    if params.undiscounted:
-        raise DomainError("linearization needs the discounted flow; rest points "
-                          "solve z = U(sigma(z)), which the undiscounted flow "
-                          "does not rest at")
-
-
 _FD_STEP = 1e-6  # also the closed form's allowed gap from the differences
 
 
@@ -271,10 +264,8 @@ def dynamics_jacobian(z_star: np.ndarray, game: GameSpec, params: LearningParams
     First order: J = gamma (DU Dsigma - I).  With a feedback block the
     2n x 2n matrix of the (z, xi) field is assembled at
     xi* = -A^-1 B sigma(z*).  Unless fd_check is off, a central-difference
-    Jacobian of the actual field must match the closed form to 1e-6.  The
-    undiscounted flow is refused: z* is a rest point of the discounted one.
+    Jacobian of the actual field must match the closed form to 1e-6.
     """
-    _check_discounted(params)
     z_star = np.asarray(z_star, dtype=float)
     n = game.total_actions
     if z_star.shape != (n,):
@@ -350,9 +341,7 @@ def bifurcation_epsilon(game: GameSpec, params: LearningParams,
                         eps_range: tuple[float, float] = (0.05, 5.0),
                         tol: float = 1e-4) -> BifurcationResult:
     """Bisect for the temperature where the tangent-mode spectral abscissa
-    of the linearization (at the eps-dependent rest point) crosses zero.
-    The undiscounted flow is refused, as in dynamics_jacobian."""
-    _check_discounted(params)
+    of the linearization (at the eps-dependent rest point) crosses zero."""
     lo, hi = float(eps_range[0]), float(eps_range[1])
     if not (0.0 < lo < hi):
         raise DomainError(f"invalid eps range {eps_range!r}")

@@ -4,7 +4,8 @@ Verbs: classify, solve, simulate, bifurcation, reproduce, list-games.
 Games come from --preset NAME (with repeatable --param k=v) or from a JSON
 file via --game.  The output directory is --out, overridden by the
 GAMEDYN_OUT environment variable when set.  Exit codes: 0 success, 1 failed
-reproduce checks, 2 usage errors, 3 numerical failures (for example a
+reproduce checks, 2 usage errors (a malformed game file or an output path
+that is not a directory among them), 3 numerical failures (for example a
 bifurcation bracket where no rest point is found).  simulate runs every
 scheme through one per-seed pipeline, driven by the table _SCHEMES, to the
 one CSV writer; a run whose state overflows is "diverged", with exit 0.
@@ -68,7 +69,10 @@ def _out_dir(args) -> str | None:
     env = os.environ.get("GAMEDYN_OUT")
     path = env if env else args.out
     if path:
-        os.makedirs(path, exist_ok=True)
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot use output directory {path}: {exc.strerror}") from exc
     return path or None
 
 

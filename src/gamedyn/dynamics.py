@@ -3,10 +3,9 @@ and discrete/stochastic recursions.
 
 The first-order flow keeps an exponentially discounted score per action,
 
-    zdot = gamma * (U(sigma(z)) - z),        x = sigma(z),
+    zdot = gamma * (U(sigma(z)) - z),        x = sigma(z).
 
-with the undiscounted variant zdot = U(sigma(z)) behind a flag.  The
-higher-order flow passes the payoff through a strictly-proper feedback
+The higher-order flow passes the payoff through a strictly-proper feedback
 filter (A, B, C, D) with zero DC gain before it reaches the score:
 
     zdot  = gamma * (U(x) - z - v),  xidot = A xi + B x,  v = C xi + D x.
@@ -34,11 +33,10 @@ from .games import (GameSpec, _bind_payoff, expected_payoff_vector,
 
 @dataclass(frozen=True)
 class LearningParams:
-    """Learning rate gamma, soft-max temperature eps, and the discount switch."""
+    """Learning rate gamma and soft-max temperature eps."""
 
     gamma: float = 1.0
     eps: float = 1.0
-    undiscounted: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.gamma) and self.gamma > 0.0):
@@ -185,26 +183,14 @@ def _filter_matrix(game: GameSpec, block: FeedbackBlock) -> np.ndarray:
     return np.block([[top, block.b_mat.T], [-block.c_mat.T, block.a_mat.T]])
 
 
-def _group(rows: int, params: LearningParams, filtered: bool) -> tuple:
-    """The row group (rows, filtered, gamma) of _bind_field for a run; gamma
-    None marks the undiscounted first-order field.  The filtered flow has
-    no undiscounted form, so a filtered run with the discount switch on is
-    refused."""
-    if params.undiscounted and filtered:
-        raise DomainError("the filtered flow has no undiscounted form; "
-                          "undiscounted=True needs a first-order run")
-    return rows, filtered, None if params.undiscounted else params.gamma
-
-
 def _bind_field(
     game: GameSpec, eps: float, block: FeedbackBlock | None,
-    groups: Sequence[tuple[int, bool, float | None]],
+    groups: Sequence[tuple[int, bool, float]],
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The score field of consecutive row groups (rows, filtered, gamma)
     that share the game, eps and the validated block, with everything that
     is fixed across RK4 stages bound once.  A filtered group evaluates
-    gamma (U - z - v) and xidot, a first-order group gamma (U - z), and a
-    first-order group with gamma None the undiscounted U(sigma(z)).
+    gamma (U - z - v) and xidot, a first-order group gamma (U - z).
 
     One group takes a state of any leading shape.  Several groups take the
     rows of any leading groups, so rows can leave a batch at group
@@ -238,7 +224,7 @@ def _bind_field(
     n = game.total_actions
     plans = {}
     segments: list[list] = []
-    gammas: list[float | None] = []
+    gammas: list[float] = []
     stop = 0
     for rows, filtered, gamma in groups:
         start, stop = stop, stop + rows
@@ -266,18 +252,17 @@ def _bind_field(
         segs, g = single or plans[shape[0]]
         # first-order rows next to filtered ones keep a zero xidot
         mixed = w_mat is not None and not all(f for _, f, _ in segs)
-        scale = None if g is None or (np.isscalar(g) and g == 1.0) else g
+        scale = None if np.isscalar(g) and g == 1.0 else g
         operand = np.empty(shape)
         x, tail = (operand, None) if w_mat is None else (operand[..., :n], operand[..., n:])
         products = [(rows, f, (operand if f else x)[index], index)
                     for rows, f, index in segs]
-        plan = bound[shape] = (products, g is not None, scale, np.zeros if mixed else np.empty,
+        plan = bound[shape] = (products, scale, np.zeros if mixed else np.empty,
                                _bind_softmax(eps, game.action_counts, x), x, tail)
         return plan
 
     def field(state: np.ndarray) -> np.ndarray:
-        products, discounted, scale, new, sigma, x, tail = (bound.get(state.shape)
-                                                            or bind(state.shape))
+        products, scale, new, sigma, x, tail = bound.get(state.shape) or bind(state.shape)
         out = new(state.shape)
         if tail is None:
             z, dz = state, out
@@ -295,33 +280,30 @@ def _bind_field(
                 np.matmul(operand, phi_t, out=dz[index])
             else:
                 dz[rows] = u[rows]
-        if discounted:
-            dz -= z
-            if scale is not None:
-                dz *= scale
+        dz -= z
+        if scale is not None:
+            dz *= scale
         return out
 
     return field
 
 
 def first_order_field(z, game: GameSpec, params: LearningParams) -> np.ndarray:
-    """zdot = gamma (U(sigma(z)) - z), or U(sigma(z)) when undiscounted."""
+    """zdot = gamma (U(sigma(z)) - z)."""
     z = np.asarray(z, dtype=float)
     _check_length(z, game.total_actions)
     _check_finite(z)
-    return _bind_field(game, params.eps, None, [_group(1, params, False)])(z)
+    return _bind_field(game, params.eps, None, [(1, False, params.gamma)])(z)
 
 
 def higher_order_field(state, game: GameSpec, params: LearningParams,
                        block: FeedbackBlock) -> np.ndarray:
-    """Combined (z, xi) field of the filtered score dynamics, which has no
-    undiscounted form."""
-    group = _group(1, params, True)
+    """Combined (z, xi) field of the filtered score dynamics."""
     block.ensure_valid()
     state = np.asarray(state, dtype=float)
     _check_length(state, 2 * game.total_actions, "state")
     _check_finite(state)
-    return _bind_field(game, params.eps, block, [group])(state)
+    return _bind_field(game, params.eps, block, [(1, True, params.gamma)])(state)
 
 
 def induced_strategy_field(z, game: GameSpec, params: LearningParams) -> np.ndarray:
@@ -338,28 +320,6 @@ def induced_strategy_field(z, game: GameSpec, params: LearningParams) -> np.ndar
         mean_u = (xb * ub).sum(axis=-1, keepdims=True)
         mean_z = (xb * zb).sum(axis=-1, keepdims=True)
         out[..., sl] = scale * xb * ((ub - mean_u) - (zb - mean_z))
-    return out
-
-
-def revision_protocol_field(x, z, game: GameSpec, params: LearningParams) -> np.ndarray:
-    """Mean dynamics of the pairwise revision protocol whose switch rate to
-    action j is (gamma/eps) x_j (u_j - z_j), evaluated literally as inflow
-    minus outflow.  Equals induced_strategy_field when x = sigma(z)."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if x.shape != z.shape or x.shape != (game.total_actions,):
-        raise DomainError("x and z must be single profiles of matching length")
-    u = expected_payoff_vector(game, x)
-    scale = params.gamma / params.eps
-    out = np.empty_like(x)
-    for sl in game.block_slices:
-        xb, ub, zb = x[sl], u[sl], z[sl]
-        c = xb.size
-        # rho[i, j]: switch rate from action i to action j.
-        rho = scale * np.tile(xb * (ub - zb), (c, 1))
-        inflow = xb @ rho
-        outflow = xb * rho.sum(axis=1)
-        out[sl] = inflow - outflow
     return out
 
 
@@ -408,7 +368,10 @@ def _horizon_steps(dt: float, t_end: float) -> int:
     """The RK4 step count of a horizon, after checking it."""
     if not (dt > 0.0 and dt <= t_end < np.inf):
         raise DomainError("dt must be positive, and t_end finite and >= dt")
-    return int(round(t_end / dt))
+    steps = t_end / dt
+    if steps == np.inf:
+        raise DomainError(f"t_end / dt = {t_end!r} / {dt!r} is not a finite step count")
+    return int(round(steps))
 
 
 def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
@@ -535,11 +498,11 @@ def simulate_batch(game: GameSpec, runs: Sequence[SimulationRun], dt: float = 0.
 
     The runs share the game, the temperature eps and at most one feedback
     block; each has its own gamma and horizon, and is filtered when it
-    carries the block.  An undiscounted first-order run cannot share a
-    batch.  A z0 of shape (n,) is a one-row run.  All rows start together
-    and each leaves the batch after its last sample.  Returns one entry per
-    run, as simulate_first_order or simulate_higher_order returns it for
-    that run alone, with the same samples bit for bit.
+    carries the block.  A z0 of shape (n,) is a one-row run.  All rows
+    start together and each leaves the batch after its last sample.
+    Returns one entry per run, as simulate_first_order or
+    simulate_higher_order returns it for that run alone, with the same
+    samples bit for bit.
     """
     runs = list(runs)
     if not runs:
@@ -552,8 +515,6 @@ def simulate_batch(game: GameSpec, runs: Sequence[SimulationRun], dt: float = 0.
         raise DomainError("runs in one batch must share eps")
     if any(not _same_block(b, block) for b in blocks):
         raise DomainError("runs in one batch must share one feedback block")
-    if len(runs) > 1 and any(r.params.undiscounted and r.block is None for r in runs):
-        raise DomainError("an undiscounted run cannot share a batch")
     if block is not None:
         block.ensure_valid()
     dt = float(dt)
@@ -584,7 +545,7 @@ def simulate_batch(game: GameSpec, runs: Sequence[SimulationRun], dt: float = 0.
     steps = [_horizon_steps(dt, float(run.t_end)) for run in runs]
     order = sorted(range(len(runs)), key=lambda i: (
         -steps[i], runs[i].block is not None, len(starts[i]) == 1))
-    groups = [_group(len(starts[i]), runs[i].params, runs[i].block is not None)
+    groups = [(len(starts[i]), runs[i].block is not None, runs[i].params.gamma)
               for i in order]
     field = _bind_field(game, eps, block, groups)
     row_t_end = [float(runs[i].t_end) for i in order for _ in range(len(starts[i]))]
@@ -623,7 +584,7 @@ def euler_step(z, game: GameSpec, params: LearningParams, alpha: float):
 
     Returns (Z+, sigma(Z+)).  With alpha * gamma = 1 this is the exact
     best-scored update Z+ = U(sigma(Z)).  The increment is the first-order
-    field at gamma = 1, so the discount switch plays no part.
+    field at gamma = 1.
     """
     alpha = _check_alpha(alpha)
     z = np.asarray(z, dtype=float)
@@ -735,7 +696,7 @@ def sample_joint_actions(game: GameSpec, x, rng, size: int | None = None) -> np.
     Matching games return two columns (own draw, opponent draw from the same
     population).  With size=None a single (columns,) vector is returned.
     """
-    x = np.asarray(getattr(x, "vector", x), dtype=float)
+    x = np.asarray(x, dtype=float)
     _check_length(x, game.total_actions, "profile")
     acts = _draw_columns(game, x, np.random.default_rng(rng), size)[0]
     return acts[0] if size is None else acts
@@ -753,7 +714,7 @@ def payoff_estimate(game: GameSpec, x, rng, mode: str = "full-info",
     axis of each output enumerates independent draws.
     """
     bandit = _bandit(mode)
-    x = np.asarray(getattr(x, "vector", x), dtype=float)
+    x = np.asarray(x, dtype=float)
     _check_length(x, game.total_actions, "profile")
     acts, estimate, realize = _draw_columns(game, x, np.random.default_rng(rng), size, bandit)
     draws = estimate(acts), acts, realize(acts)
@@ -819,20 +780,18 @@ _UNIFORM_BLOCK = 256
 
 
 def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
-                   rng, mode: str = "full-info",
-                   alpha_schedule: Callable[[int], float] = harmonic_schedule,
-                   record_every: int = 1) -> Trajectory:
-    """Iterate the stochastic_step update with a step-size schedule, with
-    the soft-max (into one buffer x) and the sampler and estimator of
-    _bind_draws (which read x) bound once: each step makes one soft-max and
-    one draw.  A full-info step gathers its realized payoffs only when it
-    is recorded.
+                   rng, mode: str = "full-info", record_every: int = 1) -> Trajectory:
+    """Iterate the stochastic_step update with the step sizes of
+    harmonic_schedule, with the soft-max (into one buffer x) and the sampler
+    and estimator of _bind_draws (which read x) bound once: each step makes
+    one soft-max and one draw.  A full-info step gathers its realized
+    payoffs only when it is recorded.
 
     The uniforms come in blocks of at most _UNIFORM_BLOCK steps from one
     rng.random((m, columns)) call each: the stream of one call per step,
     and, as exactly steps * columns are drawn, the same final state of the
-    generator.  A run that raises part way may leave the generator up to a
-    block ahead.
+    generator.  A run that diverges part way may leave the generator up to
+    a block ahead.
 
     Returns the Trajectory of the samples, with the iteration k as time and
     the joint action and payoffs realized in the step that led to each
@@ -860,7 +819,7 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
             i = k % _UNIFORM_BLOCK
             if i == 0:
                 uniforms = rng.random((min(_UNIFORM_BLOCK, steps - k), columns))
-            rate = _check_alpha(alpha_schedule(k)) * params.gamma
+            rate = harmonic_schedule(k) * params.gamma
             sigma(z)
             acts = draw(uniforms[i])
             z = z + rate * (estimate(acts) - z)
@@ -875,7 +834,7 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
 
 # ------------------------------------------------------------------- CSV output
 
-def ternary_coordinates(x_block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ternary_coordinates(x_block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Planar coordinates of 3-simplex points for plotting triangular orbits."""
     x_block = np.asarray(x_block, dtype=float)
     u = x_block[..., 1] + 0.5 * x_block[..., 2]
@@ -921,7 +880,7 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory,
         for p, sl in enumerate(block_slices(counts)):
             if counts[p] == 3:
                 header += [f"tern{p + 1}_u", f"tern{p + 1}_v"]
-                blocks.append(np.column_stack(ternary_coordinates(traj.strategies[:, sl])))
+                blocks.append(np.column_stack(_ternary_coordinates(traj.strategies[:, sl])))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -935,5 +894,5 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory,
 def write_stochastic_csv(path: str | Path, record: Trajectory,
                          action_counts: Sequence[int]) -> None:
     """write_trajectory_csv under the name that perfbench's tracer still
-    looks up; the package itself no longer calls it."""
+    looks up; the package itself no longer calls it or exports it."""
     write_trajectory_csv(path, record, action_counts)

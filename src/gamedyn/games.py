@@ -16,9 +16,10 @@ Two payoff mechanisms are supported:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,11 +27,6 @@ from .choice import block_slices
 from .errors import DomainError, UsageError
 
 _AXES = "abcdefgh"
-
-
-def as_profile_vector(x) -> np.ndarray:
-    """Coerce a MixedProfile or array-like to a float array (batch dims allowed)."""
-    return np.asarray(getattr(x, "vector", x), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,68 +119,17 @@ class GameSpec:
     def max_abs_payoff(self) -> float:
         return max(float(np.abs(t).max()) for t in self.payoff_tensors)
 
-    def split(self, x: np.ndarray) -> list[np.ndarray]:
-        """Split a concatenated profile (batch dims allowed) into player blocks."""
-        return [x[..., sl] for sl in self.block_slices]
 
-
-@dataclass(frozen=True)
-class MixedProfile:
-    """Concatenated per-player strategy blocks, each a simplex point."""
-
-    vector: np.ndarray
-    action_counts: tuple[int, ...]
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.action_counts)
-        v = np.ascontiguousarray(self.vector, dtype=float)
-        if v.shape != (sum(counts),):
-            raise DomainError(f"profile has shape {v.shape}, expected ({sum(counts)},)")
-        if np.any(v < -1e-12):
-            raise DomainError("negative strategy weight")
-        for sl in block_slices(counts):
-            s = float(v[sl].sum())
-            if abs(s - 1.0) > 1e-9:
-                raise DomainError(f"strategy block sums to {s!r}, not 1")
-        v.setflags(write=False)
-        object.__setattr__(self, "vector", v)
-        object.__setattr__(self, "action_counts", counts)
-
-    @property
-    def blocks(self) -> list[np.ndarray]:
-        return [self.vector[sl] for sl in block_slices(self.action_counts)]
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[np.ndarray]) -> "MixedProfile":
-        blocks = [np.asarray(b, dtype=float) for b in blocks]
-        return cls(np.concatenate(blocks), tuple(len(b) for b in blocks))
-
-    @classmethod
-    def centroid(cls, action_counts: Sequence[int]) -> "MixedProfile":
-        return cls.from_blocks([np.full(c, 1.0 / c) for c in action_counts])
-
-    @classmethod
-    def random(cls, action_counts: Sequence[int], rng: np.random.Generator) -> "MixedProfile":
-        return cls.from_blocks([rng.dirichlet(np.ones(c)) for c in action_counts])
-
-
-@dataclass(frozen=True)
-class TangentBasis:
-    """Orthonormal per-player bases of the simplex tangent spaces.
-
-    blocks[p] has shape (n^p, n^p - 1) with columns orthonormal and summing
-    to zero; matrix is their block-diagonal stack of shape (n, n - N).
-    """
-
-    blocks: tuple[np.ndarray, ...]
-    matrix: np.ndarray
-
-
-def tangent_basis(action_counts: Sequence[int]) -> TangentBasis:
-    """Gram-Schmidt on the difference vectors e1-e2, e1-e3, ... per player."""
+def tangent_basis(action_counts: Sequence[int]) -> np.ndarray:
+    """Orthonormal bases of the per-player simplex tangent spaces, stacked
+    block-diagonally into one (n, n - N) matrix whose columns sum to zero
+    within each block: Gram-Schmidt on the difference vectors e1-e2,
+    e1-e3, ... per player."""
     counts = tuple(int(c) for c in action_counts)
-    blocks = []
-    for c in counts:
+    n = sum(counts)
+    full = np.zeros((n, n - len(counts)))
+    col = 0
+    for c, rows in zip(counts, block_slices(counts)):
         cols = []
         for k in range(1, c):
             v = np.zeros(c)
@@ -193,36 +138,10 @@ def tangent_basis(action_counts: Sequence[int]) -> TangentBasis:
                 v = v - (q @ v) * q
             v = v / np.linalg.norm(v)
             cols.append(v)
-        blocks.append(np.column_stack(cols))
-    n = sum(counts)
-    full = np.zeros((n, n - len(counts)))
-    row = col = 0
-    for b in blocks:
-        full[row:row + b.shape[0], col:col + b.shape[1]] = b
-        row += b.shape[0]
-        col += b.shape[1]
-    for b in blocks:
-        b.setflags(write=False)
+        full[rows, col:col + c - 1] = np.column_stack(cols)
+        col += c - 1
     full.setflags(write=False)
-    return TangentBasis(tuple(blocks), full)
-
-
-def pure_payoff(game: GameSpec, profile: Sequence[int]) -> list[float]:
-    """Payoffs at a joint pure-action profile, one float per player.
-
-    For a matching game the single index is the monomorphic population
-    action, so the payoff is the self-match value A[i, i].
-    """
-    idx = tuple(int(i) for i in profile)
-    if len(idx) != game.player_count:
-        raise DomainError(f"profile has {len(idx)} entries for {game.player_count} players")
-    for p, (i, c) in enumerate(zip(idx, game.action_counts)):
-        if not 0 <= i < c:
-            raise DomainError(f"action {i} out of range for player {p} with {c} actions")
-    if game.matching:
-        i = idx[0]
-        return [float(game.payoff_tensors[0][i, i])]
-    return [float(t[idx]) for t in game.payoff_tensors]
+    return full
 
 
 def expected_payoff_vector(game: GameSpec, x) -> np.ndarray:
@@ -231,7 +150,7 @@ def expected_payoff_vector(game: GameSpec, x) -> np.ndarray:
 
     Accepts a concatenated profile of shape (..., n); batch dims broadcast.
     """
-    x = as_profile_vector(x)
+    x = np.asarray(x, dtype=float)
     n = game.total_actions
     if x.shape[-1] != n:
         raise DomainError(f"profile has length {x.shape[-1]}, expected {n}")
@@ -285,13 +204,18 @@ def linear_game_map(game: GameSpec) -> np.ndarray | None:
     if game.linear_map is not None:
         return game.linear_map
     if game.player_count == 2:
-        a_mat, b_mat = game.payoff_tensors
-        n1, n2 = game.action_counts
-        phi = np.zeros((n1 + n2, n1 + n2))
-        phi[:n1, n1:] = a_mat
-        phi[n1:, :n1] = b_mat.T
-        return phi
+        return _bimatrix_map(*game.payoff_tensors)
     return None
+
+
+def _bimatrix_map(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
+    """Phi = [[0, A], [B^T, 0]] of a bimatrix game with row and column
+    payoffs A[i, j] and B[i, j] at the pure profile (i, j)."""
+    n1, n2 = a_mat.shape
+    phi = np.zeros((n1 + n2, n1 + n2))
+    phi[:n1, n1:] = a_mat
+    phi[n1:, :n1] = b_mat.T
+    return phi
 
 
 def payoff_jacobian(game: GameSpec, x) -> np.ndarray:
@@ -301,7 +225,7 @@ def payoff_jacobian(game: GameSpec, x) -> np.ndarray:
     (p, q) is player p's tensor contracted with the strategy of every player
     except p and q, and the diagonal blocks are zero.
     """
-    x = as_profile_vector(x)
+    x = np.asarray(x, dtype=float)
     n = game.total_actions
     if x.shape != (n,):
         raise DomainError(f"profile has shape {x.shape}, expected ({n},)")
@@ -338,35 +262,43 @@ def game_to_dict(game: GameSpec) -> dict:
     return doc
 
 
+def _whole(value, what: str) -> int:
+    """A JSON count as an int, refused unless it is a whole number."""
+    if not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise UsageError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _numbers(values, size: int, what: str) -> np.ndarray:
+    """A flat JSON array of size numbers as a float array."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{what} must hold numbers: {exc}") from exc
+    if arr.size != size:
+        raise UsageError(f"{what} has {arr.size} entries, expected {size}")
+    return arr
+
+
 def game_from_dict(doc: dict) -> GameSpec:
     try:
-        players = int(doc["players"])
-        counts = tuple(int(c) for c in doc["action_counts"])
+        players = _whole(doc["players"], "players")
+        counts = tuple(_whole(c, "an action_counts entry") for c in doc["action_counts"])
         payoffs = doc["payoffs"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed game document: {exc}") from exc
     if players != len(counts):
         raise UsageError("players and action_counts disagree")
     matching = bool(doc.get("matching", False))
-    if matching:
-        shapes = [(counts[0], counts[0])]
-    else:
-        shapes = [counts] * players
-    if len(payoffs) != players:
+    shapes = [(counts[0], counts[0])] if matching and counts else [counts] * players
+    if not isinstance(payoffs, list) or len(payoffs) != players:
         raise UsageError("payoffs must hold one flat array per player")
-    tensors = []
-    for flat, shape in zip(payoffs, shapes):
-        arr = np.asarray(flat, dtype=float)
-        if arr.size != int(np.prod(shape)):
-            raise UsageError(f"payoff array has {arr.size} entries, expected {int(np.prod(shape))}")
-        tensors.append(arr.reshape(shape))
+    tensors = [_numbers(flat, math.prod(shape), "payoff array").reshape(shape)
+               for flat, shape in zip(payoffs, shapes)]
     lin = doc.get("linear_map")
     n = sum(counts)
     if lin is not None:
-        lin = np.asarray(lin, dtype=float)
-        if lin.size != n * n:
-            raise UsageError(f"linear_map has {lin.size} entries, expected {n * n}")
-        lin = lin.reshape((n, n))
+        lin = _numbers(lin, n * n, "linear_map").reshape((n, n))
     return GameSpec(counts, tuple(tensors), linear_map=lin, matching=matching,
                     name=str(doc.get("name", "")))
 
@@ -381,6 +313,8 @@ def load_game(path: str | Path) -> GameSpec:
         raise UsageError(f"game file not found: {p}")
     try:
         doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise UsageError(f"cannot read game file {p}: {exc.strerror}") from exc
+    except ValueError as exc:
         raise UsageError(f"game file is not valid JSON: {exc}") from exc
     return game_from_dict(doc)

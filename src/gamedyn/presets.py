@@ -1,7 +1,10 @@
 """Built-in example games.
 
 Every preset returns a GameSpec with float64 payoffs and, where the payoff
-map is exactly linear, the matrix Phi with U(x) = Phi x.
+map is exactly linear, the matrix Phi with U(x) = Phi x.  Each game is
+described once: a bimatrix game by its two payoff matrices, from which
+games._bimatrix_map assembles Phi, and a three-player game by its Phi, from
+which _polymatrix derives the payoff tensors.
 """
 
 from __future__ import annotations
@@ -10,8 +13,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .choice import block_slices
 from .errors import UsageError
-from .games import GameSpec
+from .games import GameSpec, _bimatrix_map
 
 
 def rps_matrix(l: float) -> np.ndarray:
@@ -29,11 +33,28 @@ def _two_player(name: str, a_mat: np.ndarray, b_mat: np.ndarray) -> GameSpec:
     player payoffs at pure profile (i, j), so U^2(x) = B^T x^1."""
     a_mat = np.asarray(a_mat, dtype=float)
     b_mat = np.asarray(b_mat, dtype=float)
-    n1, n2 = a_mat.shape
-    phi = np.zeros((n1 + n2, n1 + n2))
-    phi[:n1, n1:] = a_mat
-    phi[n1:, :n1] = b_mat.T
-    return GameSpec((n1, n2), (a_mat, b_mat), linear_map=phi, name=name)
+    return GameSpec(a_mat.shape, (a_mat, b_mat), linear_map=_bimatrix_map(a_mat, b_mat),
+                    name=name)
+
+
+def _polymatrix(name: str, counts: tuple[int, ...], phi: np.ndarray) -> GameSpec:
+    """Polymatrix game with linear map Phi: the payoff to player p at the
+    joint action s sums block (p, q) of Phi at (s_p, s_q) over q != p in
+    ascending order.  The sum starts from its first term, not from zeros,
+    so a -0.0 of Phi stays -0.0 in the tensors."""
+    slices = block_slices(counts)
+    players = range(len(counts))
+    tensors = []
+    for p in players:
+        terms = []
+        for q in players:
+            if q != p:
+                shape = [1] * len(counts)
+                shape[p], shape[q] = counts[p], counts[q]
+                block = phi[slices[p], slices[q]]
+                terms.append((block if p < q else block.T).reshape(shape))
+        tensors.append(sum(terms[1:], terms[0]))
+    return GameSpec(counts, tuple(tensors), linear_map=phi, name=name)
 
 
 def _require(params: Mapping[str, float], key: str, preset_name: str) -> float:
@@ -90,40 +111,20 @@ def _build_network_zero_sum_mp(params: Mapping[str, float]) -> GameSpec:
         return np.array([[k, -k], [-k, k]])
 
     a12, a13, a23 = edge(k12), edge(k13), edge(k23)
-    counts = (2, 2, 2)
-    u1 = np.zeros(counts)
-    u2 = np.zeros(counts)
-    u3 = np.zeros(counts)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                u1[i, j, k] = a12[i, j] + a13[i, k]
-                u2[i, j, k] = -a12[i, j] + a23[j, k]
-                u3[i, j, k] = -a13[i, k] - a23[j, k]
     zero = np.zeros((2, 2))
     phi = np.block([
         [zero, a12, a13],
         [-a12.T, zero, a23],
         [-a13.T, -a23.T, zero],
     ])
-    return GameSpec(counts, (u1, u2, u3), linear_map=phi,
-                    name=f"network_zero_sum_mp(k12={k12:g},k13={k13:g},k23={k23:g})")
+    return _polymatrix(f"network_zero_sum_mp(k12={k12:g},k13={k13:g},k23={k23:g})",
+                       (2, 2, 2), phi)
 
 
 def _build_jordan_mp(params: Mapping[str, float]) -> GameSpec:
     """Three-player matching pennies cycle: player 1 wants to match player 2,
     player 2 wants to match player 3, player 3 wants to mismatch player 1."""
     _reject_unknown(params, set(), "jordan_mp")
-    counts = (2, 2, 2)
-    u1 = np.zeros(counts)
-    u2 = np.zeros(counts)
-    u3 = np.zeros(counts)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                u1[i, j, k] = 1.0 if i == j else -1.0
-                u2[i, j, k] = 1.0 if j == k else -1.0
-                u3[i, j, k] = 1.0 if k != i else -1.0
     r_mat = np.array([[1.0, -1.0], [-1.0, 1.0]])
     zero = np.zeros((2, 2))
     phi = np.block([
@@ -131,7 +132,7 @@ def _build_jordan_mp(params: Mapping[str, float]) -> GameSpec:
         [zero, zero, r_mat],
         [-r_mat, zero, zero],
     ])
-    return GameSpec(counts, (u1, u2, u3), linear_map=phi, name="jordan_mp")
+    return _polymatrix("jordan_mp", (2, 2, 2), phi)
 
 
 def _build_modified_rps_a(params: Mapping[str, float]) -> GameSpec:
@@ -153,23 +154,13 @@ def _build_modified_jordan(params: Mapping[str, float]) -> GameSpec:
     m1 = np.array([[0.0, 2.0], [1.0, 0.0]])
     m2 = np.array([[0.0, 1.0], [1.0, 0.0]])
     m3 = np.array([[0.0, 1.0 / 3.0], [1.0, 0.0]])
-    counts = (2, 2, 2)
-    u1 = np.zeros(counts)
-    u2 = np.zeros(counts)
-    u3 = np.zeros(counts)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                u1[i, j, k] = m1[i, j]
-                u2[i, j, k] = m2[j, k]
-                u3[i, j, k] = m3[k, i]
     zero = np.zeros((2, 2))
     phi = np.block([
         [zero, m1, zero],
         [zero, zero, m2],
         [m3, zero, zero],
     ])
-    return GameSpec(counts, (u1, u2, u3), linear_map=phi, name="modified_jordan")
+    return _polymatrix("modified_jordan", (2, 2, 2), phi)
 
 
 _BUILDERS: dict[str, tuple[Callable[[Mapping[str, float]], GameSpec], str]] = {

@@ -1,6 +1,7 @@
 """A payoff map written out from the payoff tensors alone, so tests can
-check the package's payoff evaluation without going through it, plus the
-random games and filters those checks run on."""
+check the package's payoff evaluation without going through it, the
+revision-protocol form of the strategy-space flow, plus the random games
+and filters those checks run on."""
 
 import itertools
 
@@ -27,6 +28,24 @@ def tensor_payoff(game, x):
                     weight = weight * x[..., offsets[q] + action]
             u[..., offsets[p] + profile[p]] += tensor[profile] * weight
     return u
+
+
+def revision_protocol_field(x, z, game, params):
+    """Mean dynamics of the pairwise revision protocol whose switch rate to
+    action j is (gamma/eps) x_j (u_j - z_j), evaluated literally as inflow
+    minus outflow with u = tensor_payoff(game, x): the reference for
+    induced_strategy_field, which it equals when x = sigma(z)."""
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    u = tensor_payoff(game, x)
+    scale = params.gamma / params.eps
+    out = np.empty_like(x)
+    for sl in game.block_slices:
+        xb, ub, zb = x[sl], u[sl], z[sl]
+        # rho[i, j]: switch rate from action i to action j
+        rho = scale * np.tile(xb * (ub - zb), (xb.size, 1))
+        out[sl] = xb @ rho - xb * rho.sum(axis=1)
+    return out
 
 
 def random_tensor_game(counts, seed):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, root
 from scipy.special import lambertw
+from tensor_reference import revision_protocol_field
 
 from gamedyn import (FeedbackBlock, LearningParams, SimulationRun,
                      bifurcation_epsilon, bregman_lse, classify,
@@ -19,8 +20,8 @@ from gamedyn import (FeedbackBlock, LearningParams, SimulationRun,
                      dynamics_jacobian, expected_payoff_vector,
                      first_order_field, induced_strategy_field, lyapunov_trace,
                      numeric_jacobian, payoff_estimate, preset,
-                     profile_jacobian, rest_point, revision_protocol_field,
-                     rps_matrix, score_bound_excess, seeded_initial_scores,
+                     profile_jacobian, rest_point, rps_matrix,
+                     score_bound_excess, seeded_initial_scores,
                      simulate_batch, simulate_first_order,
                      simulate_higher_order, softmax, softmax_block,
                      storage_matrix, tangent_mode_abscissa, time_to_tolerance)

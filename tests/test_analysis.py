@@ -6,14 +6,14 @@ import inspect
 import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_lyapunov
-from tensor_reference import coupled_block, random_tensor_game
+from tensor_reference import coupled_block
 
 from gamedyn import (ConfigurationError, DomainError, FeedbackBlock, GameSpec,
                      LearningParams, Trajectory, UsageError,
                      bifurcation_epsilon, classify, composite_lyapunov_trace,
                      convergence_report, dynamics_jacobian, lyapunov_trace,
                      multi_start_rest_points, numeric_jacobian, preset,
-                     rest_point, revision_protocol_field, score_bound,
+                     rest_point, run_stochastic, score_bound,
                      score_bound_excess, seeded_initial_scores, simulate_first_order,
                      simulate_higher_order, storage_matrix,
                      tangent_mode_abscissa, time_to_tolerance,
@@ -96,22 +96,11 @@ def test_classify_aligned_eigenvalues():
     assert classify(preset("anticoord123")).aligned_eigenvalues is None
 
 
-@pytest.mark.parametrize("sample_count", [0, -1])
-def test_classify_needs_a_sample(sample_count, monkeypatch):
-    def no_work(*args, **kwargs):
-        raise AssertionError("classify worked before checking sample_count")
-
-    monkeypatch.setattr("gamedyn.analysis.tangent_basis", no_work)
-    for game in (random_tensor_game((2, 2, 2), 4), preset("shapley")):
-        with pytest.raises(DomainError, match="sample_count"):
-            classify(game, sample_count=sample_count)
-
-
 def test_classify_sampled_tensor_game():
     base = preset("jordan_mp")
     clone = GameSpec(base.action_counts, base.payoff_tensors,
                      name="jordan_tensor")
-    rep = classify(clone, sample_count=20, seed=1)
+    rep = classify(clone)
     assert rep.exact is False
     # the payoff map is multilinear with pairwise couplings, so every sampled
     # Jacobian matches the exact linear map
@@ -248,20 +237,6 @@ def test_jacobian_shape_validation():
     game = preset("rps", {"l": 1.0})
     with pytest.raises(DomainError):
         dynamics_jacobian(np.zeros(4), game, LearningParams(eps=1.0, gamma=1.0))
-
-
-@pytest.mark.parametrize("filtered", [False, True])
-def test_linearization_refuses_the_undiscounted_flow(filtered, monkeypatch):
-    """Rest points solve z = U(sigma(z)), where the undiscounted flow does
-    not rest; both linearizations refuse it before any solve."""
-    monkeypatch.setattr("gamedyn.analysis.rest_point", _refuse_rest_point)
-    game = preset("rps", {"l": 5.0})
-    block = FeedbackBlock.high_pass(1.0, 1.0, (3,)) if filtered else None
-    params = LearningParams(1.0, 1.0, undiscounted=True)
-    with pytest.raises(DomainError, match="discounted flow"):
-        dynamics_jacobian(np.zeros(3), game, params, block=block)
-    with pytest.raises(DomainError, match="discounted flow"):
-        bifurcation_epsilon(game, params, block=block, eps_range=(0.5, 3.0))
 
 
 def test_tangent_mode_abscissa_sign_flip():
@@ -544,7 +519,7 @@ def test_tuning_values_are_fixed():
     expected = {
         rest_point: ["game", "eps", "z0"],
         multi_start_rest_points: ["game", "eps", "n_starts", "seed"],
-        classify: ["game", "sample_count", "seed"],
+        classify: ["game"],
         numeric_jacobian: ["func", "x0"],
         dynamics_jacobian: ["z_star", "game", "params", "block", "fd_check"],
         tangent_mode_abscissa: ["jac", "action_counts"],
@@ -557,7 +532,8 @@ def test_tuning_values_are_fixed():
         FeedbackBlock.ensure_valid: ["self"],
         verify_feedback_block: ["block"],
         seeded_initial_scores: ["n", "seed"],
-        revision_protocol_field: ["x", "z", "game", "params"],
+        run_stochastic: ["game", "params", "z0", "steps", "rng", "mode", "record_every"],
+        LearningParams: ["gamma", "eps"],
     }
     for func, params in expected.items():
         assert list(inspect.signature(func).parameters) == params, func.__name__

@@ -456,6 +456,66 @@ def test_game_file_with_wrong_linear_map_rejected(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+_BIMATRIX = {"players": 2, "action_counts": [2, 2],
+             "payoffs": [[1, -1, -1, 1], [-1, 1, 1, -1]]}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({**_BIMATRIX, "payoffs": [["a", -1, -1, 1], [-1, 1, 1, -1]]},
+     "payoff array must hold numbers"),
+    ({**_BIMATRIX, "linear_map": ["x"] * 16}, "linear_map must hold numbers"),
+    ({**_BIMATRIX, "payoffs": 5}, "payoffs must hold one flat array per player"),
+    ({**_BIMATRIX, "players": 2.5}, "players must be a whole number, got 2.5"),
+    ({**_BIMATRIX, "action_counts": [2.7, 2]},
+     "action_counts entry must be a whole number, got 2.7"),
+], ids=["payoff-entry", "linear-map-entry", "payoffs-not-a-list",
+        "fractional-players", "fractional-action-count"])
+def test_malformed_game_file_is_a_usage_error(doc, message, tmp_path, capsys):
+    """A game file the loader cannot read as a game exits 2 with one error
+    line; fractional counts are refused, not truncated."""
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "classify", "--game", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_game_file_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "classify", "--game", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read game file {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("source", ["--out", "GAMEDYN_OUT"])
+def test_output_directory_that_is_a_file_is_a_usage_error(source, tmp_path,
+                                                          monkeypatch, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    argv = ["classify", "--preset", "rps", "--param", "l=1"]
+    if source == "--out":
+        argv += ["--out", str(taken)]
+    else:
+        monkeypatch.setenv("GAMEDYN_OUT", str(taken))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot use output directory {taken}: File exists\n"
+    assert taken.read_text() == "not a directory"
+
+
+def test_step_count_that_overflows_is_a_domain_error(tmp_path, capsys):
+    """t_end / dt beyond the largest float is refused, not an OverflowError."""
+    code, out, err = run_cli(capsys, "simulate", "--preset", "rps", "--param", "l=1",
+                             "--dt", "1e-320", "--t-end", "1e10", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: t_end / dt = 10000000000.0 / 1e-320 is not a finite step count\n"
+    assert not (tmp_path / "summary.json").exists()
+
+
 @pytest.mark.parametrize("option", ["--K", "--a"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_filter_parameter_rejected(option, value, tmp_path, capsys):

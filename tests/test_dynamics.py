@@ -2,14 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
-from tensor_reference import coupled_block, random_tensor_game, tensor_payoff
+from tensor_reference import (coupled_block, random_tensor_game,
+                              revision_protocol_field, tensor_payoff)
 
 from gamedyn import (ConfigurationError, DomainError, FeedbackBlock,
                      IntegrationDivergedError, LearningParams, SimulationRun,
                      Trajectory, euler_step, expected_payoff_vector,
                      first_order_field, higher_order_field, induced_strategy_field,
                      integrate, linear_game_map, preset, profile_jacobian,
-                     rest_point, revision_protocol_field, run_discrete,
+                     rest_point, run_discrete,
                      run_stochastic, score_bound, score_bound_excess,
                      seeded_initial_scores, simulate_batch, simulate_first_order,
                      simulate_higher_order, softmax, verify_feedback_block,
@@ -106,8 +107,6 @@ def test_first_order_field_forms(rng):
                                u - z, atol=1e-14)
     np.testing.assert_allclose(first_order_field(z, game, LearningParams(4.0, 1.0)),
                                4.0 * (u - z), atol=1e-14)
-    undisc = LearningParams(1.0, 1.0, undiscounted=True)
-    np.testing.assert_allclose(first_order_field(z, game, undisc), u, atol=1e-14)
 
 
 def test_zero_gain_filter_recovers_first_order(rng):
@@ -318,7 +317,7 @@ def _reference_field(game, params, block):
         x = softmax(z, params.eps, game.action_counts)
         u = tensor_payoff(game, x)
         if block is None:
-            return u if params.undiscounted else params.gamma * (u - z)
+            return params.gamma * (u - z)
         xi = state[..., n:]
         v = xi @ block.c_mat.T + x @ block.d_mat.T
         dxi = xi @ block.a_mat.T + x @ block.b_mat.T
@@ -345,13 +344,12 @@ def _initial_scores(game, batch):
 
 
 @pytest.mark.parametrize("batch", [1, 5])
-@pytest.mark.parametrize("regime", ["discounted", "undiscounted", "filtered"])
+@pytest.mark.parametrize("regime", ["discounted", "filtered"])
 @pytest.mark.parametrize("game_key", list(REFERENCE_GAMES))
 def test_simulate_matches_reference_field(game_key, regime, batch):
     game = REFERENCE_GAMES[game_key]()
     n = game.total_actions
-    params = LearningParams(gamma=1.5, eps=0.7,
-                            undiscounted=regime == "undiscounted")
+    params = LearningParams(gamma=1.5, eps=0.7)
     z0 = _initial_scores(game, batch)
     dt, steps = 0.05, 40
     if regime == "filtered":
@@ -394,17 +392,17 @@ def _einsum_payoff(game, x):
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (5,)])
-@pytest.mark.parametrize("regime", ["discounted", "undiscounted", "filtered"])
+@pytest.mark.parametrize("regime", ["discounted", "filtered"])
 def test_public_fields_are_the_plain_expression(regime, shape):
     """first_order_field and higher_order_field equal, bit for bit, the
     numpy expression of their flow: (sigma(z) @ Phi^T - z) gamma, the einsum
-    U without a linear map, U(sigma(z)) undiscounted, and [sigma(z), xi] @ W
-    with W assembled here from the four filter matrices."""
+    U without a linear map, and [sigma(z), xi] @ W with W assembled here
+    from the four filter matrices."""
     gamma = 1.5
     for key, make in REFERENCE_GAMES.items():
         game = make()
         n = game.total_actions
-        params = LearningParams(gamma, 0.7, undiscounted=regime == "undiscounted")
+        params = LearningParams(gamma, 0.7)
         rng = np.random.default_rng(n)
         z = rng.uniform(-2, 2, shape + (n,))
         x = softmax(z, params.eps, game.action_counts)
@@ -423,7 +421,7 @@ def test_public_fields_are_the_plain_expression(regime, shape):
                                      block)
         else:
             u = _einsum_payoff(game, x) if phi is None else x @ phi.T
-            expect = u if regime == "undiscounted" else (u - z) * gamma
+            expect = (u - z) * gamma
             got = first_order_field(z, game, params)
         assert got.shape == expect.shape
         assert np.array_equal(got, expect), key
@@ -433,8 +431,7 @@ def test_public_fields_are_the_plain_expression(regime, shape):
 @pytest.mark.parametrize("game_key", list(REFERENCE_GAMES))
 def test_run_discrete_matches_reference_update(game_key, batch):
     game = REFERENCE_GAMES[game_key]()
-    # the discrete scheme ignores the discount switch
-    params = LearningParams(gamma=1.5, eps=0.7, undiscounted=True)
+    params = LearningParams(gamma=1.5, eps=0.7)
     alpha, steps = 0.3, 25
     z = _initial_scores(game, batch)
     expect = [z]
@@ -574,10 +571,6 @@ def test_simulate_batch_refuses_what_rows_cannot_share():
                               SimulationRun(one, z0, 1.0,
                                             FeedbackBlock.high_pass(2.0, 1.0, (3,)))],
                        dt=0.1)
-    with pytest.raises(DomainError, match="undiscounted run cannot share a batch"):
-        simulate_batch(game, [SimulationRun(one, z0, 1.0),
-                              SimulationRun(LearningParams(1.0, 1.0, True), z0, 1.0)],
-                       dt=0.1)
     # an equal block built twice is the same filter
     same = simulate_batch(game, [SimulationRun(one, z0, 1.0, block),
                                  SimulationRun(one, z0, 1.0,
@@ -664,22 +657,6 @@ def test_non_integral_record_every_is_refused(record_every):
     for call in calls:
         with pytest.raises(DomainError, match="record_every"):
             call()
-
-
-def test_undiscounted_filtered_flow_is_refused():
-    """The filtered flow has no undiscounted form; asking for it is refused
-    instead of silently integrating the discounted one."""
-    game = preset("rps", {"l": 2.0})
-    undisc = LearningParams(1.0, 1.0, undiscounted=True)
-    block = FeedbackBlock.high_pass(1.0, 1.0, (3,))
-    z0 = seeded_initial_scores(3, 0)
-    with pytest.raises(DomainError, match="undiscounted"):
-        simulate_higher_order(game, undisc, block, z0, dt=0.1, t_end=1.0)
-    with pytest.raises(DomainError, match="undiscounted"):
-        simulate_batch(game, [SimulationRun(LearningParams(), z0, 1.0),
-                              SimulationRun(undisc, z0, 1.0, block)], dt=0.1)
-    with pytest.raises(DomainError, match="undiscounted"):
-        higher_order_field(np.zeros(6), game, undisc, block)
 
 
 @pytest.mark.parametrize("game_key", ["rps", "tensor232"])

@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 from tensor_reference import random_tensor_game, tensor_payoff
 
-from gamedyn import (DomainError, GameSpec, MixedProfile, available_presets,
-                     classify, expected_payoff_vector, game_from_dict,
-                     game_to_dict, linear_game_map, load_game,
-                     numeric_jacobian, payoff_jacobian, preset, pure_payoff,
-                     save_game, tangent_basis)
+from gamedyn import (DomainError, GameSpec, available_presets, classify,
+                     expected_payoff_vector, game_from_dict, game_to_dict,
+                     linear_game_map, load_game, numeric_jacobian,
+                     payoff_jacobian, preset, save_game, tangent_basis)
+
+
+def random_profile(counts, rng):
+    """One Dirichlet(1, ..., 1) strategy block per player, concatenated."""
+    return np.concatenate([rng.dirichlet(np.ones(c)) for c in counts])
 
 
 def test_action_count_validation():
@@ -45,19 +49,12 @@ def test_non_finite_payoffs_rejected(bad):
                  linear_map=np.pad(a_mat, ((0, 2), (0, 2))))
 
 
-def test_pure_payoff_matching_pennies():
-    game = preset("matching_pennies")
-    # (H, H): row player wins 1, column player loses 1
-    assert pure_payoff(game, (0, 0)) == [1.0, -1.0]
-    assert pure_payoff(game, (0, 1)) == [-1.0, 1.0]
-
-
 def test_expected_payoff_linear_vs_tensor():
     game = preset("two_player_rps", {"l": 5.0})
     phi = linear_game_map(game)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        x = MixedProfile.random(game.action_counts, rng).vector
+        x = random_profile(game.action_counts, rng)
         expect = tensor_payoff(game, x)
         np.testing.assert_allclose(phi @ x, expect, atol=1e-12)
         np.testing.assert_allclose(expected_payoff_vector(game, x), expect,
@@ -67,7 +64,7 @@ def test_expected_payoff_linear_vs_tensor():
 def test_expected_payoff_batched_matches_loop():
     game = preset("jordan_mp")
     rng = np.random.default_rng(1)
-    xs = np.stack([MixedProfile.random(game.action_counts, rng).vector
+    xs = np.stack([random_profile(game.action_counts, rng)
                    for _ in range(7)])
     batched = expected_payoff_vector(game, xs)
     for i in range(7):
@@ -88,7 +85,7 @@ def test_jordan_payoffs_reduce_to_linear_map():
     phi[5, 0], phi[5, 1] = 1.0, -1.0
     rng = np.random.default_rng(2)
     for _ in range(20):
-        x = MixedProfile.random(game.action_counts, rng).vector
+        x = random_profile(game.action_counts, rng)
         expect = tensor_payoff(game, x)
         np.testing.assert_allclose(phi @ x, expect, atol=1e-12)
         np.testing.assert_allclose(expected_payoff_vector(game, x), expect,
@@ -98,15 +95,14 @@ def test_jordan_payoffs_reduce_to_linear_map():
 def test_matching_payoff_is_matrix_product():
     game = preset("rps", {"l": 2.5})
     rng = np.random.default_rng(3)
-    x = MixedProfile.random(game.action_counts, rng).vector
+    x = random_profile(game.action_counts, rng)
     np.testing.assert_allclose(expected_payoff_vector(game, x),
                                game.payoff_tensors[0] @ x, atol=1e-12)
 
 
 def test_tangent_basis_properties():
     for counts in ((3,), (2, 2), (3, 3), (2, 2, 2)):
-        basis = tangent_basis(counts)
-        e_mat = basis.matrix
+        e_mat = tangent_basis(counts)
         n = sum(counts)
         assert e_mat.shape == (n, n - len(counts))
         np.testing.assert_allclose(e_mat.T @ e_mat, np.eye(n - len(counts)),
@@ -118,25 +114,6 @@ def test_tangent_basis_properties():
             start += c
 
 
-def test_mixed_profile_validation():
-    with pytest.raises(DomainError):
-        MixedProfile(np.array([0.5, 0.6]), (2,))
-    with pytest.raises(DomainError):
-        MixedProfile(np.array([-0.1, 1.1]), (2,))
-    centroid = MixedProfile.centroid((3, 2))
-    np.testing.assert_allclose(centroid.vector,
-                               [1 / 3, 1 / 3, 1 / 3, 0.5, 0.5])
-
-
-def test_random_profile_in_simplex(rng):
-    profile = MixedProfile.random((3, 4), rng)
-    blocks = profile.blocks
-    assert len(blocks) == 2
-    for block in blocks:
-        assert np.all(block >= 0)
-        assert abs(block.sum() - 1.0) < 1e-9
-
-
 def test_json_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(4)
     for name, params in (("two_player_rps", {"l": 5.0}), ("jordan_mp", None),
@@ -146,14 +123,14 @@ def test_json_round_trip_bitwise(tmp_path):
         assert clone.matching == game.matching
         assert clone.action_counts == game.action_counts
         for _ in range(10):
-            x = MixedProfile.random(game.action_counts, rng).vector
+            x = random_profile(game.action_counts, rng)
             lhs = expected_payoff_vector(game, x)
             rhs = expected_payoff_vector(clone, x)
             assert np.array_equal(lhs, rhs)
         path = tmp_path / f"{name}.json"
         save_game(path, game)
         loaded = load_game(path)
-        x = MixedProfile.random(game.action_counts, rng).vector
+        x = random_profile(game.action_counts, rng)
         assert np.array_equal(expected_payoff_vector(game, x),
                               expected_payoff_vector(loaded, x))
 
@@ -161,7 +138,7 @@ def test_json_round_trip_bitwise(tmp_path):
 def test_payoff_jacobian_matches_linear_map():
     game = preset("shapley")
     phi = linear_game_map(game)
-    x = MixedProfile.centroid(game.action_counts).vector
+    x = np.full(6, 1.0 / 3.0)
     np.testing.assert_allclose(payoff_jacobian(game, x), phi, atol=1e-8)
 
 
@@ -183,7 +160,7 @@ def test_every_preset_map_matches_its_tensors(name):
     game = preset(name, PRESET_PARAMS.get(name))
     phi = linear_game_map(game)
     rng = np.random.default_rng(5)
-    xs = np.stack([MixedProfile.random(game.action_counts, rng).vector
+    xs = np.stack([random_profile(game.action_counts, rng)
                    for _ in range(10)])
     expect = tensor_payoff(game, xs)
     if phi is not None:
@@ -220,7 +197,7 @@ def test_game_spec_pickle_round_trip():
         assert clone.action_counts == game.action_counts
         assert clone.matching == game.matching
         assert clone.block_slices == game.block_slices
-        x = MixedProfile.random(game.action_counts, rng).vector
+        x = random_profile(game.action_counts, rng)
         assert np.array_equal(expected_payoff_vector(clone, x),
                               expected_payoff_vector(game, x))
 
@@ -239,7 +216,7 @@ def test_payoff_jacobian_is_exact_for_tensor_games(counts):
     assert linear_game_map(game) is None
     rng = np.random.default_rng(8)
     for _ in range(5):
-        x = MixedProfile.random(counts, rng).vector
+        x = random_profile(counts, rng)
         jac = payoff_jacobian(game, x)
         fd = numeric_jacobian(lambda v: tensor_payoff(game, v), x)
         assert float(np.abs(jac - fd).max()) <= 1e-9
@@ -252,3 +229,48 @@ def test_payoff_jacobian_is_exact_for_tensor_games(counts):
 def test_no_finite_difference_step_option():
     assert list(inspect.signature(payoff_jacobian).parameters) == ["game", "x"]
     assert "step" not in inspect.signature(classify).parameters
+
+
+def _loop_tensors(name, k12=1.0, k13=2.0, k23=3.0):
+    """The three-player payoff tensors as the presets once built them, one
+    entry at a time from closed-form payoff rules."""
+    u1, u2, u3 = np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 2))
+    if name == "network_zero_sum_mp":
+        a12, a13, a23 = (np.array([[k, -k], [-k, k]]) for k in (k12, k13, k23))
+    m1 = np.array([[0.0, 2.0], [1.0, 0.0]])
+    m2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    m3 = np.array([[0.0, 1.0 / 3.0], [1.0, 0.0]])
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                if name == "network_zero_sum_mp":
+                    u1[i, j, k] = a12[i, j] + a13[i, k]
+                    u2[i, j, k] = -a12[i, j] + a23[j, k]
+                    u3[i, j, k] = -a13[i, k] - a23[j, k]
+                elif name == "jordan_mp":
+                    u1[i, j, k] = 1.0 if i == j else -1.0
+                    u2[i, j, k] = 1.0 if j == k else -1.0
+                    u3[i, j, k] = 1.0 if k != i else -1.0
+                else:
+                    u1[i, j, k] = m1[i, j]
+                    u2[i, j, k] = m2[j, k]
+                    u3[i, j, k] = m3[k, i]
+    return u1, u2, u3
+
+
+@pytest.mark.parametrize("name,params", [
+    ("network_zero_sum_mp", {}),
+    ("network_zero_sum_mp", {"k12": 0.0, "k13": 0.0, "k23": 0.0}),
+    ("network_zero_sum_mp", {"k12": -0.5, "k13": 0.0, "k23": 2.5}),
+    ("jordan_mp", {}),
+    ("modified_jordan", {}),
+], ids=["network-default", "network-zero", "network-mixed", "jordan_mp",
+        "modified_jordan"])
+def test_polymatrix_presets_keep_their_tensor_bytes(name, params):
+    """The three-player tensors derived from Phi equal the entry-by-entry
+    construction byte for byte, signed zeros included (zero weights give
+    -0.0 entries)."""
+    game = preset(name, params)
+    for got, want in zip(game.payoff_tensors, _loop_tensors(name, **params), strict=True):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -9,8 +9,8 @@ from gamedyn import (DomainError, LearningParams, Trajectory, euler_step,
                      expected_payoff_vector, game_from_dict, harmonic_schedule,
                      payoff_estimate, preset, run_discrete, run_stochastic,
                      sample_joint_actions, softmax, stochastic_step,
-                     write_stochastic_csv, write_trajectory_csv)
-from gamedyn.dynamics import _UNIFORM_BLOCK
+                     write_trajectory_csv)
+from gamedyn.dynamics import _UNIFORM_BLOCK, write_stochastic_csv
 
 
 def test_sample_joint_actions_matching_columns(rng):
@@ -254,12 +254,9 @@ def test_run_stochastic_matches_stochastic_step_loop(name, mode):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_run_stochastic_checks_schedule_and_scores():
+def test_run_stochastic_checks_scores():
     game = preset("rps", {"l": 2.5})
     params = LearningParams(eps=1.0, gamma=1.0)
-    with pytest.raises(DomainError, match="step size"):
-        run_stochastic(game, params, np.zeros(3), steps=5, rng=0,
-                       alpha_schedule=lambda k: 1.5)
     with pytest.raises(DomainError, match="score vector has length 4"):
         run_stochastic(game, params, np.zeros(4), steps=5, rng=0)
     # the scores are checked before the mode
@@ -268,10 +265,6 @@ def test_run_stochastic_checks_schedule_and_scores():
     # a batch of score vectors is refused, not run into an IndexError
     with pytest.raises(DomainError, match="single score vector"):
         run_stochastic(game, params, np.zeros((2, 3)), steps=5, rng=0)
-    # the schedule is checked in every block of uniforms, not only the first
-    with pytest.raises(DomainError, match="step size"):
-        run_stochastic(game, params, np.zeros(3), steps=2 * _UNIFORM_BLOCK, rng=0,
-                       alpha_schedule=lambda k: 1.5 if k > _UNIFORM_BLOCK else 0.5)
 
 
 def test_run_stochastic_tracks_simplex():
@@ -285,7 +278,7 @@ def test_run_stochastic_tracks_simplex():
 
 def test_write_stochastic_csv_layout(tmp_path):
     """The stochastic layout, written by the one writer and, with the same
-    bytes, by the write_stochastic_csv shim."""
+    bytes, by the write_stochastic_csv shim that gamedyn.dynamics keeps."""
     game = preset("rps", {"l": 1.0})
     params = LearningParams(eps=1.0, gamma=1.0)
     rec = run_stochastic(game, params, np.zeros(3), steps=10, rng=0,
@@ -403,7 +396,7 @@ def _reference_estimate(game, x, rng, mode, m):
     """The unbound sampler: one rng.random(m) call per block, inverted by a
     cumsum and searchsorted per block, then the payoffs gathered player by
     player."""
-    blocks = [x, x] if game.matching else game.split(x)
+    blocks = [x, x] if game.matching else [x[sl] for sl in game.block_slices]
     cols = []
     for xb in blocks:
         cum = np.cumsum(xb)
