@@ -67,14 +67,17 @@ def softmax(z, eps: float, action_counts: Sequence[int]) -> np.ndarray:
     return _bind_softmax(eps, counts)(z)
 
 
-def _bind_softmax(eps: float, counts: tuple[int, ...], out: np.ndarray | None = None):
+def _bind_softmax(eps: float, counts: tuple[int, ...], z: np.ndarray | None = None,
+                  out: np.ndarray | None = None):
     """The per-player soft-max for a validated eps and block layout.  The
-    map does not check its float scores z.
+    map does not check its float scores.
 
-    With out, the map writes sigma(z) for scores shaped like out into out
-    and returns it; out's block views and the scratch are made once, so the
-    map is not re-entrant.  Without out, the map returns a new array for
-    scores of any shape.
+    With scores z and an output out of the same shape, returns a
+    zero-argument evaluation that writes sigma(z) into out and returns it:
+    the block views of z and out, the scratch and eps as a 0-d array are
+    made once, so the evaluation reads whatever z holds when it is called
+    and is not re-entrant.  Without them, returns a map from scores of any
+    shape to a new array.
 
     Equal blocks are reshaped and reduced together, unequal ones block by
     block.  Each block is shifted by its maximum, divided by eps (left out
@@ -85,25 +88,26 @@ def _bind_softmax(eps: float, counts: tuple[int, ...], out: np.ndarray | None = 
     writes into out.
     """
     if out is None:
-        return lambda z: _bind_softmax(eps, counts, np.empty(z.shape))(z)
+        return lambda z: _bind_softmax(eps, counts, z, np.empty(z.shape))()
     if len(set(counts)) == 1:
-        # splitting the last axis always gives a view of out
-        views = [(None, out.reshape(out.shape[:-1] + (len(counts), counts[0])))]
+        # splitting the last axis always gives a view, of z as of out
+        shape = out.shape[:-1] + (len(counts), counts[0])
+        views = [(z.reshape(shape), out.reshape(shape))]
     else:
-        views = [(sl, out[..., sl]) for sl in block_slices(counts)]
-    parts = [(sl, view, view if view.flags.c_contiguous else np.empty(view.shape),
-              np.empty(view.shape[:-1] + (1,))) for sl, view in views]
+        views = [(z[..., sl], out[..., sl]) for sl in block_slices(counts)]
+    parts = [(zb, view, view if view.flags.c_contiguous else np.empty(view.shape),
+              np.empty(view.shape[:-1] + (1,))) for zb, view in views]
+    scale = None if eps == 1.0 else np.array(eps, dtype=float)
 
-    def sigma(z: np.ndarray) -> np.ndarray:
-        for sl, view, w, col in parts:
-            zb = z.reshape(w.shape) if sl is None else z[..., sl]
+    def sigma() -> np.ndarray:
+        for zb, view, w, col in parts:
             _max(zb, axis=-1, keepdims=True, out=col)
-            np.subtract(zb, col, out=w)
-            if eps != 1.0:
-                np.divide(w, eps, out=w)
-            np.exp(w, out=w)
+            np.subtract(zb, col, w)
+            if scale is not None:
+                np.divide(w, scale, w)
+            np.exp(w, w)
             _sum(w, axis=-1, keepdims=True, out=col)
-            np.divide(w, col, out=view)
+            np.divide(w, col, view)
         return out
 
     return sigma

@@ -183,10 +183,7 @@ def _filter_matrix(game: GameSpec, block: FeedbackBlock) -> np.ndarray:
     return np.block([[top, block.b_mat.T], [-block.c_mat.T, block.a_mat.T]])
 
 
-def _bind_field(
-    game: GameSpec, eps: float, block: FeedbackBlock | None,
-    groups: Sequence[tuple[int, bool, float]],
-) -> Callable[[np.ndarray], np.ndarray]:
+class _Field:
     """The score field of consecutive row groups (rows, filtered, gamma)
     that share the game, eps and the validated block, with everything that
     is fixed across RK4 stages bound once.  A filtered group evaluates
@@ -194,15 +191,19 @@ def _bind_field(
 
     One group takes a state of any leading shape.  Several groups take the
     rows of any leading groups, so rows can leave a batch at group
-    boundaries.  The map checks nothing: a non-finite state gives a
+    boundaries.  The field checks nothing: a non-finite state gives a
     non-finite result, which integrate finds at its next recorded sample.
 
-    Each state shape gets its plan and scratch once: the product operand
-    [sigma(z), xi] (sigma(z) alone without a filter), into which the bound
-    soft-max writes, and the soft-max's own scratch.  Every call returns a
-    new array and never writes into its input, but the shared scratch
-    makes a bound field not re-entrant.  gamma == 1 skips its exact
-    multiplication.
+    bind(state, out) returns a zero-argument evaluation that writes the
+    field at whatever state holds into out.  Everything else is fixed at
+    the bind: the row plan, the views of state and out, the product operand
+    [sigma(z), xi] (sigma(z) alone without a filter) into which the bound
+    soft-max writes, the soft-max's own views and scratch, and gamma as a
+    0-d array (left out at gamma == 1, where it is exact).  First-order rows
+    next to filtered ones carry a zero filter state, so the bind zeroes
+    their xidot in out once and the evaluation never writes it.  An
+    evaluation is not re-entrant; it never writes into state.  Calling the
+    field, field(state), binds afresh and returns a new array.
 
     The payoff map is games._bind_payoff; filtered rows multiply
     [sigma(z), xi] by the stacked W of _filter_matrix and add U(sigma(z))
@@ -218,74 +219,91 @@ def _bind_field(
     scheme (the seeds of simulate) share one: numpy computes it as one gemv
     per row, the bits of their separate runs (tests/test_dynamics.py pins
     this for the BLAS at hand).
-    First-order rows carry a zero filter state when the batch has filtered
-    rows.
     """
-    n = game.total_actions
-    plans = {}
-    segments: list[list] = []
-    gammas: list[float] = []
-    stop = 0
-    for rows, filtered, gamma in groups:
-        start, stop = stop, stop + rows
-        if segments and segments[-1][2:] == [filtered, rows > 1]:
-            segments[-1][1] = stop
-        else:
-            segments.append([start, stop, filtered, rows > 1])
-        gammas += [gamma] * rows
-        g = gammas[0] if len(set(gammas)) == 1 else np.array(gammas)[:, None]
-        segs = []
-        for a, b, f, several in segments:
-            span = slice(a, b)
-            # a stacked one-row product takes its rows as (rows, 1, d)
-            segs.append((span, f, span if several else (span, None)))
-        plans[stop] = (segs, g)
-    single = ([(..., groups[0][1], ...)], groups[0][2]) if len(groups) == 1 else None
 
-    payoff = _bind_payoff(game)
-    phi = linear_game_map(game)
-    phi_t = None if phi is None else phi.T
-    w_mat = None if block is None else _filter_matrix(game, block)
-    bound = {}
-
-    def bind(shape: tuple) -> tuple:
-        segs, g = single or plans[shape[0]]
-        # first-order rows next to filtered ones keep a zero xidot
-        mixed = w_mat is not None and not all(f for _, f, _ in segs)
-        scale = None if np.isscalar(g) and g == 1.0 else g
-        operand = np.empty(shape)
-        x, tail = (operand, None) if w_mat is None else (operand[..., :n], operand[..., n:])
-        products = [(rows, f, (operand if f else x)[index], index)
-                    for rows, f, index in segs]
-        plan = bound[shape] = (products, scale, np.zeros if mixed else np.empty,
-                               _bind_softmax(eps, game.action_counts, x), x, tail)
-        return plan
-
-    def field(state: np.ndarray) -> np.ndarray:
-        products, scale, new, sigma, x, tail = bound.get(state.shape) or bind(state.shape)
-        out = new(state.shape)
-        if tail is None:
-            z, dz = state, out
-        else:
-            z, dz = state[..., :n], out[..., :n]
-            tail[...] = state[..., n:]
-        sigma(z)
-        u = None if phi_t is not None else payoff(x)
-        for rows, filtered, operand, index in products:
-            if filtered:
-                np.matmul(operand, w_mat, out=out[index])
-                if u is not None:
-                    dz[rows] += u[rows]
-            elif u is None:
-                np.matmul(operand, phi_t, out=dz[index])
+    def __init__(self, game: GameSpec, eps: float, block: FeedbackBlock | None,
+                 groups: Sequence[tuple[int, bool, float]]):
+        self.plans = {}
+        segments: list[list] = []
+        gammas: list[float] = []
+        stop = 0
+        for rows, filtered, gamma in groups:
+            start, stop = stop, stop + rows
+            if segments and segments[-1][2:] == [filtered, rows > 1]:
+                segments[-1][1] = stop
             else:
-                dz[rows] = u[rows]
-        dz -= z
-        if scale is not None:
-            dz *= scale
+                segments.append([start, stop, filtered, rows > 1])
+            gammas += [gamma] * rows
+            g = gammas[0] if len(set(gammas)) == 1 else np.array(gammas)[:, None]
+            segs = []
+            for a, b, f, several in segments:
+                span = slice(a, b)
+                # a stacked one-row product takes its rows as (rows, 1, d)
+                segs.append((span, f, span if several else (span, None)))
+            self.plans[stop] = (segs, g)
+        self.single = ([(..., groups[0][1], ...)], groups[0][2]) if len(groups) == 1 else None
+        self.n = game.total_actions
+        self.eps = eps
+        self.counts = game.action_counts
+        phi = linear_game_map(game)
+        self.phi_t = None if phi is None else phi.T
+        self.payoff = _bind_payoff(game) if phi is None else None
+        self.w_mat = None if block is None else _filter_matrix(game, block)
+
+    def __call__(self, state: np.ndarray) -> np.ndarray:
+        out = np.empty(state.shape)
+        self.bind(state, out)()
         return out
 
-    return field
+    def bind(self, state: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+        segs, g = self.single or self.plans[state.shape[0]]
+        n, w_mat, phi_t, payoff = self.n, self.w_mat, self.phi_t, self.payoff
+        scale = None if np.isscalar(g) and g == 1.0 else np.asarray(g, dtype=float)
+        operand = np.empty(state.shape)
+        if w_mat is None:
+            z, dz, xi, x, tail = state, out, None, operand, None
+        else:
+            z, dz, xi = state[..., :n], out[..., :n], state[..., n:]
+            x, tail = operand[..., :n], operand[..., n:]
+        sigma = _bind_softmax(self.eps, self.counts, z, x)
+        products = []
+        u_rows = []
+        for rows, filtered, index in segs:
+            if filtered:
+                products.append((operand[index], w_mat, out[index]))
+            else:
+                if w_mat is not None:
+                    out[rows, n:] = 0.0  # a first-order row's xidot
+                if phi_t is not None:
+                    products.append((x[index], phi_t, dz[index]))
+            if payoff is not None:
+                u_rows.append((rows, filtered, dz[rows]))
+        matmul, add, subtract, multiply = np.matmul, np.add, np.subtract, np.multiply
+
+        def evaluate() -> None:
+            if xi is not None:
+                tail[...] = xi
+            sigma()
+            for a, m, o in products:
+                matmul(a, m, o)
+            if u_rows:
+                u = payoff(x)
+                for rows, filtered, d in u_rows:
+                    if filtered:
+                        add(d, u[rows], d)
+                    else:
+                        d[...] = u[rows]
+            subtract(dz, z, dz)
+            if scale is not None:
+                multiply(dz, scale, dz)
+
+        return evaluate
+
+
+def _bind_field(game: GameSpec, eps: float, block: FeedbackBlock | None,
+                groups: Sequence[tuple[int, bool, float]]) -> _Field:
+    """The bound score field of consecutive row groups; see _Field."""
+    return _Field(game, eps, block, groups)
 
 
 def first_order_field(z, game: GameSpec, params: LearningParams) -> np.ndarray:
@@ -391,16 +409,22 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
     The loop checks nothing but its recorded samples.  A step that
     overflows carries NaN or inf to the next recorded sample, where a
     non-finite state stops integration with IntegrationDivergedError
-    carrying the last good time.  Stage inputs and the weighted sum of the
-    stages go to buffers allocated once, in the order of the plain
-    s + dt/6 (k1 + 2 k2 + 2 k3 + k4), so every value is the same bit for
-    bit.
+    carrying the last good time.
 
-    field must be a pure function of the state that returns a new array,
-    and give each row the same result whichever rows share the batch: a
-    recorded step whose state equals the previous one bit for bit is an
-    exact fixed point of the RK4 map, so the remaining samples repeat it
-    and integration stops there.
+    The two state buffers, the stage input and k1..k4 are allocated once,
+    and five evaluations of field are bound to them: k1 from either state
+    buffer, k2..k4 from the stage input, bound again only when rows leave.
+    A bound field (_bind_field) evaluates straight into its k buffer; any
+    other callable is called on the buffer and its result copied in.  The
+    stages and their weighted sum run in the order of the plain
+    s + dt/6 (k1 + 2 k2 + 2 k3 + k4), with every output passed
+    positionally and every constant a 0-d array of the same double, so
+    every value is the same bit for bit.
+
+    field must be a pure function of the state, and give each row the same
+    result whichever rows share the batch: a recorded step whose state
+    equals the previous one bit for bit is an exact fixed point of the RK4
+    map, so the remaining samples repeat it and integration stops there.
     """
     dt = float(dt)
     t_end = float(t_end)
@@ -424,22 +448,38 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
     rec[0] = s
     i = 1
     next_end = ends[0]
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    stage = np.empty_like(s)
-    # the weighted stage sum, then the new state; afterwards the previous one
-    acc = np.empty_like(s)
+    half, full, two, sixth = (np.array(c) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
+    # acc holds the weighted stage sum, then the new state; afterwards the
+    # previous one
+    acc, stage, k1, k2, k3, k4 = (np.empty_like(s) for _ in range(6))
+
+    def bind() -> list:
+        return [_evaluation(field, state, k) for state, k in
+                ((s, k1), (acc, k1), (stage, k2), (stage, k3), (stage, k4))]
+
+    f1, f1_next, f2, f3, f4 = bind()
+    multiply, add = np.multiply, np.add
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            k1 = field(s)
-            k2 = field(np.add(s, np.multiply(k1, half, out=stage), out=stage))
-            k3 = field(np.add(s, np.multiply(k2, half, out=stage), out=stage))
-            k4 = field(np.add(s, np.multiply(k3, dt, out=stage), out=stage))
-            np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
-            np.add(acc, np.multiply(k3, 2.0, out=stage), out=acc)
-            np.add(acc, k4, out=acc)
-            np.add(s, np.multiply(acc, sixth, out=acc), out=acc)
+            f1()
+            multiply(k1, half, stage)
+            add(s, stage, stage)
+            f2()
+            multiply(k2, half, stage)
+            add(s, stage, stage)
+            f3()
+            multiply(k3, full, stage)
+            add(s, stage, stage)
+            f4()
+            multiply(k2, two, acc)
+            add(k1, acc, acc)
+            multiply(k3, two, stage)
+            add(acc, stage, acc)
+            add(acc, k4, acc)
+            multiply(acc, sixth, acc)
+            add(s, acc, acc)
             s, acc = acc, s
+            f1, f1_next = f1_next, f1
             step = k + 1
             if step % record_every == 0 or step == next_end:
                 if not _all(np.isfinite(s), axis=None):
@@ -453,7 +493,9 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
                     break
                 if step == next_end and step < n_steps:
                     rows = remaining[step]
-                    s, acc, stage = s[:rows], acc[:rows], stage[:rows]
+                    s, acc, stage, k1, k2, k3, k4 = (
+                        a[:rows] for a in (s, acc, stage, k1, k2, k3, k4))
+                    f1, f1_next, f2, f3, f4 = bind()
                     next_end = ends[ends.index(step) + 1]
     times = sample_steps * dt
     if not batched:
@@ -467,6 +509,20 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
         strategies = strategy_fn(states) if strategy_fn is not None else None
         trajs.append(Trajectory(times[keep], states, strategies))
     return trajs
+
+
+def _evaluation(field: Callable[[np.ndarray], np.ndarray], state: np.ndarray,
+                out: np.ndarray) -> Callable[[], None]:
+    """A zero-argument evaluation of field at whatever state holds, into
+    out: the bound evaluation of a _Field, or a call whose result is
+    copied into out."""
+    if isinstance(field, _Field):
+        return field.bind(state, out)
+
+    def evaluate() -> None:
+        out[...] = field(state)
+
+    return evaluate
 
 
 def seeded_initial_scores(n: int, seed: int) -> np.ndarray:
@@ -751,19 +807,27 @@ def _record(ks: list, zs: list, k: int, z: np.ndarray) -> None:
 def run_discrete(game: GameSpec, params: LearningParams, z0, alpha: float,
                  steps: int, record_every: int = 1) -> Trajectory:
     """Iterate the euler_step update; returns the Trajectory of the samples,
-    with the iteration k as time."""
+    with the iteration k as time.  The increment, the first-order field at
+    gamma = 1, is bound once into one buffer, and each step writes
+    z + rate * increment into the other of two state buffers."""
     steps = _check_whole(steps, "steps", 0)
     record_every = _check_whole(record_every, "record_every", 1)
-    rate = _check_alpha(alpha) * params.gamma
-    z = np.asarray(z0, dtype=float)
+    rate = np.array(_check_alpha(alpha) * params.gamma)
+    z = np.array(z0, dtype=float)
     _check_length(z, game.total_actions)
     _check_finite(z)
     increment = _bind_field(game, params.eps, None, [(1, False, 1.0)])
+    z_next, inc = np.empty_like(z), np.empty_like(z)
+    f, f_next = increment.bind(z, inc), increment.bind(z_next, inc)
     ks = [0]
     zs = [z.copy()]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            z = z + rate * increment(z)
+            f()
+            np.multiply(inc, rate, inc)
+            np.add(z, inc, z_next)
+            z, z_next = z_next, z
+            f, f_next = f_next, f
             if (k + 1) % record_every == 0 or k + 1 == steps:
                 _record(ks, zs, k + 1, z)
     zs = np.stack(zs)
@@ -782,10 +846,11 @@ _UNIFORM_BLOCK = 256
 def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
                    rng, mode: str = "full-info", record_every: int = 1) -> Trajectory:
     """Iterate the stochastic_step update with the step sizes of
-    harmonic_schedule, with the soft-max (into one buffer x) and the sampler
-    and estimator of _bind_draws (which read x) bound once: each step makes
-    one soft-max and one draw.  A full-info step gathers its realized
-    payoffs only when it is recorded.
+    harmonic_schedule, with the scores in one buffer z updated in place, and
+    the soft-max (from z into one buffer x) and the sampler and estimator of
+    _bind_draws (which read x) bound once: each step makes one soft-max and
+    one draw.  A full-info step gathers its realized payoffs only when it is
+    recorded.
 
     The uniforms come in blocks of at most _UNIFORM_BLOCK steps from one
     rng.random((m, columns)) call each: the stream of one call per step,
@@ -800,14 +865,15 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
     steps = _check_whole(steps, "steps", 0)
     record_every = _check_whole(record_every, "record_every", 1)
     rng = np.random.default_rng(rng)
-    z = np.asarray(z0, dtype=float)
+    z = np.array(z0, dtype=float)
     _check_length(z, game.total_actions)
     _check_finite(z)
     bandit = _bandit(mode)
     if z.ndim != 1:
         raise DomainError("z0 must be a single score vector")
     x = np.empty(z.shape)
-    sigma = _bind_softmax(params.eps, game.action_counts, x)
+    sigma = _bind_softmax(params.eps, game.action_counts, z, x)
+    diff = np.empty(z.shape)
     draw, estimate, realize = _bind_draws(game, x, bandit)
     columns = len(_column_counts(game))
     ks = [0]
@@ -820,9 +886,12 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
             if i == 0:
                 uniforms = rng.random((min(_UNIFORM_BLOCK, steps - k), columns))
             rate = harmonic_schedule(k) * params.gamma
-            sigma(z)
+            sigma()
             acts = draw(uniforms[i])
-            z = z + rate * (estimate(acts) - z)
+            # z + rate * (u_hat - z), updated in place
+            np.subtract(estimate(acts), z, diff)
+            np.multiply(diff, rate, diff)
+            np.add(z, diff, z)
             if (k + 1) % record_every == 0 or k + 1 == steps:
                 _record(ks, zs, k + 1, z)
                 acts_log.append(acts)

@@ -286,10 +286,12 @@ def _example_5_eps01(out_dir=None):
     rep.check_status("first-order status, eps=0.1", "limit-cycle",
                      _statuses(trajs, rp), "closed orbit around the uniform point")
     if out_dir is not None:
-        path = os.path.join(out_dir, "shapley_eps0.1_seed0.csv")
-        write_trajectory_csv(path, trajs[0], game.action_counts, ternary=True)
+        # named relative to out_dir, so the report does not depend on it
+        name = "shapley_eps0.1_seed0.csv"
+        write_trajectory_csv(os.path.join(out_dir, name), trajs[0], game.action_counts,
+                             ternary=True)
         rep.record("orbit trace", "2-simplex projection columns",
-                   f"written to {path}",
+                   f"written to {name}",
                    "triangular orbit, plottable from the ternary columns")
     return rep
 

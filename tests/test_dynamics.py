@@ -672,7 +672,7 @@ def test_bound_field_returns_fresh_arrays(game_key):
     binds = [
         (block, [(2, True, 4.0), (1, True, 1.0), (2, False, 1.0)], [(5,), (5,), (3,), (2,)]),
         (None, [(3, False, 4.0), (1, False, 1.0)], [(4,), (3,), (4,)]),
-        (None, [(1, False, None)], [(), (4,), ()]),
+        (None, [(1, False, 1.0)], [(), (4,), ()]),
         (block, [(1, True, 1.0)], [(4,), (), (2, 3)]),
     ]
     for bound_block, groups, leads in binds:
@@ -693,6 +693,44 @@ def test_bound_field_returns_fresh_arrays(game_key):
             assert np.array_equal(result, fresh)
         assert np.array_equal(results[-1], results[0])
         assert results[-1] is not results[0]
+
+
+@pytest.mark.parametrize("game_key", list(BATCH_GAMES))
+def test_bound_evaluation_is_the_field(game_key):
+    """bind(state, out) fixes the row plan, the views and the scratch once:
+    every call of the evaluation writes into out, bit for bit, what
+    field(state) returns for whatever state holds then, also after binding
+    again at a smaller height once rows have left.  It never writes into
+    state, and the filter derivative of first-order rows stays exactly 0.0.
+    integrate gives the same samples over a plain callable wrapping the
+    field as over the bound field."""
+    game = BATCH_GAMES[game_key]()
+    n = game.total_actions
+    block = coupled_block(n, 3)
+    groups = [(2, True, 4.0), (1, True, 1.0), (2, False, 1.0), (1, False, 4.0)]
+    first_order = np.array([False] * 3 + [True] * 3)
+    field = _bind_field(game, 0.5, block, groups)
+    rng = np.random.default_rng(11)
+    for height in (6, 5, 3):
+        state = np.empty((height, 2 * n))
+        out = np.full(state.shape, np.nan)
+        evaluate = field.bind(state, out)
+        for _ in range(3):
+            state[...] = rng.uniform(-2, 2, state.shape)
+            state[first_order[:height], n:] = 0.0
+            before = state.tobytes()
+            evaluate()
+            assert state.tobytes() == before
+            assert out.tobytes() == field(state).tobytes()
+            assert not out[first_order[:height], n:].view(np.uint64).any()
+    state0 = rng.uniform(-1, 1, (6, 2 * n))
+    state0[first_order, n:] = 0.0
+    row_t_end = [6.0, 6.0, 6.0, 4.0, 4.0, 2.0]
+    bound = integrate(field, state0, 0.25, 6.0, 3, row_t_end=row_t_end)
+    plain = integrate(lambda s: field(s), state0, 0.25, 6.0, 3, row_t_end=row_t_end)
+    for a, b in zip(bound, plain):
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.states.tobytes() == b.states.tobytes()
 
 
 @pytest.mark.parametrize("game_key", list(BATCH_GAMES))

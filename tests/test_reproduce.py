@@ -64,3 +64,15 @@ def test_scenario_integrates_and_solves_once(work_log, example_id, rows,
     observed = {r.label: r.observed for r in report.rows}
     for label, text in timing_rows.items():
         assert observed[label] == text
+
+
+def test_report_does_not_depend_on_the_output_directory(tmp_path):
+    """A scenario that writes a file names it relative to the output
+    directory, so runs into two directories give the same rows and the
+    same file."""
+    reports = [reproduce.run_example("5-eps0.1", str(tmp_path / d)) for d in "ab"]
+    assert reports[0].rows == reports[1].rows
+    observed = {r.label: r.observed for r in reports[0].rows}
+    assert observed["orbit trace"] == "written to shapley_eps0.1_seed0.csv"
+    a, b = ((tmp_path / d / "shapley_eps0.1_seed0.csv").read_bytes() for d in "ab")
+    assert a == b
