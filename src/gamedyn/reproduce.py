@@ -1,20 +1,22 @@
 """Built-in scenario table with expected outcomes and tolerances.
 
-Each scenario bundles the checks for one worked example: classification
-numbers, solved rest points, convergence statuses over a fixed set of seeds,
-and bifurcation thresholds.  run_example computes the observed values and
-returns a row-per-check report; rows carry a note saying where the expected
-number comes from.  Rows whose expectation is known only to limited precision
-are recorded without being asserted.  Every scenario solves each rest point
-once and integrates all of its runs as one lockstep batch; the speed and
-learning-rate rows read the runs behind the status rows.
+SCENARIOS declares each worked example once: its game, its temperature eps,
+its runs (a first-order and, unless it has none, a filtered run from every
+seed, for each learning rate gamma) and its checks.  run_example integrates
+the runs as one lockstep batch, then runs the checks on them: classification
+numbers, solved rest points, convergence statuses and bifurcation
+thresholds.  It returns a row-per-check report; rows carry a note saying
+where the expected number comes from.  Rows whose expectation is known only
+to limited precision are recorded without being asserted.  The checks solve
+each rest point once, and the speed and learning-rate rows read the runs
+behind the status rows.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -65,11 +67,9 @@ class ExampleReport:
                                   f"{tol:g}", "pass" if ok else "fail", note))
 
     def check_status(self, label, expected, statuses, note=""):
-        uniform = len(set(statuses)) == 1
-        observed = statuses[0] if uniform else "mixed: " + ", ".join(statuses)
-        ok = uniform and statuses[0] == expected
-        self.rows.append(CheckRow(label, expected, observed, "unanimous",
-                                  "pass" if ok else "fail", note))
+        ok = set(statuses) == {expected}
+        self.rows.append(CheckRow(label, expected, _status_text(statuses),
+                                  "unanimous", "pass" if ok else "fail", note))
 
     def check_true(self, label, expected_text, observed_text, ok, note=""):
         self.rows.append(CheckRow(label, expected_text, observed_text, "-",
@@ -87,24 +87,41 @@ def _fmt(value) -> str:
     return "(" + ", ".join(f"{v:.6g}" for v in arr) + ")"
 
 
+def _status_text(statuses) -> str:
+    return statuses[0] if len(set(statuses)) == 1 else "mixed: " + ", ".join(statuses)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One catalogue entry: the game (a preset name and its parameters), the
+    runs integrated on it, and checks(rep, game, runs, out_dir), which add
+    the report's rows.  For each (gamma, seeds) there is a first-order run to
+    t_end_fo and, unless t_end_ho is None, a filtered run to t_end_ho."""
+
+    title: str
+    game: tuple
+    eps: float
+    t_end_fo: float
+    t_end_ho: float | None
+    checks: Callable
+    gamma_seeds: tuple = ((1.0, SEEDS),)
+
+
 def _filter(game: GameSpec) -> FeedbackBlock:
     return FeedbackBlock.high_pass(1.0, 1.0, game.action_counts)
 
 
-def _runs(game: GameSpec, eps: float, t_end_fo: float, t_end_ho: float | None,
-          gamma_seeds=((1.0, SEEDS),)):
-    """For each (gamma, seeds), a first-order run to t_end_fo and, unless
-    t_end_ho is None, a filtered run to t_end_ho from every seed, all
-    integrated as one lockstep batch.  Returns one trajectory list per run,
-    first-order before filtered for each gamma."""
+def scenario_runs(scenario: Scenario, game: GameSpec) -> list:
+    """Integrate a scenario's runs as one lockstep batch.  Returns one
+    trajectory list per run, first-order before filtered for each gamma."""
     block = _filter(game)
     runs = []
-    for gamma, seeds in gamma_seeds:
-        params = LearningParams(gamma=gamma, eps=eps)
+    for gamma, seeds in scenario.gamma_seeds:
+        params = LearningParams(gamma=gamma, eps=scenario.eps)
         z0 = np.stack([seeded_initial_scores(game.total_actions, s) for s in seeds])
-        runs.append(SimulationRun(params, z0, t_end_fo))
-        if t_end_ho is not None:
-            runs.append(SimulationRun(params, z0, t_end_ho, block))
+        runs.append(SimulationRun(params, z0, scenario.t_end_fo))
+        if scenario.t_end_ho is not None:
+            runs.append(SimulationRun(params, z0, scenario.t_end_ho, block))
     return simulate_batch(game, runs, dt=DT, record_every=RECORD_EVERY)
 
 
@@ -113,20 +130,14 @@ def _statuses(trajs, rp):
     return [convergence_report(t, x_star=x_star).status for t in trajs]
 
 
-def _status_text(statuses) -> str:
-    return statuses[0] if len(set(statuses)) == 1 else str(statuses)
-
-
-def _dichotomy(rep, game, rp, fo_expected, ho_expected, t_end_fo, t_end_ho,
-               note_fo="", note_ho="", gamma_seeds=((1.0, SEEDS),)):
-    """Check the statuses of both schemes at rp.eps from the first (gamma,
-    seeds) and return the runs of _runs."""
-    runs = _runs(game, rp.eps, t_end_fo, t_end_ho, gamma_seeds)
+def _dichotomy(rep, rp, runs, fo_expected, ho_expected, note_fo="", note_ho=""):
+    """Check the statuses at rp.eps of the first-order runs[0] and, unless
+    ho_expected is None, of the filtered runs[1]."""
     rep.check_status(f"first-order status, eps={rp.eps:g}", fo_expected,
                      _statuses(runs[0], rp), note_fo)
-    rep.check_status(f"higher-order status, eps={rp.eps:g}", ho_expected,
-                     _statuses(runs[1], rp), note_ho)
-    return runs
+    if ho_expected is not None:
+        rep.check_status(f"higher-order status, eps={rp.eps:g}", ho_expected,
+                         _statuses(runs[1], rp), note_ho)
 
 
 def _speed_rows(rep, trajs_fo, trajs_ho, x_star, label):
@@ -156,37 +167,32 @@ def _check_bifurcation(rep, game, scheme, expected, tol, eps_range, note):
               res.eps_star if res.eps_star is not None else np.nan, tol, note)
 
 
-def _example_1(l: float, out_dir=None):
-    game = preset("rps", {"l": l})
-    rep = ExampleReport(f"1-l{l:g}", f"single-population RPS, l={l:g}, eps=1")
-    cls = classify(game)
-    rep.check("tangent eigenvalues", [l - 1.0, l - 1.0],
-              np.sort(cls.tangent_eigenvalues), 1e-9,
-              "closed form: both tangent-space eigenvalues of A + A^T equal l-1")
-    z_star = np.full(3, (1.0 - l) / 3.0)
-    rp = rest_point(game, 1.0)
-    rep.check("rest point scores", z_star, rp.z_star, 1e-8,
-              "closed form (1-l)/3 * ones; the uniform point is fixed for every l")
-    if l < 7.0:
-        trajs_fo, trajs_ho = _dichotomy(rep, game, rp, "converged", "converged",
-                                        T_END_SETTLED, T_END_SETTLED)
-        if l > 1.0:
-            _speed_rows(rep, trajs_fo, trajs_ho, rp.x_star,
-                        "filtered scheme reaches the rest point first")
-    else:
-        _dichotomy(rep, game, rp, "limit-cycle", "converged",
-                   T_END_CYCLE, 450.0,
-                   note_ho="weakly damped near the threshold, long horizon")
-        _check_bifurcation(rep, game, "first-order", 7.0 / 6.0, 1e-3, (0.5, 3.0),
-                           "closed form (l-1)/6 from the rest-point Jacobian")
-        _check_bifurcation(rep, game, "higher-order", 0.86, 0.02, (0.1, 3.0),
-                           "reference value quoted as approximate; computed 0.8695")
-    return rep
+def _checks_1(l: float) -> Callable:
+    def checks(rep, game, runs, out_dir):
+        cls = classify(game)
+        rep.check("tangent eigenvalues", [l - 1.0, l - 1.0],
+                  np.sort(cls.tangent_eigenvalues), 1e-9,
+                  "closed form: both tangent-space eigenvalues of A + A^T equal l-1")
+        z_star = np.full(3, (1.0 - l) / 3.0)
+        rp = rest_point(game, 1.0)
+        rep.check("rest point scores", z_star, rp.z_star, 1e-8,
+                  "closed form (1-l)/3 * ones; the uniform point is fixed for every l")
+        if l < 7.0:
+            _dichotomy(rep, rp, runs, "converged", "converged")
+            if l > 1.0:
+                _speed_rows(rep, *runs, rp.x_star,
+                            "filtered scheme reaches the rest point first")
+        else:
+            _dichotomy(rep, rp, runs, "limit-cycle", "converged",
+                       note_ho="weakly damped near the threshold, long horizon")
+            _check_bifurcation(rep, game, "first-order", 7.0 / 6.0, 1e-3, (0.5, 3.0),
+                               "closed form (l-1)/6 from the rest-point Jacobian")
+            _check_bifurcation(rep, game, "higher-order", 0.86, 0.02, (0.1, 3.0),
+                               "reference value quoted as approximate; computed 0.8695")
+    return checks
 
 
-def _example_2(out_dir=None):
-    game = preset("anticoord123")
-    rep = ExampleReport("2", "123 anti-coordination, eps=1 and eps=0.1")
+def _checks_2(rep, game, runs, out_dir):
     cls = classify(game)
     rep.check_true("classification", "strictly-monotone", cls.monotonicity_class,
                    cls.monotonicity_class == "strictly-monotone",
@@ -200,14 +206,10 @@ def _example_2(out_dir=None):
     rep.check("eps=0.1 fixed point near exact equilibrium", nash, rp01.x_star,
               0.01, "computed gap 0.0329 at eps=0.1; the gap falls below 0.01 "
               "only near eps=0.03 (0.0038 at eps=0.01)")
-    _dichotomy(rep, game, rp1, "converged", "converged",
-               T_END_SETTLED, T_END_SETTLED)
-    return rep
+    _dichotomy(rep, rp1, runs, "converged", "converged")
 
 
-def _example_3(out_dir=None):
-    game = preset("matching_pennies")
-    rep = ExampleReport("3", "two-player matching pennies, eps=1, gamma 1 vs 4")
+def _checks_3(rep, game, runs, out_dir):
     cls = classify(game)
     rep.check("mu", 0.0, cls.mu, 1e-12, "Phi + Phi^T = 0 for zero-sum games")
     rep.check_true("classification", "null-monotone", cls.monotonicity_class,
@@ -215,9 +217,7 @@ def _example_3(out_dir=None):
     rp = rest_point(game, 1.0)
     rep.check("fixed point", np.full(4, 0.5), rp.x_star, 1e-8,
               "uniform equilibrium; scores vanish so the choice map is uniform")
-    runs = _dichotomy(rep, game, rp, "converged", "converged",
-                      T_END_SETTLED, T_END_SETTLED,
-                      gamma_seeds=((1.0, SEEDS), (4.0, SEEDS[:3])))
+    _dichotomy(rep, rp, runs, "converged", "converged")
     for scheme, trajs, fast in zip(("first-order", "higher-order"), runs[:2], runs[2:]):
         wins = 0
         for traj_1, traj_4 in zip(trajs, fast):
@@ -228,90 +228,62 @@ def _example_3(out_dir=None):
         rep.check_true(f"gamma=4 reaches tolerance first ({scheme})",
                        "3 of 3 seeds", f"{wins} of 3 seeds", wins == 3,
                        "higher learning rate speeds up convergence")
-    return rep
 
 
-def _example_4_l1(out_dir=None):
-    game = preset("two_player_rps", {"l": 1.0})
-    rep = ExampleReport("4-l1", "two-player RPS, l=1, eps=1")
+def _checks_4_l1(rep, game, runs, out_dir):
     cls = classify(game)
     rep.check("full eigenvalues", np.zeros(6), np.sort(cls.full_eigenvalues),
               1e-9, "zero-sum case: Phi + Phi^T = 0")
-    _dichotomy(rep, game, rest_point(game, 1.0), "converged", "converged",
-               T_END_SETTLED, T_END_SETTLED)
-    return rep
+    _dichotomy(rep, rest_point(game, 1.0), runs, "converged", "converged")
 
 
-def _example_4_l5(out_dir=None):
-    game = preset("two_player_rps", {"l": 5.0})
-    rep = ExampleReport("4-l5", "two-player RPS, l=5, eps=1")
+def _checks_4_l5(rep, game, runs, out_dir):
     cls = classify(game)
     expect = np.sort([8.0, -8.0, -4.0, -4.0, 4.0, 4.0])
     rep.check("full eigenvalues", expect, np.sort(cls.full_eigenvalues),
               1e-9, "closed form {+-2(l-1), +-(1-l), +-(1-l)}")
     rep.check("mu", 2.0, cls.mu, 1e-9, "mu = |l-1|/2")
-    _dichotomy(rep, game, rest_point(game, 1.0), "converged", "converged",
-               T_END_SETTLED, T_END_SETTLED)
-    return rep
+    _dichotomy(rep, rest_point(game, 1.0), runs, "converged", "converged")
 
 
-def _example_4_l5_eps05(out_dir=None):
-    game = preset("two_player_rps", {"l": 5.0})
-    rep = ExampleReport("4-l5-eps0.5", "two-player RPS, l=5, eps=0.5")
-    _dichotomy(rep, game, rest_point(game, 0.5), "limit-cycle", "converged",
-               T_END_CYCLE, T_END_SETTLED)
+def _checks_4_l5_eps05(rep, game, runs, out_dir):
+    _dichotomy(rep, rest_point(game, 0.5), runs, "limit-cycle", "converged")
     _check_bifurcation(rep, game, "first-order", 2.0 / 3.0, 1e-3, (0.2, 2.0),
                        "closed form (l-1)/6 per population")
     _check_bifurcation(rep, game, "higher-order", 0.347, 5e-3, (0.05, 2.0),
                        "reference value 0.347; computed 0.34722")
-    return rep
 
 
-def _example_5(out_dir=None):
-    game = preset("shapley")
-    rep = ExampleReport("5", "two-player Shapley game, eps=1")
+def _checks_5(rep, game, runs, out_dir):
     cls = classify(game)
     rep.check("mu", 0.5, cls.mu, 1e-9,
               "the l=0 analogue of two-player RPS, mu = |l-1|/2 = 0.5")
-    _dichotomy(rep, game, rest_point(game, 1.0), "converged", "converged",
-               T_END_SETTLED, T_END_SETTLED)
-    return rep
+    _dichotomy(rep, rest_point(game, 1.0), runs, "converged", "converged")
 
 
-def _example_5_eps01(out_dir=None):
-    game = preset("shapley")
-    rep = ExampleReport("5-eps0.1", "two-player Shapley game, eps=0.1")
-    rp = rest_point(game, 0.1)
-    trajs, = _runs(game, 0.1, T_END_CYCLE, None)
-    rep.check_status("first-order status, eps=0.1", "limit-cycle",
-                     _statuses(trajs, rp), "closed orbit around the uniform point")
+def _checks_5_eps01(rep, game, runs, out_dir):
+    _dichotomy(rep, rest_point(game, 0.1), runs, "limit-cycle", None,
+               "closed orbit around the uniform point")
     if out_dir is not None:
         # named relative to out_dir, so the report does not depend on it
         name = "shapley_eps0.1_seed0.csv"
-        write_trajectory_csv(os.path.join(out_dir, name), trajs[0], game.action_counts,
-                             ternary=True)
+        write_trajectory_csv(os.path.join(out_dir, name), runs[0][0],
+                             game.action_counts, ternary=True)
         rep.record("orbit trace", "2-simplex projection columns",
                    f"written to {name}",
                    "triangular orbit, plottable from the ternary columns")
-    return rep
 
 
-def _example_6(out_dir=None):
-    game = preset("network_zero_sum_mp")
-    rep = ExampleReport("6", "three-player network zero-sum pennies, eps=1")
+def _checks_6(rep, game, runs, out_dir):
     cls = classify(game)
     rep.check("mu", 0.0, cls.mu, 1e-12, "pairwise zero-sum: Phi + Phi^T = 0")
     rp = rest_point(game, 1.0)
     rep.check("fixed point", np.full(6, 0.5), rp.x_star, 1e-8,
               "uniform equilibrium on every edge game")
-    _dichotomy(rep, game, rp, "converged", "converged",
-               T_END_SETTLED, T_END_SETTLED)
-    return rep
+    _dichotomy(rep, rp, runs, "converged", "converged")
 
 
-def _example_7(out_dir=None):
-    game = preset("jordan_mp")
-    rep = ExampleReport("7", "three-player Jordan pennies, eps=1")
+def _checks_7(rep, game, runs, out_dir):
     cls = classify(game)
     rep.check("full eigenvalues", np.sort([-4.0, 2.0, 2.0, 0.0, 0.0, 0.0]),
               np.sort(cls.full_eigenvalues), 1e-9,
@@ -320,20 +292,16 @@ def _example_7(out_dir=None):
     rp = rest_point(game, 1.0)
     rep.check("fixed point", np.full(6, 0.5), rp.x_star, 1e-8,
               "uniform equilibrium, unchanged by the temperature")
-    trajs_fo, trajs_ho = _runs(game, 1.0, T_END_SETTLED, T_END_SETTLED)
     rep.record("first-order status, eps=1", "observed status recorded",
-               _status_text(_statuses(trajs_fo, rp)),
+               _status_text(_statuses(runs[0], rp)),
                "eps=1 sits on the guarantee boundary (mu=1), so the status is "
                "recorded rather than asserted")
     rep.record("higher-order status, eps=1", "observed status recorded",
-               _status_text(_statuses(trajs_ho, rp)),
+               _status_text(_statuses(runs[1], rp)),
                "same boundary note as the first-order run")
-    return rep
 
 
-def _example_8_A(out_dir=None):
-    game = preset("modified_rps_A")
-    rep = ExampleReport("8-A", "modified RPS (stable variant), eps=1")
+def _checks_8_A(rep, game, runs, out_dir):
     cls = classify(game)
     rep.check("full eigenvalues", np.sort([3.3723, -2.3723, -1.0]),
               np.sort(cls.full_eigenvalues), 1e-3, "quoted spectrum of A + A^T")
@@ -345,28 +313,20 @@ def _example_8_A(out_dir=None):
     rep.check("fixed point at eps=1", [0.379, 0.2997, 0.3213], rp.x_star, 1e-3,
               "reference distribution; computed fixed point "
               "(0.37848, 0.29801, 0.32351)")
-    _, trajs_ho = _dichotomy(rep, game, rp, "converged", "converged",
-                             T_END_SETTLED, T_END_SETTLED)
-    _check_terminal(rep, rp, trajs_ho)
-    return rep
+    _dichotomy(rep, rp, runs, "converged", "converged")
+    _check_terminal(rep, rp, runs[1])
 
 
-def _example_8_A_eps02(out_dir=None):
-    game = preset("modified_rps_A")
-    rep = ExampleReport("8-A-eps0.2", "modified RPS (stable variant), eps=0.2")
+def _checks_8_A_eps02(rep, game, runs, out_dir):
     rp = rest_point(game, 0.2)
     rep.check("fixed point at eps=0.2", [0.4025, 0.3024, 0.2951], rp.x_star,
               1e-3, "reference distribution; computed fixed point "
               "(0.40393, 0.30391, 0.29217)")
-    _, trajs_ho = _dichotomy(rep, game, rp, "converged", "converged",
-                             T_END_SETTLED, T_END_SETTLED)
-    _check_terminal(rep, rp, trajs_ho)
-    return rep
+    _dichotomy(rep, rp, runs, "converged", "converged")
+    _check_terminal(rep, rp, runs[1])
 
 
-def _example_8_Abar(out_dir=None):
-    game = preset("modified_rps_Abar")
-    rep = ExampleReport("8-Abar", "modified RPS (cyclic variant), eps=1")
+def _checks_8_Abar(rep, game, runs, out_dir):
     cls = classify(game)
     rep.check("full eigenvalues", np.sort([-3.3723, 2.3723, 1.0]),
               np.sort(cls.full_eigenvalues), 1e-3, "quoted spectrum of A + A^T")
@@ -378,88 +338,103 @@ def _example_8_Abar(out_dir=None):
     rp = rest_point(game, 1.0)
     rep.check("fixed point at eps=1", [0.2741, 0.3647, 0.3612], rp.x_star,
               1e-3, "reference distribution")
-    _dichotomy(rep, game, rp, "converged", "converged",
-               T_END_SETTLED, T_END_SETTLED)
-    return rep
+    _dichotomy(rep, rp, runs, "converged", "converged")
 
 
-def _example_8_Abar_eps02(out_dir=None):
-    game = preset("modified_rps_Abar")
-    rep = ExampleReport("8-Abar-eps0.2", "modified RPS (cyclic variant), eps=0.2")
+def _checks_8_Abar_eps02(rep, game, runs, out_dir):
     rp = rest_point(game, 0.2)
-    _, trajs_ho = _dichotomy(rep, game, rp, "limit-cycle", "converged",
-                             T_END_CYCLE, T_END_SETTLED)
+    _dichotomy(rep, rp, runs, "limit-cycle", "converged")
     rep.check("higher-order terminal distribution", [0.2653, 0.3237, 0.4109],
-              trajs_ho[0].strategies[-1], 1e-3,
+              runs[1][0].strategies[-1], 1e-3,
               "reference distribution; computed fixed point "
               "(0.27199, 0.32457, 0.40345), which the run reaches to 1e-9")
-    _check_terminal(rep, rp, trajs_ho)
-    return rep
+    _check_terminal(rep, rp, runs[1])
 
 
-def _example_8_Abar_eps01(out_dir=None):
-    game = preset("modified_rps_Abar")
-    rep = ExampleReport("8-Abar-eps0.1", "modified RPS (cyclic variant), eps=0.1")
+def _checks_8_Abar_eps01(rep, game, runs, out_dir):
     rp = rest_point(game, 0.1)
-    trajs_fo, trajs_ho = _runs(game, 0.1, T_END_CYCLE, T_END_CYCLE)
-    rep.check_status("first-order status, eps=0.1", "limit-cycle",
-                     _statuses(trajs_fo, rp))
+    _dichotomy(rep, rp, runs, "limit-cycle", None)
     rep.record("higher-order status, eps=0.1",
                "reference reports a cycle; observed status recorded",
-               _status_text(_statuses(trajs_ho, rp)),
+               _status_text(_statuses(runs[1], rp)),
                "with gain 1 and cutoff 1 the filtered run settles onto the "
                "fixed point, so the quoted cycle does not reproduce")
-    return rep
 
 
-def _example_9(out_dir=None):
-    game = preset("modified_jordan")
-    rep = ExampleReport("9", "modified three-player Jordan game, eps=0.1")
+def _checks_9(rep, game, runs, out_dir):
     rp = rest_point(game, 0.1)
-    _, trajs_ho = _dichotomy(rep, game, rp, "limit-cycle", "converged",
-                             T_END_CYCLE, T_END_SETTLED)
-    _check_terminal(rep, rp, trajs_ho)
+    _dichotomy(rep, rp, runs, "limit-cycle", "converged")
+    _check_terminal(rep, rp, runs[1])
     nash = np.array([0.25, 0.75, 2.0 / 3.0, 1.0 / 3.0, 0.5, 0.5])
     rep.record("distance to exact equilibrium",
                "close to (1/4, 3/4, 2/3, 1/3, 1/2, 1/2)",
                f"{np.abs(rp.x_star - nash).max():.4f}",
                "no tolerance quoted, so the gap is recorded only")
-    return rep
 
 
-_RUNNERS = {
-    "1-l1": partial(_example_1, 1.0),
-    "1-l2.5": partial(_example_1, 2.5),
-    "1-l5": partial(_example_1, 5.0),
-    "1-l8": partial(_example_1, 8.0),
-    "2": _example_2,
-    "3": _example_3,
-    "4-l1": _example_4_l1,
-    "4-l5": _example_4_l5,
-    "4-l5-eps0.5": _example_4_l5_eps05,
-    "5": _example_5,
-    "5-eps0.1": _example_5_eps01,
-    "6": _example_6,
-    "7": _example_7,
-    "8-A": _example_8_A,
-    "8-A-eps0.2": _example_8_A_eps02,
-    "8-Abar": _example_8_Abar,
-    "8-Abar-eps0.2": _example_8_Abar_eps02,
-    "8-Abar-eps0.1": _example_8_Abar_eps01,
-    "9": _example_9,
+SCENARIOS = {
+    "1-l1": Scenario("single-population RPS, l=1, eps=1", ("rps", {"l": 1.0}), 1.0,
+                     T_END_SETTLED, T_END_SETTLED, _checks_1(1.0)),
+    "1-l2.5": Scenario("single-population RPS, l=2.5, eps=1", ("rps", {"l": 2.5}), 1.0,
+                       T_END_SETTLED, T_END_SETTLED, _checks_1(2.5)),
+    "1-l5": Scenario("single-population RPS, l=5, eps=1", ("rps", {"l": 5.0}), 1.0,
+                     T_END_SETTLED, T_END_SETTLED, _checks_1(5.0)),
+    # the filtered run is weakly damped near the threshold: a long horizon
+    "1-l8": Scenario("single-population RPS, l=8, eps=1", ("rps", {"l": 8.0}), 1.0,
+                     T_END_CYCLE, 450.0, _checks_1(8.0)),
+    "2": Scenario("123 anti-coordination, eps=1 and eps=0.1", ("anticoord123", None),
+                  1.0, T_END_SETTLED, T_END_SETTLED, _checks_2),
+    "3": Scenario("two-player matching pennies, eps=1, gamma 1 vs 4",
+                  ("matching_pennies", None), 1.0, T_END_SETTLED, T_END_SETTLED,
+                  _checks_3, gamma_seeds=((1.0, SEEDS), (4.0, SEEDS[:3]))),
+    "4-l1": Scenario("two-player RPS, l=1, eps=1", ("two_player_rps", {"l": 1.0}), 1.0,
+                     T_END_SETTLED, T_END_SETTLED, _checks_4_l1),
+    "4-l5": Scenario("two-player RPS, l=5, eps=1", ("two_player_rps", {"l": 5.0}), 1.0,
+                     T_END_SETTLED, T_END_SETTLED, _checks_4_l5),
+    "4-l5-eps0.5": Scenario("two-player RPS, l=5, eps=0.5", ("two_player_rps", {"l": 5.0}),
+                            0.5, T_END_CYCLE, T_END_SETTLED, _checks_4_l5_eps05),
+    "5": Scenario("two-player Shapley game, eps=1", ("shapley", None), 1.0,
+                  T_END_SETTLED, T_END_SETTLED, _checks_5),
+    "5-eps0.1": Scenario("two-player Shapley game, eps=0.1", ("shapley", None), 0.1,
+                         T_END_CYCLE, None, _checks_5_eps01),
+    "6": Scenario("three-player network zero-sum pennies, eps=1",
+                  ("network_zero_sum_mp", None), 1.0, T_END_SETTLED, T_END_SETTLED,
+                  _checks_6),
+    "7": Scenario("three-player Jordan pennies, eps=1", ("jordan_mp", None), 1.0,
+                  T_END_SETTLED, T_END_SETTLED, _checks_7),
+    "8-A": Scenario("modified RPS (stable variant), eps=1", ("modified_rps_A", None),
+                    1.0, T_END_SETTLED, T_END_SETTLED, _checks_8_A),
+    "8-A-eps0.2": Scenario("modified RPS (stable variant), eps=0.2",
+                           ("modified_rps_A", None), 0.2, T_END_SETTLED, T_END_SETTLED,
+                           _checks_8_A_eps02),
+    "8-Abar": Scenario("modified RPS (cyclic variant), eps=1", ("modified_rps_Abar", None),
+                       1.0, T_END_SETTLED, T_END_SETTLED, _checks_8_Abar),
+    "8-Abar-eps0.2": Scenario("modified RPS (cyclic variant), eps=0.2",
+                              ("modified_rps_Abar", None), 0.2, T_END_CYCLE,
+                              T_END_SETTLED, _checks_8_Abar_eps02),
+    "8-Abar-eps0.1": Scenario("modified RPS (cyclic variant), eps=0.1",
+                              ("modified_rps_Abar", None), 0.1, T_END_CYCLE,
+                              T_END_CYCLE, _checks_8_Abar_eps01),
+    "9": Scenario("modified three-player Jordan game, eps=0.1", ("modified_jordan", None),
+                  0.1, T_END_CYCLE, T_END_SETTLED, _checks_9),
 }
 
-EXAMPLE_IDS = tuple(_RUNNERS)
+EXAMPLE_IDS = tuple(SCENARIOS)
 
 
 def run_example(example_id: str, out_dir: str | None = None) -> ExampleReport:
-    """Run every check of one scenario and return its report."""
-    if example_id not in _RUNNERS:
+    """Integrate one scenario's runs, run its checks on them and return its
+    report."""
+    if example_id not in SCENARIOS:
         raise UsageError(
             f"unknown example id {example_id!r}; valid ids: {', '.join(EXAMPLE_IDS)}")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    return _RUNNERS[example_id](out_dir)
+    scenario = SCENARIOS[example_id]
+    game = preset(*scenario.game)
+    report = ExampleReport(example_id, scenario.title)
+    scenario.checks(report, game, scenario_runs(scenario, game), out_dir)
+    return report
 
 
 def format_report(report: ExampleReport) -> str:

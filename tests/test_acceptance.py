@@ -5,7 +5,9 @@ then asserts.  The references for criteria 2 and 3 are derived
 independently of the solver under test: rest points against a plain
 numpy logit map solved by a scipy root multistart (and, for the
 anti-coordination game, a Lambert-W closed form), the RPS spectrum from
-the circulant eigenvalues of the payoff matrix.
+the circulant eigenvalues of the payoff matrix.  Criterion 5 reads the
+runs that the `reproduce` catalogue declares for nine of its scenarios and
+integrates them as the catalogue does, with its own expected statuses.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ from gamedyn import (FeedbackBlock, LearningParams, SimulationRun,
                      dynamics_jacobian, expected_payoff_vector,
                      first_order_field, induced_strategy_field, lyapunov_trace,
                      numeric_jacobian, payoff_estimate, preset,
-                     profile_jacobian, rest_point, rps_matrix,
+                     profile_jacobian, reproduce, rest_point, rps_matrix,
                      score_bound_excess, seeded_initial_scores,
                      simulate_batch, simulate_first_order,
                      simulate_higher_order, softmax, softmax_block,
@@ -30,9 +32,6 @@ SEEDS5 = tuple(range(5))
 SEEDS10 = tuple(range(10))
 DT = 0.02
 RECORD_EVERY = 5
-T_SETTLED = 120.0
-T_CYCLE = 150.0
-T_RPS8_HO = 450.0
 
 
 def _conclude(num: int, desc: str, failures: list[str], note: str = "") -> None:
@@ -249,53 +248,42 @@ def test_criterion_4_bifurcation_thresholds():
     _conclude(4, "critical temperatures", failures)
 
 
+# (catalogue scenario, first-order status, filtered status or None)
 DICHOTOMY = [
-    ("rps", {"l": 1.0}, 1.0, "first-order", "converged", T_SETTLED),
-    ("rps", {"l": 1.0}, 1.0, "higher-order", "converged", T_SETTLED),
-    ("rps", {"l": 2.5}, 1.0, "first-order", "converged", T_SETTLED),
-    ("rps", {"l": 2.5}, 1.0, "higher-order", "converged", T_SETTLED),
-    ("rps", {"l": 5.0}, 1.0, "first-order", "converged", T_SETTLED),
-    ("rps", {"l": 5.0}, 1.0, "higher-order", "converged", T_SETTLED),
-    ("rps", {"l": 8.0}, 1.0, "first-order", "limit-cycle", T_CYCLE),
-    ("rps", {"l": 8.0}, 1.0, "higher-order", "converged", T_RPS8_HO),
-    ("two_player_rps", {"l": 5.0}, 0.5, "first-order", "limit-cycle", T_CYCLE),
-    ("two_player_rps", {"l": 5.0}, 0.5, "higher-order", "converged", T_SETTLED),
-    ("shapley", None, 1.0, "first-order", "converged", T_SETTLED),
-    ("shapley", None, 1.0, "higher-order", "converged", T_SETTLED),
-    ("shapley", None, 0.1, "first-order", "limit-cycle", T_CYCLE),
-    ("modified_rps_Abar", None, 0.2, "first-order", "limit-cycle", T_CYCLE),
-    ("modified_rps_Abar", None, 0.2, "higher-order", "converged", T_SETTLED),
-    ("modified_jordan", None, 0.1, "first-order", "limit-cycle", T_CYCLE),
-    ("modified_jordan", None, 0.1, "higher-order", "converged", T_SETTLED),
+    ("1-l1", "converged", "converged"),
+    ("1-l2.5", "converged", "converged"),
+    ("1-l5", "converged", "converged"),
+    ("1-l8", "limit-cycle", "converged"),
+    ("4-l5-eps0.5", "limit-cycle", "converged"),
+    ("5", "converged", "converged"),
+    ("5-eps0.1", "limit-cycle", None),
+    ("8-Abar-eps0.2", "limit-cycle", "converged"),
+    ("9", "limit-cycle", "converged"),
 ]
 
 
 def test_criterion_5_convergence_dichotomy():
-    """One lockstep batch per (game, eps): both schemes from the same five
-    seeds, each to its own horizon."""
+    """The runs of nine catalogue scenarios, integrated as the catalogue
+    integrates them: both schemes from the same five seeds in one lockstep
+    batch, each to its own horizon."""
     failures = []
-    groups = {}
-    for name, prm, eps, scheme, expected, t_end in DICHOTOMY:
-        groups.setdefault((name, str(prm), eps), (prm, []))[1].append(
-            (scheme, expected, t_end))
-    for (name, _, eps), (prm, cases) in groups.items():
-        game = preset(name, prm)
-        block = FeedbackBlock.high_pass(1.0, 1.0, game.action_counts)
-        z0 = _stacked_scores(game.total_actions, SEEDS5)
-        runs = [SimulationRun(LearningParams(gamma=1.0, eps=eps), z0, t_end,
-                              block if scheme == "higher-order" else None)
-                for scheme, _, t_end in cases]
-        batch = simulate_batch(game, runs, dt=DT, record_every=RECORD_EVERY)
-        solved = (rest_point(game, eps)
-                  if any(expected == "converged" for _, expected, _ in cases) else None)
-        for (scheme, expected, _), run, trajs in zip(cases, runs, batch):
-            x_star = solved.x_star if expected == "converged" else None
+    for example_id, *expected in DICHOTOMY:
+        scenario = reproduce.SCENARIOS[example_id]
+        game = preset(*scenario.game)
+        batch = reproduce.scenario_runs(scenario, game)
+        solved = (rest_point(game, scenario.eps)
+                  if "converged" in expected else None)
+        cases = [(scheme, status, block) for scheme, status, block in zip(
+            ("first-order", "higher-order"), expected,
+            (None, reproduce._filter(game))) if status is not None]
+        for (scheme, status, block), trajs in zip(cases, batch, strict=True):
+            x_star = solved.x_star if status == "converged" else None
             statuses = [convergence_report(t, x_star=x_star).status for t in trajs]
-            excess = max(score_bound_excess(t, game, block=run.block) for t in trajs)
-            label = f"{game.name} eps={eps:g} {scheme}"
-            if any(s != expected for s in statuses):
+            excess = max(score_bound_excess(t, game, block=block) for t in trajs)
+            label = f"{game.name} eps={scenario.eps:g} {scheme}"
+            if any(s != status for s in statuses):
                 failures.append(f"{label}: statuses {statuses}, expected "
-                                f"{expected} on all seeds")
+                                f"{status} on all seeds")
             if excess > 0.0:
                 failures.append(f"{label}: score bound exceeded by {excess:.2e}")
     _conclude(5, "convergence dichotomy, unanimous over five seeds", failures)

@@ -76,3 +76,17 @@ def test_report_does_not_depend_on_the_output_directory(tmp_path):
     assert observed["orbit trace"] == "written to shapley_eps0.1_seed0.csv"
     a, b = ((tmp_path / d / "shapley_eps0.1_seed0.csv").read_bytes() for d in "ab")
     assert a == b
+
+
+def test_mixed_statuses_read_the_same_checked_or_recorded():
+    """A status row that is asserted and one that is only recorded name a
+    split over the seeds in one form."""
+    statuses = ["converged", "limit-cycle", "converged"]
+    report = reproduce.ExampleReport("x", "mixed statuses")
+    report.check_status("checked", "converged", statuses)
+    report.record("recorded", "observed status recorded",
+                  reproduce._status_text(statuses))
+    checked, recorded = report.rows
+    assert checked.observed == recorded.observed == \
+        "mixed: converged, limit-cycle, converged"
+    assert (checked.outcome, recorded.outcome) == ("fail", "recorded")
