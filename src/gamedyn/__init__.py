@@ -15,14 +15,13 @@ from .analysis import (BifurcationResult, ClassificationReport,
 from .choice import (bregman_lse, log_sum_exp, profile_jacobian, softmax,
                      softmax_block, softmax_jacobian)
 from .dynamics import (FeedbackBlock, FeedbackBlockReport, LearningParams,
-                       SimulationRun, Trajectory, euler_step, first_order_field,
+                       SimulationRun, Trajectory, first_order_field,
                        harmonic_schedule, higher_order_field,
-                       induced_strategy_field, integrate,
-                       payoff_estimate, run_discrete, run_stochastic,
-                       sample_joint_actions, seeded_initial_scores,
+                       induced_strategy_field, integrate, payoff_estimate,
+                       run_discrete, run_stochastic, seeded_initial_scores,
                        simulate_batch, simulate_first_order,
-                       simulate_higher_order, stochastic_step,
-                       verify_feedback_block, write_trajectory_csv)
+                       simulate_higher_order, verify_feedback_block,
+                       write_trajectory_csv)
 from .errors import (ConfigurationError, DomainError, GameDynError,
                      IntegrationDivergedError, NumericsError, UsageError)
 from .games import (GameSpec, expected_payoff_vector, game_from_dict,
@@ -42,13 +41,11 @@ __all__ = [
     "bregman_lse", "log_sum_exp", "profile_jacobian", "softmax",
     "softmax_block", "softmax_jacobian",
     "FeedbackBlock", "FeedbackBlockReport", "LearningParams", "SimulationRun",
-    "Trajectory", "euler_step", "first_order_field", "harmonic_schedule",
-    "higher_order_field",
-    "induced_strategy_field", "integrate", "payoff_estimate",
-    "run_discrete", "run_stochastic",
-    "sample_joint_actions", "seeded_initial_scores", "simulate_batch",
-    "simulate_first_order", "simulate_higher_order", "stochastic_step",
-    "verify_feedback_block", "write_trajectory_csv",
+    "Trajectory", "first_order_field", "harmonic_schedule",
+    "higher_order_field", "induced_strategy_field", "integrate",
+    "payoff_estimate", "run_discrete", "run_stochastic",
+    "seeded_initial_scores", "simulate_batch", "simulate_first_order",
+    "simulate_higher_order", "verify_feedback_block", "write_trajectory_csv",
     "ConfigurationError", "DomainError", "GameDynError",
     "IntegrationDivergedError", "NumericsError", "UsageError",
     "GameSpec", "expected_payoff_vector",

@@ -635,22 +635,6 @@ def simulate_higher_order(game: GameSpec, params: LearningParams,
 
 # ------------------------------------------------- discrete-time recursions
 
-def euler_step(z, game: GameSpec, params: LearningParams, alpha: float):
-    """One explicit Euler step Z+ = Z + alpha gamma (U(sigma(Z)) - Z).
-
-    Returns (Z+, sigma(Z+)).  With alpha * gamma = 1 this is the exact
-    best-scored update Z+ = U(sigma(Z)).  The increment is the first-order
-    field at gamma = 1.
-    """
-    alpha = _check_alpha(alpha)
-    z = np.asarray(z, dtype=float)
-    _check_length(z, game.total_actions)
-    _check_finite(z)
-    increment = _bind_field(game, params.eps, None, [(1, False, 1.0)])
-    z_next = z + alpha * params.gamma * increment(z)
-    return z_next, softmax(z_next, params.eps, game.action_counts)
-
-
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
@@ -674,8 +658,10 @@ def _bandit(mode: str) -> bool:
 
 def _bind_draws(game: GameSpec, x: np.ndarray, bandit: bool = False):
     """The sampler and payoff estimator of a game at the float profile x,
-    which the maps read at each call (a caller rewrites x in place between
-    calls): returns (draw, estimate, realize).  None of them checks x.
+    which the maps read at each call (run_stochastic rewrites x in place
+    between calls): returns (draw, estimate, realize), the one
+    implementation behind payoff_estimate and run_stochastic.  None of them
+    checks x.
 
     draw(u) maps uniforms u in [0, 1) of shape (..., columns), one column
     per entry of _column_counts, to pure actions of the same shape.  Column
@@ -736,28 +722,6 @@ def _bind_draws(game: GameSpec, x: np.ndarray, bandit: bool = False):
     return draw, estimate, realize
 
 
-def _draw_columns(game: GameSpec, x: np.ndarray, rng, size: int | None,
-                  bandit: bool = False):
-    """The m = size (or 1) draws of sample_joint_actions and payoff_estimate,
-    one rng.random call taking the m uniforms of each column in turn:
-    the stream of one call per column.  Returns (acts, estimate, realize)."""
-    draw, estimate, realize = _bind_draws(game, x, bandit)
-    m = 1 if size is None else int(size)
-    return draw(rng.random((len(_column_counts(game)), m)).T), estimate, realize
-
-
-def sample_joint_actions(game: GameSpec, x, rng, size: int | None = None) -> np.ndarray:
-    """Sample pure actions from a mixed profile, one column per player.
-
-    Matching games return two columns (own draw, opponent draw from the same
-    population).  With size=None a single (columns,) vector is returned.
-    """
-    x = np.asarray(x, dtype=float)
-    _check_length(x, game.total_actions, "profile")
-    acts = _draw_columns(game, x, np.random.default_rng(rng), size)[0]
-    return acts[0] if size is None else acts
-
-
 def payoff_estimate(game: GameSpec, x, rng, mode: str = "full-info",
                     size: int | None = None):
     """Unbiased one-shot payoff estimate from realized pure actions.
@@ -766,32 +730,20 @@ def payoff_estimate(game: GameSpec, x, rng, mode: str = "full-info",
     opponents' realized actions.  bandit: only the realized own action gets
     its realized payoff divided by its probability; all other entries are 0.
 
-    Returns (u_hat, actions, realized_payoffs); with integer size the first
-    axis of each output enumerates independent draws.
+    Returns (u_hat, actions, realized_payoffs); with a whole size m >= 0
+    the first axis of each output enumerates m independent draws.  One
+    rng.random((columns, m)) call takes the m uniforms of each column in
+    turn: the stream of one call per column.
     """
     bandit = _bandit(mode)
     x = np.asarray(x, dtype=float)
     _check_length(x, game.total_actions, "profile")
-    acts, estimate, realize = _draw_columns(game, x, np.random.default_rng(rng), size, bandit)
+    m = 1 if size is None else _check_whole(size, "size", 0)
+    draw, estimate, realize = _bind_draws(game, x, bandit)
+    uniforms = np.random.default_rng(rng).random((len(_column_counts(game)), m))
+    acts = draw(uniforms.T)
     draws = estimate(acts), acts, realize(acts)
     return tuple(a[0] for a in draws) if size is None else draws
-
-
-def stochastic_step(z, game: GameSpec, params: LearningParams, alpha: float,
-                    rng, mode: str = "full-info"):
-    """One stochastic-approximation step Z+ = Z + alpha gamma (u_hat - Z).
-
-    Returns (Z+, sigma(Z+), actions, realized_payoffs).  alpha = 0 leaves
-    the scores unchanged.
-    """
-    alpha = _check_alpha(alpha)
-    bandit = _bandit(mode)
-    z = np.asarray(z, dtype=float)
-    x = softmax(z, params.eps, game.action_counts)
-    draw, estimate, realize = _bind_draws(game, x, bandit)
-    acts = draw(np.random.default_rng(rng).random(len(_column_counts(game))))
-    z_next = z + alpha * params.gamma * (estimate(acts) - z)
-    return z_next, softmax(z_next, params.eps, game.action_counts), acts, realize(acts)
 
 
 def _record(ks: list, zs: list, k: int, z: np.ndarray) -> None:
@@ -806,10 +758,13 @@ def _record(ks: list, zs: list, k: int, z: np.ndarray) -> None:
 
 def run_discrete(game: GameSpec, params: LearningParams, z0, alpha: float,
                  steps: int, record_every: int = 1) -> Trajectory:
-    """Iterate the euler_step update; returns the Trajectory of the samples,
-    with the iteration k as time.  The increment, the first-order field at
-    gamma = 1, is bound once into one buffer, and each step writes
-    z + rate * increment into the other of two state buffers."""
+    """Iterate the explicit Euler recursion
+    Z_{k+1} = Z_k + alpha gamma (U(sigma(Z_k)) - Z_k), with alpha in [0, 1];
+    alpha gamma = 1 gives the best-scored update Z_{k+1} = U(sigma(Z_k)).
+    Returns the Trajectory of the samples, with the iteration k as time.
+    The increment, the first-order field at gamma = 1, is bound once into
+    one buffer, and each step writes z + rate * increment into the other of
+    two state buffers."""
     steps = _check_whole(steps, "steps", 0)
     record_every = _check_whole(record_every, "record_every", 1)
     rate = np.array(_check_alpha(alpha) * params.gamma)
@@ -845,12 +800,14 @@ _UNIFORM_BLOCK = 256
 
 def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
                    rng, mode: str = "full-info", record_every: int = 1) -> Trajectory:
-    """Iterate the stochastic_step update with the step sizes of
-    harmonic_schedule, with the scores in one buffer z updated in place, and
-    the soft-max (from z into one buffer x) and the sampler and estimator of
-    _bind_draws (which read x) bound once: each step makes one soft-max and
-    one draw.  A full-info step gathers its realized payoffs only when it is
-    recorded.
+    """Iterate the stochastic-approximation recursion
+    Z_{k+1} = Z_k + alpha_k gamma (u_hat_k - Z_k), where alpha_k is
+    harmonic_schedule(k) and u_hat_k is the payoff estimate (see
+    payoff_estimate) at one joint action drawn from sigma(Z_k).  The scores
+    sit in one buffer z updated in place, and the soft-max (from z into one
+    buffer x) and the sampler and estimator of _bind_draws (which read x)
+    are bound once: each step makes one soft-max and one draw.  A full-info
+    step gathers its realized payoffs only when it is recorded.
 
     The uniforms come in blocks of at most _UNIFORM_BLOCK steps from one
     rng.random((m, columns)) call each: the stream of one call per step,

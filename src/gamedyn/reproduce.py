@@ -7,9 +7,9 @@ the runs as one lockstep batch, then runs the checks on them: classification
 numbers, solved rest points, convergence statuses and bifurcation
 thresholds.  It returns a row-per-check report; rows carry a note saying
 where the expected number comes from.  Rows whose expectation is known only
-to limited precision are recorded without being asserted.  The checks solve
-each rest point once, and the speed and learning-rate rows read the runs
-behind the status rows.
+to limited precision are recorded without being asserted.  run_example
+solves the rest point at the scenario's eps once for every check, and the
+speed and learning-rate rows read the runs behind the status rows.
 """
 
 from __future__ import annotations
@@ -94,9 +94,10 @@ def _status_text(statuses) -> str:
 @dataclass(frozen=True)
 class Scenario:
     """One catalogue entry: the game (a preset name and its parameters), the
-    runs integrated on it, and checks(rep, game, runs, out_dir), which add
-    the report's rows.  For each (gamma, seeds) there is a first-order run to
-    t_end_fo and, unless t_end_ho is None, a filtered run to t_end_ho."""
+    runs integrated on it at eps, and checks(rep, game, rp, runs, out_dir),
+    which add the report's rows; rp is the rest point solved at eps.  For
+    each (gamma, seeds) there is a first-order run to t_end_fo and, unless
+    t_end_ho is None, a filtered run to t_end_ho."""
 
     title: str
     game: tuple
@@ -168,13 +169,12 @@ def _check_bifurcation(rep, game, scheme, expected, tol, eps_range, note):
 
 
 def _checks_1(l: float) -> Callable:
-    def checks(rep, game, runs, out_dir):
+    def checks(rep, game, rp, runs, out_dir):
         cls = classify(game)
         rep.check("tangent eigenvalues", [l - 1.0, l - 1.0],
                   np.sort(cls.tangent_eigenvalues), 1e-9,
                   "closed form: both tangent-space eigenvalues of A + A^T equal l-1")
         z_star = np.full(3, (1.0 - l) / 3.0)
-        rp = rest_point(game, 1.0)
         rep.check("rest point scores", z_star, rp.z_star, 1e-8,
                   "closed form (1-l)/3 * ones; the uniform point is fixed for every l")
         if l < 7.0:
@@ -192,13 +192,12 @@ def _checks_1(l: float) -> Callable:
     return checks
 
 
-def _checks_2(rep, game, runs, out_dir):
+def _checks_2(rep, game, rp, runs, out_dir):
     cls = classify(game)
     rep.check_true("classification", "strictly-monotone", cls.monotonicity_class,
                    cls.monotonicity_class == "strictly-monotone",
                    "concave-potential game; tangent eigenvalues are negative")
-    rp1 = rest_point(game, 1.0)
-    rep.check("fixed point at eps=1", [0.40, 0.32, 0.27], rp1.x_star, 0.005,
+    rep.check("fixed point at eps=1", [0.40, 0.32, 0.27], rp.x_star, 0.005,
               "reference distribution quoted to two decimals; computed fixed "
               "point (0.40720, 0.32160, 0.27121)")
     nash = np.array([6.0, 3.0, 2.0]) / 11.0
@@ -206,15 +205,14 @@ def _checks_2(rep, game, runs, out_dir):
     rep.check("eps=0.1 fixed point near exact equilibrium", nash, rp01.x_star,
               0.01, "computed gap 0.0329 at eps=0.1; the gap falls below 0.01 "
               "only near eps=0.03 (0.0038 at eps=0.01)")
-    _dichotomy(rep, rp1, runs, "converged", "converged")
+    _dichotomy(rep, rp, runs, "converged", "converged")
 
 
-def _checks_3(rep, game, runs, out_dir):
+def _checks_3(rep, game, rp, runs, out_dir):
     cls = classify(game)
     rep.check("mu", 0.0, cls.mu, 1e-12, "Phi + Phi^T = 0 for zero-sum games")
     rep.check_true("classification", "null-monotone", cls.monotonicity_class,
                    cls.monotonicity_class == "null-monotone", "")
-    rp = rest_point(game, 1.0)
     rep.check("fixed point", np.full(4, 0.5), rp.x_star, 1e-8,
               "uniform equilibrium; scores vanish so the choice map is uniform")
     _dichotomy(rep, rp, runs, "converged", "converged")
@@ -230,39 +228,39 @@ def _checks_3(rep, game, runs, out_dir):
                        "higher learning rate speeds up convergence")
 
 
-def _checks_4_l1(rep, game, runs, out_dir):
+def _checks_4_l1(rep, game, rp, runs, out_dir):
     cls = classify(game)
     rep.check("full eigenvalues", np.zeros(6), np.sort(cls.full_eigenvalues),
               1e-9, "zero-sum case: Phi + Phi^T = 0")
-    _dichotomy(rep, rest_point(game, 1.0), runs, "converged", "converged")
+    _dichotomy(rep, rp, runs, "converged", "converged")
 
 
-def _checks_4_l5(rep, game, runs, out_dir):
+def _checks_4_l5(rep, game, rp, runs, out_dir):
     cls = classify(game)
     expect = np.sort([8.0, -8.0, -4.0, -4.0, 4.0, 4.0])
     rep.check("full eigenvalues", expect, np.sort(cls.full_eigenvalues),
               1e-9, "closed form {+-2(l-1), +-(1-l), +-(1-l)}")
     rep.check("mu", 2.0, cls.mu, 1e-9, "mu = |l-1|/2")
-    _dichotomy(rep, rest_point(game, 1.0), runs, "converged", "converged")
+    _dichotomy(rep, rp, runs, "converged", "converged")
 
 
-def _checks_4_l5_eps05(rep, game, runs, out_dir):
-    _dichotomy(rep, rest_point(game, 0.5), runs, "limit-cycle", "converged")
+def _checks_4_l5_eps05(rep, game, rp, runs, out_dir):
+    _dichotomy(rep, rp, runs, "limit-cycle", "converged")
     _check_bifurcation(rep, game, "first-order", 2.0 / 3.0, 1e-3, (0.2, 2.0),
                        "closed form (l-1)/6 per population")
     _check_bifurcation(rep, game, "higher-order", 0.347, 5e-3, (0.05, 2.0),
                        "reference value 0.347; computed 0.34722")
 
 
-def _checks_5(rep, game, runs, out_dir):
+def _checks_5(rep, game, rp, runs, out_dir):
     cls = classify(game)
     rep.check("mu", 0.5, cls.mu, 1e-9,
               "the l=0 analogue of two-player RPS, mu = |l-1|/2 = 0.5")
-    _dichotomy(rep, rest_point(game, 1.0), runs, "converged", "converged")
+    _dichotomy(rep, rp, runs, "converged", "converged")
 
 
-def _checks_5_eps01(rep, game, runs, out_dir):
-    _dichotomy(rep, rest_point(game, 0.1), runs, "limit-cycle", None,
+def _checks_5_eps01(rep, game, rp, runs, out_dir):
+    _dichotomy(rep, rp, runs, "limit-cycle", None,
                "closed orbit around the uniform point")
     if out_dir is not None:
         # named relative to out_dir, so the report does not depend on it
@@ -274,22 +272,20 @@ def _checks_5_eps01(rep, game, runs, out_dir):
                    "triangular orbit, plottable from the ternary columns")
 
 
-def _checks_6(rep, game, runs, out_dir):
+def _checks_6(rep, game, rp, runs, out_dir):
     cls = classify(game)
     rep.check("mu", 0.0, cls.mu, 1e-12, "pairwise zero-sum: Phi + Phi^T = 0")
-    rp = rest_point(game, 1.0)
     rep.check("fixed point", np.full(6, 0.5), rp.x_star, 1e-8,
               "uniform equilibrium on every edge game")
     _dichotomy(rep, rp, runs, "converged", "converged")
 
 
-def _checks_7(rep, game, runs, out_dir):
+def _checks_7(rep, game, rp, runs, out_dir):
     cls = classify(game)
     rep.check("full eigenvalues", np.sort([-4.0, 2.0, 2.0, 0.0, 0.0, 0.0]),
               np.sort(cls.full_eigenvalues), 1e-9,
               "spectrum of the symmetrized linear payoff map")
     rep.check("mu", 1.0, cls.mu, 1e-9, "half the largest tangent eigenvalue")
-    rp = rest_point(game, 1.0)
     rep.check("fixed point", np.full(6, 0.5), rp.x_star, 1e-8,
               "uniform equilibrium, unchanged by the temperature")
     rep.record("first-order status, eps=1", "observed status recorded",
@@ -301,7 +297,7 @@ def _checks_7(rep, game, runs, out_dir):
                "same boundary note as the first-order run")
 
 
-def _checks_8_A(rep, game, runs, out_dir):
+def _checks_8_A(rep, game, rp, runs, out_dir):
     cls = classify(game)
     rep.check("full eigenvalues", np.sort([3.3723, -2.3723, -1.0]),
               np.sort(cls.full_eigenvalues), 1e-3, "quoted spectrum of A + A^T")
@@ -309,7 +305,6 @@ def _checks_8_A(rep, game, runs, out_dir):
               1e-3, "the eigenvalue whose eigenvector lies in the tangent space")
     rep.check_true("classification", "strictly-monotone", cls.monotonicity_class,
                    cls.monotonicity_class == "strictly-monotone", "")
-    rp = rest_point(game, 1.0)
     rep.check("fixed point at eps=1", [0.379, 0.2997, 0.3213], rp.x_star, 1e-3,
               "reference distribution; computed fixed point "
               "(0.37848, 0.29801, 0.32351)")
@@ -317,8 +312,7 @@ def _checks_8_A(rep, game, runs, out_dir):
     _check_terminal(rep, rp, runs[1])
 
 
-def _checks_8_A_eps02(rep, game, runs, out_dir):
-    rp = rest_point(game, 0.2)
+def _checks_8_A_eps02(rep, game, rp, runs, out_dir):
     rep.check("fixed point at eps=0.2", [0.4025, 0.3024, 0.2951], rp.x_star,
               1e-3, "reference distribution; computed fixed point "
               "(0.40393, 0.30391, 0.29217)")
@@ -326,7 +320,7 @@ def _checks_8_A_eps02(rep, game, runs, out_dir):
     _check_terminal(rep, rp, runs[1])
 
 
-def _checks_8_Abar(rep, game, runs, out_dir):
+def _checks_8_Abar(rep, game, rp, runs, out_dir):
     cls = classify(game)
     rep.check("full eigenvalues", np.sort([-3.3723, 2.3723, 1.0]),
               np.sort(cls.full_eigenvalues), 1e-3, "quoted spectrum of A + A^T")
@@ -335,14 +329,12 @@ def _checks_8_Abar(rep, game, runs, out_dir):
     rep.check("mu from the aligned eigenvalue", 0.5,
               cls.mu_aligned if cls.mu_aligned is not None else np.nan,
               1e-3, "half the aligned eigenvalue")
-    rp = rest_point(game, 1.0)
     rep.check("fixed point at eps=1", [0.2741, 0.3647, 0.3612], rp.x_star,
               1e-3, "reference distribution")
     _dichotomy(rep, rp, runs, "converged", "converged")
 
 
-def _checks_8_Abar_eps02(rep, game, runs, out_dir):
-    rp = rest_point(game, 0.2)
+def _checks_8_Abar_eps02(rep, game, rp, runs, out_dir):
     _dichotomy(rep, rp, runs, "limit-cycle", "converged")
     rep.check("higher-order terminal distribution", [0.2653, 0.3237, 0.4109],
               runs[1][0].strategies[-1], 1e-3,
@@ -351,8 +343,7 @@ def _checks_8_Abar_eps02(rep, game, runs, out_dir):
     _check_terminal(rep, rp, runs[1])
 
 
-def _checks_8_Abar_eps01(rep, game, runs, out_dir):
-    rp = rest_point(game, 0.1)
+def _checks_8_Abar_eps01(rep, game, rp, runs, out_dir):
     _dichotomy(rep, rp, runs, "limit-cycle", None)
     rep.record("higher-order status, eps=0.1",
                "reference reports a cycle; observed status recorded",
@@ -361,8 +352,7 @@ def _checks_8_Abar_eps01(rep, game, runs, out_dir):
                "fixed point, so the quoted cycle does not reproduce")
 
 
-def _checks_9(rep, game, runs, out_dir):
-    rp = rest_point(game, 0.1)
+def _checks_9(rep, game, rp, runs, out_dir):
     _dichotomy(rep, rp, runs, "limit-cycle", "converged")
     _check_terminal(rep, rp, runs[1])
     nash = np.array([0.25, 0.75, 2.0 / 3.0, 1.0 / 3.0, 0.5, 0.5])
@@ -423,8 +413,8 @@ EXAMPLE_IDS = tuple(SCENARIOS)
 
 
 def run_example(example_id: str, out_dir: str | None = None) -> ExampleReport:
-    """Integrate one scenario's runs, run its checks on them and return its
-    report."""
+    """Solve one scenario's rest point and integrate its runs, both at its
+    eps, run its checks on them and return its report."""
     if example_id not in SCENARIOS:
         raise UsageError(
             f"unknown example id {example_id!r}; valid ids: {', '.join(EXAMPLE_IDS)}")
@@ -433,7 +423,8 @@ def run_example(example_id: str, out_dir: str | None = None) -> ExampleReport:
     scenario = SCENARIOS[example_id]
     game = preset(*scenario.game)
     report = ExampleReport(example_id, scenario.title)
-    scenario.checks(report, game, scenario_runs(scenario, game), out_dir)
+    scenario.checks(report, game, rest_point(game, scenario.eps),
+                    scenario_runs(scenario, game), out_dir)
     return report
 
 

@@ -7,7 +7,7 @@ from tensor_reference import (coupled_block, random_tensor_game,
 
 from gamedyn import (ConfigurationError, DomainError, FeedbackBlock,
                      IntegrationDivergedError, LearningParams, SimulationRun,
-                     Trajectory, euler_step, expected_payoff_vector,
+                     Trajectory, expected_payoff_vector,
                      first_order_field, higher_order_field, induced_strategy_field,
                      integrate, linear_game_map, preset, profile_jacobian,
                      rest_point, run_discrete,
@@ -819,7 +819,6 @@ def test_public_boundaries_refuse_non_finite_scores(value):
         lambda: first_order_field(z, game, params),
         lambda: higher_order_field(np.concatenate([z, np.zeros(3)]), game, params, block),
         lambda: higher_order_field(np.concatenate([np.zeros(3), z]), game, params, block),
-        lambda: euler_step(z, game, params, 0.1),
         lambda: run_discrete(game, params, z, 0.1, 5),
         lambda: run_stochastic(game, params, z, 5, rng=0),
         lambda: rest_point(game, 1.0, z0=z),

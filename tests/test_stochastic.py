@@ -5,18 +5,17 @@ import csv
 import numpy as np
 import pytest
 
-from gamedyn import (DomainError, LearningParams, Trajectory, euler_step,
+from gamedyn import (DomainError, LearningParams, Trajectory,
                      expected_payoff_vector, game_from_dict, harmonic_schedule,
                      payoff_estimate, preset, run_discrete, run_stochastic,
-                     sample_joint_actions, softmax, stochastic_step,
-                     write_trajectory_csv)
+                     softmax, write_trajectory_csv)
 from gamedyn.dynamics import _UNIFORM_BLOCK, write_stochastic_csv
 
 
-def test_sample_joint_actions_matching_columns(rng):
+def test_payoff_estimate_matching_action_columns(rng):
     game = preset("rps", {"l": 2.5})
     x = np.array([0.2, 0.3, 0.5])
-    acts = sample_joint_actions(game, x, rng, size=4000)
+    _, acts, _ = payoff_estimate(game, x, rng, size=4000)
     # matching games draw own and opponent actions from the same population
     assert acts.shape == (4000, 2)
     assert acts.min() >= 0 and acts.max() <= 2
@@ -25,19 +24,19 @@ def test_sample_joint_actions_matching_columns(rng):
         np.testing.assert_allclose(freqs, x, atol=0.03)
 
 
-def test_sample_joint_actions_per_player_marginals(rng):
+def test_payoff_estimate_per_player_action_marginals(rng):
     game = preset("jordan_mp")
     x = np.array([0.3, 0.7, 0.6, 0.4, 0.5, 0.5])
-    acts = sample_joint_actions(game, x, rng, size=6000)
+    _, acts, _ = payoff_estimate(game, x, rng, size=6000)
     assert acts.shape == (6000, 3)
     for p, sl in enumerate(game.block_slices):
         freqs = np.bincount(acts[:, p], minlength=2) / 6000.0
         np.testing.assert_allclose(freqs, x[sl], atol=0.03)
 
 
-def test_sample_joint_actions_single_draw(rng):
+def test_payoff_estimate_single_draw(rng):
     game = preset("two_player_rps", {"l": 5.0})
-    acts = sample_joint_actions(game, np.full(6, 1 / 3), rng)
+    _, acts, _ = payoff_estimate(game, np.full(6, 1 / 3), rng)
     assert acts.shape == (2,)
 
 
@@ -101,26 +100,38 @@ def test_sampler_rejects_profile_of_wrong_length(name, length, rng):
     with pytest.raises(DomainError, match=f"profile has length {length}"):
         payoff_estimate(game, x, rng, size=3)
     with pytest.raises(DomainError, match=f"profile has length {length}"):
-        sample_joint_actions(game, x, rng)
+        payoff_estimate(game, x, rng)
 
 
-def test_stochastic_step_zero_alpha_is_identity(rng):
+@pytest.mark.parametrize("size", [2.5, -1, -0.5])
+def test_payoff_estimate_refuses_a_size_that_is_not_whole(size, rng):
+    game = preset("jordan_mp")
+    with pytest.raises(DomainError, match="size must be"):
+        payoff_estimate(game, np.full(6, 0.5), rng, size=size)
+
+
+@pytest.mark.parametrize("mode", ["full-info", "bandit"])
+def test_payoff_estimate_of_no_draws_is_empty(mode, rng):
+    game = preset("jordan_mp")
+    u_hat, acts, realized = payoff_estimate(game, np.full(6, 0.5), rng, mode, size=0)
+    assert (u_hat.shape, acts.shape, realized.shape) == ((0, 6), (0, 3), (0, 3))
+
+
+def test_run_discrete_zero_alpha_keeps_z0():
     game = preset("rps", {"l": 1.0})
     params = LearningParams(eps=1.0, gamma=1.0)
     z = np.array([0.3, -0.1, 0.2])
-    z_next, x_next, _, _ = stochastic_step(z, game, params, 0.0, rng)
-    np.testing.assert_array_equal(z_next, z)
-    np.testing.assert_allclose(x_next, softmax(z, 1.0, game.action_counts))
+    rec = run_discrete(game, params, z, 0.0, steps=5)
+    np.testing.assert_array_equal(rec.states, np.tile(z, (6, 1)))
+    np.testing.assert_allclose(rec.strategies[-1], softmax(z, 1.0, game.action_counts))
 
 
 @pytest.mark.parametrize("alpha", [-0.1, 1.2])
-def test_step_size_bounds(alpha, rng):
+def test_step_size_bounds(alpha):
     game = preset("rps", {"l": 1.0})
     params = LearningParams(eps=1.0, gamma=1.0)
-    with pytest.raises(DomainError):
-        stochastic_step(np.zeros(3), game, params, alpha, rng)
-    with pytest.raises(DomainError):
-        euler_step(np.zeros(3), game, params, alpha)
+    with pytest.raises(DomainError, match="step size must lie in"):
+        run_discrete(game, params, np.zeros(3), alpha, steps=5)
 
 
 def test_harmonic_schedule_values():
@@ -222,9 +233,10 @@ SAMPLER_GAMES = {
 @pytest.mark.parametrize("name", list(SAMPLER_GAMES))
 def test_run_stochastic_matches_stochastic_step_loop(name, mode):
     """run_stochastic takes its uniforms _UNIFORM_BLOCK steps at a time.  A
-    run two blocks and three steps long equals a stochastic_step loop bit
-    for bit, actions and payoffs with their dtypes included, and leaves the
-    caller's generator in the loop's final state."""
+    run two blocks and three steps long equals a loop of stochastic steps
+    written out on the unbound sampler bit for bit, actions and payoffs with
+    their dtypes included, and leaves the caller's generator in the loop's
+    final state."""
     game = SAMPLER_GAMES[name]()
     params = LearningParams(eps=0.7, gamma=1.5)
     z0 = np.random.default_rng(1).uniform(-1, 1, game.total_actions)
@@ -232,25 +244,16 @@ def test_run_stochastic_matches_stochastic_step_loop(name, mode):
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
     rec = run_stochastic(game, params, z0, steps=steps, rng=rng, mode=mode,
                          record_every=record_every)
-    z = z0
-    ks, zs, xs, acts, pays = [0], [z0], [softmax(z0, params.eps, game.action_counts)], [], []
-    for k in range(steps):
-        z, x, a, r = stochastic_step(z, game, params, harmonic_schedule(k), ref_rng, mode)
-        if (k + 1) % record_every == 0 or k + 1 == steps:
-            ks.append(k + 1)
-            zs.append(z)
-            xs.append(x)
-            acts.append(a)
-            pays.append(r)
+    ks, zs, xs, events = _reference_samples(game, params, z0, steps, record_every,
+                                            _stochastic_recursion(game, params, ref_rng, mode))
     np.testing.assert_array_equal(rec.times, ks)
-    np.testing.assert_array_equal(rec.states, np.stack(zs))
-    np.testing.assert_array_equal(rec.strategies, np.stack(xs))
+    np.testing.assert_array_equal(rec.states, zs)
+    np.testing.assert_array_equal(rec.strategies, xs)
     _assert_no_draw(rec)
-    assert len(rec.actions) == len(rec.payoffs) == len(acts) + 1
-    for got, want in zip(rec.actions[1:], acts):
-        _assert_identical(got, want)
-    for got, want in zip(rec.payoffs[1:], pays):
-        _assert_identical(got, want)
+    assert len(rec.actions) == len(rec.payoffs) == len(events)
+    for got_acts, got_pays, (acts, pays) in zip(rec.actions[1:], rec.payoffs[1:], events[1:]):
+        _assert_identical(got_acts, acts)
+        _assert_identical(got_pays, pays)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -334,7 +337,7 @@ def _reference_stochastic_csv(path, record, action_counts, matching=False):
 
 
 def _reference_samples(game, params, z0, steps, record_every, step):
-    """The recorded samples of a loop over a public one-step update:
+    """The recorded samples of a loop over a written-out one-step update:
     step(z, k) returns (Z+, sigma(Z+), *events)."""
     ks = [0]
     zs = [z0]
@@ -356,7 +359,7 @@ def _reference_samples(game, params, z0, steps, record_every, step):
 def test_one_writer_matches_the_scheme_writers(name, steps, tmp_path):
     """write_trajectory_csv writes the bytes of the stochastic scheme's own
     writer and of the discrete scheme's tuple wrapped as a Trajectory, for
-    samples recorded by loops over the public one-step updates."""
+    samples recorded by loops over the written-out one-step updates."""
     game = preset(name, {"l": 5.0 if name == "rps" else 3.0}
                   if "rps" in name else None)
     params = LearningParams(eps=0.7, gamma=1.5)
@@ -367,7 +370,7 @@ def test_one_writer_matches_the_scheme_writers(name, steps, tmp_path):
         rng = np.random.default_rng(9)
         ks, zs, xs, events = _reference_samples(
             game, params, z0, steps, record_every,
-            lambda z, k: stochastic_step(z, game, params, harmonic_schedule(k), rng, mode))
+            _stochastic_recursion(game, params, rng, mode))
         record = {"ks": ks, "z": zs, "x": xs,
                   "actions": [e and e[0] for e in events],
                   "payoffs": [e and e[1] for e in events]}
@@ -381,7 +384,7 @@ def test_one_writer_matches_the_scheme_writers(name, steps, tmp_path):
 
     alpha = 0.3
     ks, zs, xs, _ = _reference_samples(game, params, z0, steps, record_every,
-                                       lambda z, k: euler_step(z, game, params, alpha))
+                                       _discrete_recursion(game, params, alpha))
     for ternary in (False, True):
         want, got = tmp_path / f"want_{ternary}.csv", tmp_path / f"got_{ternary}.csv"
         write_trajectory_csv(want, Trajectory(np.asarray(ks, dtype=float), zs, xs),
@@ -428,6 +431,28 @@ def _reference_estimate(game, x, rng, mode, m):
     return u_hat, acts, realized
 
 
+def _stochastic_recursion(game, params, rng, mode):
+    """The stochastic recursion Z+ = Z + alpha_k gamma (u_hat - Z) written
+    out on _reference_estimate: step(z, k) returns (Z+, sigma(Z+), actions,
+    realized payoffs)."""
+    def step(z, k):
+        x = softmax(z, params.eps, game.action_counts)
+        u_hat, acts, realized = _reference_estimate(game, x, rng, mode, 1)
+        z_next = z + harmonic_schedule(k) * params.gamma * (u_hat[0] - z)
+        return z_next, softmax(z_next, params.eps, game.action_counts), acts[0], realized[0]
+    return step
+
+
+def _discrete_recursion(game, params, alpha):
+    """The discrete recursion Z+ = Z + alpha gamma (U(sigma(Z)) - Z) written
+    out on expected_payoff_vector: step(z, k) returns (Z+, sigma(Z+))."""
+    def step(z, k):
+        u = expected_payoff_vector(game, softmax(z, params.eps, game.action_counts))
+        z_next = z + alpha * params.gamma * (u - z)
+        return z_next, softmax(z_next, params.eps, game.action_counts)
+    return step
+
+
 @pytest.mark.parametrize("mode", ["full-info", "bandit"])
 @pytest.mark.parametrize("name", list(SAMPLER_GAMES))
 def test_bound_sampler_matches_unbound_reference(name, mode):
@@ -446,12 +471,11 @@ def test_bound_sampler_matches_unbound_reference(name, mode):
     z0 = np.random.default_rng(1).uniform(-1, 1, game.total_actions)
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
     rec = run_stochastic(game, params, z0, steps=300, rng=rng, mode=mode)
+    step = _stochastic_recursion(game, params, ref_rng, mode)
     z = z0
     for k in range(300):
-        u_hat, acts, realized = _reference_estimate(
-            game, softmax(z, params.eps, game.action_counts), ref_rng, mode, 1)
-        z = z + harmonic_schedule(k) * params.gamma * (u_hat[0] - z)
+        z, _, acts, realized = step(z, k)
         assert np.array_equal(rec.states[k + 1], z)
-        _assert_identical(rec.actions[k + 1], acts[0])
-        _assert_identical(rec.payoffs[k + 1], realized[0])
+        _assert_identical(rec.actions[k + 1], acts)
+        _assert_identical(rec.payoffs[k + 1], realized)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
