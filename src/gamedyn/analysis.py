@@ -10,7 +10,7 @@ import numpy as np
 
 from .choice import (_bind_softmax, _check_eps, _check_finite, block_slices,
                      bregman_lse, profile_jacobian, softmax)
-from .dynamics import FeedbackBlock, LearningParams, Trajectory, _bind_field
+from .dynamics import FeedbackBlock, LearningParams, Trajectory, _Field
 from .errors import ConfigurationError, DomainError, NumericsError, UsageError
 from .games import (GameSpec, _bind_payoff, linear_game_map, payoff_jacobian,
                     tangent_basis)
@@ -285,7 +285,7 @@ def dynamics_jacobian(z_star: np.ndarray, game: GameSpec, params: LearningParams
         jac = np.vstack([top, bottom])
         state = np.concatenate([z_star, block.equilibrium_filter_state(x)])
     if fd_check:
-        field = _bind_field(game, params.eps, block, [(1, block is not None, params.gamma)])
+        field = _Field(game, params.eps, block, [(1, block is not None, params.gamma)])
         err = float(np.abs(jac - numeric_jacobian(field, state)).max())
         if err > _FD_STEP:
             raise NumericsError(
@@ -513,14 +513,16 @@ def convergence_report(traj: Trajectory,
                              float(t_cut))
 
 
-def time_to_tolerance(traj: Trajectory, x_star: np.ndarray,
-                      tol: float = 1e-3) -> float | None:
-    """First sample time after which the strategy stays within tol of x_star
-    in the max norm; None when the trajectory never settles."""
+_SETTLED_TOL = 1e-3  # the max-norm distance from x_star that counts as settled
+
+
+def time_to_tolerance(traj: Trajectory, x_star: np.ndarray) -> float | None:
+    """First sample time after which the strategy stays within _SETTLED_TOL
+    of x_star in the max norm; None when the trajectory never settles."""
     if traj.strategies is None:
         raise UsageError("trajectory carries no strategies to analyze")
     dist = np.abs(traj.strategies - np.asarray(x_star, dtype=float)).max(axis=1)
-    inside = dist < tol
+    inside = dist < _SETTLED_TOL
     if not inside[-1]:
         return None
     outside = np.nonzero(~inside)[0]

@@ -11,8 +11,8 @@ filter (A, B, C, D) with zero DC gain before it reaches the score:
     zdot  = gamma * (U(x) - z - v),  xidot = A xi + B x,  v = C xi + D x.
 
 Every score field, including the increment of the discrete scheme, comes
-from one bound kernel, _bind_field, in which the filter is an option of a
-group of rows.
+from one bound kernel, _Field, in which the filter is an option of a group
+of rows.
 """
 
 from __future__ import annotations
@@ -300,18 +300,12 @@ class _Field:
         return evaluate
 
 
-def _bind_field(game: GameSpec, eps: float, block: FeedbackBlock | None,
-                groups: Sequence[tuple[int, bool, float]]) -> _Field:
-    """The bound score field of consecutive row groups; see _Field."""
-    return _Field(game, eps, block, groups)
-
-
 def first_order_field(z, game: GameSpec, params: LearningParams) -> np.ndarray:
     """zdot = gamma (U(sigma(z)) - z)."""
     z = np.asarray(z, dtype=float)
     _check_length(z, game.total_actions)
     _check_finite(z)
-    return _bind_field(game, params.eps, None, [(1, False, params.gamma)])(z)
+    return _Field(game, params.eps, None, [(1, False, params.gamma)])(z)
 
 
 def higher_order_field(state, game: GameSpec, params: LearningParams,
@@ -321,7 +315,7 @@ def higher_order_field(state, game: GameSpec, params: LearningParams,
     state = np.asarray(state, dtype=float)
     _check_length(state, 2 * game.total_actions, "state")
     _check_finite(state)
-    return _bind_field(game, params.eps, block, [(1, True, params.gamma)])(state)
+    return _Field(game, params.eps, block, [(1, True, params.gamma)])(state)
 
 
 def induced_strategy_field(z, game: GameSpec, params: LearningParams) -> np.ndarray:
@@ -394,17 +388,16 @@ def _horizon_steps(dt: float, t_end: float) -> int:
 
 def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
               t_end: float, record_every: int = 1,
-              strategy_fn: Callable[[np.ndarray], np.ndarray] | None = None,
               row_t_end: Sequence[float] | None = None):
     """Classical fixed-step RK4.
 
-    state0 of shape (d,) yields one Trajectory; shape (b, d) integrates a
-    batch in lockstep and yields a list of Trajectories.  Samples are taken
-    every record_every steps plus the final step.  row_t_end gives each row
-    of a batch its own horizon, longest first, the first equal to t_end: a
-    row leaves the batch after its final step, and field then gets the
-    leading rows that remain.  Each row records the samples a run to its
-    own horizon records.
+    state0 of shape (d,) yields one Trajectory of times and states; shape
+    (b, d) integrates a batch in lockstep and yields a list of them.
+    Samples are taken every record_every steps plus the final step.
+    row_t_end gives each row of a batch its own horizon, longest first, the
+    first equal to t_end: a row leaves the batch after its final step, and
+    field then gets the leading rows that remain.  Each row records the
+    samples a run to its own horizon records.
 
     The loop checks nothing but its recorded samples.  A step that
     overflows carries NaN or inf to the next recorded sample, where a
@@ -414,7 +407,7 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
     The two state buffers, the stage input and k1..k4 are allocated once,
     and five evaluations of field are bound to them: k1 from either state
     buffer, k2..k4 from the stage input, bound again only when rows leave.
-    A bound field (_bind_field) evaluates straight into its k buffer; any
+    A bound field (_Field) evaluates straight into its k buffer; any
     other callable is called on the buffer and its result copied in.  The
     stages and their weighted sum run in the order of the plain
     s + dt/6 (k1 + 2 k2 + 2 k3 + k4), with every output passed
@@ -499,16 +492,10 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
                     next_end = ends[ends.index(step) + 1]
     times = sample_steps * dt
     if not batched:
-        strategies = strategy_fn(rec) if strategy_fn is not None else None
-        return Trajectory(times, rec, strategies)
+        return Trajectory(times, rec)
     on_grid = sample_steps % record_every == 0
-    trajs = []
-    for row, last in enumerate(row_steps):
-        keep = (sample_steps <= last) & (on_grid | (sample_steps == last))
-        states = rec[keep, row]
-        strategies = strategy_fn(states) if strategy_fn is not None else None
-        trajs.append(Trajectory(times[keep], states, strategies))
-    return trajs
+    keeps = [(sample_steps <= last) & (on_grid | (sample_steps == last)) for last in row_steps]
+    return [Trajectory(times[keep], rec[keep, row]) for row, keep in enumerate(keeps)]
 
 
 def _evaluation(field: Callable[[np.ndarray], np.ndarray], state: np.ndarray,
@@ -558,7 +545,8 @@ def simulate_batch(game: GameSpec, runs: Sequence[SimulationRun], dt: float = 0.
     start together and each leaves the batch after its last sample.
     Returns one entry per run, as simulate_first_order or
     simulate_higher_order returns it for that run alone, with the same
-    samples bit for bit.
+    samples bit for bit.  The strategies are added here to the Trajectories
+    of integrate, and a first-order row of a filtered batch keeps its scores.
     """
     runs = list(runs)
     if not runs:
@@ -587,11 +575,6 @@ def simulate_batch(game: GameSpec, runs: Sequence[SimulationRun], dt: float = 0.
         if xi0.shape != z0.shape:
             raise DomainError("xi0 must match the shape of z0")
         starts.append(np.concatenate([z0, xi0], axis=-1))
-    counts = game.action_counts
-
-    def strat(states: np.ndarray) -> np.ndarray:
-        return softmax(states[..., :n], eps, counts)
-
     if any(z.ndim > 2 for z in starts):
         raise DomainError("z0 must be a vector or a batch of vectors")
     starts = [np.atleast_2d(z) for z in starts]
@@ -603,16 +586,17 @@ def simulate_batch(game: GameSpec, runs: Sequence[SimulationRun], dt: float = 0.
         -steps[i], runs[i].block is not None, len(starts[i]) == 1))
     groups = [(len(starts[i]), runs[i].block is not None, runs[i].params.gamma)
               for i in order]
-    field = _bind_field(game, eps, block, groups)
+    field = _Field(game, eps, block, groups)
     row_t_end = [float(runs[i].t_end) for i in order for _ in range(len(starts[i]))]
     row_trajs = integrate(field, np.concatenate([starts[i] for i in order]), dt,
-                          row_t_end[0], record_every, strat, row_t_end=row_t_end)
+                          row_t_end[0], record_every, row_t_end=row_t_end)
     out: list = [None] * len(runs)
     for i in order:
         trajs, row_trajs = row_trajs[:len(starts[i])], row_trajs[len(starts[i]):]
-        if block is not None and runs[i].block is None:
-            trajs = [Trajectory(t.times, t.states[:, :n].copy(), t.strategies)
-                     for t in trajs]
+        for t in trajs:
+            t.strategies = softmax(t.states[:, :n], eps, game.action_counts)
+            if block is not None and runs[i].block is None:
+                t.states = t.states[:, :n].copy()  # drop a first-order row's filter state
         out[i] = trajs if np.ndim(runs[i].z0) == 2 else trajs[0]
     return out
 
@@ -722,6 +706,9 @@ def _bind_draws(game: GameSpec, x: np.ndarray, bandit: bool = False):
     return draw, estimate, realize
 
 
+_PROFILE_TOL = 1e-9  # how far a block of a profile may sum from 1
+
+
 def payoff_estimate(game: GameSpec, x, rng, mode: str = "full-info",
                     size: int | None = None):
     """Unbiased one-shot payoff estimate from realized pure actions.
@@ -730,14 +717,18 @@ def payoff_estimate(game: GameSpec, x, rng, mode: str = "full-info",
     opponents' realized actions.  bandit: only the realized own action gets
     its realized payoff divided by its probability; all other entries are 0.
 
-    Returns (u_hat, actions, realized_payoffs); with a whole size m >= 0
-    the first axis of each output enumerates m independent draws.  One
-    rng.random((columns, m)) call takes the m uniforms of each column in
-    turn: the stream of one call per column.
+    x must be finite and non-negative, each block summing to 1 within
+    _PROFILE_TOL.  Returns (u_hat, actions, realized_payoffs); with a whole
+    size m >= 0 the first axis of each output enumerates m independent
+    draws.  One rng.random((columns, m)) call takes the m uniforms of each
+    column in turn: the stream of one call per column.
     """
     bandit = _bandit(mode)
     x = np.asarray(x, dtype=float)
     _check_length(x, game.total_actions, "profile")
+    if not (_all(np.isfinite(x), axis=None) and _all(x >= 0.0, axis=None)) or any(
+            abs(x[sl].sum() - 1.0) > _PROFILE_TOL for sl in game.block_slices):
+        raise DomainError("profile must be finite and non-negative, each block summing to 1")
     m = 1 if size is None else _check_whole(size, "size", 0)
     draw, estimate, realize = _bind_draws(game, x, bandit)
     uniforms = np.random.default_rng(rng).random((len(_column_counts(game)), m))
@@ -762,27 +753,24 @@ def run_discrete(game: GameSpec, params: LearningParams, z0, alpha: float,
     Z_{k+1} = Z_k + alpha gamma (U(sigma(Z_k)) - Z_k), with alpha in [0, 1];
     alpha gamma = 1 gives the best-scored update Z_{k+1} = U(sigma(Z_k)).
     Returns the Trajectory of the samples, with the iteration k as time.
-    The increment, the first-order field at gamma = 1, is bound once into
-    one buffer, and each step writes z + rate * increment into the other of
-    two state buffers."""
+    The increment, the first-order field at gamma = 1, is bound once from
+    the one score buffer z into one buffer, and each step adds
+    rate * increment to z in place."""
     steps = _check_whole(steps, "steps", 0)
     record_every = _check_whole(record_every, "record_every", 1)
     rate = np.array(_check_alpha(alpha) * params.gamma)
     z = np.array(z0, dtype=float)
     _check_length(z, game.total_actions)
     _check_finite(z)
-    increment = _bind_field(game, params.eps, None, [(1, False, 1.0)])
-    z_next, inc = np.empty_like(z), np.empty_like(z)
-    f, f_next = increment.bind(z, inc), increment.bind(z_next, inc)
+    inc = np.empty_like(z)
+    f = _Field(game, params.eps, None, [(1, False, 1.0)]).bind(z, inc)
     ks = [0]
     zs = [z.copy()]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             f()
             np.multiply(inc, rate, inc)
-            np.add(z, inc, z_next)
-            z, z_next = z_next, z
-            f, f_next = f_next, f
+            np.add(z, inc, z)
             if (k + 1) % record_every == 0 or k + 1 == steps:
                 _record(ks, zs, k + 1, z)
     zs = np.stack(zs)

@@ -57,55 +57,32 @@ def _polymatrix(name: str, counts: tuple[int, ...], phi: np.ndarray) -> GameSpec
     return GameSpec(counts, tuple(tensors), linear_map=phi, name=name)
 
 
-def _require(params: Mapping[str, float], key: str, preset_name: str) -> float:
-    if key not in params:
-        raise UsageError(f"preset '{preset_name}' requires parameter '{key}'")
-    return float(params[key])
-
-
-def _reject_unknown(params: Mapping[str, float], allowed: set[str], preset_name: str) -> None:
-    unknown = set(params) - allowed
-    if unknown:
-        raise UsageError(f"preset '{preset_name}' does not accept parameters {sorted(unknown)}")
-
-
-def _build_rps(params: Mapping[str, float]) -> GameSpec:
-    _reject_unknown(params, {"l"}, "rps")
-    l = _require(params, "l", "rps")
+def _build_rps(l: float) -> GameSpec:
     return _matching(f"rps(l={l:g})", rps_matrix(l))
 
 
-def _build_anticoord123(params: Mapping[str, float]) -> GameSpec:
-    _reject_unknown(params, set(), "anticoord123")
+def _build_anticoord123() -> GameSpec:
     return _matching("anticoord123", np.diag([-1.0, -2.0, -3.0]))
 
 
-def _build_matching_pennies(params: Mapping[str, float]) -> GameSpec:
-    _reject_unknown(params, set(), "matching_pennies")
+def _build_matching_pennies() -> GameSpec:
     a_mat = np.array([[1.0, -1.0], [-1.0, 1.0]])
     return _two_player("matching_pennies", a_mat, -a_mat)
 
 
-def _build_two_player_rps(params: Mapping[str, float]) -> GameSpec:
-    _reject_unknown(params, {"l"}, "two_player_rps")
-    l = _require(params, "l", "two_player_rps")
+def _build_two_player_rps(l: float) -> GameSpec:
     a_mat = rps_matrix(l)
     return _two_player(f"two_player_rps(l={l:g})", a_mat, a_mat.T)
 
 
-def _build_shapley(params: Mapping[str, float]) -> GameSpec:
-    _reject_unknown(params, set(), "shapley")
+def _build_shapley() -> GameSpec:
     a_mat = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     return _two_player("shapley", a_mat, a_mat.T)
 
 
-def _build_network_zero_sum_mp(params: Mapping[str, float]) -> GameSpec:
+def _build_network_zero_sum_mp(k12: float, k13: float, k23: float) -> GameSpec:
     """Three players on a complete graph, pairwise zero-sum matching pennies
     with edge weights k12, k13, k23."""
-    _reject_unknown(params, {"k12", "k13", "k23"}, "network_zero_sum_mp")
-    k12 = float(params.get("k12", 1.0))
-    k13 = float(params.get("k13", 2.0))
-    k23 = float(params.get("k23", 3.0))
 
     def edge(k: float) -> np.ndarray:
         return np.array([[k, -k], [-k, k]])
@@ -121,10 +98,9 @@ def _build_network_zero_sum_mp(params: Mapping[str, float]) -> GameSpec:
                        (2, 2, 2), phi)
 
 
-def _build_jordan_mp(params: Mapping[str, float]) -> GameSpec:
+def _build_jordan_mp() -> GameSpec:
     """Three-player matching pennies cycle: player 1 wants to match player 2,
     player 2 wants to match player 3, player 3 wants to mismatch player 1."""
-    _reject_unknown(params, set(), "jordan_mp")
     r_mat = np.array([[1.0, -1.0], [-1.0, 1.0]])
     zero = np.zeros((2, 2))
     phi = np.block([
@@ -135,22 +111,19 @@ def _build_jordan_mp(params: Mapping[str, float]) -> GameSpec:
     return _polymatrix("jordan_mp", (2, 2, 2), phi)
 
 
-def _build_modified_rps_a(params: Mapping[str, float]) -> GameSpec:
-    _reject_unknown(params, set(), "modified_rps_A")
+def _build_modified_rps_a() -> GameSpec:
     return _matching("modified_rps_A",
                      np.array([[0.0, -1.0, 3.0], [2.0, 0.0, -1.0], [-1.0, 3.0, 0.0]]))
 
 
-def _build_modified_rps_abar(params: Mapping[str, float]) -> GameSpec:
-    _reject_unknown(params, set(), "modified_rps_Abar")
+def _build_modified_rps_abar() -> GameSpec:
     return _matching("modified_rps_Abar",
                      np.array([[0.0, -3.0, 1.0], [1.0, 0.0, -2.0], [-3.0, 1.0, 0.0]]))
 
 
-def _build_modified_jordan(params: Mapping[str, float]) -> GameSpec:
+def _build_modified_jordan() -> GameSpec:
     """Asymmetric three-player cycle: each player's payoff depends on the
     next player's coin only, with stakes 2, 1 and 1/3."""
-    _reject_unknown(params, set(), "modified_jordan")
     m1 = np.array([[0.0, 2.0], [1.0, 0.0]])
     m2 = np.array([[0.0, 1.0], [1.0, 0.0]])
     m3 = np.array([[0.0, 1.0 / 3.0], [1.0, 0.0]])
@@ -163,30 +136,39 @@ def _build_modified_jordan(params: Mapping[str, float]) -> GameSpec:
     return _polymatrix("modified_jordan", (2, 2, 2), phi)
 
 
-_BUILDERS: dict[str, tuple[Callable[[Mapping[str, float]], GameSpec], str]] = {
-    "rps": (_build_rps, "single-population rock-paper-scissors, params: l (loss value)"),
-    "anticoord123": (_build_anticoord123, "single-population anti-coordination with costs 1, 2, 3"),
-    "matching_pennies": (_build_matching_pennies, "two-player zero-sum matching pennies"),
-    "two_player_rps": (_build_two_player_rps, "two-player rock-paper-scissors, params: l"),
-    "shapley": (_build_shapley, "two-player Shapley cycling game"),
-    "network_zero_sum_mp": (_build_network_zero_sum_mp,
+# name: (builder, its parameters with their defaults (None: required), description)
+_PRESETS: dict[str, tuple[Callable[..., GameSpec], dict[str, float | None], str]] = {
+    "rps": (_build_rps, {"l": None}, "single-population rock-paper-scissors, params: l (loss value)"),
+    "anticoord123": (_build_anticoord123, {}, "single-population anti-coordination with costs 1, 2, 3"),
+    "matching_pennies": (_build_matching_pennies, {}, "two-player zero-sum matching pennies"),
+    "two_player_rps": (_build_two_player_rps, {"l": None}, "two-player rock-paper-scissors, params: l"),
+    "shapley": (_build_shapley, {}, "two-player Shapley cycling game"),
+    "network_zero_sum_mp": (_build_network_zero_sum_mp, {"k12": 1.0, "k13": 2.0, "k23": 3.0},
                             "three-player pairwise zero-sum matching pennies, params: k12, k13, k23"),
-    "jordan_mp": (_build_jordan_mp, "three-player matching pennies cycle"),
-    "modified_rps_A": (_build_modified_rps_a, "modified rock-paper-scissors, stable variant"),
-    "modified_rps_Abar": (_build_modified_rps_abar, "modified rock-paper-scissors, unstable variant"),
-    "modified_jordan": (_build_modified_jordan, "asymmetric three-player coin cycle"),
+    "jordan_mp": (_build_jordan_mp, {}, "three-player matching pennies cycle"),
+    "modified_rps_A": (_build_modified_rps_a, {}, "modified rock-paper-scissors, stable variant"),
+    "modified_rps_Abar": (_build_modified_rps_abar, {}, "modified rock-paper-scissors, unstable variant"),
+    "modified_jordan": (_build_modified_jordan, {}, "asymmetric three-player coin cycle"),
 }
 
 
 def preset(name: str, params: Mapping[str, float] | None = None) -> GameSpec:
-    """Build a preset game by name; unknown names or bad params raise UsageError."""
-    if name not in _BUILDERS:
-        known = ", ".join(sorted(_BUILDERS))
+    """Build a preset game by name; unknown names, and parameters the preset
+    does not take or requires and lacks, raise UsageError."""
+    if name not in _PRESETS:
+        known = ", ".join(sorted(_PRESETS))
         raise UsageError(f"unknown preset '{name}' (known: {known})")
-    builder, _ = _BUILDERS[name]
-    return builder(dict(params or {}))
+    builder, defaults, _ = _PRESETS[name]
+    params = params or {}
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise UsageError(f"preset '{name}' does not accept parameters {sorted(unknown)}")
+    for key, default in defaults.items():
+        if key not in params and default is None:
+            raise UsageError(f"preset '{name}' requires parameter '{key}'")
+    return builder(**{key: float(params.get(key, default)) for key, default in defaults.items()})
 
 
 def available_presets() -> dict[str, str]:
     """Preset names mapped to one-line descriptions."""
-    return {name: desc for name, (_, desc) in _BUILDERS.items()}
+    return {name: desc for name, (_, _, desc) in _PRESETS.items()}

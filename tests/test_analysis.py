@@ -11,8 +11,8 @@ from tensor_reference import coupled_block
 from gamedyn import (ConfigurationError, DomainError, FeedbackBlock, GameSpec,
                      LearningParams, Trajectory, UsageError,
                      bifurcation_epsilon, classify, composite_lyapunov_trace,
-                     convergence_report, dynamics_jacobian, lyapunov_trace,
-                     multi_start_rest_points, numeric_jacobian, preset,
+                     convergence_report, dynamics_jacobian, integrate,
+                     lyapunov_trace, multi_start_rest_points, numeric_jacobian, preset,
                      rest_point, run_stochastic, score_bound,
                      score_bound_excess, seeded_initial_scores, simulate_first_order,
                      simulate_higher_order, storage_matrix,
@@ -435,13 +435,13 @@ def test_time_to_tolerance_crossings():
     times = np.arange(5.0)
     strategies = np.array([[0.5], [0.2], [1e-4], [5e-4], [1e-5]])
     traj = Trajectory(times, strategies.copy(), strategies=strategies)
-    assert time_to_tolerance(traj, np.zeros(1), tol=1e-3) == 2.0
+    assert time_to_tolerance(traj, np.zeros(1)) == 2.0
     inside = Trajectory(times, strategies.copy(),
                         strategies=np.full((5, 1), 1e-5))
-    assert time_to_tolerance(inside, np.zeros(1), tol=1e-3) == 0.0
+    assert time_to_tolerance(inside, np.zeros(1)) == 0.0
     never = Trajectory(times, strategies.copy(),
                        strategies=np.full((5, 1), 0.5))
-    assert time_to_tolerance(never, np.zeros(1), tol=1e-3) is None
+    assert time_to_tolerance(never, np.zeros(1)) is None
 
 
 # -------------------------------------------------------------- bound and checks
@@ -528,11 +528,13 @@ def test_tuning_values_are_fixed():
         composite_lyapunov_trace: ["traj", "z_star", "xi_star", "eps", "block",
                                    "action_counts", "gamma", "p_mat"],
         convergence_report: ["traj", "x_star"],
+        time_to_tolerance: ["traj", "x_star"],
         score_bound_excess: ["traj", "game", "block"],
         FeedbackBlock.ensure_valid: ["self"],
         verify_feedback_block: ["block"],
         seeded_initial_scores: ["n", "seed"],
         run_stochastic: ["game", "params", "z0", "steps", "rng", "mode", "record_every"],
+        integrate: ["field", "state0", "dt", "t_end", "record_every", "row_t_end"],
         LearningParams: ["gamma", "eps"],
     }
     for func, params in expected.items():

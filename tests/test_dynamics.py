@@ -16,7 +16,7 @@ from gamedyn import (ConfigurationError, DomainError, FeedbackBlock,
                      simulate_higher_order, softmax, verify_feedback_block,
                      write_trajectory_csv)
 from gamedyn.choice import softmax_block
-from gamedyn.dynamics import _bind_field
+from gamedyn.dynamics import _Field
 
 
 def test_learning_params_validation():
@@ -501,7 +501,7 @@ def _assert_same_trajectories(got, expect):
 @pytest.mark.parametrize("b", [1, 2, 5, 16])
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 12])
 def test_stacked_one_row_products_are_separate_gemv(n, b):
-    """_bind_field multiplies a one-row group, or neighbouring one-row
+    """_Field multiplies a one-row group, or neighbouring one-row
     groups, in one stacked product, rows lifted to (b, 1, n).  The BLAS
     must give every row the bits of its own one-row product (gemv), also
     with the strided operand and output views the field uses; a BLAS that
@@ -677,7 +677,7 @@ def test_bound_field_returns_fresh_arrays(game_key):
     ]
     for bound_block, groups, leads in binds:
         d = n if bound_block is None else 2 * n
-        field = _bind_field(game, 0.5, bound_block, groups)
+        field = _Field(game, 0.5, bound_block, groups)
         states = [rng.uniform(-2, 2, lead + (d,)) for lead in leads]
         inputs = [s.copy() for s in states]
         results = [field(s) for s in states]
@@ -688,7 +688,7 @@ def test_bound_field_returns_fresh_arrays(game_key):
         for result, copy in zip(results, copies):
             assert np.array_equal(result, copy)
         for state, result in zip(states, results):
-            fresh = _bind_field(game, 0.5, bound_block, groups)(state)
+            fresh = _Field(game, 0.5, bound_block, groups)(state)
             assert result.shape == fresh.shape
             assert np.array_equal(result, fresh)
         assert np.array_equal(results[-1], results[0])
@@ -709,7 +709,7 @@ def test_bound_evaluation_is_the_field(game_key):
     block = coupled_block(n, 3)
     groups = [(2, True, 4.0), (1, True, 1.0), (2, False, 1.0), (1, False, 4.0)]
     first_order = np.array([False] * 3 + [True] * 3)
-    field = _bind_field(game, 0.5, block, groups)
+    field = _Field(game, 0.5, block, groups)
     rng = np.random.default_rng(11)
     for height in (6, 5, 3):
         state = np.empty((height, 2 * n))

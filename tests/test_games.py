@@ -143,11 +143,30 @@ def test_payoff_jacobian_matches_linear_map():
 
 
 def test_preset_parameter_errors():
+    """Each preset refuses parameters it does not take, names the one it
+    requires, and fills in its defaults; an unknown name lists every preset."""
     from gamedyn import UsageError
-    with pytest.raises(UsageError):
-        preset("rps")
-    with pytest.raises(UsageError):
+    for name in available_presets():
+        with pytest.raises(UsageError) as err:
+            preset(name, {"bogus": 1})
+        assert str(err.value) == f"preset '{name}' does not accept parameters ['bogus']"
+    for name in ("rps", "two_player_rps"):
+        with pytest.raises(UsageError, match="requires parameter 'l'"):
+            preset(name)
+
+    def same(a, b):
+        return a.name == b.name and all(np.array_equal(s, t) for s, t in
+                                        zip(a.payoff_tensors, b.payoff_tensors, strict=True))
+
+    default = preset("network_zero_sum_mp")
+    assert same(default, preset("network_zero_sum_mp", {"k12": 1, "k13": 2, "k23": 3}))
+    moved = preset("network_zero_sum_mp", {"k12": 2})
+    assert moved.name == "network_zero_sum_mp(k12=2,k13=2,k23=3)"
+    assert same(moved, preset("network_zero_sum_mp", {"k12": 2, "k13": 2, "k23": 3}))
+    assert not same(moved, default)
+    with pytest.raises(UsageError) as err:
         preset("nonexistent_game")
+    assert all(name in str(err.value) for name in available_presets())
 
 
 # ------------------------------------------------- linear maps and the Jacobian

@@ -103,6 +103,20 @@ def test_sampler_rejects_profile_of_wrong_length(name, length, rng):
         payoff_estimate(game, x, rng)
 
 
+@pytest.mark.parametrize("mode", ["full-info", "bandit"])
+@pytest.mark.parametrize("name, x", [
+    ("rps", [np.nan, 0.5, 0.5]), ("rps", [2.0, -1.0, 0.0]), ("rps", [0.1, 0.1, 0.1]),
+    ("jordan_mp", [0.7, 0.7, 0.3, 0.3, 0.5, 0.5]),
+], ids=["nan", "negative", "sum-0.3", "block-sums-1.4-0.6"])
+def test_payoff_estimate_refuses_a_profile_that_is_not_a_distribution(name, x, mode, rng):
+    """A profile must be finite and non-negative with each block summing to
+    1; the last one sums to 3 over three blocks, but not per block."""
+    game = preset(name, {"l": 2.0} if name == "rps" else None)
+    for size in (None, 3):
+        with pytest.raises(DomainError, match="profile must be finite and non-negative"):
+            payoff_estimate(game, np.array(x), rng, mode, size)
+
+
 @pytest.mark.parametrize("size", [2.5, -1, -0.5])
 def test_payoff_estimate_refuses_a_size_that_is_not_whole(size, rng):
     game = preset("jordan_mp")
@@ -460,7 +474,8 @@ def test_bound_sampler_matches_unbound_reference(name, mode):
     order as a sampler that takes one rng.random call per block, and give
     the same actions, payoffs and scores bit for bit."""
     game = SAMPLER_GAMES[name]()
-    x = np.random.default_rng(2).dirichlet(np.ones(game.total_actions))
+    draw = np.random.default_rng(2)
+    x = np.concatenate([draw.dirichlet(np.ones(c)) for c in game.action_counts])
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
     for got, want in zip(payoff_estimate(game, x, rng, mode, size=500),
                          _reference_estimate(game, x, ref_rng, mode, 500)):
