@@ -396,8 +396,15 @@ def lyapunov_trace(traj: Trajectory, z_star: np.ndarray, eps: float,
     n = z_star.size
     scores = traj.states[:, :n]
     values = bregman_lse(scores, z_star, eps, action_counts)
-    verdict = "non-increasing" if np.all(np.diff(values) <= _INCREASE_TOL) else "increased"
-    return values, verdict
+    return values, _storage_verdict(values)
+
+
+def _storage_verdict(values: np.ndarray) -> str:
+    """Whether a storage trace is non-increasing; a value that overflowed
+    to inf reads as increased, without a warning for inf - inf."""
+    with np.errstate(invalid="ignore"):
+        rises = np.diff(values)
+    return "non-increasing" if np.all(rises <= _INCREASE_TOL) else "increased"
 
 
 _CERTIFY_TOL = 1e-8
@@ -452,8 +459,7 @@ def composite_lyapunov_trace(traj: Trajectory, z_star: np.ndarray,
     xi_dev = traj.states[:, n:] - xi_star
     values = bregman_lse(scores, z_star, eps, action_counts)
     values = values + 0.5 * gamma * np.einsum("ti,ij,tj->t", xi_dev, p_mat, xi_dev)
-    verdict = "non-increasing" if np.all(np.diff(values) <= _INCREASE_TOL) else "increased"
-    return values, verdict
+    return values, _storage_verdict(values)
 
 
 # ----------------------------------------------------------- trajectory verdicts

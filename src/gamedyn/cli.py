@@ -157,9 +157,9 @@ def _each(run, *columns) -> list:
     """run(*item) per item of the zipped columns, or the
     IntegrationDivergedError that ended it.
 
-    Each scheme's runner below returns this list over its seeds.  It looks
-    run_discrete, run_stochastic and simulate_batch up by name at call time,
-    so rebinding those names in this module reaches every run."""
+    Each recursion's runner below returns this list over its seeds.  It
+    looks run_discrete and run_stochastic up by name at call time, so
+    rebinding those names in this module reaches every run."""
     results = []
     for item in zip(*columns):
         try:
@@ -170,15 +170,10 @@ def _each(run, *columns) -> list:
 
 
 def _ode_runs(game, args, params, block, seeds, starts) -> list:
-    """The seeds as one lockstep batch of one-row runs; only if it diverges
-    does each seed run alone, to keep its own last good time."""
+    """The seeds as one lockstep batch of one-row runs; a seed that diverges
+    holds its own IntegrationDivergedError, and the others go on."""
     runs = [SimulationRun(params, z0, args.t_end, block) for z0 in starts]
-    if len(runs) > 1:
-        try:
-            return simulate_batch(game, runs, args.dt, args.record_every)
-        except IntegrationDivergedError:
-            pass
-    return _each(lambda run: simulate_batch(game, [run], args.dt, args.record_every)[0], runs)
+    return simulate_batch(game, runs, args.dt, args.record_every)
 
 
 def _discrete_runs(game, args, params, block, seeds, starts) -> list:
@@ -246,10 +241,11 @@ def _cmd_simulate(args) -> int:
         csv_name = f"{prefix}_seed{seed}.csv"
         write_trajectory_csv(os.path.join(out_dir, csv_name), traj,
                              game.action_counts, ternary=args.emit_ternary)
+        # JSON has no Infinity: an overflowed storage value is null
+        terminal_v = np.nan if traj.lyapunov is None else traj.lyapunov[-1]
         run = {"status": _verdict(traj, x_star) if judged else "recorded",
                "terminal_x": [float(v) for v in traj.strategies[-1]],
-               "terminal_v": (float(traj.lyapunov[-1])
-                              if traj.lyapunov is not None else None),
+               "terminal_v": float(terminal_v) if np.isfinite(terminal_v) else None,
                "csv": csv_name}
         # a finite ODE run that leaves the score bound took too large a step
         if ode:

@@ -400,9 +400,12 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
     samples a run to its own horizon records.
 
     The loop checks nothing but its recorded samples.  A step that
-    overflows carries NaN or inf to the next recorded sample, where a
-    non-finite state stops integration with IntegrationDivergedError
-    carrying the last good time.
+    overflows carries NaN or inf to the next recorded sample, where the
+    row has failed: its entry is the IntegrationDivergedError of that row
+    run alone (a 1-D state0 raises it), and the other rows go on.  A
+    non-finite state stays non-finite, so the failed row stays in the batch
+    and no other row moves.  Rows are looked at one by one only at a sample
+    that is not finite as a whole.
 
     The two state buffers, the stage input and k1..k4 are allocated once,
     and five evaluations of field are bound to them: k1 from either state
@@ -417,7 +420,8 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
     field must be a pure function of the state, and give each row the same
     result whichever rows share the batch: a recorded step whose state
     equals the previous one bit for bit is an exact fixed point of the RK4
-    map, so the remaining samples repeat it and integration stops there.
+    map, so the remaining samples repeat it.  Integration stops once every
+    row still in the batch is at an exact fixed point or has failed.
     """
     dt = float(dt)
     t_end = float(t_end)
@@ -440,6 +444,7 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
     rec = np.empty((len(sample_steps),) + s.shape)
     rec[0] = s
     i = 1
+    failed: dict[int, IntegrationDivergedError] = {}
     next_end = ends[0]
     half, full, two, sixth = (np.array(c) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
     # acc holds the weighted stage sum, then the new state; afterwards the
@@ -475,13 +480,16 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
             f1, f1_next = f1_next, f1
             step = k + 1
             if step % record_every == 0 or step == next_end:
+                same = np.equal(s.view(np.uint64), acc.view(np.uint64))
                 if not _all(np.isfinite(s), axis=None):
-                    raise IntegrationDivergedError(
-                        f"non-finite state at t={step * dt:.6g}",
-                        last_good_time=float(sample_steps[i - 1] * dt))
+                    live = _all(np.isfinite(s.reshape(-1, s.shape[-1])), axis=1)
+                    for row in np.flatnonzero(~live).tolist():
+                        if row not in failed:
+                            failed[row] = _divergence(step, row_steps[row], record_every, dt)
+                    same = same.reshape(len(live), -1)[live]
                 rec[i, :len(s)] = s  # rows that left keep their samples
                 i += 1
-                if _all(np.equal(s.view(np.uint64), acc.view(np.uint64)), axis=None):
+                if _all(same, axis=None):
                     rec[i:, :len(s)] = s
                     break
                 if step == next_end and step < n_steps:
@@ -492,10 +500,23 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
                     next_end = ends[ends.index(step) + 1]
     times = sample_steps * dt
     if not batched:
+        if failed:
+            raise failed[0]
         return Trajectory(times, rec)
     on_grid = sample_steps % record_every == 0
     keeps = [(sample_steps <= last) & (on_grid | (sample_steps == last)) for last in row_steps]
-    return [Trajectory(times[keep], rec[keep, row]) for row, keep in enumerate(keeps)]
+    return [failed.get(row) or Trajectory(times[keep], rec[keep, row])
+            for row, keep in enumerate(keeps)]
+
+
+def _divergence(step: int, last: int, record_every: int, dt: float) -> IntegrationDivergedError:
+    """The failure of a row found non-finite at step, as the row run alone
+    to its last step reports it: at its own next sample, with its own last
+    sample before step as the last good one."""
+    seen = min(-(-step // record_every) * record_every, last)
+    good = (step - 1) // record_every * record_every
+    return IntegrationDivergedError(f"non-finite state at t={seen * dt:.6g}",
+                                    last_good_time=float(good * dt))
 
 
 def _evaluation(field: Callable[[np.ndarray], np.ndarray], state: np.ndarray,
@@ -547,6 +568,7 @@ def simulate_batch(game: GameSpec, runs: Sequence[SimulationRun], dt: float = 0.
     simulate_higher_order returns it for that run alone, with the same
     samples bit for bit.  The strategies are added here to the Trajectories
     of integrate, and a first-order row of a filtered batch keeps its scores.
+    A failed row's entry is the IntegrationDivergedError of that row alone.
     """
     runs = list(runs)
     if not runs:
@@ -594,6 +616,8 @@ def simulate_batch(game: GameSpec, runs: Sequence[SimulationRun], dt: float = 0.
     for i in order:
         trajs, row_trajs = row_trajs[:len(starts[i])], row_trajs[len(starts[i]):]
         for t in trajs:
+            if isinstance(t, IntegrationDivergedError):
+                continue
             t.strategies = softmax(t.states[:, :n], eps, game.action_counts)
             if block is not None and runs[i].block is None:
                 t.states = t.states[:, :n].copy()  # drop a first-order row's filter state
@@ -605,7 +629,7 @@ def simulate_first_order(game: GameSpec, params: LearningParams, z0,
                          dt: float = 0.01, t_end: float = 500.0,
                          record_every: int = 10):
     """Integrate the first-order score flow from z0 ((n,) or batch (b, n))."""
-    return simulate_batch(game, [SimulationRun(params, z0, t_end)], dt, record_every)[0]
+    return _alone(game, SimulationRun(params, z0, t_end), dt, record_every)
 
 
 def simulate_higher_order(game: GameSpec, params: LearningParams,
@@ -613,8 +637,16 @@ def simulate_higher_order(game: GameSpec, params: LearningParams,
                           dt: float = 0.01, t_end: float = 500.0,
                           record_every: int = 10):
     """Integrate the filtered score flow; the filter starts at rest (xi0 = 0)."""
-    return simulate_batch(game, [SimulationRun(params, z0, t_end, block, xi0)],
-                          dt, record_every)[0]
+    return _alone(game, SimulationRun(params, z0, t_end, block, xi0), dt, record_every)
+
+
+def _alone(game: GameSpec, run: SimulationRun, dt: float, record_every: int):
+    """The entry of simulate_batch for one run; a z0 of shape (n,) raises
+    its IntegrationDivergedError, a batch keeps one per failed row."""
+    result = simulate_batch(game, [run], dt, record_every)[0]
+    if isinstance(result, IntegrationDivergedError):
+        raise result
+    return result
 
 
 # ------------------------------------------------- discrete-time recursions

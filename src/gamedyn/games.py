@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import string
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -26,7 +27,7 @@ import numpy as np
 from .choice import block_slices
 from .errors import DomainError, UsageError
 
-_AXES = "abcdefgh"
+_AXES = string.ascii_letters  # einsum's subscripts: one per player
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +54,8 @@ class GameSpec:
         counts = tuple(int(c) for c in self.action_counts)
         if not counts or any(c < 2 for c in counts):
             raise DomainError("every player needs at least two actions")
+        if len(counts) > len(_AXES):
+            raise DomainError(f"a game has at most {len(_AXES)} players, got {len(counts)}")
         tensors = tuple(np.ascontiguousarray(t, dtype=float) for t in self.payoff_tensors)
         if len(tensors) != len(counts):
             raise DomainError("one payoff tensor per player is required")

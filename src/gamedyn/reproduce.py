@@ -25,7 +25,7 @@ from .analysis import (bifurcation_epsilon, classify, convergence_report,
 from .dynamics import (FeedbackBlock, LearningParams, SimulationRun,
                        seeded_initial_scores, simulate_batch,
                        write_trajectory_csv)
-from .errors import UsageError
+from .errors import IntegrationDivergedError, UsageError
 from .games import GameSpec
 from .presets import preset
 
@@ -114,7 +114,8 @@ def _filter(game: GameSpec) -> FeedbackBlock:
 
 def scenario_runs(scenario: Scenario, game: GameSpec) -> list:
     """Integrate a scenario's runs as one lockstep batch.  Returns one
-    trajectory list per run, first-order before filtered for each gamma."""
+    trajectory list per run, first-order before filtered for each gamma;
+    raises the IntegrationDivergedError of the earliest failed row."""
     block = _filter(game)
     runs = []
     for gamma, seeds in scenario.gamma_seeds:
@@ -123,7 +124,12 @@ def scenario_runs(scenario: Scenario, game: GameSpec) -> list:
         runs.append(SimulationRun(params, z0, scenario.t_end_fo))
         if scenario.t_end_ho is not None:
             runs.append(SimulationRun(params, z0, scenario.t_end_ho, block))
-    return simulate_batch(game, runs, dt=DT, record_every=RECORD_EVERY)
+    trajs = simulate_batch(game, runs, dt=DT, record_every=RECORD_EVERY)
+    failed = [t for row_trajs in trajs for t in row_trajs
+              if isinstance(t, IntegrationDivergedError)]
+    if failed:
+        raise min(failed, key=lambda err: err.last_good_time)
+    return trajs
 
 
 def _statuses(trajs, rp):

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from tensor_reference import random_tensor_game
 
 from gamedyn import (IntegrationDivergedError, RestPointResult, preset, save_game,
                      seeded_initial_scores, simulate_batch)
@@ -123,6 +124,20 @@ def test_game_file_source(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "classify", "--game", str(path))
     assert code == 0
     assert json.loads(out)["classification"]["mu"] == pytest.approx(2.0)
+
+
+def test_nine_player_game_file(tmp_path, capsys):
+    """A game with more players than the eight letters a-h runs in every
+    verb that integrates or solves it."""
+    path = tmp_path / "g9.json"
+    save_game(path, random_tensor_game((2,) * 9, 9))
+    argvs = [["classify"], ["solve"]] + [
+        ["simulate", "--scheme", scheme, "--t-end", "5", "--dt", "0.05", "--steps", "200",
+         "--out", str(tmp_path / scheme)]
+        for scheme in ("first-order", "higher-order", "discrete", "stochastic")]
+    for argv in argvs:
+        code, _, err = run_cli(capsys, *argv, "--game", str(path))
+        assert (code, err) == (0, ""), argv
 
 
 def test_game_source_validation(tmp_path, capsys):
@@ -256,6 +271,8 @@ def test_simulate_overflow_is_reported_as_divergence(tmp_path, capsys):
     commands = {
         "first-order": (["--param", "l=8", "--dt", "40", "--t-end", "40000",
                          "--record-every", "500"], 0.0),
+        "higher-order": (["--param", "l=8", "--scheme", "higher-order", "--dt", "40",
+                          "--t-end", "40000", "--record-every", "500"], 0.0),
         "discrete": (["--param", "l=5", "--scheme", "discrete", "--gamma", "50",
                       "--alpha", "1", "--steps", "2000", "--record-every", "100"], 100),
         "stochastic": (["--param", "l=5", "--scheme", "stochastic", "--gamma", "1e6",
@@ -311,8 +328,8 @@ def test_simulate_seeds_equal_single_seed_commands(game, scheme, tmp_path, capsy
 
 
 def test_simulate_divergence_is_reported_per_seed(tmp_path, capsys):
-    """A batch that diverges is re-run seed by seed, so each seed keeps the
-    status and last good time of its own command."""
+    """Each seed of a batch that diverges keeps the status and last good
+    time of its own command."""
     argv = ["simulate", "--preset", "rps", "--param", "l=8", "--dt", "40",
             "--t-end", "40000", "--record-every", "500"]
     code, _, err = run_cli(capsys, *argv, "--seeds", "0,1", "--out", str(tmp_path / "all"))
@@ -324,14 +341,15 @@ def test_simulate_divergence_is_reported_per_seed(tmp_path, capsys):
 
 
 def test_simulate_divergence_of_one_seed_spares_the_others(tmp_path, capsys, monkeypatch):
-    """When only seed 1 diverges, the batch fails as a whole, and the re-run
-    gives seed 0 its own trajectory and seed 1 its own last good time."""
+    """When only seed 1 diverges, its slot of the batch holds its own
+    failure, and seed 0 keeps its own trajectory and seed 1 its own last
+    good time."""
     doomed = seeded_initial_scores(3, 1)
 
     def diverge_on_seed_1(game, runs, *args, **kwargs):
-        if any(np.array_equal(run.z0, doomed) for run in runs):
-            raise IntegrationDivergedError("non-finite state", last_good_time=7.0)
-        return simulate_batch(game, runs, *args, **kwargs)
+        return [IntegrationDivergedError("non-finite state", last_good_time=7.0)
+                if np.array_equal(run.z0, doomed) else traj
+                for run, traj in zip(runs, simulate_batch(game, runs, *args, **kwargs))]
 
     argv = ["simulate", "--preset", "rps", "--param", "l=5", "--dt", "0.05",
             "--t-end", "5", "--record-every", "10"]
@@ -349,7 +367,9 @@ def test_simulate_divergence_of_one_seed_spares_the_others(tmp_path, capsys, mon
 
 def test_simulate_unstable_step_is_reported(tmp_path, capsys):
     """A finite run that breaks the score bound |z_i| <= max(|z_i(0)|, M)
-    took too large a step: its status says so instead of a verdict."""
+    took too large a step: its status says so instead of a verdict.  A
+    storage value that overflowed on the way is null in summary.json, which
+    stays strict JSON, and no RuntimeWarning is printed."""
     code, _, err = run_cli(capsys, "simulate", "--preset", "rps", "--param", "l=5",
                            "--dt", "5", "--t-end", "500", "--out", str(tmp_path))
     assert code == 0 and err == ""
@@ -357,6 +377,23 @@ def test_simulate_unstable_step_is_reported(tmp_path, capsys):
     assert run["status"] == "unstable-step"
     assert run["score_bound_excess"] > 1e100
     assert (tmp_path / run["csv"]).exists()
+
+    def refuse(constant):
+        raise ValueError(f"summary.json holds {constant}")
+
+    argv = ["simulate", "--preset", "rps", "--param", "l=8", "--dt", "3.5",
+            "--t-end", "1400", "--record-every", "20", "--seeds", "0"]
+    for scheme, terminal_v in [("higher-order", None), ("first-order", 1.93279306511902e+175)]:
+        out = tmp_path / scheme
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, *argv, "--scheme", scheme, "--out", str(out))
+        assert code == 0 and err == ""
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        run = json.loads((out / "summary.json").read_text(),
+                         parse_constant=refuse)["runs"]["0"]
+        assert run["status"] == "unstable-step"
+        assert run["terminal_v"] == terminal_v
 
 
 def test_numerics_error_exits_3(monkeypatch, capsys):
@@ -383,6 +420,22 @@ def test_reproduce_divergence_exits_3(monkeypatch, capsys):
         raise IntegrationDivergedError("non-finite state at t=1", last_good_time=0.5)
 
     monkeypatch.setattr("gamedyn.reproduce.simulate_batch", diverge)
+    code, out, err = run_cli(capsys, "reproduce", "1-l1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: non-finite state at t=1\n"
+
+
+def test_reproduce_exits_3_on_the_earliest_failed_row(monkeypatch, capsys):
+    """A scenario whose batch holds failed rows raises the failure with the
+    earliest last good time, however the rows are ordered."""
+    def fail_two_rows(game, runs, *args, **kwargs):
+        trajs = simulate_batch(game, runs, *args, **kwargs)
+        trajs[0][1] = IntegrationDivergedError("non-finite state at t=3", last_good_time=2.5)
+        trajs[-1][0] = IntegrationDivergedError("non-finite state at t=1", last_good_time=0.5)
+        return trajs
+
+    monkeypatch.setattr("gamedyn.reproduce.simulate_batch", fail_two_rows)
     code, out, err = run_cli(capsys, "reproduce", "1-l1")
     assert code == 3
     assert out == ""

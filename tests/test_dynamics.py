@@ -634,6 +634,74 @@ def test_integrate_stops_at_an_exact_fixed_point():
     assert np.array_equal(traj.states, _plain_rk4(rotation, start, 0.01, 100, 1))
 
 
+def _blow_up(state):
+    """s' = s^2 - s: a start below 1 decays to an exact fixed point, one above
+    1 overflows in finite time (from 2, at step 4 of dt = 0.5)."""
+    return state * state - state
+
+
+@pytest.mark.parametrize("short_t_end", [1.5, 2.0])
+def test_integrate_failed_row_ends_alone(short_t_end):
+    """A row whose recorded sample is non-finite fails alone, with the
+    message and last good time of a run of that row alone, also when the
+    batch samples it at another row's horizon (step 3 or 4, off its own
+    grid of 5): the other row keeps its samples, and the loop stops once
+    every row still in the batch is at an exact fixed point or has failed."""
+    calls = []
+
+    def counted(state):
+        calls.append(None)
+        return _blow_up(state)
+
+    state0 = np.array([[2.0], [0.5], [0.5]])
+    row_t_end = [5000.0, 5000.0, short_t_end]
+    trajs = integrate(counted, state0, dt=0.5, t_end=5000.0, record_every=5,
+                      row_t_end=row_t_end)
+    batch_calls, calls[:] = len(calls), []
+    with pytest.raises(IntegrationDivergedError) as alone:
+        integrate(_blow_up, state0[0], dt=0.5, t_end=5000.0, record_every=5)
+    assert isinstance(trajs[0], IntegrationDivergedError)
+    assert str(trajs[0]) == str(alone.value) == "non-finite state at t=2.5"
+    assert trajs[0].last_good_time == alone.value.last_good_time == 0.0
+    for row in (1, 2):
+        expect = integrate(counted if row == 1 else _blow_up, state0[row], dt=0.5,
+                           t_end=row_t_end[row], record_every=5)
+        _assert_same_trajectories([trajs[row]], [expect])
+    assert batch_calls == len(calls) < 4 * 10000
+
+
+@pytest.mark.parametrize("filtered", [False, True], ids=["first-order", "filtered"])
+@pytest.mark.parametrize("doomed", [0, 1])
+@pytest.mark.parametrize("game_key", ["rps", "shapley", "jordan_mp"])
+def test_simulate_batch_failed_run_ends_alone(game_key, doomed, filtered):
+    """Of two one-row runs, the one at gamma = 1e300 overflows: its entry is
+    the failure of its run alone, and the other run records what it records
+    alone, bit for bit, without a RuntimeWarning."""
+    game = preset("rps", {"l": 5.0}) if game_key == "rps" else preset(game_key)
+    n = game.total_actions
+    block = FeedbackBlock.high_pass(1.0, 1.0, game.action_counts) if filtered else None
+    gammas = [1.0, 1.0]
+    gammas[doomed] = 1e300
+    runs = [SimulationRun(LearningParams(gamma, 1.0), seeded_initial_scores(n, seed),
+                          20.0, block) for seed, gamma in enumerate(gammas)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = simulate_batch(game, runs, dt=0.05, record_every=10)
+        alone = [simulate_batch(game, [run], dt=0.05, record_every=10)[0] for run in runs]
+        with pytest.raises(IntegrationDivergedError) as raised:
+            if filtered:
+                simulate_higher_order(game, runs[doomed].params, block, runs[doomed].z0,
+                                      dt=0.05, t_end=20.0, record_every=10)
+            else:
+                simulate_first_order(game, runs[doomed].params, runs[doomed].z0,
+                                     dt=0.05, t_end=20.0, record_every=10)
+    assert isinstance(got[doomed], IntegrationDivergedError)
+    assert str(got[doomed]) == str(alone[doomed]) == str(raised.value)
+    assert got[doomed].last_good_time == alone[doomed].last_good_time
+    assert got[doomed].last_good_time == raised.value.last_good_time == 0.0
+    _assert_same_trajectories([got[1 - doomed]], [alone[1 - doomed]])
+
+
 # ---------------------------------------- check-free kernel, buffered RK4
 
 @pytest.mark.parametrize("record_every", [2.5, np.nan])

@@ -245,6 +245,20 @@ def test_payoff_jacobian_is_exact_for_tensor_games(counts):
         payoff_jacobian(game, np.zeros(3))
 
 
+def test_games_with_more_than_eight_players():
+    """einsum takes its subscripts from the ASCII letters: a nine-player game
+    evaluates its payoffs, and a game with more players than letters is
+    refused before its tensors are read."""
+    counts = (2,) * 9
+    game = random_tensor_game(counts, 9)
+    x = random_profile(counts, np.random.default_rng(9))
+    np.testing.assert_allclose(expected_payoff_vector(game, x), tensor_payoff(game, x),
+                               rtol=0.0, atol=1e-12)
+    assert payoff_jacobian(game, x).shape == (18, 18)
+    with pytest.raises(DomainError, match="at most 52 players, got 53"):
+        GameSpec((2,) * 53, tuple(np.zeros(1) for _ in range(53)))
+
+
 def test_no_finite_difference_step_option():
     assert list(inspect.signature(payoff_jacobian).parameters) == ["game", "x"]
     assert "step" not in inspect.signature(classify).parameters
