@@ -278,7 +278,10 @@ def _cmd_reproduce(args) -> int:
     return 0 if not failed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of main in a process, built on first use; parsing
+    leaves it unchanged, so every call starts from the same defaults."""
     parser = argparse.ArgumentParser(
         prog="gamedyn",
         description="Score-based learning dynamics in finite games: "
@@ -345,15 +348,8 @@ _COMMANDS = {
 }
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of main in a process, built on first use; parsing
-    leaves it unchanged, so every call starts from the same defaults."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
     except (UsageError, DomainError, ConfigurationError) as err:

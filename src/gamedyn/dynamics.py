@@ -377,35 +377,88 @@ def _check_whole(value, name: str, least: int) -> int:
 
 
 def _horizon_steps(dt: float, t_end: float) -> int:
-    """The RK4 step count of a horizon, after checking it."""
+    """The RK4 step count of a horizon, a whole number to 1e-9 relative."""
     if not (dt > 0.0 and dt <= t_end < np.inf):
         raise DomainError("dt must be positive, and t_end finite and >= dt")
     steps = t_end / dt
     if steps == np.inf:
         raise DomainError(f"t_end / dt = {t_end!r} / {dt!r} is not a finite step count")
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise DomainError(f"t_end / dt = {t_end!r} / {dt!r} is not a whole number of steps")
     return int(round(steps))
+
+
+class _Recorder:
+    """The samples of integrate, run_discrete and run_stochastic: step 0,
+    every record_every-th step and each row's last step (last[r] for row r
+    of a batch, longest first), in one buffer; a row keeps those of its run
+    alone.  take checks a sample as a whole, and row by row only when it is
+    not finite.  A newly failed row gets the error of its run alone: message
+    at the time of its own next sample, and its own sample before as the
+    last good time, with steps of length unit."""
+
+    def __init__(self, state0: np.ndarray, last: Sequence[int], record_every: int,
+                 unit: float = 1, message: str = "non-finite scores at k={}"):
+        self.last, self.every, self.unit, self.message = last, record_every, unit, message
+        self.steps = np.array(sorted({*range(0, max(last, default=0) + 1, record_every), *last}))
+        self.remaining = len(last) - np.searchsorted(last[::-1], self.steps, side="right")
+        self.rec = np.empty((len(self.steps),) + state0.shape)
+        self.rec[0] = state0
+        self.i, self.failed = 1, {}
+
+    def take(self, state: np.ndarray, previous: np.ndarray | None = None) -> int:
+        """Record the next sample from the leading rows still stepping; return
+        how many step on: none once each has failed or, given the state a
+        step before, sits at an exact fixed point the remaining samples repeat."""
+        self.rec[self.i, :len(state)] = state  # rows that left keep their samples
+        self.i += 1
+        live = None if _all(np.isfinite(state), axis=None) else _all(
+            np.isfinite(state.reshape(-1, state.shape[-1])), axis=1)
+        for row in [] if live is None else np.flatnonzero(~live).tolist():
+            if row not in self.failed:
+                step, every = int(self.steps[self.i - 1]), self.every
+                seen = min(-(-step // every) * every, self.last[row])
+                self.failed[row] = IntegrationDivergedError(
+                    self.message.format(seen * self.unit),
+                    last_good_time=(step - 1) // every * every * self.unit)
+        done = live is not None and not live.any()
+        if previous is not None:
+            same = np.equal(state.view(np.uint64), previous.view(np.uint64))
+            done = _all(same if live is None else same.reshape(len(live), -1)[live], axis=None)
+        if done:
+            self.rec[self.i:, :len(state)] = state
+        return 0 if done else int(self.remaining[self.i - 1])
+
+    def result(self, strategies: Callable[[np.ndarray], np.ndarray] | None = None,
+               **columns: np.ndarray):
+        """Per row of a batch its error, or the Trajectory of its samples with
+        strategies(states) and the columns; a single row's, or its error raised."""
+        steps, times = self.steps, self.steps * self.unit
+        rec = self.rec if self.rec.ndim == 3 else self.rec[:, None]
+        entries = []
+        for row, last in enumerate(self.last):
+            keep = (steps <= last) & ((steps % self.every == 0) | (steps == last))
+            states = rec[keep, row]
+            entries.append(self.failed.get(row) or Trajectory(
+                times[keep], states, strategies and strategies(states),
+                **{name: column[keep] for name, column in columns.items()}))
+        if self.rec.ndim == 2 and self.failed:
+            raise self.failed[0]
+        return entries if self.rec.ndim == 3 else entries[0]
 
 
 def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
               t_end: float, record_every: int = 1,
               row_t_end: Sequence[float] | None = None):
-    """Classical fixed-step RK4.
+    """Classical fixed-step RK4 from a finite state0.
 
-    state0 of shape (d,) yields one Trajectory of times and states; shape
-    (b, d) integrates a batch in lockstep and yields a list of them.
-    Samples are taken every record_every steps plus the final step.
-    row_t_end gives each row of a batch its own horizon, longest first, the
-    first equal to t_end: a row leaves the batch after its final step, and
-    field then gets the leading rows that remain.  Each row records the
-    samples a run to its own horizon records.
-
-    The loop checks nothing but its recorded samples.  A step that
-    overflows carries NaN or inf to the next recorded sample, where the
-    row has failed: its entry is the IntegrationDivergedError of that row
-    run alone (a 1-D state0 raises it), and the other rows go on.  A
-    non-finite state stays non-finite, so the failed row stays in the batch
-    and no other row moves.  Rows are looked at one by one only at a sample
-    that is not finite as a whole.
+    state0 of shape (d,) yields one Trajectory of times and states, or
+    raises its IntegrationDivergedError; a batch (b, d) runs in lockstep and
+    yields one entry per row (see _Recorder).  row_t_end gives each row its
+    own horizon, longest first, the first equal to t_end: a row leaves the
+    batch after its final step, and field then gets the leading rows that
+    remain.  The loop steps from sample to sample and checks nothing else:
+    a row that overflows stays in the batch, non-finite, and fails there.
 
     The two state buffers, the stage input and k1..k4 are allocated once,
     and five evaluations of field are bound to them: k1 from either state
@@ -418,10 +471,9 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
     every value is the same bit for bit.
 
     field must be a pure function of the state, and give each row the same
-    result whichever rows share the batch: a recorded step whose state
-    equals the previous one bit for bit is an exact fixed point of the RK4
-    map, so the remaining samples repeat it.  Integration stops once every
-    row still in the batch is at an exact fixed point or has failed.
+    result whichever rows share the batch: a recorded step that repeats the
+    previous state bit for bit is an exact fixed point of the RK4 map, and
+    integration stops once every row still in the batch is at one or failed.
     """
     dt = float(dt)
     t_end = float(t_end)
@@ -430,22 +482,16 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
     s = np.array(state0, dtype=float)
     if s.ndim not in (1, 2):
         raise DomainError("state0 must be a vector or a batch of vectors")
-    batched = s.ndim == 2
-    row_steps = [n_steps] * (len(s) if batched else 1)
+    _check_finite(s)
+    row_steps = [n_steps] * (len(s) if s.ndim == 2 else 1)
     if row_t_end is not None:
         row_steps = [_horizon_steps(dt, float(h)) for h in row_t_end]
-        if (not batched or len(row_steps) != len(s) or row_steps[0] != n_steps
+        if (s.ndim == 1 or len(row_steps) != len(s) or row_steps[0] != n_steps
                 or any(a < b for a, b in zip(row_steps, row_steps[1:]))):
             raise DomainError("row_t_end needs one horizon per batch row, "
                               "longest first, the first equal to t_end")
-    ends = sorted(set(row_steps))
-    remaining = {end: sum(r > end for r in row_steps) for end in ends}
-    sample_steps = np.array(sorted({*range(0, n_steps + 1, record_every), *ends}))
-    rec = np.empty((len(sample_steps),) + s.shape)
-    rec[0] = s
-    i = 1
-    failed: dict[int, IntegrationDivergedError] = {}
-    next_end = ends[0]
+    rec = _Recorder(s, row_steps, record_every, dt, "non-finite state at t={:.6g}")
+    rows = len(row_steps)
     half, full, two, sixth = (np.array(c) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
     # acc holds the weighted stage sum, then the new state; afterwards the
     # previous one
@@ -458,65 +504,36 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
     f1, f1_next, f2, f3, f4 = bind()
     multiply, add = np.multiply, np.add
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            f1()
-            multiply(k1, half, stage)
-            add(s, stage, stage)
-            f2()
-            multiply(k2, half, stage)
-            add(s, stage, stage)
-            f3()
-            multiply(k3, full, stage)
-            add(s, stage, stage)
-            f4()
-            multiply(k2, two, acc)
-            add(k1, acc, acc)
-            multiply(k3, two, stage)
-            add(acc, stage, acc)
-            add(acc, k4, acc)
-            multiply(acc, sixth, acc)
-            add(s, acc, acc)
-            s, acc = acc, s
-            f1, f1_next = f1_next, f1
-            step = k + 1
-            if step % record_every == 0 or step == next_end:
-                same = np.equal(s.view(np.uint64), acc.view(np.uint64))
-                if not _all(np.isfinite(s), axis=None):
-                    live = _all(np.isfinite(s.reshape(-1, s.shape[-1])), axis=1)
-                    for row in np.flatnonzero(~live).tolist():
-                        if row not in failed:
-                            failed[row] = _divergence(step, row_steps[row], record_every, dt)
-                    same = same.reshape(len(live), -1)[live]
-                rec[i, :len(s)] = s  # rows that left keep their samples
-                i += 1
-                if _all(same, axis=None):
-                    rec[i:, :len(s)] = s
-                    break
-                if step == next_end and step < n_steps:
-                    rows = remaining[step]
-                    s, acc, stage, k1, k2, k3, k4 = (
-                        a[:rows] for a in (s, acc, stage, k1, k2, k3, k4))
-                    f1, f1_next, f2, f3, f4 = bind()
-                    next_end = ends[ends.index(step) + 1]
-    times = sample_steps * dt
-    if not batched:
-        if failed:
-            raise failed[0]
-        return Trajectory(times, rec)
-    on_grid = sample_steps % record_every == 0
-    keeps = [(sample_steps <= last) & (on_grid | (sample_steps == last)) for last in row_steps]
-    return [failed.get(row) or Trajectory(times[keep], rec[keep, row])
-            for row, keep in enumerate(keeps)]
-
-
-def _divergence(step: int, last: int, record_every: int, dt: float) -> IntegrationDivergedError:
-    """The failure of a row found non-finite at step, as the row run alone
-    to its last step reports it: at its own next sample, with its own last
-    sample before step as the last good one."""
-    seen = min(-(-step // record_every) * record_every, last)
-    good = (step - 1) // record_every * record_every
-    return IntegrationDivergedError(f"non-finite state at t={seen * dt:.6g}",
-                                    last_good_time=float(good * dt))
+        for gap in np.diff(rec.steps).tolist():
+            for _ in range(gap):
+                f1()
+                multiply(k1, half, stage)
+                add(s, stage, stage)
+                f2()
+                multiply(k2, half, stage)
+                add(s, stage, stage)
+                f3()
+                multiply(k3, full, stage)
+                add(s, stage, stage)
+                f4()
+                multiply(k2, two, acc)
+                add(k1, acc, acc)
+                multiply(k3, two, stage)
+                add(acc, stage, acc)
+                add(acc, k4, acc)
+                multiply(acc, sixth, acc)
+                add(s, acc, acc)
+                s, acc = acc, s
+                f1, f1_next = f1_next, f1
+            stepping = rec.take(s, acc)
+            if not stepping:
+                break
+            if stepping < rows:
+                rows = stepping
+                s, acc, stage, k1, k2, k3, k4 = (
+                    a[:rows] for a in (s, acc, stage, k1, k2, k3, k4))
+                f1, f1_next, f2, f3, f4 = bind()
+    return rec.result()
 
 
 def _evaluation(field: Callable[[np.ndarray], np.ndarray], state: np.ndarray,
@@ -769,44 +786,34 @@ def payoff_estimate(game: GameSpec, x, rng, mode: str = "full-info",
     return tuple(a[0] for a in draws) if size is None else draws
 
 
-def _record(ks: list, zs: list, k: int, z: np.ndarray) -> None:
-    """Append sample k of a discrete or stochastic run.  As in integrate,
-    only recorded samples are checked: a non-finite one raises
-    IntegrationDivergedError with the last good k."""
-    if not _all(np.isfinite(z), axis=None):
-        raise IntegrationDivergedError(f"non-finite scores at k={k}", last_good_time=ks[-1])
-    ks.append(k)
-    zs.append(z.copy())
-
-
 def run_discrete(game: GameSpec, params: LearningParams, z0, alpha: float,
-                 steps: int, record_every: int = 1) -> Trajectory:
+                 steps: int, record_every: int = 1):
     """Iterate the explicit Euler recursion
     Z_{k+1} = Z_k + alpha gamma (U(sigma(Z_k)) - Z_k), with alpha in [0, 1];
     alpha gamma = 1 gives the best-scored update Z_{k+1} = U(sigma(Z_k)).
-    Returns the Trajectory of the samples, with the iteration k as time.
     The increment, the first-order field at gamma = 1, is bound once from
     the one score buffer z into one buffer, and each step adds
-    rate * increment to z in place."""
+    rate * increment to z in place.  Returns as integrate does, k as time."""
     steps = _check_whole(steps, "steps", 0)
     record_every = _check_whole(record_every, "record_every", 1)
     rate = np.array(_check_alpha(alpha) * params.gamma)
     z = np.array(z0, dtype=float)
     _check_length(z, game.total_actions)
     _check_finite(z)
+    if z.ndim > 2:
+        raise DomainError("z0 must be a vector or a batch of vectors")
     inc = np.empty_like(z)
     f = _Field(game, params.eps, None, [(1, False, 1.0)]).bind(z, inc)
-    ks = [0]
-    zs = [z.copy()]
+    rec = _Recorder(z, [steps] * (len(z) if z.ndim == 2 else 1), record_every)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            f()
-            np.multiply(inc, rate, inc)
-            np.add(z, inc, z)
-            if (k + 1) % record_every == 0 or k + 1 == steps:
-                _record(ks, zs, k + 1, z)
-    zs = np.stack(zs)
-    return Trajectory(ks, zs, softmax(zs, params.eps, game.action_counts))
+        for gap in np.diff(rec.steps).tolist():
+            for _ in range(gap):
+                f()
+                np.multiply(inc, rate, inc)
+                np.add(z, inc, z)
+            if not rec.take(z):
+                break
+    return rec.result(lambda zs: softmax(zs, params.eps, game.action_counts))
 
 
 def harmonic_schedule(k: int) -> float:
@@ -835,9 +842,8 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
     generator.  A run that diverges part way may leave the generator up to
     a block ahead.
 
-    Returns the Trajectory of the samples, with the iteration k as time and
-    the joint action and payoffs realized in the step that led to each
-    sample; the initial sample has none (actions -1, payoffs NaN).
+    Returns what run_discrete returns for a z0 (n,), with the joint action
+    and payoffs realized in the step that led to each sample.
     """
     steps = _check_whole(steps, "steps", 0)
     record_every = _check_whole(record_every, "record_every", 1)
@@ -853,29 +859,27 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
     diff = np.empty(z.shape)
     draw, estimate, realize = _bind_draws(game, x, bandit)
     columns = len(_column_counts(game))
-    ks = [0]
-    zs = [z.copy()]
-    acts_log = [np.full(columns, -1)]
-    pay_log = [np.full(game.player_count, np.nan)]
+    rec = _Recorder(z, [steps], record_every)
+    actions = np.full((len(rec.steps), columns), -1)
+    payoffs = np.full((len(rec.steps), game.player_count), np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            i = k % _UNIFORM_BLOCK
-            if i == 0:
-                uniforms = rng.random((min(_UNIFORM_BLOCK, steps - k), columns))
-            rate = harmonic_schedule(k) * params.gamma
-            sigma()
-            acts = draw(uniforms[i])
-            # z + rate * (u_hat - z), updated in place
-            np.subtract(estimate(acts), z, diff)
-            np.multiply(diff, rate, diff)
-            np.add(z, diff, z)
-            if (k + 1) % record_every == 0 or k + 1 == steps:
-                _record(ks, zs, k + 1, z)
-                acts_log.append(acts)
-                pay_log.append(realize(acts))
-    zs = np.stack(zs)
-    return Trajectory(ks, zs, softmax(zs, params.eps, game.action_counts),
-                      actions=np.stack(acts_log), payoffs=np.stack(pay_log))
+        for i, (start, stop) in enumerate(zip(rec.steps.tolist(), rec.steps[1:].tolist()), 1):
+            for k in range(start, stop):
+                j = k % _UNIFORM_BLOCK
+                if j == 0:
+                    uniforms = rng.random((min(_UNIFORM_BLOCK, steps - k), columns))
+                rate = harmonic_schedule(k) * params.gamma
+                sigma()
+                acts = draw(uniforms[j])
+                # z + rate * (u_hat - z), updated in place
+                np.subtract(estimate(acts), z, diff)
+                np.multiply(diff, rate, diff)
+                np.add(z, diff, z)
+            actions[i], payoffs[i] = acts, realize(acts)
+            if not rec.take(z):
+                break
+    return rec.result(lambda zs: softmax(zs, params.eps, game.action_counts),
+                      actions=actions, payoffs=payoffs)
 
 
 # ------------------------------------------------------------------- CSV output

@@ -181,7 +181,7 @@ def test_reused_parser_leaks_nothing_between_calls(tmp_path, monkeypatch, capsys
     non-default options, then a usage error, then commands that leave those
     options at their defaults write the bytes that a freshly built parser
     gives for each."""
-    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is cli.build_parser()
     game = ["simulate", "--preset", "shapley"]
     commands = [
         game + ["--scheme", "stochastic", "--steps", "40", "--emit-ternary",
@@ -191,7 +191,7 @@ def test_reused_parser_leaks_nothing_between_calls(tmp_path, monkeypatch, capsys
         game + ["--t-end", "1"],
     ]
     reused = _command_outcomes(capsys, tmp_path / "reused", commands)
-    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     fresh = _command_outcomes(capsys, tmp_path / "fresh", commands)
     assert [code for code, *_ in reused] == [0, 2, 0, 0]
     assert "tern1_u" in reused[0][3]["stoch_seed3.csv"].decode()
@@ -267,18 +267,21 @@ def test_temperature_too_small_rejected(argv, tmp_path, capsys):
 def test_simulate_overflow_is_reported_as_divergence(tmp_path, capsys):
     """A step that overflows between samples is a diverged run in
     summary.json, with no RuntimeWarning, no usage error and no CSV, in
-    every scheme."""
+    every scheme.  last_good_time is written as the iteration k, an
+    integer, for the recursions, and as a float time for the ODE schemes."""
     commands = {
         "first-order": (["--param", "l=8", "--dt", "40", "--t-end", "40000",
-                         "--record-every", "500"], 0.0),
+                         "--record-every", "500"], 0.0, "0.0"),
         "higher-order": (["--param", "l=8", "--scheme", "higher-order", "--dt", "40",
-                          "--t-end", "40000", "--record-every", "500"], 0.0),
+                          "--t-end", "40000", "--record-every", "500"], 0.0, "0.0"),
         "discrete": (["--param", "l=5", "--scheme", "discrete", "--gamma", "50",
-                      "--alpha", "1", "--steps", "2000", "--record-every", "100"], 100),
+                      "--alpha", "1", "--steps", "2000", "--record-every", "100"],
+                     100, "100"),
         "stochastic": (["--param", "l=5", "--scheme", "stochastic", "--gamma", "1e6",
-                        "--alpha", "1", "--steps", "500", "--record-every", "100"], 0),
+                        "--alpha", "1", "--steps", "500", "--record-every", "100"],
+                       0, "0"),
     }
-    for scheme, (argv, last_good) in commands.items():
+    for scheme, (argv, last_good, text) in commands.items():
         out = tmp_path / scheme
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -287,10 +290,25 @@ def test_simulate_overflow_is_reported_as_divergence(tmp_path, capsys):
         assert code == 0
         assert err == ""
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        run = json.loads((out / "summary.json").read_text())["runs"]["0"]
+        summary = (out / "summary.json").read_text()
+        run = json.loads(summary)["runs"]["0"]
         assert run == {"status": "diverged", "last_good_time": last_good,
                        "terminal_x": None, "terminal_v": None}
+        # 100 == 100.0 in Python: the bytes tell an int from a float
+        assert f'"last_good_time": {text},\n' in summary
         assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("dt", ["0.6", "0.4"])
+def test_horizon_off_the_step_grid_is_a_usage_error(dt, tmp_path, capsys):
+    """--t-end that is not a whole number of --dt steps exits 2 before any
+    output, instead of ending past it or short of it."""
+    code, out, err = run_cli(capsys, "simulate", "--preset", "rps", "--param", "l=5",
+                             "--dt", dt, "--t-end", "1.0", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "not a whole number of steps" in err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def _single_seed_runs(capsys, tmp_path, argv, seeds):

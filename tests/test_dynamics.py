@@ -182,6 +182,28 @@ def test_horizon_shorter_than_step_rejected():
     np.testing.assert_allclose(traj.times, [0.0, 0.1], atol=1e-12)
 
 
+def test_horizon_off_the_step_grid_rejected():
+    """t_end must be a whole number of steps of dt, not rounded to the
+    nearest one (past t_end at dt = 0.6, short of it at dt = 0.4);
+    floating-point noise in t_end / dt is not refused."""
+    game = preset("rps", {"l": 2.5})
+    params = LearningParams(1.0, 1.0)
+    for dt in (0.6, 0.4):
+        with pytest.raises(DomainError, match="not a whole number of steps"):
+            simulate_first_order(game, params, np.zeros(3), dt=dt, t_end=1.0)
+        with pytest.raises(DomainError, match="not a whole number of steps"):
+            simulate_batch(game, [SimulationRun(params, np.zeros(3), 1.2),
+                                  SimulationRun(params, np.zeros(3), 1.0)], dt=dt)
+        with pytest.raises(DomainError, match="not a whole number of steps"):
+            integrate(lambda s: -s, np.ones((2, 2)), dt=dt, t_end=1.2,
+                      row_t_end=[1.2, 1.0])
+        # the longer horizon alone is a whole number of steps
+        integrate(lambda s: -s, np.ones(2), dt=dt, t_end=1.2)
+    assert 0.3 / 0.1 != 3.0
+    traj = integrate(lambda s: -s, np.ones(2), dt=0.1, t_end=0.3)
+    np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, 0.3], atol=1e-12)
+
+
 def test_divergence_reports_last_good_time():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationDivergedError) as err:
@@ -440,13 +462,15 @@ def test_run_discrete_matches_reference_update(game_key, batch):
         z = z + alpha * params.gamma * (u - z)
         expect.append(z)
     expect = np.stack(expect)
-    traj = run_discrete(game, params, _initial_scores(game, batch),
-                        alpha=alpha, steps=steps)
-    np.testing.assert_array_equal(traj.times, np.arange(steps + 1))
-    np.testing.assert_allclose(traj.states, expect, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(traj.strategies,
-                               softmax(expect, params.eps, game.action_counts),
-                               rtol=0.0, atol=1e-12)
+    trajs = run_discrete(game, params, _initial_scores(game, batch),
+                         alpha=alpha, steps=steps)
+    assert len(trajs) == batch
+    for row, traj in enumerate(trajs):
+        np.testing.assert_array_equal(traj.times, np.arange(steps + 1))
+        np.testing.assert_allclose(traj.states, expect[:, row], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(traj.strategies,
+                                   softmax(expect[:, row], params.eps, game.action_counts),
+                                   rtol=0.0, atol=1e-12)
 
 
 def test_bound_field_rejects_mismatched_inputs():
@@ -702,6 +726,25 @@ def test_simulate_batch_failed_run_ends_alone(game_key, doomed, filtered):
     _assert_same_trajectories([got[1 - doomed]], [alone[1 - doomed]])
 
 
+@pytest.mark.parametrize("game_key", ["rps", "shapley"])
+def test_run_discrete_failed_row_ends_alone(game_key):
+    """A discrete batch row that overflows is that row's failure, with the
+    integer k of its last good sample, and the other rows record what a
+    batch of them alone records, bit for bit, without a RuntimeWarning."""
+    game = preset("rps", {"l": 5.0}) if game_key == "rps" else preset(game_key)
+    params = LearningParams(gamma=3.0, eps=1.0)
+    z0 = np.array([seeded_initial_scores(game.total_actions, seed) for seed in range(3)])
+    z0[0] = 1e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_discrete(game, params, z0, 1.0, 100, record_every=10)
+        alone = run_discrete(game, params, z0[1:], 1.0, 100, record_every=10)
+    assert isinstance(got[0], IntegrationDivergedError)
+    assert str(got[0]) == "non-finite scores at k=10"
+    assert got[0].last_good_time == 0 and type(got[0].last_good_time) is int
+    _assert_same_trajectories(got[1:], alone)
+
+
 # ---------------------------------------- check-free kernel, buffered RK4
 
 @pytest.mark.parametrize("record_every", [2.5, np.nan])
@@ -890,6 +933,14 @@ def test_public_boundaries_refuse_non_finite_scores(value):
         lambda: run_discrete(game, params, z, 0.1, 5),
         lambda: run_stochastic(game, params, z, 5, rng=0),
         lambda: rest_point(game, 1.0, z0=z),
+        # a non-finite start is refused, not reported as a divergence
+        lambda: simulate_first_order(game, params, z, dt=0.1, t_end=1.0),
+        lambda: simulate_higher_order(game, params, block, z, dt=0.1, t_end=1.0),
+        lambda: simulate_higher_order(game, params, block, np.zeros(3), xi0=z,
+                                      dt=0.1, t_end=1.0),
+        lambda: simulate_batch(game, [SimulationRun(params, np.stack([np.zeros(3), z]), 1.0)],
+                               dt=0.1),
+        lambda: integrate(lambda s: -s, z, 0.1, 1.0),
     ]
     for call in calls:
         with pytest.raises(DomainError, match="non-finite entries in score input"):
