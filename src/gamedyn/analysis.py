@@ -153,8 +153,9 @@ def rest_point(game: GameSpec, eps: float, z0=None) -> RestPointResult:
 
     The damped stage z <- (z + U(sigma(z))) / 2 runs until the residual
     falls below 1e-8 or stagnates (it need not contract near unstable rest
-    points); Newton with a halving line search then drives the best iterate
-    to 1e-12.  The result is converged when the residual is at most 1e-10.
+    points); Newton on the flow's Jacobian at gamma = 1 (DU Dsigma - I)
+    with a halving line search then drives the best iterate to 1e-12.  The
+    result is converged when the residual is at most 1e-10.
     """
     eps = _check_eps(eps)
     n = game.total_actions
@@ -189,14 +190,12 @@ def rest_point(game: GameSpec, eps: float, z0=None) -> RestPointResult:
     z = best_z
     res = best_res
     method = "damped"
-    eye = np.eye(n)
     for _ in range(50):
         if res <= 1e-12:
             break
         method = "damped+newton"
-        x = sigma(z)
-        f_val = payoff(x) - z
-        jac = payoff_jacobian(game, x) @ profile_jacobian(z, eps, game.action_counts) - eye
+        f_val = payoff(sigma(z)) - z
+        jac = dynamics_jacobian(z, game, LearningParams(1.0, eps), fd_check=False)
         try:
             step_dir = np.linalg.solve(jac, -f_val)
         except np.linalg.LinAlgError:
@@ -393,9 +392,7 @@ def lyapunov_trace(traj: Trajectory, z_star: np.ndarray, eps: float,
                    action_counts: Sequence[int]) -> tuple[np.ndarray, str]:
     """Bregman storage V at each sample plus a monotonicity verdict."""
     z_star = np.asarray(z_star, dtype=float)
-    n = z_star.size
-    scores = traj.states[:, :n]
-    values = bregman_lse(scores, z_star, eps, action_counts)
+    values = bregman_lse(traj.states[:, :z_star.size], z_star, eps, action_counts)
     return values, _storage_verdict(values)
 
 
@@ -455,9 +452,8 @@ def composite_lyapunov_trace(traj: Trajectory, z_star: np.ndarray,
     p_mat = storage_matrix(block) if p_mat is None else np.asarray(p_mat, dtype=float)
     if np.abs(p_mat - p_mat.T).max() > 1e-12 or np.linalg.eigvalsh(p_mat).min() <= 0.0:
         raise ConfigurationError("storage matrix P must be symmetric positive definite")
-    scores = traj.states[:, :n]
     xi_dev = traj.states[:, n:] - xi_star
-    values = bregman_lse(scores, z_star, eps, action_counts)
+    values, _ = lyapunov_trace(traj, z_star, eps, action_counts)
     values = values + 0.5 * gamma * np.einsum("ti,ij,tj->t", xi_dev, p_mat, xi_dev)
     return values, _storage_verdict(values)
 
@@ -539,13 +535,14 @@ def time_to_tolerance(traj: Trajectory, x_star: np.ndarray) -> float | None:
 def score_bound(game: GameSpec, z0: np.ndarray,
                 block: FeedbackBlock | None = None) -> np.ndarray:
     """Per-coordinate invariant bound max{|z_i(0)|, M} on simulated scores,
-    where M bounds the (filter-adjusted) payoff magnitude.  A block is
-    refused unless A is Metzler and each column of B has one sign."""
+    where M bounds the (filter-adjusted) payoff magnitude.  A block is refused
+    unless valid (ensure_valid), A Metzler and each column of B of one sign."""
     m_payoff = game.max_abs_payoff()
     if block is not None:
         # |v_a| <= ||C||_inf sup|xi| + ||D||_inf with sup|xi| <= ||A^-1 B||_inf
         # for xi(0) = 0 and strategies in [0, 1], which holds when no entry
         # of the impulse response e^{At} B changes sign.
+        block.ensure_valid()
         b = block.b_mat
         off_diagonal = block.a_mat[~np.eye(block.dim, dtype=bool)]
         if (off_diagonal < 0).any() or not ((b >= 0).all(0) | (b <= 0).all(0)).all():

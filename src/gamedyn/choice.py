@@ -47,12 +47,10 @@ def _check_finite(z: np.ndarray) -> None:
 
 def softmax_block(z_block, eps: float) -> np.ndarray:
     """Soft-max over the last axis of a single score block."""
-    eps = _check_eps(eps)
     z = np.asarray(z_block, dtype=float)
     if z.ndim == 0:
         raise DomainError("softmax_block takes a score block, not a scalar")
-    _check_finite(z)
-    return _bind_softmax(eps, z.shape[-1:])(z)
+    return softmax(z, eps, z.shape[-1:])
 
 
 def softmax(z, eps: float, action_counts: Sequence[int]) -> np.ndarray:

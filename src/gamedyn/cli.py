@@ -352,10 +352,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except (UsageError, DomainError, ConfigurationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (UsageError, DomainError, ConfigurationError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NumericsError as err:

@@ -18,7 +18,8 @@ of rows.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import pairwise
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -66,6 +67,11 @@ class FeedbackBlock:
         if not all(np.all(np.isfinite(m)) for m in mats):
             raise DomainError("feedback block matrices must be finite")
         self.a_mat, self.b_mat, self.c_mat, self.d_mat = mats
+
+    def __eq__(self, other) -> bool:
+        """Blocks are equal when their four matrices are, entry by entry."""
+        return isinstance(other, FeedbackBlock) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     @classmethod
     def high_pass(cls, gain: float, cutoff: float, action_counts: Sequence[int]) -> "FeedbackBlock":
@@ -371,7 +377,7 @@ def _check_whole(value, name: str, least: int) -> int:
     """value as an int, refused unless it is a whole number >= least."""
     if value < least:
         raise DomainError(f"{name} must be >= {least}, got {value!r}")
-    if not float(value).is_integer():
+    if not (isinstance(value, int) or float(value).is_integer()):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -391,20 +397,29 @@ def _horizon_steps(dt: float, t_end: float) -> int:
 class _Recorder:
     """The samples of integrate, run_discrete and run_stochastic: step 0,
     every record_every-th step and each row's last step (last[r] for row r
-    of a batch, longest first), in one buffer; a row keeps those of its run
-    alone.  take checks a sample as a whole, and row by row only when it is
-    not finite.  A newly failed row gets the error of its run alone: message
-    at the time of its own next sample, and its own sample before as the
-    last good time, with steps of length unit."""
+    of a batch, longest first), in one buffer with the named columns (width,
+    fill); a row keeps those of its run alone.  A record numpy cannot
+    allocate or index is refused before any step.  take checks a sample as a
+    whole, and row by row only when it is not finite.  A newly failed row
+    gets the error of its run alone: message at the time of its own next
+    sample, and its own sample before as the last good time, with steps of
+    length unit."""
 
     def __init__(self, state0: np.ndarray, last: Sequence[int], record_every: int,
-                 unit: float = 1, message: str = "non-finite scores at k={}"):
+                 unit: float = 1, message: str = "non-finite scores at k={}", **columns):
         self.last, self.every, self.unit, self.message = last, record_every, unit, message
-        self.steps = np.array(sorted({*range(0, max(last, default=0) + 1, record_every), *last}))
-        self.remaining = len(last) - np.searchsorted(last[::-1], self.steps, side="right")
-        self.rec = np.empty((len(self.steps),) + state0.shape)
+        top = max(last, default=0)
+        off_grid = sorted({h for h in last if h % record_every})
+        samples = top // record_every + 1 + len(off_grid)
+        try:
+            self.rec = np.empty((samples,) + state0.shape)
+            self.columns = {k: np.full((samples, w), fill) for k, (w, fill) in columns.items()}
+            grid = np.arange(0, top + 1, record_every, dtype=np.intp)
+        except (MemoryError, ValueError, OverflowError) as exc:
+            raise DomainError(f"the record cannot be held in memory: {exc}") from None
+        self.steps = np.insert(grid, np.searchsorted(grid, off_grid), off_grid)
         self.rec[0] = state0
-        self.i, self.failed = 1, {}
+        self.i, self.rows, self.failed = 1, len(last), {}
 
     def take(self, state: np.ndarray, previous: np.ndarray | None = None) -> int:
         """Record the next sample from the leading rows still stepping; return
@@ -414,9 +429,9 @@ class _Recorder:
         self.i += 1
         live = None if _all(np.isfinite(state), axis=None) else _all(
             np.isfinite(state.reshape(-1, state.shape[-1])), axis=1)
+        step, every = int(self.steps[self.i - 1]), self.every
         for row in [] if live is None else np.flatnonzero(~live).tolist():
             if row not in self.failed:
-                step, every = int(self.steps[self.i - 1]), self.every
                 seen = min(-(-step // every) * every, self.last[row])
                 self.failed[row] = IntegrationDivergedError(
                     self.message.format(seen * self.unit),
@@ -427,10 +442,11 @@ class _Recorder:
             done = _all(same if live is None else same.reshape(len(live), -1)[live], axis=None)
         if done:
             self.rec[self.i:, :len(state)] = state
-        return 0 if done else int(self.remaining[self.i - 1])
+        while self.rows and self.last[self.rows - 1] <= step:
+            self.rows -= 1
+        return 0 if done else self.rows
 
-    def result(self, strategies: Callable[[np.ndarray], np.ndarray] | None = None,
-               **columns: np.ndarray):
+    def result(self, strategies: Callable[[np.ndarray], np.ndarray] | None = None):
         """Per row of a batch its error, or the Trajectory of its samples with
         strategies(states) and the columns; a single row's, or its error raised."""
         steps, times = self.steps, self.steps * self.unit
@@ -441,7 +457,7 @@ class _Recorder:
             states = rec[keep, row]
             entries.append(self.failed.get(row) or Trajectory(
                 times[keep], states, strategies and strategies(states),
-                **{name: column[keep] for name, column in columns.items()}))
+                **{name: column[keep] for name, column in self.columns.items()}))
         if self.rec.ndim == 2 and self.failed:
             raise self.failed[0]
         return entries if self.rec.ndim == 3 else entries[0]
@@ -504,8 +520,8 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
     f1, f1_next, f2, f3, f4 = bind()
     multiply, add = np.multiply, np.add
     with np.errstate(over="ignore", invalid="ignore"):
-        for gap in np.diff(rec.steps).tolist():
-            for _ in range(gap):
+        for start, stop in pairwise(map(int, rec.steps)):
+            for _ in range(start, stop):
                 f1()
                 multiply(k1, half, stage)
                 add(s, stage, stage)
@@ -568,11 +584,6 @@ class SimulationRun:
     xi0: np.ndarray | None = None
 
 
-def _same_block(a: FeedbackBlock, b: FeedbackBlock) -> bool:
-    return a is b or all(np.array_equal(m, k) for m, k in zip(
-        (a.a_mat, a.b_mat, a.c_mat, a.d_mat), (b.a_mat, b.b_mat, b.c_mat, b.d_mat)))
-
-
 def simulate_batch(game: GameSpec, runs: Sequence[SimulationRun], dt: float = 0.01,
                    record_every: int = 10) -> list:
     """Integrate several runs on one game as a single lockstep RK4 batch.
@@ -596,11 +607,10 @@ def simulate_batch(game: GameSpec, runs: Sequence[SimulationRun], dt: float = 0.
     block = blocks[0] if blocks else None
     if any(run.params.eps != eps for run in runs):
         raise DomainError("runs in one batch must share eps")
-    if any(not _same_block(b, block) for b in blocks):
+    if any(b != block for b in blocks):
         raise DomainError("runs in one batch must share one feedback block")
     if block is not None:
         block.ensure_valid()
-    dt = float(dt)
     starts = []
     for run in runs:
         z0 = np.asarray(run.z0, dtype=float)
@@ -619,10 +629,8 @@ def simulate_batch(game: GameSpec, runs: Sequence[SimulationRun], dt: float = 0.
     starts = [np.atleast_2d(z) for z in starts]
     if not any(len(z) for z in starts):
         raise DomainError("simulate_batch needs at least one initial score row")
-    record_every = _check_whole(record_every, "record_every", 1)
-    steps = [_horizon_steps(dt, float(run.t_end)) for run in runs]
     order = sorted(range(len(runs)), key=lambda i: (
-        -steps[i], runs[i].block is not None, len(starts[i]) == 1))
+        -float(runs[i].t_end), runs[i].block is not None, len(starts[i]) == 1))
     groups = [(len(starts[i]), runs[i].block is not None, runs[i].params.gamma)
               for i in order]
     field = _Field(game, eps, block, groups)
@@ -806,8 +814,8 @@ def run_discrete(game: GameSpec, params: LearningParams, z0, alpha: float,
     f = _Field(game, params.eps, None, [(1, False, 1.0)]).bind(z, inc)
     rec = _Recorder(z, [steps] * (len(z) if z.ndim == 2 else 1), record_every)
     with np.errstate(over="ignore", invalid="ignore"):
-        for gap in np.diff(rec.steps).tolist():
-            for _ in range(gap):
+        for start, stop in pairwise(map(int, rec.steps)):
+            for _ in range(start, stop):
                 f()
                 np.multiply(inc, rate, inc)
                 np.add(z, inc, z)
@@ -859,11 +867,11 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
     diff = np.empty(z.shape)
     draw, estimate, realize = _bind_draws(game, x, bandit)
     columns = len(_column_counts(game))
-    rec = _Recorder(z, [steps], record_every)
-    actions = np.full((len(rec.steps), columns), -1)
-    payoffs = np.full((len(rec.steps), game.player_count), np.nan)
+    rec = _Recorder(z, [steps], record_every, actions=(columns, -1),
+                    payoffs=(game.player_count, np.nan))
+    actions, payoffs = rec.columns["actions"], rec.columns["payoffs"]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (start, stop) in enumerate(zip(rec.steps.tolist(), rec.steps[1:].tolist()), 1):
+        for i, (start, stop) in enumerate(pairwise(map(int, rec.steps)), 1):
             for k in range(start, stop):
                 j = k % _UNIFORM_BLOCK
                 if j == 0:
@@ -878,8 +886,7 @@ def run_stochastic(game: GameSpec, params: LearningParams, z0, steps: int,
             actions[i], payoffs[i] = acts, realize(acts)
             if not rec.take(z):
                 break
-    return rec.result(lambda zs: softmax(zs, params.eps, game.action_counts),
-                      actions=actions, payoffs=payoffs)
+    return rec.result(lambda zs: softmax(zs, params.eps, game.action_counts))
 
 
 # ------------------------------------------------------------------- CSV output

@@ -10,6 +10,9 @@ runs that the `reproduce` catalogue declares for nine of its scenarios and
 integrates them as the catalogue does, with its own expected statuses.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq, root
@@ -262,17 +265,25 @@ DICHOTOMY = [
 ]
 
 
-def test_criterion_5_convergence_dichotomy():
+def test_criterion_5_convergence_dichotomy(tmp_path):
     """The runs of nine catalogue scenarios, integrated as the catalogue
     integrates them: both schemes from the same five seeds in one lockstep
-    batch, each to its own horizon."""
+    batch, each to its own horizon.  The scenario's own checks then run on
+    the same batch, and each row's label, expected value, tolerance and
+    outcome must be those committed in reproduce_rows.json."""
+    pinned = json.loads(Path(__file__).with_name("reproduce_rows.json").read_text())
     failures = []
     for example_id, *expected in DICHOTOMY:
         scenario = reproduce.SCENARIOS[example_id]
         game = preset(*scenario.game)
         batch = reproduce.scenario_runs(scenario, game)
-        solved = (rest_point(game, scenario.eps)
-                  if "converged" in expected else None)
+        solved = rest_point(game, scenario.eps)
+        report = reproduce.ExampleReport(example_id, scenario.title)
+        scenario.checks(report, game, solved, batch, str(tmp_path))
+        rows = [{key: getattr(row, key) for key in ("label", "expected", "tolerance", "outcome")}
+                for row in report.rows]
+        if rows != pinned[example_id]:
+            failures.append(f"{example_id}: rows {rows}, committed {pinned[example_id]}")
         cases = [(scheme, status, block) for scheme, status, block in zip(
             ("first-order", "higher-order"), expected,
             (None, reproduce._filter(game))) if status is not None]

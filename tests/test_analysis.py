@@ -474,7 +474,11 @@ def test_score_bound_refuses_impulse_responses_that_change_sign():
     """sup|xi| <= ||A^-1 B||_inf for strategies in [0, 1] needs every entry
     of e^{At} B to keep its sign.  A lightly damped rotation drives xi_1 to
     about 6.9 against the 1.09 that bound claims, so score_bound refuses it,
-    as it refuses a B column of mixed sign."""
+    as it refuses a B column of mixed sign.  Each block has D = C A^-1 B,
+    the zero DC gain every integrated block has; a block that fails that
+    check, or whose A is not Hurwitz, is refused before any bound is solved
+    (a singular A used to raise numpy's LinAlgError, and the unstable one
+    below got the bound [7, 7, 7])."""
     rotation = np.array([[-0.1, 1.0], [-1.0, -0.1]])
     lam, vec = np.linalg.eig(rotation)
     t = np.linspace(0.0, 200.0, 40001)
@@ -488,12 +492,21 @@ def test_score_bound_refuses_impulse_responses_that_change_sign():
     z0 = np.zeros(4)
     mixed_column = np.kron(np.eye(2), [[1.0, 0.0], [-1.0, 1.0]])
     for a_mat, b_mat in [(np.kron(np.eye(2), rotation), eye), (-eye, mixed_column)]:
+        block = FeedbackBlock(a_mat, b_mat, eye, np.linalg.solve(a_mat, b_mat))
         with pytest.raises(ConfigurationError, match="Metzler"):
-            score_bound(game, z0, block=FeedbackBlock(a_mat, b_mat, eye, 0.0 * eye))
+            score_bound(game, z0, block=block)
     metzler = np.kron(np.eye(2), [[-2.0, 1.0], [1.0, -2.0]])
+    # ||A^-1 B||_inf = 1 through C = I, and ||D||_inf = ||A^-1||_inf = 1
     np.testing.assert_allclose(
-        score_bound(game, z0, block=FeedbackBlock(metzler, eye, eye, 0.0 * eye)),
-        game.max_abs_payoff() + 1.0)
+        score_bound(game, z0, block=FeedbackBlock(metzler, eye, eye, np.linalg.inv(metzler))),
+        game.max_abs_payoff() + 2.0)
+    rps = preset("rps", {"l": 5.0})
+    i3 = np.eye(3)
+    for block, reason in [(FeedbackBlock(0.0 * i3, i3, i3, 0.0 * i3), "not Hurwitz"),
+                          (FeedbackBlock(i3, -i3, i3, i3), "not Hurwitz"),
+                          (FeedbackBlock(-i3, i3, i3, 0.0 * i3), "DC gain")]:
+        with pytest.raises(ConfigurationError, match=reason):
+            score_bound(rps, np.zeros(3), block=block)
 
 
 def test_score_bound_excess_on_run():

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from address_limit import run_capped
 from tensor_reference import random_tensor_game
 
 from gamedyn import (IntegrationDivergedError, RestPointResult, preset, save_game,
@@ -309,6 +310,32 @@ def test_horizon_off_the_step_grid_is_a_usage_error(dt, tmp_path, capsys):
     assert out == ""
     assert "not a whole number of steps" in err
     assert not (tmp_path / "summary.json").exists()
+
+
+HUGE_RECORD_COMMANDS = {
+    "first-order": ["--dt", "1e-300", "--t-end", "1"],
+    "discrete": ["--scheme", "discrete", "--steps", "1000000000000"],
+    "stochastic": ["--scheme", "stochastic", "--steps", "100000000000"],
+    "discrete-beyond-float": ["--scheme", "discrete", "--steps", "1" + "0" * 400],
+}
+
+
+@pytest.mark.parametrize("scheme", list(HUGE_RECORD_COMMANDS))
+def test_record_that_cannot_be_held_is_a_usage_error(scheme, tmp_path):
+    """A run whose record numpy cannot allocate or index exits 2 with one
+    error line and writes nothing, in a child capped at 1 GiB of address
+    space (it raised MemoryError there, and without a cap exhausted the
+    machine's memory)."""
+    out = tmp_path / "out"
+    argv = ["simulate", "--preset", "rps", "--param", "l=5",
+            *HUGE_RECORD_COMMANDS[scheme], "--out", str(out)]
+    proc = run_capped("import json, sys\nfrom gamedyn.cli import main\n"
+                      "sys.exit(main(json.loads(sys.argv[1])))", json.dumps(argv))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: the record cannot be held in memory: ")
+    assert list(out.iterdir()) == []
 
 
 def _single_seed_runs(capsys, tmp_path, argv, seeds):

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from address_limit import run_capped
 from tensor_reference import (coupled_block, random_tensor_game,
                               revision_protocol_field, tensor_payoff)
 
@@ -202,6 +203,52 @@ def test_horizon_off_the_step_grid_rejected():
     assert 0.3 / 0.1 != 3.0
     traj = integrate(lambda s: -s, np.ones(2), dt=0.1, t_end=0.3)
     np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, 0.3], atol=1e-12)
+
+
+HUGE_RECORDS = {
+    # 1e300 samples: more than numpy can index
+    "integrate": "integrate(field, np.zeros(3), 1e-300, 1.0)",
+    # 1e9 samples of two rows, 48 GB
+    "integrate-batch": "integrate(field, np.zeros((2, 3)), 1e-9, 1.0, record_every=1)",
+    "simulate_first_order": "simulate_first_order(rps, params, np.zeros(3), 1e-300, 1.0)",
+    # 1e11 samples, 2.4 TB
+    "run_discrete": "run_discrete(rps, params, np.zeros(3), 0.1, 10**12, 10)",
+    # 1e10 samples, 240 GB
+    "run_stochastic": "run_stochastic(rps, params, np.zeros(3), 10**11, rng, record_every=10)",
+    # a step count beyond the largest float raised OverflowError
+    "run_discrete-beyond-float": "run_discrete(rps, params, np.zeros(3), 0.1, 10**400, 10)",
+}
+
+REFUSE_HUGE_RECORD = """
+import sys
+import numpy as np
+from gamedyn import *
+
+rps, params, rng, calls = preset("rps", {"l": 5.0}), LearningParams(), np.random.default_rng(0), []
+drawn = rng.bit_generator.state
+
+def field(s):
+    calls.append(1)
+    return -s
+
+try:
+    eval(sys.argv[1])
+except DomainError as err:
+    print(f"DomainError: {err}")
+print("steps taken:", len(calls), "generator moved:", rng.bit_generator.state != drawn)
+"""
+
+
+@pytest.mark.parametrize("call", list(HUGE_RECORDS))
+def test_record_that_cannot_be_held_is_refused(call):
+    """A record numpy cannot allocate or index is refused with DomainError
+    before any step, in a child capped at 1 GiB of address space (a plan of
+    one Python int per sample raised MemoryError there)."""
+    proc = run_capped(REFUSE_HUGE_RECORD, HUGE_RECORDS[call])
+    assert proc.returncode == 0, proc.stderr
+    refusal, steps = proc.stdout.splitlines()
+    assert refusal.startswith("DomainError: the record cannot be held in memory: ")
+    assert steps == "steps taken: 0 generator moved: False"
 
 
 def test_divergence_reports_last_good_time():
@@ -580,6 +627,16 @@ def test_simulate_batch_equals_separate_runs(game_key, horizons, batch):
             trajs, expect = [trajs], [expect]
         assert trajs[0].times[-1] == pytest.approx(run.t_end)
         _assert_same_trajectories(trajs, expect)
+
+
+def test_feedback_blocks_compare_by_value():
+    """Blocks built alike are equal, which simulate_batch relies on; the
+    generated dataclass equality raised ValueError on their arrays."""
+    block = FeedbackBlock.high_pass(1.0, 1.0, (3,))
+    assert block == FeedbackBlock.high_pass(1.0, 1.0, (3,))
+    assert block != FeedbackBlock.high_pass(2.0, 1.0, (3,))
+    assert block != FeedbackBlock.high_pass(1.0, 1.0, (2,))
+    assert block != "high-pass"
 
 
 def test_simulate_batch_refuses_what_rows_cannot_share():
