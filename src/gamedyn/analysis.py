@@ -10,7 +10,7 @@ import numpy as np
 
 from .choice import (_bind_softmax, _check_eps, _check_finite, block_slices,
                      bregman_lse, profile_jacobian, softmax)
-from .dynamics import FeedbackBlock, LearningParams, Trajectory, _Field
+from .dynamics import FeedbackBlock, LearningParams, Trajectory, _Field, _fields_dict
 from .errors import ConfigurationError, DomainError, NumericsError, UsageError
 from .games import (GameSpec, _bind_payoff, linear_game_map, payoff_jacobian,
                     tangent_basis)
@@ -42,18 +42,8 @@ class ClassificationReport:
     sample_argmax: np.ndarray | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "eigenvalues": [float(v) for v in self.tangent_eigenvalues],
-            "lambda_max": self.lambda_max,
-            "mu": self.mu,
-            "class": self.monotonicity_class,
-            "exact": self.exact,
-            "full_eigenvalues": (None if self.full_eigenvalues is None
-                                 else [float(v) for v in self.full_eigenvalues]),
-            "aligned_eigenvalues": (None if self.aligned_eigenvalues is None
-                                    else [float(v) for v in self.aligned_eigenvalues]),
-            "mu_aligned": self.mu_aligned,
-        }
+        return _fields_dict(self, ("sample_argmax",), tangent_eigenvalues="eigenvalues",
+                            monotonicity_class="class")
 
 
 def _class_of(lambda_max: float) -> str:
@@ -137,17 +127,10 @@ class RestPointResult:
         return self.status == "converged"
 
     def to_dict(self) -> dict:
-        return {
-            "z": [float(v) for v in self.z_star],
-            "x": [float(v) for v in self.x_star],
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "method": self.method,
-            "status": self.status,
-            "eps": self.eps,
-        }
+        return _fields_dict(self, z_star="z", x_star="x")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rest_point(game: GameSpec, eps: float, z0=None) -> RestPointResult:
     """Locate a rest point by damped fixed-point iteration with a Newton polish.
 
@@ -155,7 +138,8 @@ def rest_point(game: GameSpec, eps: float, z0=None) -> RestPointResult:
     falls below 1e-8 or stagnates (it need not contract near unstable rest
     points); Newton on the flow's Jacobian at gamma = 1 (DU Dsigma - I)
     with a halving line search then drives the best iterate to 1e-12.  The
-    result is converged when the residual is at most 1e-10.
+    result is converged when the residual is at most 1e-10; a residual
+    that overflows reads not-found, without a warning.
     """
     eps = _check_eps(eps)
     n = game.total_actions
@@ -221,7 +205,8 @@ def rest_point(game: GameSpec, eps: float, z0=None) -> RestPointResult:
 
 def multi_start_rest_points(game: GameSpec, eps: float, n_starts: int = 20,
                             seed: int = 0) -> list[RestPointResult]:
-    """Solve from zero plus n_starts - 1 seeded random starts, deduplicated."""
+    """Solve from zero plus n_starts - 1 seeded random starts on the box
+    |z_i| <= max|payoff| + 1, deduplicated; NumericsError if its width overflows."""
     if n_starts < 1:
         raise DomainError(f"n_starts must be at least 1, got {n_starts!r}")
     rng = np.random.default_rng(seed)
@@ -229,7 +214,10 @@ def multi_start_rest_points(game: GameSpec, eps: float, n_starts: int = 20,
     n = game.total_actions
     found: list[RestPointResult] = []
     starts = [np.zeros(n)]
-    starts += [rng.uniform(-bound, bound, n) for _ in range(int(n_starts) - 1)]
+    try:
+        starts += [rng.uniform(-bound, bound, n) for _ in range(int(n_starts) - 1)]
+    except OverflowError:
+        raise NumericsError(f"no start box can be drawn for payoffs up to {bound:.6g}") from None
     for z0 in starts:
         result = rest_point(game, eps, z0=z0)
         if result.converged and not any(
@@ -325,14 +313,7 @@ class BifurcationResult:
     abscissa_high: float
 
     def to_dict(self) -> dict:
-        return {
-            "eps_star": self.eps_star,
-            "status": self.status,
-            "iterations": self.iterations,
-            "bracket": [self.bracket[0], self.bracket[1]],
-            "abscissa_low": self.abscissa_low,
-            "abscissa_high": self.abscissa_high,
-        }
+        return _fields_dict(self)
 
 
 def bifurcation_epsilon(game: GameSpec, params: LearningParams,
@@ -413,9 +394,13 @@ def storage_matrix(block: FeedbackBlock) -> np.ndarray:
     A^T P0 + P0 A = -I.  A golden-section search over log10 s in [-6, 6]
     minimizes the largest eigenvalue of the passivity matrix
     [[A^T P + P A, P B - C^T], [B^T P - C, -(D + D^T)]]; s = 1 unless that
-    eigenvalue is at most 1e-8, when P certifies v_a-to-x passivity."""
+    eigenvalue is at most 1e-8, when P certifies v_a-to-x passivity.  An
+    n^2 x n^2 system for P0 that numpy cannot allocate is a DomainError."""
     a_t, eye = block.a_mat.T, np.eye(block.dim)
-    p0 = np.linalg.solve(np.kron(eye, a_t) + np.kron(a_t, eye), -eye.ravel()).reshape(eye.shape)
+    try:
+        p0 = np.linalg.solve(np.kron(eye, a_t) + np.kron(a_t, eye), -eye.ravel()).reshape(eye.shape)
+    except MemoryError as exc:
+        raise DomainError(f"the storage system cannot be held in memory: {exc}") from None
     p0 = 0.5 * (p0 + p0.T)
 
     def worst_eigenvalue(log_s: float) -> float:
@@ -471,23 +456,19 @@ class ConvergenceReport:
     terminal_distance: float | None
     window_start_time: float
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "amplitude": self.amplitude,
-            "amplitude_first_half": self.amplitude_first_half,
-            "amplitude_second_half": self.amplitude_second_half,
-            "terminal_distance": self.terminal_distance,
-            "window_start_time": self.window_start_time,
-        }
+
+def _check_analyzable(traj: Trajectory) -> None:
+    if traj.strategies is None:
+        raise UsageError("trajectory carries no strategies to analyze")
+    if not len(traj.times):
+        raise UsageError("trajectory has no samples to analyze")
 
 
 def convergence_report(traj: Trajectory,
                        x_star: np.ndarray | None = None) -> ConvergenceReport:
     """Classify the last 20% of a trajectory as converged, limit-cycle, or
     undetermined from the per-coordinate strategy oscillation amplitude."""
-    if traj.strategies is None:
-        raise UsageError("trajectory carries no strategies to analyze")
+    _check_analyzable(traj)
     times = traj.times
     t_cut = times[-1] - 0.2 * (times[-1] - times[0])
     idx = np.nonzero(times >= t_cut)[0]
@@ -521,8 +502,7 @@ _SETTLED_TOL = 1e-3  # the max-norm distance from x_star that counts as settled
 def time_to_tolerance(traj: Trajectory, x_star: np.ndarray) -> float | None:
     """First sample time after which the strategy stays within _SETTLED_TOL
     of x_star in the max norm; None when the trajectory never settles."""
-    if traj.strategies is None:
-        raise UsageError("trajectory carries no strategies to analyze")
+    _check_analyzable(traj)
     dist = np.abs(traj.strategies - np.asarray(x_star, dtype=float)).max(axis=1)
     inside = dist < _SETTLED_TOL
     if not inside[-1]:

@@ -45,6 +45,12 @@ def _check_finite(z: np.ndarray) -> None:
         raise DomainError("non-finite entries in score input")
 
 
+def _check_length(state: np.ndarray, n: int, what: str = "score vector") -> None:
+    length = state.shape[-1] if state.ndim else 0
+    if length != n:
+        raise DomainError(f"{what} has length {length}, expected {n}")
+
+
 def softmax_block(z_block, eps: float) -> np.ndarray:
     """Soft-max over the last axis of a single score block."""
     z = np.asarray(z_block, dtype=float)
@@ -58,9 +64,7 @@ def softmax(z, eps: float, action_counts: Sequence[int]) -> np.ndarray:
     eps = _check_eps(eps)
     z = np.asarray(z, dtype=float)
     counts = tuple(int(c) for c in action_counts)
-    n = sum(counts)
-    if z.shape[-1] != n:
-        raise DomainError(f"score vector has length {z.shape[-1]}, expected {n}")
+    _check_length(z, sum(counts))
     _check_finite(z)
     return _bind_softmax(eps, counts)(z)
 
@@ -156,7 +160,8 @@ def bregman_lse(z, z_ref, eps: float, action_counts: Sequence[int]) -> np.ndarra
     ref = np.asarray(z_ref, dtype=float)
     counts = tuple(int(c) for c in action_counts)
     n = sum(counts)
-    if z.shape[-1] != n or ref.shape != (n,):
+    _check_length(z, n)
+    if ref.shape != (n,):
         raise DomainError("score vectors do not match the action counts")
     _check_finite(z)
     _check_finite(ref)

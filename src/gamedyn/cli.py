@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -86,12 +87,25 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _emit_json(doc: dict, out_dir: str | None, filename: str) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
+def _strict(value):
+    """value with each non-finite float, which JSON cannot hold, as None."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _emit_json(doc: dict, out_dir: str | None, filename: str) -> str:
+    """The one JSON writer: doc as strict JSON text, non-finite floats as
+    null, written to filename in out_dir when there is one; returns the text."""
+    text = json.dumps(_strict(doc), indent=2, sort_keys=True, allow_nan=False)
     if out_dir is not None:
         with open(os.path.join(out_dir, filename), "w") as fh:
             fh.write(text + "\n")
+    return text
 
 
 def _game_doc(game: GameSpec) -> dict:
@@ -110,7 +124,7 @@ def _cmd_classify(args) -> int:
     game = _build_game(args)
     report = classify(game)
     doc = {"game": _game_doc(game), "classification": report.to_dict()}
-    _emit_json(doc, _out_dir(args), "classify.json")
+    print(_emit_json(doc, _out_dir(args), "classify.json"))
     return 0
 
 
@@ -118,7 +132,7 @@ def _cmd_solve(args) -> int:
     game = _build_game(args)
     result = rest_point(game, args.eps)
     doc = {"game": _game_doc(game), "rest_point": result.to_dict()}
-    _emit_json(doc, _out_dir(args), "solve.json")
+    print(_emit_json(doc, _out_dir(args), "solve.json"))
     return 0
 
 
@@ -140,7 +154,7 @@ def _cmd_bifurcation(args) -> int:
                                  block=block, eps_range=eps_range, tol=args.tol)
     doc = {"game": _game_doc(game), "scheme": args.scheme,
            "bifurcation": result.to_dict()}
-    _emit_json(doc, _out_dir(args), "bifurcation.json")
+    print(_emit_json(doc, _out_dir(args), "bifurcation.json"))
     return 0
 
 
@@ -241,11 +255,9 @@ def _cmd_simulate(args) -> int:
         csv_name = f"{prefix}_seed{seed}.csv"
         write_trajectory_csv(os.path.join(out_dir, csv_name), traj,
                              game.action_counts, ternary=args.emit_ternary)
-        # JSON has no Infinity: an overflowed storage value is null
-        terminal_v = np.nan if traj.lyapunov is None else traj.lyapunov[-1]
         run = {"status": _verdict(traj, x_star) if judged else "recorded",
                "terminal_x": [float(v) for v in traj.strategies[-1]],
-               "terminal_v": float(terminal_v) if np.isfinite(terminal_v) else None,
+               "terminal_v": None if traj.lyapunov is None else float(traj.lyapunov[-1]),
                "csv": csv_name}
         # a finite ODE run that leaves the score bound took too large a step
         if ode:
@@ -254,7 +266,7 @@ def _cmd_simulate(args) -> int:
                 run.update(status="unstable-step", score_bound_excess=excess)
         summary["runs"][str(seed)] = run
 
-    _emit_json(summary, out_dir, "summary.json")
+    print(_emit_json(summary, out_dir, "summary.json"))
     return 0
 
 
@@ -268,13 +280,9 @@ def _cmd_reproduce(args) -> int:
     failed = [r.example_id for r in reports if not r.passed]
     print(f"{len(reports) - len(failed)}/{len(reports)} examples passed"
           + (f"; failing: {', '.join(failed)}" if failed else ""))
-    if out_dir is not None:
-        doc = {r.example_id: {"passed": r.passed,
-                              "rows": [vars(row) for row in r.rows]}
-               for r in reports}
-        with open(os.path.join(out_dir, "reproduce.json"), "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    doc = {r.example_id: {"passed": r.passed, "rows": [vars(row) for row in r.rows]}
+           for r in reports}
+    _emit_json(doc, out_dir, "reproduce.json")
     return 0 if not failed else 1
 
 

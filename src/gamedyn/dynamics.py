@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .choice import (_all, _bind_softmax, _check_eps, _check_finite, _sum,
-                     block_slices, softmax)
+from .choice import (_all, _bind_softmax, _check_eps, _check_finite,
+                     _check_length, _sum, block_slices, softmax)
 from .errors import ConfigurationError, DomainError, IntegrationDivergedError
 from .games import (GameSpec, _bind_payoff, expected_payoff_vector,
                     linear_game_map)
@@ -114,6 +114,20 @@ class FeedbackBlock:
         return np.linalg.solve(self.a_mat, -self.b_mat @ np.asarray(x_star, dtype=float))
 
 
+def _fields_dict(result, omit: Sequence[str] = (), **renames: str) -> dict:
+    """The JSON form of a result dataclass: each field but those in omit,
+    under its own name or its entry in renames, with arrays and tuples as
+    lists of floats."""
+    doc = {}
+    for f in fields(result):
+        if f.name not in omit:
+            value = getattr(result, f.name)
+            if isinstance(value, (np.ndarray, tuple)):
+                value = np.asarray(value, dtype=float).tolist()
+            doc[renames.get(f.name, f.name)] = value
+    return doc
+
+
 @dataclass
 class FeedbackBlockReport:
     """Certification result for a feedback block."""
@@ -131,17 +145,10 @@ class FeedbackBlockReport:
         return self.hurwitz_ok and self.zero_dc_ok and self.grid_positive_real_ok
 
     def to_dict(self) -> dict:
-        return {
-            "hurwitz_ok": self.hurwitz_ok,
-            "spectral_abscissa": self.spectral_abscissa,
-            "zero_dc_ok": self.zero_dc_ok,
-            "dc_gain_norm": self.dc_gain_norm,
-            "grid_positive_real_ok": self.grid_positive_real_ok,
-            "min_hermitian_eigenvalue": self.min_hermitian_eigenvalue,
-            "frequency_range": [float(self.frequencies[0]), float(self.frequencies[-1])],
-            "n_frequencies": int(len(self.frequencies)),
-            "passed": self.passed,
-        }
+        return {**_fields_dict(self, ("frequencies",)),
+                "frequency_range": [float(self.frequencies[0]), float(self.frequencies[-1])],
+                "n_frequencies": int(len(self.frequencies)),
+                "passed": self.passed}
 
 
 def verify_feedback_block(block: FeedbackBlock) -> FeedbackBlockReport:
@@ -170,12 +177,6 @@ def verify_feedback_block(block: FeedbackBlock) -> FeedbackBlockReport:
 
 
 # ---------------------------------------------------------------- vector fields
-
-def _check_length(state: np.ndarray, n: int, what: str = "score vector") -> None:
-    length = state.shape[-1] if state.ndim else 0
-    if length != n:
-        raise DomainError(f"{what} has length {length}, expected {n}")
-
 
 def _filter_matrix(game: GameSpec, block: FeedbackBlock) -> np.ndarray:
     """The stacked W = [[Phi^T - D^T, B^T], [-C^T, A^T]], which turns
@@ -409,7 +410,7 @@ class _Recorder:
                  unit: float = 1, message: str = "non-finite scores at k={}", **columns):
         self.last, self.every, self.unit, self.message = last, record_every, unit, message
         top = max(last, default=0)
-        off_grid = sorted({h for h in last if h % record_every})
+        self.off_grid = off_grid = sorted({h for h in last if h % record_every})
         samples = top // record_every + 1 + len(off_grid)
         try:
             self.rec = np.empty((samples,) + state0.shape)
@@ -453,7 +454,12 @@ class _Recorder:
         rec = self.rec if self.rec.ndim == 3 else self.rec[:, None]
         entries = []
         for row, last in enumerate(self.last):
-            keep = (steps <= last) & ((steps % self.every == 0) | (steps == last))
+            # a row keeps a prefix of the plan, taken as views, unless a
+            # shorter row's off-grid horizon lies inside it
+            if not self.off_grid or self.off_grid[0] >= last:
+                keep = slice(int(np.searchsorted(steps, last, side="right")))
+            else:
+                keep = (steps <= last) & ((steps % self.every == 0) | (steps == last))
             states = rec[keep, row]
             entries.append(self.failed.get(row) or Trajectory(
                 times[keep], states, strategies and strategies(states),

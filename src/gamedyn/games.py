@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .choice import block_slices
+from .choice import _check_length, block_slices
 from .errors import DomainError, UsageError
 
 _AXES = string.ascii_letters  # einsum's subscripts: one per player
@@ -154,9 +154,7 @@ def expected_payoff_vector(game: GameSpec, x) -> np.ndarray:
     Accepts a concatenated profile of shape (..., n); batch dims broadcast.
     """
     x = np.asarray(x, dtype=float)
-    n = game.total_actions
-    if x.shape[-1] != n:
-        raise DomainError(f"profile has length {x.shape[-1]}, expected {n}")
+    _check_length(x, game.total_actions, "profile")
     return _bind_payoff(game)(x)
 
 

@@ -5,12 +5,13 @@ import inspect
 
 import numpy as np
 import pytest
+from address_limit import run_capped
 from scipy.linalg import solve_continuous_lyapunov
 from tensor_reference import coupled_block
 
 from gamedyn import (ConfigurationError, DomainError, FeedbackBlock, GameSpec,
-                     LearningParams, Trajectory, UsageError,
-                     bifurcation_epsilon, classify, composite_lyapunov_trace,
+                     LearningParams, NumericsError, Trajectory, UsageError,
+                     available_presets, bifurcation_epsilon, classify, composite_lyapunov_trace,
                      convergence_report, dynamics_jacobian, integrate,
                      lyapunov_trace, multi_start_rest_points, numeric_jacobian, preset,
                      rest_point, run_stochastic, score_bound,
@@ -194,6 +195,51 @@ def test_rest_point_result_dict():
     assert len(d["z"]) == 3 and len(d["x"]) == 3
 
 
+def _floats(values):
+    return None if values is None else [float(v) for v in values]
+
+
+def test_result_dicts_name_every_key():
+    """The JSON form of each result, key by key: renamed fields under their
+    JSON names, arrays and tuples as lists of floats, the sampled argmax and
+    the frequency grid left out, derived keys added."""
+    for name in available_presets():
+        game = preset(name, {"l": 5.0} if name in ("rps", "two_player_rps") else {})
+        rep = classify(game)
+        assert rep.to_dict() == {
+            "eigenvalues": _floats(rep.tangent_eigenvalues), "lambda_max": rep.lambda_max,
+            "mu": rep.mu, "class": rep.monotonicity_class, "exact": rep.exact,
+            "full_eigenvalues": _floats(rep.full_eigenvalues),
+            "aligned_eigenvalues": _floats(rep.aligned_eigenvalues),
+            "mu_aligned": rep.mu_aligned}, name
+        res = rest_point(game, 0.3)
+        assert res.to_dict() == {
+            "z": _floats(res.z_star), "x": _floats(res.x_star), "residual": res.residual,
+            "iterations": res.iterations, "method": res.method, "status": res.status,
+            "eps": res.eps}, name
+    game = preset("rps", {"l": 8.0})
+    for block in (None, FeedbackBlock.high_pass(1.0, 1.0, game.action_counts)):
+        bif = bifurcation_epsilon(game, LearningParams(), block=block, eps_range=(0.5, 3.0))
+        assert bif.to_dict() == {
+            "eps_star": bif.eps_star, "status": bif.status, "iterations": bif.iterations,
+            "bracket": _floats(bif.bracket), "abscissa_low": bif.abscissa_low,
+            "abscissa_high": bif.abscissa_high}
+    report = verify_feedback_block(FeedbackBlock.high_pass(1.0, 1.0, (3,)))
+    assert report.to_dict() == {
+        "hurwitz_ok": report.hurwitz_ok, "spectral_abscissa": report.spectral_abscissa,
+        "zero_dc_ok": report.zero_dc_ok, "dc_gain_norm": report.dc_gain_norm,
+        "grid_positive_real_ok": report.grid_positive_real_ok,
+        "min_hermitian_eigenvalue": report.min_hermitian_eigenvalue,
+        "frequency_range": [1e-3, 1e3], "n_frequencies": 200, "passed": True}
+
+
+def test_start_box_that_cannot_be_drawn_is_a_numerics_error():
+    """Payoffs near the float limit give a start box whose width overflows:
+    NumericsError, not numpy's OverflowError."""
+    with pytest.raises(NumericsError, match="no start box can be drawn"):
+        multi_start_rest_points(preset("rps", {"l": 1e308}), 1.0, n_starts=2)
+
+
 # ---------------------------------------------------------------- linearization
 
 @pytest.mark.parametrize("l,eps", [(8.0, 1.0), (5.0, 0.5), (2.5, 1.0)])
@@ -358,6 +404,20 @@ def test_storage_matrix_of_non_certifiable_block_solves_lyapunov():
         rtol=0.0, atol=1e-12)
 
 
+def test_storage_system_that_cannot_be_held_is_refused():
+    """At 150 actions each Kronecker product of the n^2 x n^2 storage system
+    takes 3.77 GiB: refused with DomainError in a child capped at 1 GiB of
+    address space, where it raised numpy's MemoryError."""
+    proc = run_capped("from gamedyn import DomainError, FeedbackBlock, storage_matrix\n"
+                      "try:\n"
+                      "    storage_matrix(FeedbackBlock.high_pass(1, 1, (150,)))\n"
+                      "except DomainError as err:\n"
+                      "    print(f'DomainError: {err}')\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(
+        "DomainError: the storage system cannot be held in memory: ")
+
+
 def test_composite_lyapunov_trace_decreases():
     game = preset("rps", {"l": 2.5})
     params = LearningParams(eps=1.0, gamma=1.0)
@@ -442,6 +502,17 @@ def test_time_to_tolerance_crossings():
     never = Trajectory(times, strategies.copy(),
                        strategies=np.full((5, 1), 0.5))
     assert time_to_tolerance(never, np.zeros(1)) is None
+
+
+@pytest.mark.parametrize("analyze", [convergence_report,
+                                     lambda traj: time_to_tolerance(traj, np.zeros(1))],
+                         ids=["convergence_report", "time_to_tolerance"])
+def test_trajectory_without_samples_is_refused(analyze):
+    """A trajectory of zero samples is refused with UsageError (it raised
+    IndexError)."""
+    empty = Trajectory(np.empty(0), np.empty((0, 1)), strategies=np.empty((0, 1)))
+    with pytest.raises(UsageError, match="no samples"):
+        analyze(empty)
 
 
 # -------------------------------------------------------------- bound and checks

@@ -121,3 +121,13 @@ def test_choice_map_monotone_and_cocoercive(rng):
         assert inner >= -1e-12
         assert inner >= eps * (dx @ dx) - 1e-12
         assert np.linalg.norm(dx) <= np.linalg.norm(dz) / eps + 1e-12
+
+
+@pytest.mark.parametrize("call", [lambda: softmax(0.5, 1.0, [3]),
+                                  lambda: bregman_lse(0.5, np.zeros(3), 1.0, [3])],
+                         ids=["softmax", "bregman_lse"])
+def test_scalar_scores_are_refused(call):
+    """A 0-d score is a vector of length 0, refused with DomainError (it
+    raised IndexError)."""
+    with pytest.raises(DomainError, match="score vector has length 0, expected 3"):
+        call()

@@ -9,8 +9,8 @@ import pytest
 from address_limit import run_capped
 from tensor_reference import random_tensor_game
 
-from gamedyn import (IntegrationDivergedError, RestPointResult, preset, save_game,
-                     seeded_initial_scores, simulate_batch)
+from gamedyn import (GameSpec, IntegrationDivergedError, RestPointResult, preset,
+                     save_game, seeded_initial_scores, simulate_batch)
 from gamedyn import cli
 from gamedyn.cli import main
 
@@ -336,6 +336,70 @@ def test_record_that_cannot_be_held_is_a_usage_error(scheme, tmp_path):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: the record cannot be held in memory: ")
     assert list(out.iterdir()) == []
+
+
+def test_storage_system_that_cannot_be_held_is_a_usage_error(tmp_path):
+    """The filtered scheme on a 150-action game exits 2 with one error line
+    when its storage system cannot be allocated, in a child capped at 1 GiB
+    of address space (it exited 1 with numpy's MemoryError traceback)."""
+    path = tmp_path / "g150.json"
+    save_game(path, GameSpec((150,), (np.eye(150),), matching=True))
+    out = tmp_path / "out"
+    argv = ["simulate", "--game", str(path), "--scheme", "higher-order", "--out", str(out)]
+    proc = run_capped("import json, sys\nfrom gamedyn.cli import main\n"
+                      "sys.exit(main(json.loads(sys.argv[1])))", json.dumps(argv))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: the storage system cannot be held in memory: ")
+    assert list(out.iterdir()) == []
+
+
+def _refuse_constant(constant):
+    raise ValueError(f"not strict JSON: {constant}")
+
+
+def test_every_json_file_is_strict_json(tmp_path, capsys):
+    """Every JSON file of every verb, and what it prints, parses with no NaN
+    or Infinity: a payoff near the float limit has infinite eigenvalues,
+    written as null (classify wrote -Infinity and Infinity)."""
+    argvs = {"classify": ["--preset", "two_player_rps", "--param", "l=1e308"],
+             "solve": ["--preset", "rps", "--param", "l=1e308", "--eps", "1e-300"],
+             "bifurcation": ["--preset", "rps", "--param", "l=8", "--eps-range", "0.5,3"],
+             "simulate": ["--preset", "rps", "--param", "l=8", "--scheme", "higher-order",
+                          "--dt", "3.5", "--t-end", "1400", "--record-every", "20"],
+             "reproduce": ["8-Abar"]}
+    docs = {}
+    for verb, args in argvs.items():
+        out = tmp_path / verb
+        code, stdout, _ = run_cli(capsys, verb, *args, "--out", str(out))
+        assert code == 0, verb
+        [path] = out.glob("*.json")
+        docs[verb] = json.loads(path.read_text(), parse_constant=_refuse_constant)
+        if verb != "reproduce":
+            assert json.loads(stdout, parse_constant=_refuse_constant) == docs[verb]
+    assert None in docs["classify"]["classification"]["full_eigenvalues"]
+    assert docs["simulate"]["runs"]["0"]["terminal_v"] is None
+
+
+@pytest.mark.parametrize("l", ["1e308", "1e307"])
+def test_bifurcation_near_the_float_limit_is_a_numerical_failure(l, capsys):
+    """Payoffs near the float limit exit 3 with one error line and no
+    warning (1e308 ended in an OverflowError traceback, 1e307 printed a
+    soft-max overflow warning first)."""
+    code, out, err = run_cli(capsys, "bifurcation", "--preset", "rps", "--param", f"l={l}")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_solve_near_the_float_limit_reports_not_found(capsys):
+    """A rest point the solver cannot reach without overflow is not-found,
+    with nothing on stderr (it printed an overflow warning)."""
+    code, out, err = run_cli(capsys, "solve", "--preset", "rps", "--param", "l=1e308",
+                             "--eps", "1e-300")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rest_point"]["status"] == "not-found"
 
 
 def _single_seed_runs(capsys, tmp_path, argv, seeds):

@@ -17,7 +17,7 @@ from gamedyn import (ConfigurationError, DomainError, FeedbackBlock,
                      simulate_higher_order, softmax, verify_feedback_block,
                      write_trajectory_csv)
 from gamedyn.choice import softmax_block
-from gamedyn.dynamics import _Field
+from gamedyn.dynamics import _Field, _Recorder
 
 
 def test_learning_params_validation():
@@ -249,6 +249,28 @@ def test_record_that_cannot_be_held_is_refused(call):
     refusal, steps = proc.stdout.splitlines()
     assert refusal.startswith("DomainError: the record cannot be held in memory: ")
     assert steps == "steps taken: 0 generator moved: False"
+
+
+def test_recorder_returns_views_of_a_prefix_of_the_plan():
+    """A row whose samples are a prefix of the sample plan gets views of the
+    record (a boolean mask copied every record); a row whose span holds a
+    shorter row's off-grid horizon gets its own samples, copied."""
+    rec = _Recorder(np.zeros((2, 3)), [10, 7], 3)
+    assert rec.steps.tolist() == [0, 3, 6, 7, 9, 10]
+    rows = 2
+    for step in rec.steps[1:]:
+        rows = rec.take(np.full((rows, 3), float(step)))
+    long, short = rec.result()
+    assert short.times.tolist() == short.states[:, 0].tolist() == [0, 3, 6, 7]
+    assert long.times.tolist() == long.states[:, 0].tolist() == [0, 3, 6, 9, 10]
+    assert np.shares_memory(short.states, rec.rec)
+    assert not np.shares_memory(long.states, rec.rec)
+    alone = _Recorder(np.zeros(3), [10], 3)
+    for step in alone.steps[1:]:
+        alone.take(np.full(3, float(step)))
+    traj = alone.result()
+    assert traj.times.tolist() == [0, 3, 6, 9, 10]
+    assert np.shares_memory(traj.states, alone.rec)
 
 
 def test_divergence_reports_last_good_time():

@@ -307,3 +307,9 @@ def test_polymatrix_presets_keep_their_tensor_bytes(name, params):
     for got, want in zip(game.payoff_tensors, _loop_tensors(name, **params), strict=True):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_scalar_profile_is_refused():
+    """A 0-d profile is refused with DomainError (it raised IndexError)."""
+    with pytest.raises(DomainError, match="profile has length 0, expected 3"):
+        expected_payoff_vector(preset("rps", {"l": 2.0}), 0.5)
