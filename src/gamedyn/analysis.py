@@ -8,9 +8,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .choice import (_bind_softmax, _check_eps, _check_finite, block_slices,
-                     bregman_lse, profile_jacobian, softmax)
-from .dynamics import FeedbackBlock, LearningParams, Trajectory, _Field, _fields_dict
+from .choice import (_bind_softmax, _check_eps, _check_finite, bregman_lse,
+                     profile_jacobian, softmax)
+from .dynamics import FeedbackBlock, LearningParams, Trajectory, _fields_dict
 from .errors import ConfigurationError, DomainError, NumericsError, UsageError
 from .games import (GameSpec, _bind_payoff, linear_game_map, payoff_jacobian,
                     tangent_basis)
@@ -140,6 +140,10 @@ def rest_point(game: GameSpec, eps: float, z0=None) -> RestPointResult:
     with a halving line search then drives the best iterate to 1e-12.  The
     result is converged when the residual is at most 1e-10; a residual
     that overflows reads not-found, without a warning.
+
+    U(sigma(.)) runs once per iterate and per line-search candidate, on a
+    soft-max bound once: that one evaluation u gives the residual
+    max|u - z|, the next damped iterate and the Newton right-hand side.
     """
     eps = _check_eps(eps)
     n = game.total_actions
@@ -147,23 +151,26 @@ def rest_point(game: GameSpec, eps: float, z0=None) -> RestPointResult:
     if z.shape != (n,):
         raise DomainError(f"z0 has shape {z.shape}, expected ({n},)")
     _check_finite(z)
-    sigma = _bind_softmax(eps, game.action_counts)
+    point = np.empty(n)
+    sigma = _bind_softmax(eps, game.action_counts, point, np.empty(n))
     payoff = _bind_payoff(game)
+    params = LearningParams(1.0, eps)
 
-    def residual_of(v: np.ndarray) -> float:
-        return float(np.abs(payoff(sigma(v)) - v).max())
+    def evaluate(v: np.ndarray) -> tuple[np.ndarray, float]:
+        point[...] = v
+        u = payoff(sigma())
+        return u, float(np.abs(u - v).max())
 
-    best_z = z.copy()
-    best_res = residual_of(z)
+    u, res = evaluate(z)
+    best_z, best_u, best_res = z, u, res
     iters = 0
     since_improve = 0
     while iters < 100000 and best_res > 1e-8:
-        z = 0.5 * z + 0.5 * payoff(sigma(z))
+        z = 0.5 * z + 0.5 * u
         iters += 1
-        res = residual_of(z)
+        u, res = evaluate(z)
         if res < 0.99 * best_res:
-            best_res = res
-            best_z = z.copy()
+            best_z, best_u, best_res = z, u, res
             since_improve = 0
         else:
             since_improve += 1
@@ -171,26 +178,24 @@ def rest_point(game: GameSpec, eps: float, z0=None) -> RestPointResult:
             # hand the best iterate to Newton once progress stalls.
             if since_improve >= 500:
                 break
-    z = best_z
-    res = best_res
+    z, u, res = best_z, best_u, best_res
     method = "damped"
     for _ in range(50):
         if res <= 1e-12:
             break
         method = "damped+newton"
-        f_val = payoff(sigma(z)) - z
-        jac = dynamics_jacobian(z, game, LearningParams(1.0, eps), fd_check=False)
+        jac = dynamics_jacobian(z, game, params)
         try:
-            step_dir = np.linalg.solve(jac, -f_val)
+            step_dir = np.linalg.solve(jac, -(u - z))
         except np.linalg.LinAlgError:
             break
         t = 1.0
         improved = False
         for _ in range(30):
             cand = z + t * step_dir
-            cand_res = residual_of(cand)
+            cand_u, cand_res = evaluate(cand)
             if cand_res < res:
-                z, res = cand, cand_res
+                z, u, res = cand, cand_u, cand_res
                 improved = True
                 break
             t *= 0.5
@@ -198,7 +203,8 @@ def rest_point(game: GameSpec, eps: float, z0=None) -> RestPointResult:
         if not improved:
             break
     status = "converged" if res <= 1e-10 else "not-found"
-    return RestPointResult(z_star=z, x_star=sigma(z),
+    point[...] = z
+    return RestPointResult(z_star=z, x_star=sigma(),
                            residual=res, iterations=iters, method=method,
                            status=status, eps=eps)
 
@@ -207,12 +213,22 @@ def multi_start_rest_points(game: GameSpec, eps: float, n_starts: int = 20,
                             seed: int = 0) -> list[RestPointResult]:
     """Solve from zero plus n_starts - 1 seeded random starts on the box
     |z_i| <= max|payoff| + 1, deduplicated; NumericsError if its width overflows."""
+    found: list[RestPointResult] = []
+    for result in _converged_starts(game, eps, n_starts, seed):
+        if not any(np.abs(result.z_star - prev.z_star).max() <= 1e-6 for prev in found):
+            found.append(result)
+    return found
+
+
+def _converged_starts(game: GameSpec, eps: float, n_starts: int, seed: int):
+    """The converged rest points of multi_start_rest_points' starts, in start
+    order and solved one at a time as they are taken; the starts are drawn
+    at the first one."""
     if n_starts < 1:
         raise DomainError(f"n_starts must be at least 1, got {n_starts!r}")
     rng = np.random.default_rng(seed)
     bound = game.max_abs_payoff() + 1.0
     n = game.total_actions
-    found: list[RestPointResult] = []
     starts = [np.zeros(n)]
     try:
         starts += [rng.uniform(-bound, bound, n) for _ in range(int(n_starts) - 1)]
@@ -220,15 +236,13 @@ def multi_start_rest_points(game: GameSpec, eps: float, n_starts: int = 20,
         raise NumericsError(f"no start box can be drawn for payoffs up to {bound:.6g}") from None
     for z0 in starts:
         result = rest_point(game, eps, z0=z0)
-        if result.converged and not any(
-                np.abs(result.z_star - prev.z_star).max() <= 1e-6 for prev in found):
-            found.append(result)
-    return found
+        if result.converged:
+            yield result
 
 
 # ---------------------------------------------------------------- linearization
 
-_FD_STEP = 1e-6  # also the closed form's allowed gap from the differences
+_FD_STEP = 1e-6
 
 
 def numeric_jacobian(func, x0: np.ndarray) -> np.ndarray:
@@ -244,14 +258,11 @@ def numeric_jacobian(func, x0: np.ndarray) -> np.ndarray:
 
 
 def dynamics_jacobian(z_star: np.ndarray, game: GameSpec, params: LearningParams,
-                      block: FeedbackBlock | None = None,
-                      fd_check: bool = True) -> np.ndarray:
+                      block: FeedbackBlock | None = None) -> np.ndarray:
     """Linearization of the score flow at a rest point.
 
-    First order: J = gamma (DU Dsigma - I).  With a feedback block the
-    2n x 2n matrix of the (z, xi) field is assembled at
-    xi* = -A^-1 B sigma(z*).  Unless fd_check is off, a central-difference
-    Jacobian of the actual field must match the closed form to 1e-6.
+    First order: J = gamma (DU Dsigma - I).  With a feedback block, the
+    2n x 2n matrix of the (z, xi) field, which does not depend on xi.
     """
     z_star = np.asarray(z_star, dtype=float)
     n = game.total_actions
@@ -263,42 +274,29 @@ def dynamics_jacobian(z_star: np.ndarray, game: GameSpec, params: LearningParams
     gamma = params.gamma
     eye = np.eye(n)
     if block is None:
-        jac = gamma * (du @ d_sigma - eye)
-        state = z_star
-    else:
-        block.ensure_valid()
-        top = np.hstack([gamma * ((du - block.d_mat) @ d_sigma - eye), -gamma * block.c_mat])
-        bottom = np.hstack([block.b_mat @ d_sigma, block.a_mat])
-        jac = np.vstack([top, bottom])
-        state = np.concatenate([z_star, block.equilibrium_filter_state(x)])
-    if fd_check:
-        field = _Field(game, params.eps, block, [(1, block is not None, params.gamma)])
-        err = float(np.abs(jac - numeric_jacobian(field, state)).max())
-        if err > _FD_STEP:
-            raise NumericsError(
-                f"analytic Jacobian differs from finite differences by {err:.3e}")
-    return jac
+        return gamma * (du @ d_sigma - eye)
+    block.ensure_valid()
+    top = np.hstack([gamma * ((du - block.d_mat) @ d_sigma - eye), -gamma * block.c_mat])
+    bottom = np.hstack([block.b_mat @ d_sigma, block.a_mat])
+    return np.vstack([top, bottom])
 
 
 def tangent_mode_abscissa(jac: np.ndarray, action_counts: Sequence[int]) -> float:
     """Largest real part over eigenvalues whose eigenvector has a score
     component of norm above 1e-8 in the tangent space (per-block zero-sum
-    directions).
+    directions, the span of tangent_basis); -inf when there is none.
 
     The soft-max shift invariance pins one structural mode per player along
     the block ones direction; those modes never cross and are excluded.
     """
-    slices = block_slices(action_counts)
-    n = slices[-1].stop
+    e_t = tangent_basis(action_counts).T
     eigvals, eigvecs = np.linalg.eig(jac)
-    best = -np.inf
-    for lam, vec in zip(eigvals, eigvecs.T):
-        tangential = vec[:n].copy()
-        for sl in slices:
-            tangential[sl] -= tangential[sl].mean()
-        if np.linalg.norm(tangential) > 1e-8:
-            best = max(best, float(lam.real))
-    return best
+    scores = eigvecs[:e_t.shape[1]]
+    # real and imaginary parts apart: a complex product (zgemm) touches ~0.25 MB
+    # more of the BLAS buffers, which shows in the process's peak memory
+    tangential = np.hypot(np.linalg.norm(e_t @ scores.real, axis=0),
+                          np.linalg.norm(e_t @ scores.imag, axis=0)) > 1e-8
+    return float(eigvals.real[tangential].max(initial=-np.inf))
 
 
 @dataclass
@@ -333,15 +331,12 @@ def bifurcation_epsilon(game: GameSpec, params: LearningParams,
     def abscissa(eps: float) -> float:
         result = rest_point(game, eps, z0=warm["z"])
         if not result.converged:
-            for attempt in multi_start_rest_points(game, eps, n_starts=10, seed=7):
-                result = attempt
-                break
-            if not result.converged:
+            result = next(_converged_starts(game, eps, 10, 7), None)
+            if result is None:
                 raise NumericsError(f"no rest point found at eps={eps:.6g}")
         warm["z"] = result.z_star
         params_eps = LearningParams(gamma=params.gamma, eps=eps)
-        jac = dynamics_jacobian(result.z_star, game, params_eps, block=block,
-                                fd_check=False)
+        jac = dynamics_jacobian(result.z_star, game, params_eps, block=block)
         return tangent_mode_abscissa(jac, game.action_counts)
 
     f_lo = abscissa(lo)

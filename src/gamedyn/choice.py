@@ -66,20 +66,16 @@ def softmax(z, eps: float, action_counts: Sequence[int]) -> np.ndarray:
     counts = tuple(int(c) for c in action_counts)
     _check_length(z, sum(counts))
     _check_finite(z)
-    return _bind_softmax(eps, counts)(z)
+    return _bind_softmax(eps, counts, z, np.empty(z.shape))()
 
 
-def _bind_softmax(eps: float, counts: tuple[int, ...], z: np.ndarray | None = None,
-                  out: np.ndarray | None = None):
-    """The per-player soft-max for a validated eps and block layout.  The
-    map does not check its float scores.
-
-    With scores z and an output out of the same shape, returns a
-    zero-argument evaluation that writes sigma(z) into out and returns it:
-    the block views of z and out, the scratch and eps as a 0-d array are
-    made once, so the evaluation reads whatever z holds when it is called
-    and is not re-entrant.  Without them, returns a map from scores of any
-    shape to a new array.
+def _bind_softmax(eps: float, counts: tuple[int, ...], z: np.ndarray, out: np.ndarray):
+    """The per-player soft-max of scores z into an output out of the same
+    shape, for a validated eps and block layout.  Returns a zero-argument
+    evaluation that writes sigma(z) into out and returns it: the block views
+    of z and out, the scratch and eps as a 0-d array are made once, so the
+    evaluation reads whatever z holds when it is called, checks nothing and
+    is not re-entrant.
 
     Equal blocks are reshaped and reduced together, unequal ones block by
     block.  Each block is shifted by its maximum, divided by eps (left out
@@ -89,8 +85,6 @@ def _bind_softmax(eps: float, counts: tuple[int, ...], z: np.ndarray | None = No
     ufuncs on strided views cost more per call, and the last division
     writes into out.
     """
-    if out is None:
-        return lambda z: _bind_softmax(eps, counts, z, np.empty(z.shape))()
     if len(set(counts)) == 1:
         # splitting the last axis always gives a view, of z as of out
         shape = out.shape[:-1] + (len(counts), counts[0])

@@ -807,7 +807,9 @@ def run_discrete(game: GameSpec, params: LearningParams, z0, alpha: float,
     alpha gamma = 1 gives the best-scored update Z_{k+1} = U(sigma(Z_k)).
     The increment, the first-order field at gamma = 1, is bound once from
     the one score buffer z into one buffer, and each step adds
-    rate * increment to z in place.  Returns as integrate does, k as time."""
+    rate * increment to z in place.  Each row of a (b, n) batch is its own
+    one-row group, so it steps with the bits of its 1-D run.  Returns as
+    integrate does, k as time."""
     steps = _check_whole(steps, "steps", 0)
     record_every = _check_whole(record_every, "record_every", 1)
     rate = np.array(_check_alpha(alpha) * params.gamma)
@@ -816,9 +818,11 @@ def run_discrete(game: GameSpec, params: LearningParams, z0, alpha: float,
     _check_finite(z)
     if z.ndim > 2:
         raise DomainError("z0 must be a vector or a batch of vectors")
+    rows = len(z) if z.ndim == 2 else 1
     inc = np.empty_like(z)
-    f = _Field(game, params.eps, None, [(1, False, 1.0)]).bind(z, inc)
-    rec = _Recorder(z, [steps] * (len(z) if z.ndim == 2 else 1), record_every)
+    # an empty batch still binds one group; it has no row to step
+    f = _Field(game, params.eps, None, [(1, False, 1.0)] * max(rows, 1)).bind(z, inc)
+    rec = _Recorder(z, [steps] * rows, record_every)
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop in pairwise(map(int, rec.steps)):
             for _ in range(start, stop):

@@ -228,7 +228,42 @@ def test_criterion_3_jacobian_spectrum():
                    "eigenvalues lambda of rps_matrix(l) on the tangent modes")
 
 
+def _rps_tangent_modes(l: float, two_player: bool) -> list[complex]:
+    """Eigenvalues mu of the linear game map on the tangent modes at the
+    uniform rest point: lambda_k = -l w^k + w^2k of rps_matrix(l), and
+    +-lambda_k for the two-player game, whose B = A^T."""
+    omega = np.exp(2j * np.pi / 3.0)
+    lam = [rps_matrix(l)[0] @ np.array([1.0, omega ** k, omega ** (2 * k)]) for k in (1, 2)]
+    return lam + [-m for m in lam] if two_player else lam
+
+
+def _closed_form_abscissa(eps, modes, gain, cutoff, gamma=1.0):
+    """Largest real part of the roots of the per-mode characteristic
+    quadratic of the high-pass loop K s / (s + a) at the uniform rest point,
+    3 eps (s + gamma)(s + a) = gamma (mu (s + a) - K s); K = 0 is the
+    first-order flow, with the spurious root -a."""
+    return max(np.roots([3.0 * eps,
+                         3.0 * eps * (gamma + cutoff) - gamma * mu + gamma * gain,
+                         3.0 * eps * gamma * cutoff - gamma * mu * cutoff]).real.max()
+               for mu in modes)
+
+
+def _closed_form_eps_star(modes, gain, cutoff, eps_range):
+    """The temperature where _closed_form_abscissa crosses zero, by brentq,
+    or None when it keeps one sign over eps_range."""
+    def abscissa(eps):
+        return _closed_form_abscissa(eps, modes, gain, cutoff)
+    lo, hi = eps_range
+    if (abscissa(lo) > 0.0) == (abscissa(hi) > 0.0):
+        return None
+    return brentq(abscissa, lo, hi, xtol=1e-14, rtol=1e-15)
+
+
 def test_criterion_4_bifurcation_thresholds():
+    """The quoted critical temperatures within their bands, and the same
+    bisection at tol 1e-10 within 1e-8 of the crossing of the closed-form
+    characteristic roots (rps l=8 filtered: 0.8694415793510; two-player
+    rps l=5 filtered: 0.3472182069310)."""
     cases = [
         ("rps", {"l": 8.0}, False, (0.5, 3.0), 7.0 / 6.0, 1e-3),
         ("rps", {"l": 5.0}, False, (0.2, 2.0), 2.0 / 3.0, 1e-3),
@@ -248,7 +283,46 @@ def test_criterion_4_bifurcation_thresholds():
         elif abs(res.eps_star - expected) > tol:
             failures.append(f"{label}: eps*={res.eps_star:.6f}, expected "
                             f"{expected:g}+-{tol:g}")
-    _conclude(4, "critical temperatures", failures)
+        closed = _closed_form_eps_star(_rps_tangent_modes(prm["l"], name == "two_player_rps"),
+                                       1.0 if filtered else 0.0, 1.0, eps_range)
+        fine = bifurcation_epsilon(game, LearningParams(gamma=1.0, eps=1.0),
+                                   block=block, eps_range=eps_range, tol=1e-10)
+        if fine.status != "found" or abs(fine.eps_star - closed) > 1e-8:
+            failures.append(f"{label}: eps*={fine.eps_star!r} at tol 1e-10, closed "
+                            f"form {closed!r}")
+    _conclude(4, "critical temperatures", failures,
+              note="closed form: largest real root of 3 eps (s + gamma)(s + a) = "
+                   "gamma (mu (s + a) - K s) over the tangent modes mu")
+
+
+def test_criterion_4_filtered_thresholds_closed_form_grid():
+    """The filtered critical temperature of rps against the closed form on
+    l in {2.5, 5, 8}, K in {0.5, 1, 2.5} and a in {0.25, 1, 2} over
+    [0.01, 5]: the 9 cases with K >= 1 at l = 2.5 or K = 2.5 at l = 5 do
+    not cross, and each of the other 18 is within 1e-8 of the closed form
+    and below the first-order (l - 1) / 6."""
+    failures = []
+    for l in (2.5, 5.0, 8.0):
+        game = preset("rps", {"l": l})
+        for gain in (0.5, 1.0, 2.5):
+            for cutoff in (0.25, 1.0, 2.0):
+                block = FeedbackBlock.high_pass(gain, cutoff, game.action_counts)
+                res = bifurcation_epsilon(game, LearningParams(gamma=1.0, eps=1.0),
+                                          block=block, eps_range=(0.01, 5.0), tol=1e-10)
+                closed = _closed_form_eps_star(_rps_tangent_modes(l, False), gain, cutoff,
+                                               (0.01, 5.0))
+                label = f"l={l:g} K={gain:g} a={cutoff:g}"
+                if (closed is None) != (l == 2.5 and gain >= 1.0 or l == 5.0 and gain == 2.5):
+                    failures.append(f"{label}: closed-form eps* {closed!r}")
+                elif closed is None:
+                    if res.status != "no-bifurcation-in-range":
+                        failures.append(f"{label}: {res.status}, the closed form does not cross")
+                elif res.status != "found" or abs(res.eps_star - closed) > 1e-8:
+                    failures.append(f"{label}: eps*={res.eps_star!r}, closed form {closed!r}")
+                elif not res.eps_star < (l - 1.0) / 6.0:
+                    failures.append(f"{label}: eps*={res.eps_star!r} is not below the "
+                                    f"first-order {(l - 1.0) / 6.0!r}")
+    _conclude(4, "filtered critical temperatures on the closed-form grid", failures)
 
 
 # (catalogue scenario, first-order status, filtered status or None)

@@ -1,24 +1,28 @@
 """Tests for classification, rest-point solving, linearization, bifurcation
 search, and the trajectory monitors."""
 
+import dataclasses
 import inspect
 
 import numpy as np
 import pytest
 from address_limit import run_capped
 from scipy.linalg import solve_continuous_lyapunov
-from tensor_reference import coupled_block
+from tensor_reference import coupled_block, random_tensor_game
 
 from gamedyn import (ConfigurationError, DomainError, FeedbackBlock, GameSpec,
                      LearningParams, NumericsError, Trajectory, UsageError,
                      available_presets, bifurcation_epsilon, classify, composite_lyapunov_trace,
-                     convergence_report, dynamics_jacobian, integrate,
+                     convergence_report, dynamics_jacobian, first_order_field,
+                     higher_order_field, integrate, linear_game_map,
                      lyapunov_trace, multi_start_rest_points, numeric_jacobian, preset,
                      rest_point, run_stochastic, score_bound,
                      score_bound_excess, seeded_initial_scores, simulate_first_order,
-                     simulate_higher_order, storage_matrix,
+                     simulate_higher_order, softmax, storage_matrix,
                      tangent_mode_abscissa, time_to_tolerance,
                      verify_feedback_block)
+from gamedyn import analysis
+from gamedyn.games import _bind_payoff
 
 
 # --------------------------------------------------------------- classification
@@ -188,6 +192,38 @@ def test_multi_start_needs_a_start(n_starts, monkeypatch):
         multi_start_rest_points(preset("rps", {"l": 2.5}), 1.0, n_starts=n_starts)
 
 
+@pytest.mark.parametrize("name,params,eps", [
+    ("rps", {"l": 2.5}, 1.0), ("rps", {"l": 8.0}, 0.5), ("two_player_rps", {"l": 5.0}, 0.3),
+    ("shapley", {}, 0.3), ("anticoord123", {}, 0.1)])
+def test_rest_point_evaluates_the_payoff_map_once_per_point(name, params, eps, monkeypatch):
+    """rest_point evaluates U(sigma(.)) once at the start and once per
+    damped iterate and line-search candidate: that one evaluation gives the
+    residual, the next damped iterate and the Newton right-hand side.  These
+    cases take full Newton steps, one candidate each, so every iteration
+    costs one evaluation."""
+    evaluations = []
+
+    def counted_payoff(game):
+        payoff = _bind_payoff(game)
+
+        def evaluate(x):
+            evaluations.append(x)
+            return payoff(x)
+        return evaluate
+
+    newton_steps = []
+
+    def counted_jacobian(*args, **kwargs):
+        newton_steps.append(args)
+        return dynamics_jacobian(*args, **kwargs)
+
+    monkeypatch.setattr("gamedyn.analysis._bind_payoff", counted_payoff)
+    monkeypatch.setattr("gamedyn.analysis.dynamics_jacobian", counted_jacobian)
+    result = rest_point(preset(name, params), eps)
+    assert result.converged and newton_steps
+    assert len(evaluations) == 1 + result.iterations
+
+
 def test_rest_point_result_dict():
     d = rest_point(preset("rps", {"l": 2.5}), 1.0).to_dict()
     assert d["status"] == "converged"
@@ -285,6 +321,47 @@ def test_jacobian_shape_validation():
         dynamics_jacobian(np.zeros(4), game, LearningParams(eps=1.0, gamma=1.0))
 
 
+JACOBIAN_GAMES = {
+    "rps-l2.5": lambda: preset("rps", {"l": 2.5}),
+    "rps-l5": lambda: preset("rps", {"l": 5.0}),
+    "rps-l8": lambda: preset("rps", {"l": 8.0}),
+    "rps-l1e4": lambda: preset("rps", {"l": 1e4}),
+    "shapley": lambda: preset("shapley"),
+    "jordan_mp": lambda: preset("jordan_mp"),
+    "tensor333": lambda: random_tensor_game((3, 3, 3), 4),
+}
+
+
+@pytest.mark.parametrize("game_key", list(JACOBIAN_GAMES))
+def test_dynamics_jacobian_matches_finite_differences_of_the_field(game_key):
+    """The closed-form linearization against central differences of the
+    field it linearizes, first order and filtered (at xi = xi*(sigma(z))),
+    at the rest points of eps 1 and 0.7 and at a seeded state.  The
+    differences lose accuracy as the payoffs grow (rps l=1e4 is off by
+    about 1.3e-6 at its rest point), so the tolerance scales with them."""
+    game = JACOBIAN_GAMES[game_key]()
+    n = game.total_actions
+    assert (linear_game_map(game) is None) == (game_key == "tensor333")
+    tol = 1e-6 * max(1.0, game.max_abs_payoff())
+    blocks = [None, FeedbackBlock.high_pass(1.0, 1.0, game.action_counts),
+              FeedbackBlock.high_pass(2.5, 0.5, game.action_counts)]
+    states = [(eps, rest_point(game, eps).z_star) for eps in (1.0, 0.7)]
+    states.append((0.7, np.random.default_rng(5).uniform(-1.0, 1.0, n)))
+    for eps, z in states:
+        for gamma in (1.0, 1.3):
+            params = LearningParams(gamma=gamma, eps=eps)
+            for block in blocks:
+                jac = dynamics_jacobian(z, game, params, block=block)
+                if block is None:
+                    fd = numeric_jacobian(lambda v: first_order_field(v, game, params), z)
+                else:
+                    x = softmax(z, eps, game.action_counts)
+                    state = np.concatenate([z, block.equilibrium_filter_state(x)])
+                    fd = numeric_jacobian(
+                        lambda v: higher_order_field(v, game, params, block), state)
+                np.testing.assert_allclose(jac, fd, rtol=0.0, atol=tol)
+
+
 def test_tangent_mode_abscissa_sign_flip():
     # the cycling regime loses stability below the critical temperature
     game = preset("rps", {"l": 8.0})
@@ -336,6 +413,30 @@ def test_bifurcation_tolerance_validation(tol, monkeypatch):
     with pytest.raises(DomainError, match="bisection tolerance"):
         bifurcation_epsilon(preset("rps", {"l": 8.0}), LearningParams(eps=1.0, gamma=1.0),
                             eps_range=(0.5, 3.0), tol=tol)
+
+
+def test_bifurcation_fallback_solves_only_the_start_it_uses(monkeypatch):
+    """When the warm-started solve fails, the bisection takes the first
+    converged of its ten seeded starts and solves none after it."""
+    game = preset("rps", {"l": 8.0})
+    expected = bifurcation_epsilon(game, LearningParams(), eps_range=(0.5, 3.0), tol=1e-2)
+    solve = analysis.rest_point
+    from_starts = []
+    warm = []
+
+    def failing_warm_solve(game, eps, z0=None):
+        result = solve(game, eps, z0=z0)
+        if z0 is None or any(z0 is r.z_star for r in from_starts):
+            warm.append(eps)
+            return dataclasses.replace(result, status="not-found")
+        from_starts.append(result)
+        return result
+
+    monkeypatch.setattr("gamedyn.analysis.rest_point", failing_warm_solve)
+    got = bifurcation_epsilon(game, LearningParams(), eps_range=(0.5, 3.0), tol=1e-2)
+    assert got.eps_star == expected.eps_star
+    assert len(from_starts) == len(warm) > 2
+    assert all(r.converged for r in from_starts)
 
 
 def test_bifurcation_stops_at_adjacent_floats():
@@ -605,7 +706,7 @@ def test_tuning_values_are_fixed():
         multi_start_rest_points: ["game", "eps", "n_starts", "seed"],
         classify: ["game"],
         numeric_jacobian: ["func", "x0"],
-        dynamics_jacobian: ["z_star", "game", "params", "block", "fd_check"],
+        dynamics_jacobian: ["z_star", "game", "params", "block"],
         tangent_mode_abscissa: ["jac", "action_counts"],
         bifurcation_epsilon: ["game", "params", "block", "eps_range", "tol"],
         lyapunov_trace: ["traj", "z_star", "eps", "action_counts"],

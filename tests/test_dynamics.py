@@ -824,6 +824,21 @@ def test_run_discrete_failed_row_ends_alone(game_key):
     _assert_same_trajectories(got[1:], alone)
 
 
+@pytest.mark.parametrize("game_key", ["rps", "two_player_rps", "shapley", "jordan_mp"])
+def test_run_discrete_rows_equal_their_1d_runs(game_key):
+    """Each row of a run_discrete batch is a one-row group of the field, so
+    it records its 1-D run bit for bit; one gemm product over the rows
+    rounds the rps and two_player_rps rows differently.  An empty batch
+    gives an empty list."""
+    game = preset(game_key, {"l": 5.0} if game_key.endswith("rps") else {})
+    params = LearningParams(gamma=1.0, eps=1.0)
+    z0 = np.array([seeded_initial_scores(game.total_actions, seed) for seed in range(3)])
+    got = run_discrete(game, params, z0, 0.1, 800, record_every=10)
+    alone = [run_discrete(game, params, row, 0.1, 800, record_every=10) for row in z0]
+    _assert_same_trajectories(got, alone)
+    assert run_discrete(game, params, z0[:0], 0.1, 800, record_every=10) == []
+
+
 # ---------------------------------------- check-free kernel, buffered RK4
 
 @pytest.mark.parametrize("record_every", [2.5, np.nan])
