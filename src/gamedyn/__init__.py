@@ -9,11 +9,10 @@ from .analysis import (BifurcationResult, ClassificationReport,
                        ConvergenceReport, RestPointResult, bifurcation_epsilon,
                        classify, composite_lyapunov_trace, convergence_report,
                        dynamics_jacobian, lyapunov_trace,
-                       multi_start_rest_points, numeric_jacobian, rest_point,
-                       score_bound, score_bound_excess, storage_matrix,
+                       multi_start_rest_points, rest_point, score_bound,
+                       score_bound_excess, storage_matrix,
                        tangent_mode_abscissa, time_to_tolerance)
-from .choice import (bregman_lse, log_sum_exp, profile_jacobian, softmax,
-                     softmax_block, softmax_jacobian)
+from .choice import bregman_lse, log_sum_exp, profile_jacobian, softmax
 from .dynamics import (FeedbackBlock, FeedbackBlockReport, LearningParams,
                        SimulationRun, Trajectory, first_order_field,
                        harmonic_schedule, higher_order_field,
@@ -35,11 +34,10 @@ __all__ = [
     "BifurcationResult", "ClassificationReport", "ConvergenceReport",
     "RestPointResult", "bifurcation_epsilon", "classify",
     "composite_lyapunov_trace", "convergence_report", "dynamics_jacobian",
-    "lyapunov_trace", "multi_start_rest_points", "numeric_jacobian",
-    "rest_point", "score_bound", "score_bound_excess", "storage_matrix",
-    "tangent_mode_abscissa", "time_to_tolerance",
+    "lyapunov_trace", "multi_start_rest_points", "rest_point", "score_bound",
+    "score_bound_excess", "storage_matrix", "tangent_mode_abscissa",
+    "time_to_tolerance",
     "bregman_lse", "log_sum_exp", "profile_jacobian", "softmax",
-    "softmax_block", "softmax_jacobian",
     "FeedbackBlock", "FeedbackBlockReport", "LearningParams", "SimulationRun",
     "Trajectory", "first_order_field", "harmonic_schedule",
     "higher_order_field", "induced_strategy_field", "integrate",

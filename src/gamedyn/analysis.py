@@ -8,9 +8,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .choice import (_bind_softmax, _check_eps, _check_finite, bregman_lse,
-                     profile_jacobian, softmax)
-from .dynamics import FeedbackBlock, LearningParams, Trajectory, _fields_dict
+from .choice import (_bind_softmax, _check_eps, _check_finite, _jacobian_at,
+                     bregman_lse, softmax)
+from .dynamics import (FeedbackBlock, LearningParams, Trajectory, _check_dim,
+                       _check_width, _fields_dict)
 from .errors import ConfigurationError, DomainError, NumericsError, UsageError
 from .games import (GameSpec, _bind_payoff, linear_game_map, payoff_jacobian,
                     tangent_basis)
@@ -242,21 +243,6 @@ def _converged_starts(game: GameSpec, eps: float, n_starts: int, seed: int):
 
 # ---------------------------------------------------------------- linearization
 
-_FD_STEP = 1e-6
-
-
-def numeric_jacobian(func, x0: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of a vector map."""
-    x0 = np.asarray(x0, dtype=float)
-    f0 = np.asarray(func(x0), dtype=float)
-    jac = np.empty((f0.size, x0.size))
-    for j in range(x0.size):
-        delta = np.zeros_like(x0)
-        delta[j] = _FD_STEP
-        jac[:, j] = (np.asarray(func(x0 + delta)) - np.asarray(func(x0 - delta))) / (2.0 * _FD_STEP)
-    return jac
-
-
 def dynamics_jacobian(z_star: np.ndarray, game: GameSpec, params: LearningParams,
                       block: FeedbackBlock | None = None) -> np.ndarray:
     """Linearization of the score flow at a rest point.
@@ -269,12 +255,13 @@ def dynamics_jacobian(z_star: np.ndarray, game: GameSpec, params: LearningParams
     if z_star.shape != (n,):
         raise DomainError(f"z_star has shape {z_star.shape}, expected ({n},)")
     x = softmax(z_star, params.eps, game.action_counts)
-    d_sigma = profile_jacobian(z_star, params.eps, game.action_counts)
+    d_sigma = _jacobian_at(x, params.eps, game.action_counts)
     du = payoff_jacobian(game, x)
     gamma = params.gamma
     eye = np.eye(n)
     if block is None:
         return gamma * (du @ d_sigma - eye)
+    _check_dim(block, n)
     block.ensure_valid()
     top = np.hstack([gamma * ((du - block.d_mat) @ d_sigma - eye), -gamma * block.c_mat])
     bottom = np.hstack([block.b_mat @ d_sigma, block.a_mat])
@@ -368,6 +355,7 @@ def lyapunov_trace(traj: Trajectory, z_star: np.ndarray, eps: float,
                    action_counts: Sequence[int]) -> tuple[np.ndarray, str]:
     """Bregman storage V at each sample plus a monotonicity verdict."""
     z_star = np.asarray(z_star, dtype=float)
+    _check_width(traj, z_star.size)
     values = bregman_lse(traj.states[:, :z_star.size], z_star, eps, action_counts)
     return values, _storage_verdict(values)
 
@@ -418,20 +406,21 @@ def storage_matrix(block: FeedbackBlock) -> np.ndarray:
     return (10.0 ** best if f_best <= _CERTIFY_TOL else 1.0) * p0
 
 
-def composite_lyapunov_trace(traj: Trajectory, z_star: np.ndarray,
-                             xi_star: np.ndarray, eps: float,
+def composite_lyapunov_trace(traj: Trajectory, z_star: np.ndarray, eps: float,
                              block: FeedbackBlock, action_counts: Sequence[int],
                              gamma: float = 1.0,
                              p_mat: np.ndarray | None = None) -> tuple[np.ndarray, str]:
-    """Composite storage W = V + (gamma/2) (xi - xi*)^T P (xi - xi*) per sample."""
+    """Composite storage W = V + (gamma/2) (xi - xi*)^T P (xi - xi*) per
+    sample, with the rest point's filter state xi* = -A^-1 B sigma(z*)."""
     z_star = np.asarray(z_star, dtype=float)
-    xi_star = np.asarray(xi_star, dtype=float)
     n = z_star.size
     if traj.states.shape[1] != 2 * n:
         raise DomainError("trajectory does not carry a filter state")
+    _check_dim(block, n)
     p_mat = storage_matrix(block) if p_mat is None else np.asarray(p_mat, dtype=float)
     if np.abs(p_mat - p_mat.T).max() > 1e-12 or np.linalg.eigvalsh(p_mat).min() <= 0.0:
         raise ConfigurationError("storage matrix P must be symmetric positive definite")
+    xi_star = block.equilibrium_filter_state(softmax(z_star, eps, action_counts))
     xi_dev = traj.states[:, n:] - xi_star
     values, _ = lyapunov_trace(traj, z_star, eps, action_counts)
     values = values + 0.5 * gamma * np.einsum("ti,ij,tj->t", xi_dev, p_mat, xi_dev)
@@ -459,11 +448,24 @@ def _check_analyzable(traj: Trajectory) -> None:
         raise UsageError("trajectory has no samples to analyze")
 
 
+def _check_target(traj: Trajectory, x_star) -> np.ndarray:
+    """x_star as a finite profile of the trajectory's strategy width."""
+    x_star = np.asarray(x_star, dtype=float)
+    n = traj.strategies.shape[1]
+    if x_star.shape != (n,):
+        raise DomainError(f"x_star has shape {x_star.shape}, expected ({n},)")
+    if not np.isfinite(x_star).all():
+        raise DomainError("x_star has non-finite entries")
+    return x_star
+
+
 def convergence_report(traj: Trajectory,
                        x_star: np.ndarray | None = None) -> ConvergenceReport:
     """Classify the last 20% of a trajectory as converged, limit-cycle, or
     undetermined from the per-coordinate strategy oscillation amplitude."""
     _check_analyzable(traj)
+    if x_star is not None:
+        x_star = _check_target(traj, x_star)
     times = traj.times
     t_cut = times[-1] - 0.2 * (times[-1] - times[0])
     idx = np.nonzero(times >= t_cut)[0]
@@ -480,7 +482,7 @@ def convergence_report(traj: Trajectory,
     amp_second = amp(window_x[half:])
     terminal = None
     if x_star is not None:
-        terminal = float(np.abs(traj.strategies[-1] - np.asarray(x_star, dtype=float)).max())
+        terminal = float(np.abs(traj.strategies[-1] - x_star).max())
     if amplitude < 1e-6 and (terminal is None or terminal < 1e-4):
         status = "converged"
     elif amplitude > 1e-3 and abs(amp_second - amp_first) <= 0.1 * max(amp_first, 1e-300):
@@ -498,7 +500,7 @@ def time_to_tolerance(traj: Trajectory, x_star: np.ndarray) -> float | None:
     """First sample time after which the strategy stays within _SETTLED_TOL
     of x_star in the max norm; None when the trajectory never settles."""
     _check_analyzable(traj)
-    dist = np.abs(traj.strategies - np.asarray(x_star, dtype=float)).max(axis=1)
+    dist = np.abs(traj.strategies - _check_target(traj, x_star)).max(axis=1)
     inside = dist < _SETTLED_TOL
     if not inside[-1]:
         return None
@@ -511,12 +513,14 @@ def score_bound(game: GameSpec, z0: np.ndarray,
                 block: FeedbackBlock | None = None) -> np.ndarray:
     """Per-coordinate invariant bound max{|z_i(0)|, M} on simulated scores,
     where M bounds the (filter-adjusted) payoff magnitude.  A block is refused
-    unless valid (ensure_valid), A Metzler and each column of B of one sign."""
+    unless of the game's dimension, valid (ensure_valid), A Metzler and each
+    column of B of one sign."""
     m_payoff = game.max_abs_payoff()
     if block is not None:
         # |v_a| <= ||C||_inf sup|xi| + ||D||_inf with sup|xi| <= ||A^-1 B||_inf
         # for xi(0) = 0 and strategies in [0, 1], which holds when no entry
         # of the impulse response e^{At} B changes sign.
+        _check_dim(block, game.total_actions)
         block.ensure_valid()
         b = block.b_mat
         off_diagonal = block.a_mat[~np.eye(block.dim, dtype=bool)]
@@ -527,6 +531,9 @@ def score_bound(game: GameSpec, z0: np.ndarray,
         m_payoff += float(np.abs(block.c_mat).sum(axis=1).max()) * gain
         m_payoff += float(np.abs(block.d_mat).sum(axis=1).max())
     z0 = np.asarray(z0, dtype=float)
+    n = game.total_actions
+    if z0.shape != (n,):
+        raise DomainError(f"z0 has shape {z0.shape}, expected ({n},)")
     return np.maximum(np.abs(z0), m_payoff)
 
 
@@ -535,6 +542,7 @@ def score_bound_excess(traj: Trajectory, game: GameSpec,
     """Worst violation of the score bound along a trajectory; <= 0 when the
     bound holds with a slack of 1e-6."""
     n = game.total_actions
+    _check_width(traj, n)
     scores = traj.states[:, :n]
     bound = score_bound(game, scores[0], block=block) + 1e-6
     return float((np.abs(scores) - bound).max())

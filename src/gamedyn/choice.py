@@ -25,9 +25,21 @@ _max = np.maximum.reduce
 _sum = np.add.reduce
 
 
-def block_slices(action_counts: Sequence[int]) -> tuple[slice, ...]:
+def _check_counts(action_counts: Sequence[int]) -> tuple[int, ...]:
+    """A layout of per-player action counts as a tuple of ints: a non-empty
+    sequence of whole numbers, each at least 2, or a DomainError."""
+    try:
+        values = tuple(action_counts)
+        counts = tuple(int(c) for c in values)
+    except (TypeError, ValueError, OverflowError):
+        values = counts = ()
+    if not counts or counts != values or min(counts) < 2:
+        raise DomainError("every player needs at least two actions")
+    return counts
+
+
+def block_slices(counts: tuple[int, ...]) -> tuple[slice, ...]:
     """Slices of the per-player blocks in a concatenated profile."""
-    counts = [int(c) for c in action_counts]
     return tuple(slice(end - c, end) for c, end in zip(counts, accumulate(counts)))
 
 
@@ -51,19 +63,11 @@ def _check_length(state: np.ndarray, n: int, what: str = "score vector") -> None
         raise DomainError(f"{what} has length {length}, expected {n}")
 
 
-def softmax_block(z_block, eps: float) -> np.ndarray:
-    """Soft-max over the last axis of a single score block."""
-    z = np.asarray(z_block, dtype=float)
-    if z.ndim == 0:
-        raise DomainError("softmax_block takes a score block, not a scalar")
-    return softmax(z, eps, z.shape[-1:])
-
-
 def softmax(z, eps: float, action_counts: Sequence[int]) -> np.ndarray:
     """Per-player soft-max of a concatenated score vector (batch dims allowed)."""
     eps = _check_eps(eps)
     z = np.asarray(z, dtype=float)
-    counts = tuple(int(c) for c in action_counts)
+    counts = _check_counts(action_counts)
     _check_length(z, sum(counts))
     _check_finite(z)
     return _bind_softmax(eps, counts, z, np.empty(z.shape))()
@@ -119,26 +123,22 @@ def log_sum_exp(z_block, eps: float) -> np.ndarray:
     return m + eps * np.log(np.exp(shifted / eps).sum(axis=-1))
 
 
-def softmax_jacobian(z_block, eps: float) -> np.ndarray:
-    """Jacobian of the block soft-max: (diag(sigma) - sigma sigma^T) / eps."""
-    z = np.asarray(z_block, dtype=float)
-    if z.ndim != 1:
-        raise DomainError("softmax_jacobian takes a single score block")
-    s = softmax_block(z, eps)
-    return (np.diag(s) - np.outer(s, s)) / float(eps)
-
-
 def profile_jacobian(z, eps: float, action_counts: Sequence[int]) -> np.ndarray:
     """Block-diagonal Jacobian of the per-player soft-max at a full profile."""
     z = np.asarray(z, dtype=float)
-    counts = tuple(int(c) for c in action_counts)
+    counts = _check_counts(action_counts)
     n = sum(counts)
     if z.shape != (n,):
         raise DomainError(f"score vector has shape {z.shape}, expected ({n},)")
-    jac = np.zeros((n, n))
-    for sl in block_slices(counts):
-        jac[sl, sl] = softmax_jacobian(z[sl], eps)
-    return jac
+    return _jacobian_at(softmax(z, eps, counts), float(eps), counts)
+
+
+def _jacobian_at(x: np.ndarray, eps: float, counts: tuple[int, ...]) -> np.ndarray:
+    """The soft-max Jacobian from the profile x = sigma(z) it is taken at:
+    block (diag(x^p) - x^p x^p^T) / eps per player, zero off the diagonal."""
+    player = np.repeat(np.arange(len(counts)), counts)
+    same = player[:, None] == player
+    return (np.diag(x) - np.where(same, np.outer(x, x), 0.0)) / eps
 
 
 def bregman_lse(z, z_ref, eps: float, action_counts: Sequence[int]) -> np.ndarray:
@@ -152,18 +152,18 @@ def bregman_lse(z, z_ref, eps: float, action_counts: Sequence[int]) -> np.ndarra
     eps = _check_eps(eps)
     z = np.asarray(z, dtype=float)
     ref = np.asarray(z_ref, dtype=float)
-    counts = tuple(int(c) for c in action_counts)
+    counts = _check_counts(action_counts)
     n = sum(counts)
     _check_length(z, n)
     if ref.shape != (n,):
         raise DomainError("score vectors do not match the action counts")
     _check_finite(z)
-    _check_finite(ref)
+    sigma_ref = softmax(ref, eps, counts)
     total = np.zeros(z.shape[:-1])
     for sl in block_slices(counts):
         zb = z[..., sl]
         rb = ref[sl]
-        sb = softmax_block(rb, eps)
+        sb = sigma_ref[sl]
         total = total + (log_sum_exp(zb, eps) - log_sum_exp(rb, eps)
                          - (zb - rb) @ sb)
     return total

@@ -224,12 +224,10 @@ def _cmd_simulate(args) -> int:
 
     solved = rest_point(game, args.eps)
     x_star = solved.x_star if solved.converged else None
-    block = p_mat = xi_star = None
+    block = p_mat = None
     if filtered:
         block = FeedbackBlock.high_pass(args.K, args.a, game.action_counts)
         p_mat = storage_matrix(block)
-        if x_star is not None:
-            xi_star = block.equilibrium_filter_state(x_star)
 
     summary = {"game": _game_doc(game), "scheme": args.scheme,
                "eps": args.eps, "gamma": args.gamma, "seeds": seeds,
@@ -249,8 +247,8 @@ def _cmd_simulate(args) -> int:
                                            game.action_counts)
             else:
                 values, _ = composite_lyapunov_trace(
-                    traj, solved.z_star, xi_star, args.eps, block,
-                    game.action_counts, gamma=args.gamma, p_mat=p_mat)
+                    traj, solved.z_star, args.eps, block, game.action_counts,
+                    gamma=args.gamma, p_mat=p_mat)
             traj = replace(traj, lyapunov=values)
         csv_name = f"{prefix}_seed{seed}.csv"
         write_trajectory_csv(os.path.join(out_dir, csv_name), traj,

@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .choice import (_all, _bind_softmax, _check_eps, _check_finite,
-                     _check_length, _sum, block_slices, softmax)
+from .choice import (_all, _bind_softmax, _check_counts, _check_eps,
+                     _check_finite, _check_length, _sum, block_slices, softmax)
 from .errors import ConfigurationError, DomainError, IntegrationDivergedError
 from .games import (GameSpec, _bind_payoff, expected_payoff_vector,
                     linear_game_map)
@@ -82,8 +82,7 @@ class FeedbackBlock:
             raise DomainError(f"cutoff must be positive and finite, got {cutoff!r}")
         if not 0.0 <= gain < np.inf:
             raise DomainError(f"gain must be nonnegative and finite, got {gain!r}")
-        n = int(sum(action_counts))
-        eye = np.eye(n)
+        eye = np.eye(sum(_check_counts(action_counts)))
         return cls(-cutoff * eye, -cutoff * eye, gain * eye, gain * eye)
 
     @property
@@ -111,7 +110,15 @@ class FeedbackBlock:
 
     def equilibrium_filter_state(self, x_star: np.ndarray) -> np.ndarray:
         """xi* = -A^-1 B x*, the filter state at a rest point with strategy x*."""
-        return np.linalg.solve(self.a_mat, -self.b_mat @ np.asarray(x_star, dtype=float))
+        x_star = np.asarray(x_star, dtype=float)
+        if x_star.shape != (self.dim,):
+            raise DomainError(f"profile has shape {x_star.shape}, expected ({self.dim},)")
+        return np.linalg.solve(self.a_mat, -self.b_mat @ x_star)
+
+
+def _check_dim(block: FeedbackBlock, n: int) -> None:
+    if block.dim != n:
+        raise DomainError(f"feedback block has dimension {block.dim}, expected {n}")
 
 
 def _fields_dict(result, omit: Sequence[str] = (), **renames: str) -> dict:
@@ -182,9 +189,7 @@ def _filter_matrix(game: GameSpec, block: FeedbackBlock) -> np.ndarray:
     """The stacked W = [[Phi^T - D^T, B^T], [-C^T, A^T]], which turns
     [sigma(z), xi] into (U - v, xidot) in one product; a game without a
     linear map Phi leaves Phi^T out of W."""
-    n = game.total_actions
-    if block.dim != n:
-        raise DomainError(f"feedback block has dimension {block.dim}, expected {n}")
+    _check_dim(block, game.total_actions)
     phi = linear_game_map(game)
     top = -block.d_mat.T if phi is None else phi.T - block.d_mat.T
     return np.block([[top, block.b_mat.T], [-block.c_mat.T, block.a_mat.T]])
@@ -372,6 +377,13 @@ class Trajectory:
             if column is not None and np.shape(column)[:1] != self.times.shape:
                 raise DomainError(f"{name} of shape {np.shape(column)} needs "
                                   f"{len(self.times)} rows, one per sample")
+
+
+def _check_width(traj: Trajectory, n: int) -> None:
+    """Refuse states that are neither n scores nor n scores with a filter state."""
+    if traj.states.shape[1:] not in ((n,), (2 * n,)):
+        raise DomainError(f"states of shape {traj.states.shape} are neither "
+                          f"{n} scores nor {n} scores with a filter state")
 
 
 def _check_whole(value, name: str, least: int) -> int:
@@ -920,11 +932,9 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory,
     is opened."""
     if traj.strategies is None:
         raise DomainError("trajectory has no strategies to write")
-    counts = tuple(int(c) for c in action_counts)
+    counts = _check_counts(action_counts)
     n = sum(counts)
-    if traj.states.shape[1:] not in ((n,), (2 * n,)):
-        raise DomainError(f"states of shape {traj.states.shape} are neither "
-                          f"{n} scores nor {n} scores with a filter state")
+    _check_width(traj, n)
     events = traj.actions is not None
     header = (["k" if events else "t"] + [f"z_{i + 1}" for i in range(n)]
               + [f"x_{i + 1}" for i in range(n)])

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .choice import _check_length, block_slices
+from .choice import _check_counts, _check_length, block_slices
 from .errors import DomainError, UsageError
 
 _AXES = string.ascii_letters  # einsum's subscripts: one per player
@@ -51,9 +51,7 @@ class GameSpec:
     name: str = ""
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.action_counts)
-        if not counts or any(c < 2 for c in counts):
-            raise DomainError("every player needs at least two actions")
+        counts = _check_counts(self.action_counts)
         if len(counts) > len(_AXES):
             raise DomainError(f"a game has at most {len(_AXES)} players, got {len(counts)}")
         tensors = tuple(np.ascontiguousarray(t, dtype=float) for t in self.payoff_tensors)
@@ -128,7 +126,7 @@ def tangent_basis(action_counts: Sequence[int]) -> np.ndarray:
     block-diagonally into one (n, n - N) matrix whose columns sum to zero
     within each block: Gram-Schmidt on the difference vectors e1-e2,
     e1-e3, ... per player."""
-    counts = tuple(int(c) for c in action_counts)
+    counts = _check_counts(action_counts)
     n = sum(counts)
     full = np.zeros((n, n - len(counts)))
     col = 0

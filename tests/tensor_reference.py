@@ -1,6 +1,7 @@
 """A payoff map written out from the payoff tensors alone, so tests can
 check the package's payoff evaluation without going through it, the
-revision-protocol form of the strategy-space flow, plus the random games
+revision-protocol form of the strategy-space flow, a central-difference
+Jacobian to check closed-form derivatives against, plus the random games
 and filters those checks run on."""
 
 import itertools
@@ -28,6 +29,21 @@ def tensor_payoff(game, x):
                     weight = weight * x[..., offsets[q] + action]
             u[..., offsets[p] + profile[p]] += tensor[profile] * weight
     return u
+
+
+_FD_STEP = 1e-6
+
+
+def numeric_jacobian(func, x0):
+    """Central-difference Jacobian of a vector map."""
+    x0 = np.asarray(x0, dtype=float)
+    f0 = np.asarray(func(x0), dtype=float)
+    jac = np.empty((f0.size, x0.size))
+    for j in range(x0.size):
+        delta = np.zeros_like(x0)
+        delta[j] = _FD_STEP
+        jac[:, j] = (np.asarray(func(x0 + delta)) - np.asarray(func(x0 - delta))) / (2.0 * _FD_STEP)
+    return jac
 
 
 def revision_protocol_field(x, z, game, params):

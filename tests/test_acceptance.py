@@ -17,18 +17,18 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, root
 from scipy.special import lambertw
-from tensor_reference import revision_protocol_field
+from tensor_reference import numeric_jacobian, revision_protocol_field
 
 from gamedyn import (FeedbackBlock, LearningParams, SimulationRun,
                      bifurcation_epsilon, bregman_lse, classify,
                      composite_lyapunov_trace, convergence_report,
                      dynamics_jacobian, expected_payoff_vector,
                      first_order_field, induced_strategy_field, lyapunov_trace,
-                     numeric_jacobian, payoff_estimate, preset,
+                     payoff_estimate, preset,
                      profile_jacobian, reproduce, rest_point, rps_matrix,
                      score_bound_excess, seeded_initial_scores,
                      simulate_batch, simulate_first_order,
-                     simulate_higher_order, softmax, softmax_block,
+                     simulate_higher_order, softmax,
                      storage_matrix, tangent_mode_abscissa, time_to_tolerance)
 
 SEEDS5 = tuple(range(5))
@@ -402,10 +402,9 @@ def test_criterion_6_lyapunov_decrease():
                 failures.append(f"{game.name} first-order seed {seed}: V "
                                 f"rose by {float(np.diff(values).max()):.2e}")
         p_mat = storage_matrix(block)
-        xi_star = block.equilibrium_filter_state(solved.x_star)
         for seed, traj in zip(SEEDS10, trajs_ho):
             values, verdict = composite_lyapunov_trace(
-                traj, solved.z_star, xi_star, 1.0, block, game.action_counts,
+                traj, solved.z_star, 1.0, block, game.action_counts,
                 gamma=1.0, p_mat=p_mat)
             if verdict != "non-increasing":
                 failures.append(f"{game.name} higher-order seed {seed}: W "
@@ -434,7 +433,7 @@ def test_criterion_7_property_suites():
         eps = float(rng.uniform(0.1, 3.0))
         z1 = rng.uniform(-4.0, 4.0, 5)
         z2 = rng.uniform(-4.0, 4.0, 5)
-        dx = softmax_block(z1, eps) - softmax_block(z2, eps)
+        dx = softmax(z1, eps, (5,)) - softmax(z2, eps, (5,))
         dz = z1 - z2
         inner = float(dz @ dx)
         breg = float(bregman_lse(z1, z2, eps, (5,)))

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 from address_limit import run_capped
 from scipy.linalg import solve_continuous_lyapunov
-from tensor_reference import coupled_block, random_tensor_game
+from tensor_reference import coupled_block, numeric_jacobian, random_tensor_game
 
 from gamedyn import (ConfigurationError, DomainError, FeedbackBlock, GameSpec,
                      LearningParams, NumericsError, Trajectory, UsageError,
                      available_presets, bifurcation_epsilon, classify, composite_lyapunov_trace,
                      convergence_report, dynamics_jacobian, first_order_field,
                      higher_order_field, integrate, linear_game_map,
-                     lyapunov_trace, multi_start_rest_points, numeric_jacobian, preset,
+                     lyapunov_trace, multi_start_rest_points, preset,
                      rest_point, run_stochastic, score_bound,
                      score_bound_excess, seeded_initial_scores, simulate_first_order,
                      simulate_higher_order, softmax, storage_matrix,
@@ -529,8 +529,8 @@ def test_composite_lyapunov_trace_decreases():
     z0 = seeded_initial_scores(3, 4)
     traj = simulate_higher_order(game, params, block, z0, dt=0.01,
                                  t_end=120.0, record_every=10)
-    values, verdict = composite_lyapunov_trace(traj, result.z_star, xi_star,
-                                               1.0, block, game.action_counts)
+    values, verdict = composite_lyapunov_trace(traj, result.z_star, 1.0, block,
+                                               game.action_counts)
     assert verdict == "non-increasing"
     assert values[-1] <= 1e-8
 
@@ -541,12 +541,11 @@ def test_composite_lyapunov_trace_validation():
     times = np.arange(4.0)
     wide = Trajectory(times, np.zeros((4, 6)))
     with pytest.raises(ConfigurationError):
-        composite_lyapunov_trace(wide, np.zeros(3), np.zeros(3), 1.0, block,
-                                 game.action_counts, p_mat=-np.eye(3))
+        composite_lyapunov_trace(wide, np.zeros(3), 1.0, block, game.action_counts,
+                                 p_mat=-np.eye(3))
     narrow = Trajectory(times, np.zeros((4, 3)))
     with pytest.raises(DomainError):
-        composite_lyapunov_trace(narrow, np.zeros(3), np.zeros(3), 1.0, block,
-                                 game.action_counts)
+        composite_lyapunov_trace(narrow, np.zeros(3), 1.0, block, game.action_counts)
 
 
 # ----------------------------------------------------------- trajectory verdicts
@@ -614,6 +613,63 @@ def test_trajectory_without_samples_is_refused(analyze):
     empty = Trajectory(np.empty(0), np.empty((0, 1)), strategies=np.empty((0, 1)))
     with pytest.raises(UsageError, match="no samples"):
         analyze(empty)
+
+
+def _rps_run():
+    """A short first-order run on rps l=2.5: 3 scores, 51 samples."""
+    return simulate_first_order(preset("rps", {"l": 2.5}), LearningParams(),
+                                seeded_initial_scores(3, 0), dt=0.1, t_end=5.0,
+                                record_every=1)
+
+
+BOUNDARY_CALLS = {
+    "convergence_report-length": (
+        lambda: convergence_report(_rps_run(), x_star=np.full(2, 0.5)), "x_star has shape"),
+    "time_to_tolerance-length": (
+        lambda: time_to_tolerance(_rps_run(), np.full(2, 0.5)), "x_star has shape"),
+    "convergence_report-scalar": (
+        lambda: convergence_report(_rps_run(), x_star=0.5), "x_star has shape"),
+    "time_to_tolerance-scalar": (
+        lambda: time_to_tolerance(_rps_run(), 0.5), "x_star has shape"),
+    "convergence_report-non-finite": (
+        lambda: convergence_report(_rps_run(), x_star=[np.nan, 0.5, 0.5]), "non-finite"),
+    "time_to_tolerance-non-finite": (
+        lambda: time_to_tolerance(_rps_run(), [np.inf, 0.5, 0.5]), "non-finite"),
+    "lyapunov_trace-width": (
+        lambda: lyapunov_trace(_rps_run(), np.zeros(2), 1.0, (2,)), "are neither 2 scores"),
+    "dynamics_jacobian-block": (
+        lambda: dynamics_jacobian(np.zeros(3), preset("rps", {"l": 2.5}), LearningParams(),
+                                  block=FeedbackBlock.high_pass(1.0, 1.0, (2,))),
+        "feedback block has dimension 2, expected 3"),
+    "composite_lyapunov_trace-block": (
+        lambda: composite_lyapunov_trace(Trajectory(np.arange(4.0), np.zeros((4, 6))),
+                                         np.zeros(3), 1.0,
+                                         FeedbackBlock.high_pass(1.0, 1.0, (2,)), (3,)),
+        "feedback block has dimension 2, expected 3"),
+    "score_bound-length": (
+        lambda: score_bound(preset("rps", {"l": 2.5}), [1.0, 2.0]), "z0 has shape"),
+    "score_bound-block": (
+        lambda: score_bound(preset("rps", {"l": 2.5}), np.zeros(3),
+                            FeedbackBlock.high_pass(1.0, 1.0, (2,))),
+        "feedback block has dimension 2, expected 3"),
+    "score_bound_excess-game": (
+        lambda: score_bound_excess(_rps_run(), preset("shapley")), "are neither 6 scores"),
+    "equilibrium_filter_state-length": (
+        lambda: FeedbackBlock.high_pass(1.0, 1.0, (3,)).equilibrium_filter_state(np.ones(2)),
+        "profile has shape"),
+}
+
+
+@pytest.mark.parametrize("call, message", list(BOUNDARY_CALLS.values()),
+                         ids=list(BOUNDARY_CALLS))
+def test_public_analysis_inputs_are_refused_at_the_boundary(call, message):
+    """Inputs that do not fit the trajectory, game or block are a DomainError:
+    they raised numpy errors, or were broadcast into a silent answer (a
+    scalar x_star, a 2-entry score bound, a bound from a 2-dimensional
+    block, a 3-score run read as 6 scores or as 2) or read as undetermined
+    (a non-finite x_star)."""
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 # -------------------------------------------------------------- bound and checks
@@ -705,13 +761,12 @@ def test_tuning_values_are_fixed():
         rest_point: ["game", "eps", "z0"],
         multi_start_rest_points: ["game", "eps", "n_starts", "seed"],
         classify: ["game"],
-        numeric_jacobian: ["func", "x0"],
         dynamics_jacobian: ["z_star", "game", "params", "block"],
         tangent_mode_abscissa: ["jac", "action_counts"],
         bifurcation_epsilon: ["game", "params", "block", "eps_range", "tol"],
         lyapunov_trace: ["traj", "z_star", "eps", "action_counts"],
-        composite_lyapunov_trace: ["traj", "z_star", "xi_star", "eps", "block",
-                                   "action_counts", "gamma", "p_mat"],
+        composite_lyapunov_trace: ["traj", "z_star", "eps", "block", "action_counts",
+                                   "gamma", "p_mat"],
         convergence_report: ["traj", "x_star"],
         time_to_tolerance: ["traj", "x_star"],
         score_bound_excess: ["traj", "game", "block"],

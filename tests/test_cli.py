@@ -141,6 +141,17 @@ def test_nine_player_game_file(tmp_path, capsys):
         assert (code, err) == (0, ""), argv
 
 
+def test_one_player_game_file(tmp_path, capsys):
+    """A one-player game that is not a matching game runs in every scheme."""
+    path = tmp_path / "g1.json"
+    save_game(path, GameSpec((3,), (np.array([0.5, -1.0, 2.0]),)))
+    for scheme in ("first-order", "higher-order", "discrete", "stochastic"):
+        code, _, err = run_cli(capsys, "simulate", "--scheme", scheme, "--t-end", "5",
+                               "--steps", "200", "--out", str(tmp_path / scheme),
+                               "--game", str(path))
+        assert (code, err) == (0, ""), scheme
+
+
 def test_game_source_validation(tmp_path, capsys):
     path = tmp_path / "game.json"
     save_game(path, preset("shapley"))

@@ -16,7 +16,6 @@ from gamedyn import (ConfigurationError, DomainError, FeedbackBlock,
                      seeded_initial_scores, simulate_batch, simulate_first_order,
                      simulate_higher_order, softmax, verify_feedback_block,
                      write_trajectory_csv)
-from gamedyn.choice import softmax_block
 from gamedyn.dynamics import _Field, _Recorder
 
 
@@ -62,19 +61,33 @@ def test_feedback_block_rejects_non_finite_values(bad):
 
 
 def test_verify_feedback_block_pass_and_fail():
+    """Each of the three certificates fails alone on its own block, and
+    the report fails with it."""
     good = verify_feedback_block(FeedbackBlock.high_pass(1.0, 1.0, (3,)))
     assert good.passed
     assert good.hurwitz_ok and good.zero_dc_ok and good.grid_positive_real_ok
+    d = good.to_dict()
+    for key in ("hurwitz_ok", "zero_dc_ok", "grid_positive_real_ok",
+                "min_hermitian_eigenvalue", "passed"):
+        assert key in d
 
+    for eye in (np.eye(2), np.eye(3)):
+        unstable = FeedbackBlock(a_mat=eye, b_mat=-eye, c_mat=eye, d_mat=eye)
+        rep = verify_feedback_block(unstable)
+        assert not rep.hurwitz_ok and not rep.passed
+
+        leaky = FeedbackBlock(a_mat=-eye, b_mat=-eye, c_mat=eye,
+                              d_mat=np.zeros_like(eye))
+        rep = verify_feedback_block(leaky)
+        assert rep.hurwitz_ok and not rep.zero_dc_ok and not rep.passed
+
+    # H(s) = 1/(s+1) - 1 = -s/(s+1): Hurwitz with zero DC gain, but
+    # Re H(jw) = -w^2/(1+w^2) < 0 at every grid frequency
     eye = np.eye(3)
-    unstable = FeedbackBlock(a_mat=eye, b_mat=-eye, c_mat=eye, d_mat=eye)
-    rep = verify_feedback_block(unstable)
-    assert not rep.hurwitz_ok and not rep.passed
-
-    leaky = FeedbackBlock(a_mat=-eye, b_mat=-eye, c_mat=eye,
-                          d_mat=np.zeros((3, 3)))
-    rep = verify_feedback_block(leaky)
-    assert not rep.zero_dc_ok and not rep.passed
+    rep = verify_feedback_block(FeedbackBlock(-eye, -eye, -eye, -eye))
+    assert rep.hurwitz_ok and rep.zero_dc_ok
+    assert not rep.grid_positive_real_ok and not rep.passed
+    assert rep.min_hermitian_eigenvalue < 0.0
 
 
 def test_ensure_valid_checks_the_current_matrices():
@@ -1020,7 +1033,6 @@ def test_public_boundaries_refuse_non_finite_scores(value):
     z = np.array([0.0, value, 0.0])
     calls = [
         lambda: softmax(z, 1.0, (3,)),
-        lambda: softmax_block(z, 1.0),
         lambda: first_order_field(z, game, params),
         lambda: higher_order_field(np.concatenate([z, np.zeros(3)]), game, params, block),
         lambda: higher_order_field(np.concatenate([np.zeros(3), z]), game, params, block),

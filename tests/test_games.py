@@ -3,12 +3,12 @@ import pickle
 
 import numpy as np
 import pytest
-from tensor_reference import random_tensor_game, tensor_payoff
+from tensor_reference import numeric_jacobian, random_tensor_game, tensor_payoff
 
 from gamedyn import (DomainError, GameSpec, available_presets, classify,
                      expected_payoff_vector, game_from_dict, game_to_dict,
-                     linear_game_map, load_game, numeric_jacobian,
-                     payoff_jacobian, preset, save_game, tangent_basis)
+                     linear_game_map, load_game, payoff_jacobian, preset,
+                     rest_point, save_game, tangent_basis)
 
 
 def random_profile(counts, rng):
@@ -23,6 +23,22 @@ def test_action_count_validation():
         GameSpec((2, 2), (np.zeros((2, 2)),))
     with pytest.raises(DomainError):
         GameSpec((2, 2), (np.zeros((2, 3)), np.zeros((2, 2))))
+
+
+def test_one_player_game_that_is_not_matched_pays_its_tensor():
+    """A single player who is not matched against itself is paid the
+    fixed vector t whatever it plays, so z* = t is its only rest point."""
+    t = np.array([0.5, -1.0, 2.0])
+    game = GameSpec((3,), (t,))
+    assert linear_game_map(game) is None
+    rng = np.random.default_rng(3)
+    x = random_profile((3,), rng)
+    np.testing.assert_array_equal(expected_payoff_vector(game, x), t)
+    xs = np.stack([random_profile((3,), rng) for _ in range(4)])
+    np.testing.assert_array_equal(expected_payoff_vector(game, xs), np.tile(t, (4, 1)))
+    solved = rest_point(game, 0.7)
+    assert solved.converged and solved.residual == 0.0
+    np.testing.assert_array_equal(solved.z_star, t)
 
 
 def test_matching_needs_single_population():
