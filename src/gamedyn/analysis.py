@@ -8,10 +8,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .choice import (_bind_softmax, _check_eps, _check_finite, _jacobian_at,
-                     bregman_lse, softmax)
+from .choice import (_bind_softmax, _check_eps, _check_finite, _check_length,
+                     _jacobian_at, bregman_lse, softmax)
 from .dynamics import (FeedbackBlock, LearningParams, Trajectory, _check_dim,
-                       _check_width, _fields_dict)
+                       _fields_dict)
 from .errors import ConfigurationError, DomainError, NumericsError, UsageError
 from .games import (GameSpec, _bind_payoff, linear_game_map, payoff_jacobian,
                     tangent_basis)
@@ -353,10 +353,8 @@ _INCREASE_TOL = 1e-9  # a rise between samples that still reads as non-increasin
 
 def lyapunov_trace(traj: Trajectory, z_star: np.ndarray, eps: float,
                    action_counts: Sequence[int]) -> tuple[np.ndarray, str]:
-    """Bregman storage V at each sample plus a monotonicity verdict."""
-    z_star = np.asarray(z_star, dtype=float)
-    _check_width(traj, z_star.size)
-    values = bregman_lse(traj.states[:, :z_star.size], z_star, eps, action_counts)
+    """Bregman storage V of the scores at each sample plus a monotonicity verdict."""
+    values = bregman_lse(traj.states, z_star, eps, action_counts)
     return values, _storage_verdict(values)
 
 
@@ -413,16 +411,15 @@ def composite_lyapunov_trace(traj: Trajectory, z_star: np.ndarray, eps: float,
     """Composite storage W = V + (gamma/2) (xi - xi*)^T P (xi - xi*) per
     sample, with the rest point's filter state xi* = -A^-1 B sigma(z*)."""
     z_star = np.asarray(z_star, dtype=float)
-    n = z_star.size
-    if traj.states.shape[1] != 2 * n:
+    _check_dim(block, z_star.size)
+    if traj.filter_state is None:
         raise DomainError("trajectory does not carry a filter state")
-    _check_dim(block, n)
     p_mat = storage_matrix(block) if p_mat is None else np.asarray(p_mat, dtype=float)
     if np.abs(p_mat - p_mat.T).max() > 1e-12 or np.linalg.eigvalsh(p_mat).min() <= 0.0:
         raise ConfigurationError("storage matrix P must be symmetric positive definite")
-    xi_star = block.equilibrium_filter_state(softmax(z_star, eps, action_counts))
-    xi_dev = traj.states[:, n:] - xi_star
     values, _ = lyapunov_trace(traj, z_star, eps, action_counts)
+    xi_star = block.equilibrium_filter_state(softmax(z_star, eps, action_counts))
+    xi_dev = traj.filter_state - xi_star
     values = values + 0.5 * gamma * np.einsum("ti,ij,tj->t", xi_dev, p_mat, xi_dev)
     return values, _storage_verdict(values)
 
@@ -539,10 +536,12 @@ def score_bound(game: GameSpec, z0: np.ndarray,
 
 def score_bound_excess(traj: Trajectory, game: GameSpec,
                        block: FeedbackBlock | None = None) -> float:
-    """Worst violation of the score bound along a trajectory; <= 0 when the
-    bound holds with a slack of 1e-6."""
-    n = game.total_actions
-    _check_width(traj, n)
-    scores = traj.states[:, :n]
-    bound = score_bound(game, scores[0], block=block) + 1e-6
-    return float((np.abs(scores) - bound).max())
+    """Worst violation of the score bound along a trajectory of n scores;
+    <= 0 when the bound holds with a slack of 1e-6.  The bound holds for a
+    filter that starts at rest, so a filter state that is not 0 at the
+    first sample is refused."""
+    _check_length(traj.states, game.total_actions)
+    if traj.filter_state is not None and (traj.filter_state[0] != 0.0).any():
+        raise DomainError("the score bound needs a filter state of 0 at the first sample")
+    bound = score_bound(game, traj.states[0], block=block) + 1e-6
+    return float((np.abs(traj.states) - bound).max())

@@ -114,9 +114,12 @@ def _bind_softmax(eps: float, counts: tuple[int, ...], z: np.ndarray, out: np.nd
 
 
 def log_sum_exp(z_block, eps: float) -> np.ndarray:
-    """eps * log sum exp(z / eps) over the last axis, max-subtracted."""
+    """eps * log sum exp(z / eps) over the last axis, max-subtracted; the
+    last axis must hold at least one score."""
     eps = _check_eps(eps)
     z = np.asarray(z_block, dtype=float)
+    if z.shape[-1:] == (0,):
+        raise DomainError(f"score block of shape {z.shape} has no score on its last axis")
     _check_finite(z)
     m = z.max(axis=-1)
     shifted = z - m[..., None]

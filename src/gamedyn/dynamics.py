@@ -352,9 +352,10 @@ def induced_strategy_field(z, game: GameSpec, params: LearningParams) -> np.ndar
 @dataclass
 class Trajectory:
     """Sampled path of every scheme: times (m,) (the iteration k of a
-    recursion), states (m, d), strategies (m, n), Lyapunov values (m,), and
-    the stochastic recursion's realized joint actions and payoffs, whose
-    row 0 holds no draw (actions -1, payoffs NaN)."""
+    recursion), states (m, d), strategies (m, n), Lyapunov values (m,), the
+    stochastic recursion's realized joint actions and payoffs, whose row 0
+    holds no draw (actions -1, payoffs NaN), and the filter state xi (m, n)
+    of a filtered run, whose states are then its n scores z."""
 
     times: np.ndarray
     states: np.ndarray
@@ -362,28 +363,26 @@ class Trajectory:
     lyapunov: np.ndarray | None = None
     actions: np.ndarray | None = None
     payoffs: np.ndarray | None = None
+    filter_state: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.states = np.asarray(self.states, dtype=float)
-        if self.times.ndim != 1 or len(self.times) != len(self.states):
-            raise DomainError("times and states must align")
+        if self.times.ndim != 1 or self.states.ndim != 2 or len(self.times) != len(self.states):
+            raise DomainError("times (m,) and states (m, d) must align, one row per sample")
         if len(self.times) > 1 and np.any(np.diff(self.times) <= 0.0):
             raise DomainError("times must be strictly increasing")
-        if self.strategies is not None:
-            self.strategies = np.asarray(self.strategies, dtype=float)
-        for name in ("strategies", "lyapunov", "actions", "payoffs"):
+        for name in ("strategies", "filter_state"):
+            if getattr(self, name) is not None:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name in ("strategies", "lyapunov", "actions", "payoffs", "filter_state"):
             column = getattr(self, name)
             if column is not None and np.shape(column)[:1] != self.times.shape:
                 raise DomainError(f"{name} of shape {np.shape(column)} needs "
                                   f"{len(self.times)} rows, one per sample")
-
-
-def _check_width(traj: Trajectory, n: int) -> None:
-    """Refuse states that are neither n scores nor n scores with a filter state."""
-    if traj.states.shape[1:] not in ((n,), (2 * n,)):
-        raise DomainError(f"states of shape {traj.states.shape} are neither "
-                          f"{n} scores nor {n} scores with a filter state")
+        if self.filter_state is not None and self.filter_state.shape != self.states.shape:
+            raise DomainError(f"filter_state of shape {self.filter_state.shape} does not match "
+                              f"states of shape {self.states.shape}")
 
 
 def _check_whole(value, name: str, least: int) -> int:
@@ -612,9 +611,10 @@ def simulate_batch(game: GameSpec, runs: Sequence[SimulationRun], dt: float = 0.
     start together and each leaves the batch after its last sample.
     Returns one entry per run, as simulate_first_order or
     simulate_higher_order returns it for that run alone, with the same
-    samples bit for bit.  The strategies are added here to the Trajectories
-    of integrate, and a first-order row of a filtered batch keeps its scores.
-    A failed row's entry is the IntegrationDivergedError of that row alone.
+    samples bit for bit.  Here integrate's rows [z, xi] are split into
+    states z and filter_state xi (None for a first-order run), views of one
+    record, and the strategies are added.  A failed row's entry is the
+    IntegrationDivergedError of that row alone.
     """
     runs = list(runs)
     if not runs:
@@ -661,9 +661,9 @@ def simulate_batch(game: GameSpec, runs: Sequence[SimulationRun], dt: float = 0.
         for t in trajs:
             if isinstance(t, IntegrationDivergedError):
                 continue
-            t.strategies = softmax(t.states[:, :n], eps, game.action_counts)
-            if block is not None and runs[i].block is None:
-                t.states = t.states[:, :n].copy()  # drop a first-order row's filter state
+            t.states, xi = t.states[:, :n], t.states[:, n:]
+            t.filter_state = xi if runs[i].block is not None else None
+            t.strategies = softmax(t.states, eps, game.action_counts)
         out[i] = trajs if np.ndim(runs[i].z0) == 2 else trajs[0]
     return out
 
@@ -928,20 +928,19 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory,
     payoffs, and ternary projections.  With realized actions, the first
     column is the iteration k, and the action and payoff cells of row 0,
     which no draw precedes, are empty.  A trajectory without strategies, or
-    with states whose width is neither n nor 2n, is refused before the file
-    is opened."""
+    whose states are not n scores, is refused before the file is opened."""
     if traj.strategies is None:
         raise DomainError("trajectory has no strategies to write")
     counts = _check_counts(action_counts)
     n = sum(counts)
-    _check_width(traj, n)
+    _check_length(traj.states, n)
     events = traj.actions is not None
     header = (["k" if events else "t"] + [f"z_{i + 1}" for i in range(n)]
               + [f"x_{i + 1}" for i in range(n)])
-    blocks = [traj.times[:, None], traj.states[:, :n], traj.strategies]
-    if traj.states.shape[1] == 2 * n:
+    blocks = [traj.times[:, None], traj.states, traj.strategies]
+    if traj.filter_state is not None:
         header += [f"xi_{i + 1}" for i in range(n)]
-        blocks.append(traj.states[:, n:])
+        blocks.append(traj.filter_state)
     if traj.lyapunov is not None:
         header.append("V")
         blocks.append(np.asarray(traj.lyapunov)[:, None])

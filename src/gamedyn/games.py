@@ -262,8 +262,10 @@ def game_to_dict(game: GameSpec) -> dict:
 
 
 def _whole(value, what: str) -> int:
-    """A JSON count as an int, refused unless it is a whole number."""
-    if not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+    """A JSON count as an int, refused unless it is a whole number (not a
+    JSON true or false, which Python reads as an int)."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise UsageError(f"{what} must be a whole number, got {value!r}")
     return int(value)
 
@@ -288,7 +290,9 @@ def game_from_dict(doc: dict) -> GameSpec:
         raise UsageError(f"malformed game document: {exc}") from exc
     if players != len(counts):
         raise UsageError("players and action_counts disagree")
-    matching = bool(doc.get("matching", False))
+    matching = doc.get("matching", False)
+    if not isinstance(matching, bool):
+        raise UsageError(f"matching must be true or false, got {matching!r}")
     shapes = [(counts[0], counts[0])] if matching and counts else [counts] * players
     if not isinstance(payoffs, list) or len(payoffs) != players:
         raise UsageError("payoffs must hold one flat array per player")

@@ -15,12 +15,12 @@ from gamedyn import (ConfigurationError, DomainError, FeedbackBlock, GameSpec,
                      available_presets, bifurcation_epsilon, classify, composite_lyapunov_trace,
                      convergence_report, dynamics_jacobian, first_order_field,
                      higher_order_field, integrate, linear_game_map,
-                     lyapunov_trace, multi_start_rest_points, preset,
+                     log_sum_exp, lyapunov_trace, multi_start_rest_points, preset,
                      rest_point, run_stochastic, score_bound,
                      score_bound_excess, seeded_initial_scores, simulate_first_order,
                      simulate_higher_order, softmax, storage_matrix,
                      tangent_mode_abscissa, time_to_tolerance,
-                     verify_feedback_block)
+                     verify_feedback_block, write_trajectory_csv)
 from gamedyn import analysis
 from gamedyn.games import _bind_payoff
 
@@ -539,7 +539,7 @@ def test_composite_lyapunov_trace_validation():
     game = preset("rps", {"l": 2.5})
     block = FeedbackBlock.high_pass(1.0, 1.0, game.action_counts)
     times = np.arange(4.0)
-    wide = Trajectory(times, np.zeros((4, 6)))
+    wide = Trajectory(times, np.zeros((4, 3)), filter_state=np.zeros((4, 3)))
     with pytest.raises(ConfigurationError):
         composite_lyapunov_trace(wide, np.zeros(3), 1.0, block, game.action_counts,
                                  p_mat=-np.eye(3))
@@ -636,7 +636,8 @@ BOUNDARY_CALLS = {
     "time_to_tolerance-non-finite": (
         lambda: time_to_tolerance(_rps_run(), [np.inf, 0.5, 0.5]), "non-finite"),
     "lyapunov_trace-width": (
-        lambda: lyapunov_trace(_rps_run(), np.zeros(2), 1.0, (2,)), "are neither 2 scores"),
+        lambda: lyapunov_trace(_rps_run(), np.zeros(2), 1.0, (2,)),
+        "score vector has length 3, expected 2"),
     "dynamics_jacobian-block": (
         lambda: dynamics_jacobian(np.zeros(3), preset("rps", {"l": 2.5}), LearningParams(),
                                   block=FeedbackBlock.high_pass(1.0, 1.0, (2,))),
@@ -653,10 +654,13 @@ BOUNDARY_CALLS = {
                             FeedbackBlock.high_pass(1.0, 1.0, (2,))),
         "feedback block has dimension 2, expected 3"),
     "score_bound_excess-game": (
-        lambda: score_bound_excess(_rps_run(), preset("shapley")), "are neither 6 scores"),
+        lambda: score_bound_excess(_rps_run(), preset("shapley")),
+        "score vector has length 3, expected 6"),
     "equilibrium_filter_state-length": (
         lambda: FeedbackBlock.high_pass(1.0, 1.0, (3,)).equilibrium_filter_state(np.ones(2)),
         "profile has shape"),
+    "log_sum_exp-empty": (
+        lambda: log_sum_exp(np.zeros((2, 0)), 1.0), "has no score on its last axis"),
 }
 
 
@@ -743,6 +747,81 @@ def test_score_bound_excess_on_run():
     traj = simulate_first_order(game, params, seeded_initial_scores(3, 2),
                                 dt=0.01, t_end=30.0, record_every=10)
     assert score_bound_excess(traj, game) <= 0.0
+
+
+def test_score_bound_excess_needs_a_filter_at_rest():
+    """The filtered score bound holds for xi(0) = 0.  A stable step from a
+    filter started far from rest leaves it (max|z| 14.3 against 4.5), which
+    read as an excess of 9.78, a step that looked unstable; such a run is
+    refused."""
+    game = preset("rps", {"l": 2.5})
+    block = FeedbackBlock.high_pass(1.0, 1.0, game.action_counts)
+    traj = simulate_higher_order(game, LearningParams(), block, np.zeros(3),
+                                 xi0=np.full(3, -40.0), dt=0.01, t_end=20.0)
+    assert np.abs(traj.states).max() > 14.0
+    with pytest.raises(DomainError, match="filter state of 0 at the first sample"):
+        score_bound_excess(traj, game, block)
+
+
+def _raw_filtered_run():
+    """integrate's own record of a filtered rps run with strategies
+    attached: 6 columns [z, xi] that are not 6 scores."""
+    game = preset("rps", {"l": 2.5})
+    block = FeedbackBlock.high_pass(1.0, 1.0, (3,))
+    traj = integrate(lambda s: higher_order_field(s, game, LearningParams(), block),
+                     np.concatenate([seeded_initial_scores(3, 0), np.zeros(3)]),
+                     dt=0.1, t_end=5.0)
+    return dataclasses.replace(traj, strategies=softmax(traj.states[:, :3], 1.0, (3,)))
+
+
+def _shapley_run():
+    """A short first-order run on shapley: 6 scores."""
+    return simulate_first_order(preset("shapley"), LearningParams(),
+                                seeded_initial_scores(6, 0), dt=0.1, t_end=5.0)
+
+
+RUNS_OF_ANOTHER_LAYOUT = {
+    "lyapunov_trace-6-scores": (
+        lambda path: lyapunov_trace(_shapley_run(), np.zeros(3), 1.0, (3,)),
+        "score vector has length 6, expected 3"),
+    "score_bound_excess-filtered-run": (
+        lambda path: score_bound_excess(
+            simulate_higher_order(preset("rps", {"l": 2.5}), LearningParams(),
+                                  FeedbackBlock.high_pass(1.0, 1.0, (3,)),
+                                  seeded_initial_scores(3, 0), dt=0.1, t_end=5.0),
+            preset("two_player_rps", {"l": 2.5})),
+        "score vector has length 3, expected 6"),
+    "write_trajectory_csv-6-scores": (
+        lambda path: write_trajectory_csv(path, _shapley_run(), (3,)),
+        "score vector has length 6, expected 3"),
+    "write_trajectory_csv-raw": (
+        lambda path: write_trajectory_csv(path, _raw_filtered_run(), (3,)),
+        "score vector has length 6, expected 3"),
+    "lyapunov_trace-raw": (
+        lambda path: lyapunov_trace(_raw_filtered_run(), np.zeros(3), 1.0, (3,)),
+        "score vector has length 6, expected 3"),
+    "composite_lyapunov_trace-raw": (
+        lambda path: composite_lyapunov_trace(_raw_filtered_run(), np.zeros(3), 1.0,
+                                              FeedbackBlock.high_pass(1.0, 1.0, (3,)), (3,)),
+        "trajectory does not carry a filter state"),
+    "score_bound_excess-raw": (
+        lambda path: score_bound_excess(_raw_filtered_run(), preset("rps", {"l": 2.5}),
+                                        FeedbackBlock.high_pass(1.0, 1.0, (3,))),
+        "score vector has length 6, expected 3"),
+}
+
+
+@pytest.mark.parametrize("call, message", list(RUNS_OF_ANOTHER_LAYOUT.values()),
+                         ids=list(RUNS_OF_ANOTHER_LAYOUT))
+def test_runs_are_read_in_their_own_layout(call, message, tmp_path):
+    """A trajectory's states are its n scores and its filter state is a
+    field of its own, so a run of another game, or integrate's raw [z, xi]
+    record, is refused before any value is computed or any file is opened.
+    Each was read as n scores plus a filter state when 2n wide."""
+    path = tmp_path / "run.csv"
+    with pytest.raises(DomainError, match=message):
+        call(path)
+    assert not path.exists()
 
 
 def test_numeric_jacobian_smooth_map():

@@ -641,11 +641,20 @@ _BIMATRIX = {"players": 2, "action_counts": [2, 2],
     ({**_BIMATRIX, "players": 2.5}, "players must be a whole number, got 2.5"),
     ({**_BIMATRIX, "action_counts": [2.7, 2]},
      "action_counts entry must be a whole number, got 2.7"),
+    ({"players": 1, "action_counts": [2], "payoffs": [[1, -1, -1, 1]], "matching": "false"},
+     "matching must be true or false, got 'false'"),
+    ({"players": True, "action_counts": [2], "payoffs": [[1, -1]]},
+     "players must be a whole number, got True"),
+    ({**_BIMATRIX, "action_counts": [True, 2]},
+     "action_counts entry must be a whole number, got True"),
 ], ids=["payoff-entry", "linear-map-entry", "payoffs-not-a-list",
-        "fractional-players", "fractional-action-count"])
+        "fractional-players", "fractional-action-count", "string-matching",
+        "boolean-players", "boolean-action-count"])
 def test_malformed_game_file_is_a_usage_error(doc, message, tmp_path, capsys):
     """A game file the loader cannot read as a game exits 2 with one error
-    line; fractional counts are refused, not truncated."""
+    line; fractional counts are refused, not truncated, and a flag or count
+    of another JSON type is refused, not converted by Python's bool or int
+    ("false" was a matching game, true one player)."""
     path = tmp_path / "game.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "classify", "--game", str(path))

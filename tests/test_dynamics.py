@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -300,7 +301,8 @@ def test_trajectory_time_monotonicity():
         Trajectory(np.array([0.0, 0.0, 1.0]), np.zeros((3, 2)))
 
 
-@pytest.mark.parametrize("column", ["strategies", "lyapunov", "actions", "payoffs"])
+@pytest.mark.parametrize("column", ["strategies", "lyapunov", "actions", "payoffs",
+                                    "filter_state"])
 def test_trajectory_columns_align_with_times(column):
     """Every optional column has one row per sample."""
     times = np.arange(3.0)
@@ -308,6 +310,13 @@ def test_trajectory_columns_align_with_times(column):
     for rows in (np.zeros(2), np.zeros((4, 2)), np.float64(0.0)):
         with pytest.raises(DomainError, match=column):
             Trajectory(times, np.zeros((3, 2)), **{column: rows})
+
+
+def test_trajectory_filter_state_has_the_shape_of_its_scores():
+    """A filter state holds one entry per score at each sample."""
+    for xi in (np.zeros((3, 3)), np.zeros((3, 1)), np.zeros((3, 2, 1))):
+        with pytest.raises(DomainError, match="does not match states of shape"):
+            Trajectory(np.arange(3.0), np.zeros((3, 2)), filter_state=xi)
 
 
 def test_seeded_scores_deterministic_and_bounded():
@@ -333,9 +342,10 @@ def test_higher_order_state_layout():
     traj = simulate_higher_order(game, LearningParams(1.0, 1.0), block,
                                  seeded_initial_scores(3, 1), dt=0.01,
                                  t_end=30.0, record_every=10)
-    assert traj.states.shape[1] == 6
+    assert traj.states.shape[1] == 3
+    assert traj.filter_state.shape == traj.states.shape
     # filter state starts at zero
-    np.testing.assert_allclose(traj.states[0, 3:], 0.0, atol=1e-15)
+    assert np.all(traj.filter_state[0] == 0.0)
     solved = rest_point(game, 1.0)
     np.testing.assert_allclose(traj.strategies[-1], solved.x_star, atol=1e-6)
 
@@ -388,15 +398,21 @@ def test_trajectory_csv_needs_strategies(tmp_path):
 
 
 def test_trajectory_csv_needs_n_or_2n_state_columns(tmp_path):
-    """States whose width is neither n nor 2n are refused before the file
-    is opened, not cut to n scores."""
+    """States that are not n scores, 2n columns included, are refused before
+    the file is opened, not cut to n scores or read as scores and a filter
+    state; states that are not one row per sample are refused when the
+    Trajectory is built."""
     path = tmp_path / "run.csv"
     path.write_text("kept\n")
-    for states in (np.zeros((3, 4)), np.zeros((3, 5)), np.zeros(3), np.zeros((3, 2, 3))):
-        traj = Trajectory(np.arange(3.0), states, strategies=np.full((3, 3), 1.0 / 3.0))
-        with pytest.raises(DomainError, match="neither"):
+    for width in (4, 5, 6):
+        traj = Trajectory(np.arange(3.0), np.zeros((3, width)),
+                          strategies=np.full((3, 3), 1.0 / 3.0))
+        with pytest.raises(DomainError, match=f"score vector has length {width}, expected 3"):
             write_trajectory_csv(path, traj, (3,))
         assert path.read_text() == "kept\n"
+    for states in (np.zeros(3), np.zeros((3, 2, 3))):
+        with pytest.raises(DomainError, match="must align, one row per sample"):
+            Trajectory(np.arange(3.0), states, strategies=np.full((3, 3), 1.0 / 3.0))
 
 
 # ------------------------------------------- bound field vs. a written-out one
@@ -470,8 +486,13 @@ def test_simulate_matches_reference_field(game_key, regime, batch):
     expect = _reference_rk4(_reference_field(game, params, block), state0, dt, steps)
     assert len(trajs) == batch
     for b, traj in enumerate(trajs):
-        assert traj.states.shape == (steps + 1, state0.shape[1])
-        np.testing.assert_allclose(traj.states, expect[b], rtol=0.0, atol=1e-12)
+        assert traj.states.shape == (steps + 1, n)
+        np.testing.assert_allclose(traj.states, expect[b][:, :n], rtol=0.0, atol=1e-12)
+        if block is None:
+            assert traj.filter_state is None
+        else:
+            np.testing.assert_allclose(traj.filter_state, expect[b][:, n:], rtol=0.0,
+                                       atol=1e-12)
         np.testing.assert_allclose(
             traj.strategies, softmax(expect[b][:, :n], params.eps, game.action_counts),
             rtol=0.0, atol=1e-12)
@@ -597,11 +618,13 @@ BATCH_GAMES = {
 
 
 def _assert_same_trajectories(got, expect):
+    """Every field of every Trajectory is equal, or None in both."""
     assert len(got) == len(expect)
     for a, b in zip(got, expect):
-        assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.strategies, b.strategies)
+        for field in dataclasses.fields(Trajectory):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            assert (x is None) == (y is None), field.name
+            assert x is None or np.array_equal(x, y), field.name
 
 
 @pytest.mark.parametrize("b", [1, 2, 5, 16])
@@ -993,7 +1016,11 @@ def test_buffered_rk4_is_the_plain_expression(game_key):
             trajs, expect = [trajs], [expect]
         for traj, states in zip(trajs, expect):
             assert traj.times[-1] == pytest.approx(run.t_end)
-            assert np.array_equal(traj.states, states)
+            assert np.array_equal(traj.states, states[:, :n])
+            if run.block is None:
+                assert traj.filter_state is None
+            else:
+                assert np.array_equal(traj.filter_state, states[:, n:])
 
 
 @pytest.mark.parametrize("dt", [8.0, 15.0])
