@@ -24,8 +24,8 @@ from .dynamics import (FeedbackBlock, FeedbackBlockReport, LearningParams,
 from .errors import (ConfigurationError, DomainError, GameDynError,
                      IntegrationDivergedError, NumericsError, UsageError)
 from .games import (GameSpec, expected_payoff_vector, game_from_dict,
-                    game_to_dict, linear_game_map, load_game, payoff_jacobian,
-                    save_game, tangent_basis)
+                    game_to_dict, load_game, payoff_jacobian, save_game,
+                    tangent_basis)
 from .presets import available_presets, preset, rps_matrix
 
 __version__ = "0.1.0"
@@ -47,7 +47,7 @@ __all__ = [
     "ConfigurationError", "DomainError", "GameDynError",
     "IntegrationDivergedError", "NumericsError", "UsageError",
     "GameSpec", "expected_payoff_vector",
-    "game_from_dict", "game_to_dict", "linear_game_map", "load_game",
+    "game_from_dict", "game_to_dict", "load_game",
     "payoff_jacobian", "save_game", "tangent_basis",
     "available_presets", "preset", "rps_matrix",
     "__version__",

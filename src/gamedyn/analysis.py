@@ -9,12 +9,11 @@ from typing import Sequence
 import numpy as np
 
 from .choice import (_bind_softmax, _check_eps, _check_finite, _check_length,
-                     _jacobian_at, bregman_lse, softmax)
+                     _check_vector, _jacobian_at, bregman_lse, softmax)
 from .dynamics import (FeedbackBlock, LearningParams, Trajectory, _check_dim,
                        _fields_dict)
 from .errors import ConfigurationError, DomainError, NumericsError, UsageError
-from .games import (GameSpec, _bind_payoff, linear_game_map, payoff_jacobian,
-                    tangent_basis)
+from .games import GameSpec, _bind_payoff, payoff_jacobian, tangent_basis
 
 
 # --------------------------------------------------------------- classification
@@ -67,7 +66,7 @@ def classify(game: GameSpec) -> ClassificationReport:
     worst case over samples is reported as an estimate.
     """
     e_mat = tangent_basis(game.action_counts)
-    phi = linear_game_map(game)
+    phi = game.linear_map
     if phi is not None:
         sym = phi + phi.T
         tangent_eigs = np.linalg.eigvalsh(e_mat.T @ sym @ e_mat)
@@ -148,9 +147,7 @@ def rest_point(game: GameSpec, eps: float, z0=None) -> RestPointResult:
     """
     eps = _check_eps(eps)
     n = game.total_actions
-    z = np.zeros(n) if z0 is None else np.asarray(z0, dtype=float).copy()
-    if z.shape != (n,):
-        raise DomainError(f"z0 has shape {z.shape}, expected ({n},)")
+    z = np.zeros(n) if z0 is None else _check_vector(z0, n, "z0").copy()
     _check_finite(z)
     point = np.empty(n)
     sigma = _bind_softmax(eps, game.action_counts, point, np.empty(n))
@@ -250,10 +247,8 @@ def dynamics_jacobian(z_star: np.ndarray, game: GameSpec, params: LearningParams
     First order: J = gamma (DU Dsigma - I).  With a feedback block, the
     2n x 2n matrix of the (z, xi) field, which does not depend on xi.
     """
-    z_star = np.asarray(z_star, dtype=float)
     n = game.total_actions
-    if z_star.shape != (n,):
-        raise DomainError(f"z_star has shape {z_star.shape}, expected ({n},)")
+    z_star = _check_vector(z_star, n, "z_star")
     x = softmax(z_star, params.eps, game.action_counts)
     d_sigma = _jacobian_at(x, params.eps, game.action_counts)
     du = payoff_jacobian(game, x)
@@ -438,19 +433,20 @@ class ConvergenceReport:
     window_start_time: float
 
 
-def _check_analyzable(traj: Trajectory) -> None:
-    if traj.strategies is None:
-        raise UsageError("trajectory carries no strategies to analyze")
+def _check_samples(traj: Trajectory) -> None:
     if not len(traj.times):
         raise UsageError("trajectory has no samples to analyze")
 
 
+def _check_analyzable(traj: Trajectory) -> None:
+    if traj.strategies is None:
+        raise UsageError("trajectory carries no strategies to analyze")
+    _check_samples(traj)
+
+
 def _check_target(traj: Trajectory, x_star) -> np.ndarray:
     """x_star as a finite profile of the trajectory's strategy width."""
-    x_star = np.asarray(x_star, dtype=float)
-    n = traj.strategies.shape[1]
-    if x_star.shape != (n,):
-        raise DomainError(f"x_star has shape {x_star.shape}, expected ({n},)")
+    x_star = _check_vector(x_star, traj.strategies.shape[1], "x_star")
     if not np.isfinite(x_star).all():
         raise DomainError("x_star has non-finite entries")
     return x_star
@@ -527,10 +523,7 @@ def score_bound(game: GameSpec, z0: np.ndarray,
         gain = float(np.abs(np.linalg.solve(block.a_mat, block.b_mat)).sum(axis=1).max())
         m_payoff += float(np.abs(block.c_mat).sum(axis=1).max()) * gain
         m_payoff += float(np.abs(block.d_mat).sum(axis=1).max())
-    z0 = np.asarray(z0, dtype=float)
-    n = game.total_actions
-    if z0.shape != (n,):
-        raise DomainError(f"z0 has shape {z0.shape}, expected ({n},)")
+    z0 = _check_vector(z0, game.total_actions, "z0")
     return np.maximum(np.abs(z0), m_payoff)
 
 
@@ -539,7 +532,8 @@ def score_bound_excess(traj: Trajectory, game: GameSpec,
     """Worst violation of the score bound along a trajectory of n scores;
     <= 0 when the bound holds with a slack of 1e-6.  The bound holds for a
     filter that starts at rest, so a filter state that is not 0 at the
-    first sample is refused."""
+    first sample is refused, and so is a trajectory with no samples."""
+    _check_samples(traj)
     _check_length(traj.states, game.total_actions)
     if traj.filter_state is not None and (traj.filter_state[0] != 0.0).any():
         raise DomainError("the score bound needs a filter state of 0 at the first sample")

@@ -63,6 +63,14 @@ def _check_length(state: np.ndarray, n: int, what: str = "score vector") -> None
         raise DomainError(f"{what} has length {length}, expected {n}")
 
 
+def _check_vector(v, n: int, what: str) -> np.ndarray:
+    """v as a float array of shape (n,), or a DomainError."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise DomainError(f"{what} has shape {v.shape}, expected ({n},)")
+    return v
+
+
 def softmax(z, eps: float, action_counts: Sequence[int]) -> np.ndarray:
     """Per-player soft-max of a concatenated score vector (batch dims allowed)."""
     eps = _check_eps(eps)
@@ -128,11 +136,8 @@ def log_sum_exp(z_block, eps: float) -> np.ndarray:
 
 def profile_jacobian(z, eps: float, action_counts: Sequence[int]) -> np.ndarray:
     """Block-diagonal Jacobian of the per-player soft-max at a full profile."""
-    z = np.asarray(z, dtype=float)
     counts = _check_counts(action_counts)
-    n = sum(counts)
-    if z.shape != (n,):
-        raise DomainError(f"score vector has shape {z.shape}, expected ({n},)")
+    z = _check_vector(z, sum(counts), "score vector")
     return _jacobian_at(softmax(z, eps, counts), float(eps), counts)
 
 
@@ -154,12 +159,10 @@ def bregman_lse(z, z_ref, eps: float, action_counts: Sequence[int]) -> np.ndarra
     """
     eps = _check_eps(eps)
     z = np.asarray(z, dtype=float)
-    ref = np.asarray(z_ref, dtype=float)
     counts = _check_counts(action_counts)
     n = sum(counts)
     _check_length(z, n)
-    if ref.shape != (n,):
-        raise DomainError("score vectors do not match the action counts")
+    ref = _check_vector(z_ref, n, "z_ref")
     _check_finite(z)
     sigma_ref = softmax(ref, eps, counts)
     total = np.zeros(z.shape[:-1])

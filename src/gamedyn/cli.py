@@ -4,11 +4,12 @@ Verbs: classify, solve, simulate, bifurcation, reproduce, list-games.
 Games come from --preset NAME (with repeatable --param k=v) or from a JSON
 file via --game.  The output directory is --out, overridden by the
 GAMEDYN_OUT environment variable when set.  Exit codes: 0 success, 1 failed
-reproduce checks, 2 usage errors (a malformed game file or an output path
-that is not a directory among them), 3 numerical failures (for example a
-bifurcation bracket where no rest point is found).  simulate runs every
-scheme through one per-seed pipeline, driven by the table _SCHEMES, to the
-one CSV writer; a run whose state overflows is "diverged", with exit 0.
+reproduce checks, 2 usage errors (a malformed game file, an output path
+that is not a directory and an output file that cannot be written among
+them), 3 numerical failures (for example a bifurcation bracket where no
+rest point is found).  simulate runs every scheme through one per-seed
+pipeline, driven by the table _SCHEMES, to the one CSV writer; a run whose
+state overflows is "diverged", with exit 0.
 main parses with one parser per process, built on its first call.
 """
 
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except (UsageError, DomainError, ConfigurationError, FileNotFoundError) as err:
+    except (UsageError, DomainError, ConfigurationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NumericsError as err:

@@ -26,10 +26,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .choice import (_all, _bind_softmax, _check_counts, _check_eps,
-                     _check_finite, _check_length, _sum, block_slices, softmax)
+                     _check_finite, _check_length, _check_vector, _sum,
+                     block_slices, softmax)
 from .errors import ConfigurationError, DomainError, IntegrationDivergedError
-from .games import (GameSpec, _bind_payoff, expected_payoff_vector,
-                    linear_game_map)
+from .games import GameSpec, _bind_payoff, expected_payoff_vector
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,7 @@ class FeedbackBlock:
 
     def equilibrium_filter_state(self, x_star: np.ndarray) -> np.ndarray:
         """xi* = -A^-1 B x*, the filter state at a rest point with strategy x*."""
-        x_star = np.asarray(x_star, dtype=float)
-        if x_star.shape != (self.dim,):
-            raise DomainError(f"profile has shape {x_star.shape}, expected ({self.dim},)")
+        x_star = _check_vector(x_star, self.dim, "profile")
         return np.linalg.solve(self.a_mat, -self.b_mat @ x_star)
 
 
@@ -190,7 +188,7 @@ def _filter_matrix(game: GameSpec, block: FeedbackBlock) -> np.ndarray:
     [sigma(z), xi] into (U - v, xidot) in one product; a game without a
     linear map Phi leaves Phi^T out of W."""
     _check_dim(block, game.total_actions)
-    phi = linear_game_map(game)
+    phi = game.linear_map
     top = -block.d_mat.T if phi is None else phi.T - block.d_mat.T
     return np.block([[top, block.b_mat.T], [-block.c_mat.T, block.a_mat.T]])
 
@@ -257,7 +255,7 @@ class _Field:
         self.n = game.total_actions
         self.eps = eps
         self.counts = game.action_counts
-        phi = linear_game_map(game)
+        phi = game.linear_map
         self.phi_t = None if phi is None else phi.T
         self.payoff = _bind_payoff(game) if phi is None else None
         self.w_mat = None if block is None else _filter_matrix(game, block)
@@ -928,12 +926,14 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory,
     payoffs, and ternary projections.  With realized actions, the first
     column is the iteration k, and the action and payoff cells of row 0,
     which no draw precedes, are empty.  A trajectory without strategies, or
-    whose states are not n scores, is refused before the file is opened."""
+    whose states or strategies are not n wide, is refused before the file is
+    opened."""
     if traj.strategies is None:
         raise DomainError("trajectory has no strategies to write")
     counts = _check_counts(action_counts)
     n = sum(counts)
     _check_length(traj.states, n)
+    _check_length(traj.strategies, n, "strategies")
     events = traj.actions is not None
     header = (["k" if events else "t"] + [f"z_{i + 1}" for i in range(n)]
               + [f"x_{i + 1}" for i in range(n)])

@@ -1,7 +1,7 @@
 """Finite normal-form games.
 
-Payoff storage, expected-payoff evaluation, linear game maps, simplex
-tangent bases, and a JSON file format.
+Payoff storage, expected-payoff evaluation, simplex tangent bases, and a
+JSON file format.
 
 Two payoff mechanisms are supported:
 
@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .choice import _check_counts, _check_length, block_slices
+from .choice import _check_counts, _check_length, _check_vector, block_slices
 from .errors import DomainError, UsageError
 
 _AXES = string.ascii_letters  # einsum's subscripts: one per player
@@ -38,9 +38,11 @@ class GameSpec:
     payoff_tensors: one dense float64 array per player.  Shape is the joint
         action set, except for matching games where the single tensor is the
         (n, n) contest matrix indexed (own action, opponent action).
-    linear_map: optional matrix Phi with U(x) = Phi x exactly; it must agree
-        with the payoff tensors at every joint pure profile, and so on the
-        whole product of simplices, as U is multilinear.
+    linear_map: the matrix Phi with U(x) = Phi x exactly, read-only.  A
+        given map must agree with the payoff tensors at every joint pure
+        profile, and so on the whole product of simplices, as U is
+        multilinear.  Without one, a matching game's Phi is its matrix and a
+        two-player game's is [[0, A], [B^T, 0]]; any other game has None.
     matching: single-population random-matching payoff mechanism.
     """
 
@@ -73,6 +75,8 @@ class GameSpec:
         lin = self.linear_map
         if lin is None and self.matching:
             lin = tensors[0]
+        elif lin is None and len(counts) == 2:
+            lin = _bimatrix_map(*tensors)
         if lin is not None:
             lin = np.ascontiguousarray(lin, dtype=float)
             if lin.shape != (n_total, n_total):
@@ -158,12 +162,12 @@ def expected_payoff_vector(game: GameSpec, x) -> np.ndarray:
 
 def _bind_payoff(game: GameSpec):
     """The payoff map U of a game, for float profiles of the right length:
-    x @ Phi^T when linear_game_map has a matrix (every matching game), the
-    per-player einsum of _bind_contraction otherwise.  expected_payoff_vector,
-    the bound score fields and rest_point all take U from here (the filtered
-    field folds the same Phi^T into its stacked matrix); the returned map
-    does not check x."""
-    phi = linear_game_map(game)
+    x @ Phi^T when the game has a linear map (every matching and two-player
+    game), the per-player einsum of _bind_contraction otherwise.
+    expected_payoff_vector, the bound score fields and rest_point all take U
+    from here (the filtered field folds the same Phi^T into its stacked
+    matrix); the returned map does not check x."""
+    phi = game.linear_map
     if phi is None:
         return _bind_contraction(game)
     phi_t = phi.T
@@ -192,21 +196,6 @@ def _bind_contraction(game: GameSpec):
     return contract
 
 
-def linear_game_map(game: GameSpec) -> np.ndarray | None:
-    """The matrix Phi with U(x) = Phi x, when the game map is exactly linear.
-
-    Stored maps are returned as-is.  Two-player games are assembled as
-    [[0, A], [B^T, 0]] from the payoff tensors, where A[i, j] and B[i, j]
-    are the row and column player's payoffs at the pure profile (i, j).
-    Returns None when no exact linear map is available.
-    """
-    if game.linear_map is not None:
-        return game.linear_map
-    if game.player_count == 2:
-        return _bimatrix_map(*game.payoff_tensors)
-    return None
-
-
 def _bimatrix_map(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
     """Phi = [[0, A], [B^T, 0]] of a bimatrix game with row and column
     payoffs A[i, j] and B[i, j] at the pure profile (i, j)."""
@@ -224,13 +213,10 @@ def payoff_jacobian(game: GameSpec, x) -> np.ndarray:
     (p, q) is player p's tensor contracted with the strategy of every player
     except p and q, and the diagonal blocks are zero.
     """
-    x = np.asarray(x, dtype=float)
     n = game.total_actions
-    if x.shape != (n,):
-        raise DomainError(f"profile has shape {x.shape}, expected ({n},)")
-    phi = linear_game_map(game)
-    if phi is not None:
-        return np.array(phi)
+    x = _check_vector(x, n, "profile")
+    if game.linear_map is not None:
+        return np.array(game.linear_map)
     n_players = game.player_count
     slices = game.block_slices
     jac = np.zeros((n, n))

@@ -1,10 +1,9 @@
 """Built-in example games.
 
-Every preset returns a GameSpec with float64 payoffs and, where the payoff
-map is exactly linear, the matrix Phi with U(x) = Phi x.  Each game is
-described once: a bimatrix game by its two payoff matrices, from which
-games._bimatrix_map assembles Phi, and a three-player game by its Phi, from
-which _polymatrix derives the payoff tensors.
+Every preset returns a GameSpec with float64 payoffs.  Each game is
+described once: a matching or bimatrix game by its payoff matrices, from
+which GameSpec derives Phi, and a three-player game by its Phi, from which
+_polymatrix derives the payoff tensors.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from .choice import block_slices
 from .errors import UsageError
-from .games import GameSpec, _bimatrix_map
+from .games import GameSpec
 
 
 def rps_matrix(l: float) -> np.ndarray:
@@ -33,8 +32,7 @@ def _two_player(name: str, a_mat: np.ndarray, b_mat: np.ndarray) -> GameSpec:
     player payoffs at pure profile (i, j), so U^2(x) = B^T x^1."""
     a_mat = np.asarray(a_mat, dtype=float)
     b_mat = np.asarray(b_mat, dtype=float)
-    return GameSpec(a_mat.shape, (a_mat, b_mat), linear_map=_bimatrix_map(a_mat, b_mat),
-                    name=name)
+    return GameSpec(a_mat.shape, (a_mat, b_mat), name=name)
 
 
 def _polymatrix(name: str, counts: tuple[int, ...], phi: np.ndarray) -> GameSpec:

@@ -12,9 +12,10 @@ from tensor_reference import coupled_block, numeric_jacobian, random_tensor_game
 
 from gamedyn import (ConfigurationError, DomainError, FeedbackBlock, GameSpec,
                      LearningParams, NumericsError, Trajectory, UsageError,
-                     available_presets, bifurcation_epsilon, classify, composite_lyapunov_trace,
+                     available_presets, bifurcation_epsilon, bregman_lse, classify,
+                     composite_lyapunov_trace,
                      convergence_report, dynamics_jacobian, first_order_field,
-                     higher_order_field, integrate, linear_game_map,
+                     higher_order_field, integrate,
                      log_sum_exp, lyapunov_trace, multi_start_rest_points, preset,
                      rest_point, run_stochastic, score_bound,
                      score_bound_excess, seeded_initial_scores, simulate_first_order,
@@ -341,7 +342,7 @@ def test_dynamics_jacobian_matches_finite_differences_of_the_field(game_key):
     about 1.3e-6 at its rest point), so the tolerance scales with them."""
     game = JACOBIAN_GAMES[game_key]()
     n = game.total_actions
-    assert (linear_game_map(game) is None) == (game_key == "tensor333")
+    assert (game.linear_map is None) == (game_key == "tensor333")
     tol = 1e-6 * max(1.0, game.max_abs_payoff())
     blocks = [None, FeedbackBlock.high_pass(1.0, 1.0, game.action_counts),
               FeedbackBlock.high_pass(2.5, 0.5, game.action_counts)]
@@ -604,12 +605,14 @@ def test_time_to_tolerance_crossings():
     assert time_to_tolerance(never, np.zeros(1)) is None
 
 
-@pytest.mark.parametrize("analyze", [convergence_report,
-                                     lambda traj: time_to_tolerance(traj, np.zeros(1))],
-                         ids=["convergence_report", "time_to_tolerance"])
+@pytest.mark.parametrize("analyze", [
+    convergence_report,
+    lambda traj: time_to_tolerance(traj, np.zeros(1)),
+    lambda traj: score_bound_excess(traj, preset("rps", {"l": 2.5})),
+], ids=["convergence_report", "time_to_tolerance", "score_bound_excess"])
 def test_trajectory_without_samples_is_refused(analyze):
     """A trajectory of zero samples is refused with UsageError (it raised
-    IndexError)."""
+    IndexError), before its width is read."""
     empty = Trajectory(np.empty(0), np.empty((0, 1)), strategies=np.empty((0, 1)))
     with pytest.raises(UsageError, match="no samples"):
         analyze(empty)
@@ -661,6 +664,9 @@ BOUNDARY_CALLS = {
         "profile has shape"),
     "log_sum_exp-empty": (
         lambda: log_sum_exp(np.zeros((2, 0)), 1.0), "has no score on its last axis"),
+    "bregman_lse-reference": (
+        lambda: bregman_lse(np.zeros(3), np.zeros(2), 1.0, (3,)),
+        r"z_ref has shape \(2,\), expected \(3,\)"),
 }
 
 
@@ -797,6 +803,11 @@ RUNS_OF_ANOTHER_LAYOUT = {
     "write_trajectory_csv-raw": (
         lambda path: write_trajectory_csv(path, _raw_filtered_run(), (3,)),
         "score vector has length 6, expected 3"),
+    "write_trajectory_csv-5-strategies": (
+        lambda path: write_trajectory_csv(
+            path, Trajectory(np.arange(2.0), np.zeros((2, 3)), strategies=np.zeros((2, 5))),
+            (3,)),
+        "strategies has length 5, expected 3"),
     "lyapunov_trace-raw": (
         lambda path: lyapunov_trace(_raw_filtered_run(), np.zeros(3), 1.0, (3,)),
         "score vector has length 6, expected 3"),
@@ -817,7 +828,9 @@ def test_runs_are_read_in_their_own_layout(call, message, tmp_path):
     """A trajectory's states are its n scores and its filter state is a
     field of its own, so a run of another game, or integrate's raw [z, xi]
     record, is refused before any value is computed or any file is opened.
-    Each was read as n scores plus a filter state when 2n wide."""
+    Each was read as n scores plus a filter state when 2n wide.  Strategies
+    that are not n wide are refused too (the file's rows outgrew its
+    header)."""
     path = tmp_path / "run.csv"
     with pytest.raises(DomainError, match=message):
         call(path)

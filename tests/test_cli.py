@@ -688,6 +688,27 @@ def test_output_directory_that_is_a_file_is_a_usage_error(source, tmp_path,
     assert taken.read_text() == "not a directory"
 
 
+_SHORT_SIMULATE = ["simulate", "--preset", "rps", "--param", "l=5", "--t-end", "1"]
+OUTPUT_FILES = {
+    "simulate-summary": (_SHORT_SIMULATE, "summary.json"),
+    "simulate-csv": (_SHORT_SIMULATE, "traj_seed0.csv"),
+    "reproduce": (["reproduce", "4-l1"], "reproduce.json"),
+    "classify": (["classify", "--preset", "rps", "--param", "l=5"], "classify.json"),
+}
+
+
+@pytest.mark.parametrize("argv, name", list(OUTPUT_FILES.values()), ids=list(OUTPUT_FILES))
+def test_output_file_that_cannot_be_written_is_a_usage_error(argv, name, tmp_path, capsys):
+    """An output file that is taken by a directory exits 2 with one error
+    line naming it; it was an IsADirectoryError traceback with exit 1, the
+    code of failed reproduce checks."""
+    (tmp_path / name).mkdir()
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err
+
+
 def test_step_count_that_overflows_is_a_domain_error(tmp_path, capsys):
     """t_end / dt beyond the largest float is refused, not an OverflowError."""
     code, out, err = run_cli(capsys, "simulate", "--preset", "rps", "--param", "l=1",

@@ -11,7 +11,7 @@ from gamedyn import (ConfigurationError, DomainError, FeedbackBlock,
                      IntegrationDivergedError, LearningParams, SimulationRun,
                      Trajectory, expected_payoff_vector,
                      first_order_field, higher_order_field, induced_strategy_field,
-                     integrate, linear_game_map, preset, profile_jacobian,
+                     integrate, preset, profile_jacobian,
                      rest_point, run_discrete,
                      run_stochastic, score_bound, score_bound_excess,
                      seeded_initial_scores, simulate_batch, simulate_first_order,
@@ -531,7 +531,7 @@ def test_public_fields_are_the_plain_expression(regime, shape):
         rng = np.random.default_rng(n)
         z = rng.uniform(-2, 2, shape + (n,))
         x = softmax(z, params.eps, game.action_counts)
-        phi = linear_game_map(game)
+        phi = game.linear_map
         assert (phi is None) == (key == "tensor232")
         if regime == "filtered":
             block = coupled_block(n, 3)

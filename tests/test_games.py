@@ -7,7 +7,7 @@ from tensor_reference import numeric_jacobian, random_tensor_game, tensor_payoff
 
 from gamedyn import (DomainError, GameSpec, available_presets, classify,
                      expected_payoff_vector, game_from_dict, game_to_dict,
-                     linear_game_map, load_game, payoff_jacobian, preset,
+                     load_game, payoff_jacobian, preset,
                      rest_point, save_game, tangent_basis)
 
 
@@ -30,7 +30,7 @@ def test_one_player_game_that_is_not_matched_pays_its_tensor():
     fixed vector t whatever it plays, so z* = t is its only rest point."""
     t = np.array([0.5, -1.0, 2.0])
     game = GameSpec((3,), (t,))
-    assert linear_game_map(game) is None
+    assert game.linear_map is None
     rng = np.random.default_rng(3)
     x = random_profile((3,), rng)
     np.testing.assert_array_equal(expected_payoff_vector(game, x), t)
@@ -67,7 +67,7 @@ def test_non_finite_payoffs_rejected(bad):
 
 def test_expected_payoff_linear_vs_tensor():
     game = preset("two_player_rps", {"l": 5.0})
-    phi = linear_game_map(game)
+    phi = game.linear_map
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = random_profile(game.action_counts, rng)
@@ -153,7 +153,7 @@ def test_json_round_trip_bitwise(tmp_path):
 
 def test_payoff_jacobian_matches_linear_map():
     game = preset("shapley")
-    phi = linear_game_map(game)
+    phi = game.linear_map
     x = np.full(6, 1.0 / 3.0)
     np.testing.assert_allclose(payoff_jacobian(game, x), phi, atol=1e-8)
 
@@ -193,7 +193,7 @@ PRESET_PARAMS = {"rps": {"l": 2.5}, "two_player_rps": {"l": 5.0}}
 @pytest.mark.parametrize("name", sorted(available_presets()))
 def test_every_preset_map_matches_its_tensors(name):
     game = preset(name, PRESET_PARAMS.get(name))
-    phi = linear_game_map(game)
+    phi = game.linear_map
     rng = np.random.default_rng(5)
     xs = np.stack([random_profile(game.action_counts, rng)
                    for _ in range(10)])
@@ -201,6 +201,27 @@ def test_every_preset_map_matches_its_tensors(name):
     if phi is not None:
         np.testing.assert_allclose(xs @ phi.T, expect, atol=1e-12)
     np.testing.assert_allclose(expected_payoff_vector(game, xs), expect, atol=1e-12)
+
+
+def test_two_player_game_derives_its_linear_map(tmp_path):
+    """A two-player game built without a map holds Phi = [[0, A], [B^T, 0]],
+    read-only, and its game file writes that map and loads back to the same
+    payoffs."""
+    rng = np.random.default_rng(4)
+    a_mat, b_mat = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+    game = GameSpec((2, 3), (a_mat, b_mat))
+    expect = np.block([[np.zeros((2, 2)), a_mat], [b_mat.T, np.zeros((3, 3))]])
+    assert np.array_equal(game.linear_map, expect)
+    with pytest.raises(ValueError, match="read-only"):
+        game.linear_map[0, 2] = 1.0
+    assert game_to_dict(game)["linear_map"] == expect.ravel().tolist()
+    save_game(tmp_path / "game.json", game)
+    loaded = load_game(tmp_path / "game.json")
+    assert np.array_equal(loaded.linear_map, expect)
+    for mine, theirs in zip(loaded.payoff_tensors, game.payoff_tensors, strict=True):
+        assert np.array_equal(mine, theirs)
+    xs = np.stack([random_profile((2, 3), rng) for _ in range(4)])
+    assert np.array_equal(expected_payoff_vector(loaded, xs), expected_payoff_vector(game, xs))
 
 
 def test_linear_map_disagreeing_with_tensors_rejected():
@@ -248,7 +269,7 @@ def test_game_spec_compares_by_identity():
 @pytest.mark.parametrize("counts", [(2, 3, 2), (3, 3, 3), (2, 2, 2, 2)])
 def test_payoff_jacobian_is_exact_for_tensor_games(counts):
     game = random_tensor_game(counts, sum(counts))
-    assert linear_game_map(game) is None
+    assert game.linear_map is None
     rng = np.random.default_rng(8)
     for _ in range(5):
         x = random_profile(counts, rng)

@@ -12,7 +12,7 @@ PUBLIC_NAMES = [
     "bregman_lse", "classify", "composite_lyapunov_trace", "convergence_report",
     "dynamics_jacobian", "expected_payoff_vector", "first_order_field",
     "game_from_dict", "game_to_dict", "harmonic_schedule", "higher_order_field",
-    "induced_strategy_field", "integrate", "linear_game_map", "load_game",
+    "induced_strategy_field", "integrate", "load_game",
     "log_sum_exp", "lyapunov_trace", "multi_start_rest_points",
     "payoff_estimate", "payoff_jacobian", "preset", "profile_jacobian",
     "rest_point", "rps_matrix", "run_discrete", "run_stochastic", "save_game",
@@ -24,7 +24,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 59
+    assert len(PUBLIC_NAMES) == 58
     assert sorted(gamedyn.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(gamedyn, name), name
