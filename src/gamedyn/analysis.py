@@ -3,6 +3,7 @@ search, Lyapunov monitoring, and trajectory verdicts."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -11,7 +12,7 @@ import numpy as np
 from .choice import (_bind_softmax, _check_eps, _check_finite, _check_length,
                      _check_vector, _jacobian_at, bregman_lse, softmax)
 from .dynamics import (FeedbackBlock, LearningParams, Trajectory, _check_dim,
-                       _fields_dict)
+                       _check_whole, _fields_dict)
 from .errors import ConfigurationError, DomainError, NumericsError, UsageError
 from .games import GameSpec, _bind_payoff, payoff_jacobian, tangent_basis
 
@@ -222,14 +223,15 @@ def _converged_starts(game: GameSpec, eps: float, n_starts: int, seed: int):
     """The converged rest points of multi_start_rest_points' starts, in start
     order and solved one at a time as they are taken; the starts are drawn
     at the first one."""
-    if n_starts < 1:
+    if isinstance(n_starts, numbers.Real) and n_starts < 1:
         raise DomainError(f"n_starts must be at least 1, got {n_starts!r}")
+    n_starts = _check_whole(n_starts, "n_starts", 1)
     rng = np.random.default_rng(seed)
     bound = game.max_abs_payoff() + 1.0
     n = game.total_actions
     starts = [np.zeros(n)]
     try:
-        starts += [rng.uniform(-bound, bound, n) for _ in range(int(n_starts) - 1)]
+        starts += [rng.uniform(-bound, bound, n) for _ in range(n_starts - 1)]
     except OverflowError:
         raise NumericsError(f"no start box can be drawn for payoffs up to {bound:.6g}") from None
     for z0 in starts:
@@ -318,7 +320,10 @@ def bifurcation_epsilon(game: GameSpec, params: LearningParams,
                 raise NumericsError(f"no rest point found at eps={eps:.6g}")
         warm["z"] = result.z_star
         params_eps = LearningParams(gamma=params.gamma, eps=eps)
-        jac = dynamics_jacobian(result.z_star, game, params_eps, block=block)
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac = dynamics_jacobian(result.z_star, game, params_eps, block=block)
+        if not np.isfinite(jac).all():
+            raise NumericsError(f"the linearization at eps={eps:.6g} overflows")
         return tangent_mode_abscissa(jac, game.action_counts)
 
     f_lo = abscissa(lo)
@@ -371,19 +376,30 @@ def storage_matrix(block: FeedbackBlock) -> np.ndarray:
     minimizes the largest eigenvalue of the passivity matrix
     [[A^T P + P A, P B - C^T], [B^T P - C, -(D + D^T)]]; s = 1 unless that
     eigenvalue is at most 1e-8, when P certifies v_a-to-x passivity.  An
-    n^2 x n^2 system for P0 that numpy cannot allocate is a DomainError."""
+    n^2 x n^2 system for P0 that numpy cannot allocate is a DomainError; a
+    P0 that is not finite and positive definite, or a passivity matrix that
+    overflows, is a NumericsError."""
     a_t, eye = block.a_mat.T, np.eye(block.dim)
     try:
-        p0 = np.linalg.solve(np.kron(eye, a_t) + np.kron(a_t, eye), -eye.ravel()).reshape(eye.shape)
+        with np.errstate(over="ignore"):
+            lyap = np.kron(eye, a_t) + np.kron(a_t, eye)
+        p0 = np.linalg.solve(lyap, -eye.ravel()).reshape(eye.shape)
     except MemoryError as exc:
         raise DomainError(f"the storage system cannot be held in memory: {exc}") from None
     p0 = 0.5 * (p0 + p0.T)
+    if not (np.isfinite(p0).all() and np.linalg.eigvalsh(p0).min() > 0.0):
+        raise NumericsError("the storage matrix P0 of the feedback block is not "
+                            "finite and positive definite")
 
     def worst_eigenvalue(log_s: float) -> float:
-        p = 10.0 ** log_s * p0
-        top = np.hstack([a_t @ p + p @ block.a_mat, p @ block.b_mat - block.c_mat.T])
-        bottom = np.hstack([block.b_mat.T @ p - block.c_mat, -(block.d_mat + block.d_mat.T)])
-        return float(np.linalg.eigvalsh(np.vstack([top, bottom])).max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = 10.0 ** log_s * p0
+            top = np.hstack([a_t @ p + p @ block.a_mat, p @ block.b_mat - block.c_mat.T])
+            bottom = np.hstack([block.b_mat.T @ p - block.c_mat, -(block.d_mat + block.d_mat.T)])
+            passivity = np.vstack([top, bottom])
+        if not np.isfinite(passivity).all():
+            raise NumericsError("the passivity matrix of the feedback block overflows")
+        return float(np.linalg.eigvalsh(passivity).max())
 
     # lo..hi may run either way; best sits at its golden point nearer lo
     lo, hi = -6.0, 6.0

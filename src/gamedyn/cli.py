@@ -7,9 +7,9 @@ GAMEDYN_OUT environment variable when set.  Exit codes: 0 success, 1 failed
 reproduce checks, 2 usage errors (a malformed game file, an output path
 that is not a directory and an output file that cannot be written among
 them), 3 numerical failures (for example a bifurcation bracket where no
-rest point is found).  simulate runs every scheme through one per-seed
-pipeline, driven by the table _SCHEMES, to the one CSV writer; a run whose
-state overflows is "diverged", with exit 0.
+rest point is found).  simulate dispatches once, in _runs, to each scheme's
+library entry; every seed's run then goes through one pipeline to the one
+CSV writer, and a run whose state overflows is "diverged", with exit 0.
 main parses with one parser per process, built on its first call.
 """
 
@@ -139,7 +139,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bifurcation(args) -> int:
     game = _build_game(args)
-    if args.scheme not in ("first-order", "higher-order"):
+    if args.scheme not in _ODE_SCHEMES:
         raise UsageError("bifurcation supports first-order or higher-order schemes")
     block = None
     if args.scheme == "higher-order":
@@ -168,49 +168,43 @@ def _verdict(traj, x_star) -> str:
         return "recorded"
 
 
-def _each(run, *columns) -> list:
-    """run(*item) per item of the zipped columns, or the
-    IntegrationDivergedError that ended it.
+def _runs(game, args, params, block, seeds) -> list:
+    """Each seed's Trajectory, or the IntegrationDivergedError that ended it.
 
-    Each recursion's runner below returns this list over its seeds.  It
-    looks run_discrete and run_stochastic up by name at call time, so
-    rebinding those names in this module reaches every run."""
+    The ODE seeds run as one lockstep batch of one-row runs.  The recursions
+    make one call per seed, looking run_discrete and run_stochastic up by
+    name at call time, so rebinding those names in this module reaches
+    every run."""
+    starts = [seeded_initial_scores(game.total_actions, seed) for seed in seeds]
+    if args.scheme in _ODE_SCHEMES:
+        runs = [SimulationRun(params, z0, args.t_end, block) for z0 in starts]
+        return simulate_batch(game, runs, args.dt, args.record_every)
     results = []
-    for item in zip(*columns):
+    for seed, z0 in zip(seeds, starts):
         try:
-            results.append(run(*item))
+            if args.scheme == "discrete":
+                results.append(run_discrete(game, params, z0, args.alpha, args.steps,
+                                            args.record_every))
+            else:
+                results.append(run_stochastic(
+                    game, params, z0, steps=args.steps, rng=np.random.default_rng(seed),
+                    mode=args.mode, record_every=args.record_every))
         except IntegrationDivergedError as err:
             results.append(err)
     return results
 
 
-def _ode_runs(game, args, params, block, seeds, starts) -> list:
-    """The seeds as one lockstep batch of one-row runs; a seed that diverges
-    holds its own IntegrationDivergedError, and the others go on."""
-    runs = [SimulationRun(params, z0, args.t_end, block) for z0 in starts]
-    return simulate_batch(game, runs, args.dt, args.record_every)
-
-
-def _discrete_runs(game, args, params, block, seeds, starts) -> list:
-    return _each(lambda z0: run_discrete(game, params, z0, args.alpha, args.steps,
-                                         args.record_every), starts)
-
-
-def _stochastic_runs(game, args, params, block, seeds, starts) -> list:
-    return _each(lambda seed, z0: run_stochastic(
-        game, params, z0, steps=args.steps, rng=np.random.default_rng(seed),
-        mode=args.mode, record_every=args.record_every), seeds, starts)
-
-
-# Per scheme: CSV name prefix, the arguments summary.json records, runner,
-# and whether it has the high-pass filter, is an ODE (Lyapunov values and the
-# score-bound check) and gets a convergence_report verdict, not "recorded".
+# Per scheme: CSV name prefix and the arguments summary.json records.  The
+# name decides the rest: higher-order has the high-pass filter, the ODE
+# schemes get Lyapunov values and the score-bound check, and every scheme but
+# stochastic gets a convergence_report verdict, not "recorded".
+_ODE_SCHEMES = ("first-order", "higher-order")
 _ODE_OPTIONS = ("dt", "t_end", "record_every")
 _SCHEMES = {
-    "first-order": ("traj", _ODE_OPTIONS, _ode_runs, False, True, True),
-    "higher-order": ("traj", _ODE_OPTIONS + ("K", "a"), _ode_runs, True, True, True),
-    "discrete": ("discrete", ("alpha", "steps"), _discrete_runs, False, False, True),
-    "stochastic": ("stoch", ("mode", "steps"), _stochastic_runs, False, False, False),
+    "first-order": ("traj", _ODE_OPTIONS),
+    "higher-order": ("traj", _ODE_OPTIONS + ("K", "a")),
+    "discrete": ("discrete", ("alpha", "steps")),
+    "stochastic": ("stoch", ("mode", "steps")),
 }
 
 
@@ -219,14 +213,15 @@ def _cmd_simulate(args) -> int:
     out_dir = _out_dir(args)
     if out_dir is None:
         raise UsageError("simulate needs an output directory (--out or GAMEDYN_OUT)")
-    prefix, options, runner, filtered, ode, judged = _SCHEMES[args.scheme]
+    prefix, options = _SCHEMES[args.scheme]
+    ode = args.scheme in _ODE_SCHEMES
     seeds = _parse_seeds(args.seeds)
     params = LearningParams(gamma=args.gamma, eps=args.eps)
 
     solved = rest_point(game, args.eps)
     x_star = solved.x_star if solved.converged else None
     block = p_mat = None
-    if filtered:
+    if args.scheme == "higher-order":
         block = FeedbackBlock.high_pass(args.K, args.a, game.action_counts)
         p_mat = storage_matrix(block)
 
@@ -235,8 +230,7 @@ def _cmd_simulate(args) -> int:
                "rest_point": solved.to_dict() if solved.converged else None,
                "runs": {}, **{name: getattr(args, name) for name in options}}
 
-    starts = [seeded_initial_scores(game.total_actions, seed) for seed in seeds]
-    for seed, traj in zip(seeds, runner(game, args, params, block, seeds, starts)):
+    for seed, traj in zip(seeds, _runs(game, args, params, block, seeds)):
         if isinstance(traj, IntegrationDivergedError):
             summary["runs"][str(seed)] = {"status": "diverged",
                                           "last_good_time": traj.last_good_time,
@@ -254,7 +248,7 @@ def _cmd_simulate(args) -> int:
         csv_name = f"{prefix}_seed{seed}.csv"
         write_trajectory_csv(os.path.join(out_dir, csv_name), traj,
                              game.action_counts, ternary=args.emit_ternary)
-        run = {"status": _verdict(traj, x_star) if judged else "recorded",
+        run = {"status": _verdict(traj, x_star) if args.scheme != "stochastic" else "recorded",
                "terminal_x": [float(v) for v in traj.strategies[-1]],
                "terminal_v": None if traj.lyapunov is None else float(traj.lyapunov[-1]),
                "csv": csv_name}

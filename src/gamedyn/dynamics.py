@@ -18,6 +18,7 @@ of rows.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, fields
 from itertools import pairwise
 from pathlib import Path
@@ -162,7 +163,10 @@ def verify_feedback_block(block: FeedbackBlock) -> FeedbackBlockReport:
     200 points, minimum eigenvalue of the Hermitian part)."""
     freqs = np.logspace(-3.0, 3.0, 200)
     abscissa = block.spectral_abscissa()
-    dc_norm = float(np.abs(block.dc_gain()).max())
+    try:
+        dc_norm = float(np.abs(block.dc_gain()).max())
+    except ConfigurationError:
+        dc_norm = np.inf  # a singular A has no finite DC gain
     n = block.dim
     eye = np.eye(n)
     min_eig = np.inf
@@ -384,7 +388,11 @@ class Trajectory:
 
 
 def _check_whole(value, name: str, least: int) -> int:
-    """value as an int, refused unless it is a whole number >= least."""
+    """value as an int, refused unless it is a whole number >= least; a
+    bool or a value that is not a numbers.Real (np.bool_ is not one) is
+    refused too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise DomainError(f"{name} must be >= {least}, got {value!r}")
     if not (isinstance(value, int) or float(value).is_integer()):

@@ -17,7 +17,7 @@ from gamedyn import (ConfigurationError, DomainError, FeedbackBlock, GameSpec,
                      convergence_report, dynamics_jacobian, first_order_field,
                      higher_order_field, integrate,
                      log_sum_exp, lyapunov_trace, multi_start_rest_points, preset,
-                     rest_point, run_stochastic, score_bound,
+                     rest_point, run_discrete, run_stochastic, score_bound,
                      score_bound_excess, seeded_initial_scores, simulate_first_order,
                      simulate_higher_order, softmax, storage_matrix,
                      tangent_mode_abscissa, time_to_tolerance,
@@ -181,10 +181,11 @@ def test_multi_start_dedup():
     np.testing.assert_allclose(results[0].z_star, np.full(3, -0.5), atol=1e-8)
 
 
-@pytest.mark.parametrize("n_starts", [0, -3])
+@pytest.mark.parametrize("n_starts", [0, -3, 2.5, True, np.True_, "2"])
 def test_multi_start_needs_a_start(n_starts, monkeypatch):
     """No start is refused before any solve, not turned into one solve from
-    zero."""
+    zero, and so is a count that is not a whole number (2.5 ran 2 starts,
+    True 1)."""
     def no_work(*args, **kwargs):
         raise AssertionError("multi_start_rest_points solved before checking n_starts")
 
@@ -667,6 +668,12 @@ BOUNDARY_CALLS = {
     "bregman_lse-reference": (
         lambda: bregman_lse(np.zeros(3), np.zeros(2), 1.0, (3,)),
         r"z_ref has shape \(2,\), expected \(3,\)"),
+    "run_discrete-string-steps": (
+        lambda: run_discrete(preset("rps", {"l": 2.5}), LearningParams(), np.zeros(3),
+                             0.1, "5"), "steps must be an integer, got '5'"),
+    "run_stochastic-boolean-steps": (
+        lambda: run_stochastic(preset("rps", {"l": 2.5}), LearningParams(), np.zeros(3),
+                               True, rng=0), "steps must be an integer, got True"),
 }
 
 
@@ -677,7 +684,8 @@ def test_public_analysis_inputs_are_refused_at_the_boundary(call, message):
     they raised numpy errors, or were broadcast into a silent answer (a
     scalar x_star, a 2-entry score bound, a bound from a 2-dimensional
     block, a 3-score run read as 6 scores or as 2) or read as undetermined
-    (a non-finite x_star)."""
+    (a non-finite x_star); a step count that is a string raised TypeError,
+    and one that is a boolean ran a step."""
     with pytest.raises(DomainError, match=message):
         call()
 

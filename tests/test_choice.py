@@ -147,6 +147,9 @@ LAYOUT_CALLS = {
     "tangent_basis-zero": lambda path: tangent_basis((3, 0)),
     "tangent_basis-one": lambda path: tangent_basis((1, 2)),
     "GameSpec-fractional": lambda path: GameSpec((2.5, 2), (np.zeros((2, 2)),) * 2),
+    "softmax-none": lambda path: softmax(np.zeros(3), 1.0, None),
+    "softmax-string": lambda path: softmax(np.zeros(3), 1.0, ("a", 3)),
+    "softmax-infinite": lambda path: softmax(np.zeros(3), 1.0, (np.inf,)),
 }
 
 

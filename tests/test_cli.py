@@ -404,6 +404,32 @@ def test_bifurcation_near_the_float_limit_is_a_numerical_failure(l, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+_FILTERED = ("simulate", "--preset", "rps", "--param", "l=5", "--scheme", "higher-order",
+             "--t-end", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    (*_FILTERED, "--K", "1e308"),
+    (*_FILTERED, "--a", "1e-320"),
+    (*_FILTERED, "--a", "1e308"),
+    ("bifurcation", "--preset", "rps", "--param", "l=8", "--gamma", "1e308"),
+    ("bifurcation", "--preset", "rps", "--param", "l=8", "--scheme", "higher-order",
+     "--K", "1e308"),
+], ids=["simulate-K", "simulate-a-subnormal", "simulate-a", "bifurcation-gamma",
+        "bifurcation-K"])
+def test_overflowing_storage_or_linearization_is_a_numerical_failure(argv, tmp_path,
+                                                                     capsys):
+    """A filter or learning rate whose storage matrix or linearization
+    overflows exits 3 with one error line, no warning and no summary.json
+    (the storage eigenvalues and the bifurcation spectrum ended in a
+    LinAlgError traceback, and --a 1e308 warned, took P = 0 and went on)."""
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_solve_near_the_float_limit_reports_not_found(capsys):
     """A rest point the solver cannot reach without overflow is not-found,
     with nothing on stderr (it printed an overflow warning)."""
@@ -647,16 +673,22 @@ _BIMATRIX = {"players": 2, "action_counts": [2, 2],
      "players must be a whole number, got True"),
     ({**_BIMATRIX, "action_counts": [True, 2]},
      "action_counts entry must be a whole number, got True"),
+    ({**_BIMATRIX, "payoffs": [[1, -1, -1], [-1, 1, 1, -1]]},
+     "payoff array has 3 entries, expected 4"),
+    ({"players": 2, "action_counts": [2, 2]}, "malformed game document: 'payoffs'"),
+    ({**_BIMATRIX, "players": 3}, "players and action_counts disagree"),
+    ("{not json", "game file is not valid JSON"),
 ], ids=["payoff-entry", "linear-map-entry", "payoffs-not-a-list",
         "fractional-players", "fractional-action-count", "string-matching",
-        "boolean-players", "boolean-action-count"])
+        "boolean-players", "boolean-action-count", "payoff-array-size",
+        "missing-payoffs", "players-disagree", "not-json"])
 def test_malformed_game_file_is_a_usage_error(doc, message, tmp_path, capsys):
     """A game file the loader cannot read as a game exits 2 with one error
     line; fractional counts are refused, not truncated, and a flag or count
     of another JSON type is refused, not converted by Python's bool or int
     ("false" was a matching game, true one player)."""
     path = tmp_path / "game.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, out, err = run_cli(capsys, "classify", "--game", str(path))
     assert code == 2
     assert out == ""

@@ -82,6 +82,12 @@ def test_verify_feedback_block_pass_and_fail():
         rep = verify_feedback_block(leaky)
         assert rep.hurwitz_ok and not rep.zero_dc_ok and not rep.passed
 
+        # a singular A has no finite DC gain: reported, not raised
+        singular = FeedbackBlock(0.0 * eye, eye, eye, 0.0 * eye)
+        rep = verify_feedback_block(singular)
+        assert not rep.hurwitz_ok and not rep.zero_dc_ok and not rep.passed
+        assert rep.dc_gain_norm == np.inf
+
     # H(s) = 1/(s+1) - 1 = -s/(s+1): Hurwitz with zero DC gain, but
     # Re H(jw) = -w^2/(1+w^2) < 0 at every grid frequency
     eye = np.eye(3)
@@ -89,6 +95,16 @@ def test_verify_feedback_block_pass_and_fail():
     assert rep.hurwitz_ok and rep.zero_dc_ok
     assert not rep.grid_positive_real_ok and not rep.passed
     assert rep.min_hermitian_eigenvalue < 0.0
+
+
+@pytest.mark.parametrize("mats", [
+    [np.zeros((2, 3))] * 4,
+    [-np.eye(2), -np.eye(2), np.eye(2), np.eye(3)],
+    [np.zeros(2)] * 4,
+], ids=["not-square", "unequal-sizes", "one-axis"])
+def test_feedback_block_matrices_must_be_square_and_equally_sized(mats):
+    with pytest.raises(DomainError, match="must be square and equally sized"):
+        FeedbackBlock(*mats)
 
 
 def test_ensure_valid_checks_the_current_matrices():
@@ -710,12 +726,29 @@ def test_simulate_batch_refuses_what_rows_cannot_share():
                               SimulationRun(one, z0, 1.0,
                                             FeedbackBlock.high_pass(2.0, 1.0, (3,)))],
                        dt=0.1)
+    for runs, message in [
+            ([], "needs at least one run"),
+            ([SimulationRun(one, z0, 1.0, xi0=np.zeros(3))], "xi0 needs a filtered run"),
+            ([SimulationRun(one, z0, 1.0, block, xi0=np.zeros(2))], "xi0 must match"),
+            ([SimulationRun(one, np.zeros((1, 2, 3)), 1.0)], "z0 must be a vector"),
+            ([SimulationRun(one, np.zeros((0, 3)), 1.0)], "at least one initial score row")]:
+        with pytest.raises(DomainError, match=message):
+            simulate_batch(game, runs, dt=0.1)
     # an equal block built twice is the same filter
     same = simulate_batch(game, [SimulationRun(one, z0, 1.0, block),
                                  SimulationRun(one, z0, 1.0,
                                                FeedbackBlock.high_pass(1.0, 1.0, (3,)))],
                           dt=0.1)
     _assert_same_trajectories([same[0]], [same[1]])
+
+
+def test_states_of_three_axes_are_refused():
+    game = preset("rps", {"l": 2.0})
+    z0 = np.zeros((2, 2, 3))
+    with pytest.raises(DomainError, match="state0 must be a vector or a batch"):
+        integrate(lambda s: -s, z0, dt=0.1, t_end=1.0)
+    with pytest.raises(DomainError, match="z0 must be a vector or a batch"):
+        run_discrete(game, LearningParams(), z0, 0.1, 5)
 
 
 def test_integrate_row_horizons():
@@ -877,11 +910,12 @@ def test_run_discrete_rows_equal_their_1d_runs(game_key):
 
 # ---------------------------------------- check-free kernel, buffered RK4
 
-@pytest.mark.parametrize("record_every", [2.5, np.nan])
+@pytest.mark.parametrize("record_every", [2.5, np.nan, "5", True, np.True_])
 def test_non_integral_record_every_is_refused(record_every):
     """record_every is refused unless it is a whole number, not truncated
     (the ODE schemes) or compared with % (the discrete and stochastic
-    schemes)."""
+    schemes); a string (a TypeError) and a boolean (read as 1) are refused
+    too."""
     game = preset("rps", {"l": 2.0})
     params = LearningParams()
     z0 = np.zeros(3)

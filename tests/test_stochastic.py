@@ -117,7 +117,7 @@ def test_payoff_estimate_refuses_a_profile_that_is_not_a_distribution(name, x, m
             payoff_estimate(game, np.array(x), rng, mode, size)
 
 
-@pytest.mark.parametrize("size", [2.5, -1, -0.5])
+@pytest.mark.parametrize("size", [2.5, -1, -0.5, True, np.True_, "3"])
 def test_payoff_estimate_refuses_a_size_that_is_not_whole(size, rng):
     game = preset("jordan_mp")
     with pytest.raises(DomainError, match="size must be"):
