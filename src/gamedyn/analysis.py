@@ -64,49 +64,46 @@ def classify(game: GameSpec) -> ClassificationReport:
 
     With a linear game map the tangent spectrum is exact; otherwise the payoff
     Jacobian is sampled at 200 random interior profiles (seed 0) and the
-    worst case over samples is reported as an estimate.
+    worst case over samples is reported as an estimate.  A symmetrized map
+    that overflows is a NumericsError.
     """
     e_mat = tangent_basis(game.action_counts)
     phi = game.linear_map
-    if phi is not None:
-        sym = phi + phi.T
-        tangent_eigs = np.linalg.eigvalsh(e_mat.T @ sym @ e_mat)
-        full_eigs, vecs = np.linalg.eigh(sym)
-        proj = e_mat @ e_mat.T
-        in_tangent = np.linalg.norm(vecs - proj @ vecs, axis=0) <= 1e-8
-        aligned = full_eigs[in_tangent]
-        lambda_max = float(tangent_eigs.max())
-        mu_aligned = float(max(0.0, aligned.max() / 2.0)) if aligned.size else None
-        return ClassificationReport(
-            tangent_eigenvalues=tangent_eigs,
-            lambda_max=lambda_max,
-            mu=max(0.0, lambda_max / 2.0),
-            monotonicity_class=_class_of(lambda_max),
-            exact=True,
-            full_eigenvalues=full_eigs,
-            aligned_eigenvalues=aligned if aligned.size else None,
-            mu_aligned=mu_aligned,
-        )
-    rng = np.random.default_rng(_CLASSIFY_SEED)
-    best_eigs = None
-    best_lambda = -np.inf
-    best_x = None
-    for _ in range(_CLASSIFY_SAMPLES):
-        x = np.concatenate([rng.dirichlet(np.ones(c)) for c in game.action_counts])
-        du = payoff_jacobian(game, x)
-        eigs = np.linalg.eigvalsh(e_mat.T @ (du + du.T) @ e_mat)
-        if eigs[-1] > best_lambda:
-            best_lambda = float(eigs[-1])
-            best_eigs = eigs
-            best_x = x
-    return ClassificationReport(
-        tangent_eigenvalues=best_eigs,
-        lambda_max=best_lambda,
-        mu=max(0.0, best_lambda / 2.0),
-        monotonicity_class=_class_of(best_lambda),
-        exact=False,
-        sample_argmax=best_x,
+    with np.errstate(over="ignore", invalid="ignore"):
+        if phi is not None:
+            syms = (phi + phi.T)[None]
+        else:
+            rng = np.random.default_rng(_CLASSIFY_SEED)
+            samples = [np.concatenate([rng.dirichlet(np.ones(c)) for c in game.action_counts])
+                       for _ in range(_CLASSIFY_SAMPLES)]
+            dus = np.array([payoff_jacobian(game, x) for x in samples])
+            syms = dus + dus.transpose(0, 2, 1)
+        # checked after the compression: a finite map can still overflow there, and
+        # every row of e_mat has a nonzero entry, so a non-finite map never compresses
+        # to a finite one
+        compressed = e_mat.T @ syms @ e_mat
+    if not np.isfinite(compressed).all():
+        raise NumericsError("the symmetrized payoff map overflows")
+    spectra = np.linalg.eigvalsh(compressed)
+    worst = int(np.argmax(spectra[:, -1]))  # the first sample of the largest eigenvalue
+    lambda_max = float(spectra[worst, -1])
+    report = ClassificationReport(
+        tangent_eigenvalues=spectra[worst],
+        lambda_max=lambda_max,
+        mu=max(0.0, lambda_max / 2.0),
+        monotonicity_class=_class_of(lambda_max),
+        exact=phi is not None,
+        sample_argmax=None if phi is not None else samples[worst],
     )
+    if phi is not None:
+        full_eigs, vecs = np.linalg.eigh(syms[0])
+        in_tangent = np.linalg.norm(vecs - e_mat @ e_mat.T @ vecs, axis=0) <= 1e-8
+        aligned = full_eigs[in_tangent]
+        report.full_eigenvalues = full_eigs
+        if aligned.size:
+            report.aligned_eigenvalues = aligned
+            report.mu_aligned = float(max(0.0, aligned.max() / 2.0))
+    return report
 
 
 # ------------------------------------------------------------------ rest points
@@ -271,8 +268,11 @@ def tangent_mode_abscissa(jac: np.ndarray, action_counts: Sequence[int]) -> floa
     directions, the span of tangent_basis); -inf when there is none.
 
     The soft-max shift invariance pins one structural mode per player along
-    the block ones direction; those modes never cross and are excluded.
+    the block ones direction; those modes never cross and are excluded.  A
+    Jacobian that is not finite is a NumericsError.
     """
+    if not np.isfinite(jac).all():
+        raise NumericsError("the Jacobian has non-finite entries")
     e_t = tangent_basis(action_counts).T
     eigvals, eigvecs = np.linalg.eig(jac)
     scores = eigvecs[:e_t.shape[1]]
@@ -322,6 +322,7 @@ def bifurcation_epsilon(game: GameSpec, params: LearningParams,
         params_eps = LearningParams(gamma=params.gamma, eps=eps)
         with np.errstate(over="ignore", invalid="ignore"):
             jac = dynamics_jacobian(result.z_star, game, params_eps, block=block)
+        # tangent_mode_abscissa refuses this Jacobian too; checked here to name eps
         if not np.isfinite(jac).all():
             raise NumericsError(f"the linearization at eps={eps:.6g} overflows")
         return tangent_mode_abscissa(jac, game.action_counts)
@@ -377,8 +378,9 @@ def storage_matrix(block: FeedbackBlock) -> np.ndarray:
     [[A^T P + P A, P B - C^T], [B^T P - C, -(D + D^T)]]; s = 1 unless that
     eigenvalue is at most 1e-8, when P certifies v_a-to-x passivity.  An
     n^2 x n^2 system for P0 that numpy cannot allocate is a DomainError; a
-    P0 that is not finite and positive definite, or a passivity matrix that
-    overflows, is a NumericsError."""
+    P0 that is not finite and positive definite (none is when the Lyapunov
+    operator is singular), or a passivity matrix that overflows, is a
+    NumericsError."""
     a_t, eye = block.a_mat.T, np.eye(block.dim)
     try:
         with np.errstate(over="ignore"):
@@ -386,6 +388,8 @@ def storage_matrix(block: FeedbackBlock) -> np.ndarray:
         p0 = np.linalg.solve(lyap, -eye.ravel()).reshape(eye.shape)
     except MemoryError as exc:
         raise DomainError(f"the storage system cannot be held in memory: {exc}") from None
+    except np.linalg.LinAlgError:
+        p0 = np.nan * eye  # a singular Lyapunov operator has no P0
     p0 = 0.5 * (p0 + p0.T)
     if not (np.isfinite(p0).all() and np.linalg.eigvalsh(p0).min() > 0.0):
         raise NumericsError("the storage matrix P0 of the feedback block is not "
@@ -546,11 +550,17 @@ def score_bound(game: GameSpec, z0: np.ndarray,
 def score_bound_excess(traj: Trajectory, game: GameSpec,
                        block: FeedbackBlock | None = None) -> float:
     """Worst violation of the score bound along a trajectory of n scores;
-    <= 0 when the bound holds with a slack of 1e-6.  The bound holds for a
-    filter that starts at rest, so a filter state that is not 0 at the
-    first sample is refused, and so is a trajectory with no samples."""
+    <= 0 when the bound holds with a slack of 1e-6.  The bound is that of
+    the block the run ran with, so a filtered run needs its block and a
+    first-order run none.  The bound holds for a filter that starts at
+    rest, so a filter state that is not 0 at the first sample is refused,
+    and so is a trajectory with no samples."""
     _check_samples(traj)
     _check_length(traj.states, game.total_actions)
+    if traj.filter_state is not None and block is None:
+        raise DomainError("the score bound of a filtered run needs the block it ran with")
+    if traj.filter_state is None and block is not None:
+        raise DomainError("a run without a filter state has no block to bound")
     if traj.filter_state is not None and (traj.filter_state[0] != 0.0).any():
         raise DomainError("the score bound needs a filter state of 0 at the first sample")
     bound = score_bound(game, traj.states[0], block=block) + 1e-6

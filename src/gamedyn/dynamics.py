@@ -93,13 +93,16 @@ class FeedbackBlock:
     def spectral_abscissa(self) -> float:
         return float(np.linalg.eigvals(self.a_mat).real.max())
 
-    def dc_gain(self) -> np.ndarray:
-        """H(0) = -C A^-1 B + D; raises ConfigurationError when A is singular."""
+    def _solve_a(self, rhs: np.ndarray) -> np.ndarray:
+        """A^-1 rhs; raises ConfigurationError when A is singular."""
         try:
-            inv_b = np.linalg.solve(self.a_mat, self.b_mat)
+            return np.linalg.solve(self.a_mat, rhs)
         except np.linalg.LinAlgError as exc:
             raise ConfigurationError("feedback block has singular A matrix") from exc
-        return -self.c_mat @ inv_b + self.d_mat
+
+    def dc_gain(self) -> np.ndarray:
+        """H(0) = -C A^-1 B + D; raises ConfigurationError when A is singular."""
+        return -self.c_mat @ self._solve_a(self.b_mat) + self.d_mat
 
     def ensure_valid(self) -> None:
         """Check that A is Hurwitz and the DC gain is zero to 1e-10."""
@@ -110,9 +113,10 @@ class FeedbackBlock:
             raise ConfigurationError(f"feedback block DC gain {dc:.3e} exceeds {_DC_TOL:.1e}")
 
     def equilibrium_filter_state(self, x_star: np.ndarray) -> np.ndarray:
-        """xi* = -A^-1 B x*, the filter state at a rest point with strategy x*."""
+        """xi* = -A^-1 B x*, the filter state at a rest point with strategy x*;
+        raises ConfigurationError when A is singular."""
         x_star = _check_vector(x_star, self.dim, "profile")
-        return np.linalg.solve(self.a_mat, -self.b_mat @ x_star)
+        return self._solve_a(-self.b_mat @ x_star)
 
 
 def _check_dim(block: FeedbackBlock, n: int) -> None:
@@ -160,27 +164,29 @@ class FeedbackBlockReport:
 def verify_feedback_block(block: FeedbackBlock) -> FeedbackBlockReport:
     """Certify a feedback block: A Hurwitz, H(0) = 0 to 1e-10, and positive
     realness of H(jw) on a logarithmic frequency grid (1e-3..1e3 rad/s,
-    200 points, minimum eigenvalue of the Hermitian part)."""
+    200 points, minimum eigenvalue of the Hermitian part).  A pole on the
+    grid reads as a minimum eigenvalue of -inf."""
     freqs = np.logspace(-3.0, 3.0, 200)
     abscissa = block.spectral_abscissa()
     try:
         dc_norm = float(np.abs(block.dc_gain()).max())
     except ConfigurationError:
         dc_norm = np.inf  # a singular A has no finite DC gain
-    n = block.dim
-    eye = np.eye(n)
-    min_eig = np.inf
-    for w in freqs:
-        h = block.c_mat @ np.linalg.solve(1j * w * eye - block.a_mat, block.b_mat) + block.d_mat
-        herm = 0.5 * (h + h.conj().T)
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(herm).min()))
+    pencils = 1j * freqs[:, None, None] * np.eye(block.dim) - block.a_mat
+    try:
+        h = block.c_mat @ np.linalg.solve(pencils, block.b_mat[None]) + block.d_mat
+    except np.linalg.LinAlgError:
+        min_eig = -np.inf
+    else:
+        herm = 0.5 * (h + h.conj().transpose(0, 2, 1))
+        min_eig = float(np.linalg.eigvalsh(herm).min())
     return FeedbackBlockReport(
         hurwitz_ok=abscissa < 0.0,
         spectral_abscissa=abscissa,
         zero_dc_ok=dc_norm <= _DC_TOL,
         dc_gain_norm=dc_norm,
         grid_positive_real_ok=min_eig > 0.0,
-        min_hermitian_eigenvalue=float(min_eig),
+        min_hermitian_eigenvalue=min_eig,
         frequencies=freqs,
     )
 

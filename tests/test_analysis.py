@@ -521,6 +521,29 @@ def test_storage_system_that_cannot_be_held_is_refused():
         "DomainError: the storage system cannot be held in memory: ")
 
 
+_I3 = np.eye(3)
+_ROTATION = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: storage_matrix(FeedbackBlock(0.0 * _I3, _I3, _I3, 0.0 * _I3)),
+     NumericsError, "not finite and positive definite"),
+    (lambda: storage_matrix(FeedbackBlock(_ROTATION, _I3, _I3, 0.0 * _I3)),
+     NumericsError, "not finite and positive definite"),
+    (lambda: FeedbackBlock(0.0 * _I3, _I3, _I3, 0.0 * _I3).equilibrium_filter_state(
+        np.full(3, 1.0 / 3.0)), ConfigurationError, "singular A matrix"),
+    (lambda: tangent_mode_abscissa(np.full((3, 3), np.inf), (3,)),
+     NumericsError, "non-finite entries"),
+], ids=["storage_matrix-zero-A", "storage_matrix-eigenvalues-pm-i",
+        "equilibrium_filter_state-singular-A", "tangent_mode_abscissa-non-finite"])
+def test_singular_or_non_finite_linear_algebra_is_a_gamedyn_error(call, error, message):
+    """A singular Lyapunov operator (A = 0, or eigenvalues +-i that sum to
+    0), a singular A and a Jacobian that is not finite are refused with the
+    package's errors; each raised numpy's LinAlgError."""
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_composite_lyapunov_trace_decreases():
     game = preset("rps", {"l": 2.5})
     params = LearningParams(eps=1.0, gamma=1.0)
@@ -827,6 +850,19 @@ RUNS_OF_ANOTHER_LAYOUT = {
         lambda path: score_bound_excess(_raw_filtered_run(), preset("rps", {"l": 2.5}),
                                         FeedbackBlock.high_pass(1.0, 1.0, (3,))),
         "score vector has length 6, expected 3"),
+    "score_bound_excess-filtered-run-without-block": (
+        lambda path: score_bound_excess(
+            simulate_higher_order(preset("rps", {"l": 5.0}), LearningParams(),
+                                  FeedbackBlock.high_pass(1.0, 1.0, (3,)),
+                                  seeded_initial_scores(3, 0), dt=0.1, t_end=5.0),
+            preset("rps", {"l": 5.0})),
+        "filtered run needs the block it ran with"),
+    "score_bound_excess-first-order-run-with-block": (
+        lambda path: score_bound_excess(
+            simulate_first_order(preset("rps", {"l": 5.0}), LearningParams(),
+                                 seeded_initial_scores(3, 0), dt=0.1, t_end=5.0),
+            preset("rps", {"l": 5.0}), FeedbackBlock.high_pass(1.0, 1.0, (3,))),
+        "run without a filter state has no block"),
 }
 
 
@@ -838,7 +874,9 @@ def test_runs_are_read_in_their_own_layout(call, message, tmp_path):
     record, is refused before any value is computed or any file is opened.
     Each was read as n scores plus a filter state when 2n wide.  Strategies
     that are not n wide are refused too (the file's rows outgrew its
-    header)."""
+    header), and so is a score bound checked with a block the run did not
+    run with (on rps l=5 a filtered run read -3.47 against M = 5 without its
+    block, and a first-order run -5.47 against M = 7 with one)."""
     path = tmp_path / "run.csv"
     with pytest.raises(DomainError, match=message):
         call(path)

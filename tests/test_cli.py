@@ -430,6 +430,31 @@ def test_overflowing_storage_or_linearization_is_a_numerical_failure(argv, tmp_p
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize("doc", [
+    {"players": 2, "action_counts": [2, 2],
+     "payoffs": [[1e308, 0, 0, 1], [1e308, 0, 0, 1]]},
+    {"players": 3, "action_counts": [2, 2, 2],
+     "payoffs": [[1e308, -1e308, 0, 1, 2, 3, 4, 5], [1, -1e308, 0, 1e308, 2, 3, 4, 5],
+                 [0, 1, 2, 3, 4, 5, 6, 1e308]]},
+    {"players": 2, "action_counts": [2, 2],
+     "payoffs": [[1.7e308, -1.7e308, 0, 1.7e308], [0, 0, 0, 0]]},
+], ids=["exact", "sampled", "exact-compressed"])
+def test_overflowing_symmetrized_map_is_a_numerical_failure(doc, tmp_path, capsys):
+    """A game whose Phi + Phi^T (exact) or DU + DU^T at a sampled profile
+    overflows, or whose finite Phi + Phi^T overflows once compressed to the
+    tangent space, exits 3 with one error line, no warning and no
+    classify.json (the first two ended in a LinAlgError traceback after an
+    overflow warning, the third wrote null eigenvalues as hypo-monotone)."""
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "classify", "--game", str(path), "--out", str(out_dir))
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (out_dir / "classify.json").exists()
+
+
 def test_solve_near_the_float_limit_reports_not_found(capsys):
     """A rest point the solver cannot reach without overflow is not-found,
     with nothing on stderr (it printed an overflow warning)."""

@@ -96,6 +96,15 @@ def test_verify_feedback_block_pass_and_fail():
     assert not rep.grid_positive_real_ok and not rep.passed
     assert rep.min_hermitian_eigenvalue < 0.0
 
+    # a pole on the grid, at +-jw with w a grid frequency: H(jw) does not
+    # exist, which reads as -inf (it raised numpy's LinAlgError)
+    w = np.logspace(-3.0, 3.0, 200)[120]
+    eye = np.eye(2)
+    rep = verify_feedback_block(FeedbackBlock(np.array([[0.0, w], [-w, 0.0]]), eye, eye,
+                                              0.0 * eye))
+    assert rep.min_hermitian_eigenvalue == -np.inf
+    assert not rep.grid_positive_real_ok and not rep.passed
+
 
 @pytest.mark.parametrize("mats", [
     [np.zeros((2, 3))] * 4,
@@ -663,6 +672,33 @@ def test_stacked_one_row_products_are_separate_gemv(n, b):
     np.matmul(operand[:, :n][:, None], m, out=out[:, :n][:, None])
     separate = np.stack([operand[i, :n] @ m for i in range(b)])
     assert np.array_equal(out[:, :n].view(np.uint64), separate.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 9])
+def test_stacked_spectra_and_solves_are_separate_calls(n):
+    """classify takes every tangent spectrum in one e^T @ stack @ e and one
+    eigvalsh, and verify_feedback_block solves its whole frequency grid in
+    one complex solve against a broadcast right-hand side and one eigvalsh
+    of the Hermitian parts.  LAPACK and BLAS must give every item of each
+    stacked call the bits of the same call on that item alone."""
+    rng = np.random.default_rng(n)
+    k = 7
+    e_mat = np.linalg.qr(rng.standard_normal((n, n - 1)))[0]
+    mats = rng.standard_normal((k, n, n))
+    syms = mats + mats.transpose(0, 2, 1)
+    compressed = e_mat.T @ syms @ e_mat
+    for i in range(k):
+        assert np.array_equal(compressed[i], e_mat.T @ syms[i] @ e_mat)
+    pencils = 1j * rng.uniform(0.1, 10.0, k)[:, None, None] * np.eye(n) - mats
+    rhs = rng.standard_normal((n, n))
+    solved = np.linalg.solve(pencils, rhs[None])  # a stack of one: numpy 1.x reads 2-D b as vectors
+    herms = solved + solved.conj().transpose(0, 2, 1)
+    for stack in (compressed, syms, herms):
+        spectra = np.linalg.eigvalsh(stack)
+        for i in range(k):
+            assert np.array_equal(spectra[i], np.linalg.eigvalsh(stack[i]))
+    for i in range(k):
+        assert np.array_equal(solved[i], np.linalg.solve(pencils[i], rhs))
 
 
 @pytest.mark.parametrize("batch", [1, 5])
