@@ -2,14 +2,13 @@
 
 SCENARIOS declares each worked example once: its game, its temperature eps,
 its runs (a first-order and, unless it has none, a filtered run from every
-seed, for each learning rate gamma) and its checks.  run_example integrates
-the runs as one lockstep batch, then runs the checks on them: classification
-numbers, solved rest points, convergence statuses and bifurcation
-thresholds.  It returns a row-per-check report; rows carry a note saying
-where the expected number comes from.  Rows whose expectation is known only
-to limited precision are recorded without being asserted.  run_example
-solves the rest point at the scenario's eps once for every check, and the
-speed and learning-rate rows read the runs behind the status rows.
+seed, for each learning rate gamma) and its checks: classification numbers,
+solved rest points, convergence statuses and bifurcation thresholds.  plan,
+run and check turn scenarios into reports, a row per check; rows carry a
+note saying where the expected number comes from.  Rows whose expectation
+is known only to limited precision are recorded without being asserted.
+The rest point is solved at eps once for every check, and the speed and
+learning-rate rows read the runs behind the status rows.
 """
 
 from __future__ import annotations
@@ -110,26 +109,6 @@ class Scenario:
 
 def _filter(game: GameSpec) -> FeedbackBlock:
     return FeedbackBlock.high_pass(1.0, 1.0, game.action_counts)
-
-
-def scenario_runs(scenario: Scenario, game: GameSpec) -> list:
-    """Integrate a scenario's runs as one lockstep batch.  Returns one
-    trajectory list per run, first-order before filtered for each gamma;
-    raises the IntegrationDivergedError of the earliest failed row."""
-    block = _filter(game)
-    runs = []
-    for gamma, seeds in scenario.gamma_seeds:
-        params = LearningParams(gamma=gamma, eps=scenario.eps)
-        z0 = np.stack([seeded_initial_scores(game.total_actions, s) for s in seeds])
-        runs.append(SimulationRun(params, z0, scenario.t_end_fo))
-        if scenario.t_end_ho is not None:
-            runs.append(SimulationRun(params, z0, scenario.t_end_ho, block))
-    trajs = simulate_batch(game, runs, dt=DT, record_every=RECORD_EVERY)
-    failed = [t for row_trajs in trajs for t in row_trajs
-              if isinstance(t, IntegrationDivergedError)]
-    if failed:
-        raise min(failed, key=lambda err: err.last_good_time)
-    return trajs
 
 
 def _statuses(trajs, rp):
@@ -418,20 +397,54 @@ SCENARIOS = {
 EXAMPLE_IDS = tuple(SCENARIOS)
 
 
-def run_example(example_id: str, out_dir: str | None = None) -> ExampleReport:
-    """Solve one scenario's rest point and integrate its runs, both at its
-    eps, run its checks on them and return its report."""
-    if example_id not in SCENARIOS:
-        raise UsageError(
-            f"unknown example id {example_id!r}; valid ids: {', '.join(EXAMPLE_IDS)}")
+def plan(ids) -> list:
+    """Check each id, then build its game and runs and solve its rest point
+    at eps: one (id, scenario, game, rest point, runs) per id."""
+    plans = []
+    for example_id in ids:
+        if example_id not in SCENARIOS:
+            raise UsageError(f"unknown example id {example_id!r}; "
+                             f"valid ids: {', '.join(EXAMPLE_IDS)}")
+        scenario = SCENARIOS[example_id]
+        game = preset(*scenario.game)
+        runs = []
+        for gamma, seeds in scenario.gamma_seeds:
+            params = LearningParams(gamma=gamma, eps=scenario.eps)
+            z0 = np.stack([seeded_initial_scores(game.total_actions, s) for s in seeds])
+            runs.append(SimulationRun(params, z0, scenario.t_end_fo))
+            if scenario.t_end_ho is not None:
+                runs.append(SimulationRun(params, z0, scenario.t_end_ho, _filter(game)))
+        plans.append((example_id, scenario, game, rest_point(game, scenario.eps), runs))
+    return plans
+
+
+def run(plans) -> list:
+    """Integrate each plan's runs as one lockstep batch; the first batch with
+    a failed row raises the IntegrationDivergedError of its earliest one."""
+    batches = []
+    for _, _, game, _, runs in plans:
+        trajs = simulate_batch(game, runs, dt=DT, record_every=RECORD_EVERY)
+        failed = [t for row in trajs for t in row if isinstance(t, IntegrationDivergedError)]
+        if failed:
+            raise min(failed, key=lambda err: err.last_good_time)
+        batches.append(trajs)
+    return batches
+
+
+def check(plans, batches, out_dir: str | None = None) -> list:
+    """Create out_dir, then run each plan's checks on its batch: one report each."""
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    scenario = SCENARIOS[example_id]
-    game = preset(*scenario.game)
-    report = ExampleReport(example_id, scenario.title)
-    scenario.checks(report, game, rest_point(game, scenario.eps),
-                    scenario_runs(scenario, game), out_dir)
-    return report
+    reports = [ExampleReport(example_id, scenario.title) for example_id, scenario, *_ in plans]
+    for report, (_, scenario, game, rp, _), trajs in zip(reports, plans, batches, strict=True):
+        scenario.checks(report, game, rp, trajs, out_dir)
+    return reports
+
+
+def run_example(example_id: str, out_dir: str | None = None) -> ExampleReport:
+    """Plan, run and check one scenario and return its report."""
+    plans = plan([example_id])
+    return check(plans, run(plans), out_dir)[0]
 
 
 def format_report(report: ExampleReport) -> str:

@@ -5,13 +5,10 @@ then asserts.  The references for criteria 2 and 3 are derived
 independently of the solver under test: rest points against a plain
 numpy logit map solved by a scipy root multistart (and, for the
 anti-coordination game, a Lambert-W closed form), the RPS spectrum from
-the circulant eigenvalues of the payoff matrix.  Criterion 5 reads the
-runs that the `reproduce` catalogue declares for nine of its scenarios and
-integrates them as the catalogue does, with its own expected statuses.
+the circulant eigenvalues of the payoff matrix.  Criterion 5 reads nine
+scenarios of the session's one `reproduce` catalogue run, with its own
+expected statuses.
 """
-
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,13 +22,12 @@ from gamedyn import (FeedbackBlock, LearningParams, SimulationRun,
                      dynamics_jacobian, expected_payoff_vector,
                      first_order_field, induced_strategy_field, lyapunov_trace,
                      payoff_estimate, preset,
-                     profile_jacobian, reproduce, rest_point, rps_matrix,
+                     profile_jacobian, rest_point, rps_matrix,
                      score_bound_excess, seeded_initial_scores,
                      simulate_batch, simulate_first_order,
                      simulate_higher_order, softmax,
                      storage_matrix, tangent_mode_abscissa, time_to_tolerance)
 
-SEEDS5 = tuple(range(5))
 SEEDS10 = tuple(range(10))
 DT = 0.02
 RECORD_EVERY = 5
@@ -49,20 +45,6 @@ def _conclude(num: int, desc: str, failures: list[str], note: str = "") -> None:
 
 def _stacked_scores(n: int, seeds) -> np.ndarray:
     return np.stack([seeded_initial_scores(n, s) for s in seeds])
-
-
-def _batch(game, eps, scheme, t_end, gamma=1.0, seeds=SEEDS5, dt=DT,
-           record_every=RECORD_EVERY, gain=1.0, cutoff=1.0):
-    params = LearningParams(gamma=gamma, eps=eps)
-    z0 = _stacked_scores(game.total_actions, seeds)
-    if scheme == "first-order":
-        trajs = simulate_first_order(game, params, z0, dt=dt, t_end=t_end,
-                                     record_every=record_every)
-        return trajs, None
-    block = FeedbackBlock.high_pass(gain, cutoff, game.action_counts)
-    trajs = simulate_higher_order(game, params, block, z0, dt=dt, t_end=t_end,
-                                  record_every=record_every)
-    return trajs, block
 
 
 def test_criterion_1_classification():
@@ -339,32 +321,21 @@ DICHOTOMY = [
 ]
 
 
-def test_criterion_5_convergence_dichotomy(tmp_path):
-    """The runs of nine catalogue scenarios, integrated as the catalogue
-    integrates them: both schemes from the same five seeds in one lockstep
-    batch, each to its own horizon.  The scenario's own checks then run on
-    the same batch, and each row's label, expected value, tolerance and
-    outcome must be those committed in reproduce_rows.json."""
-    pinned = json.loads(Path(__file__).with_name("reproduce_rows.json").read_text())
+def test_criterion_5_convergence_dichotomy(catalogue):
+    """The runs of nine scenarios in the one catalogue run of the session
+    (tests/conftest.py): both schemes from the same five seeds in one
+    lockstep batch, each to its own horizon.  Every seed reaches the
+    expected status, and no trajectory leaves the score bound."""
     failures = []
     for example_id, *expected in DICHOTOMY:
-        scenario = reproduce.SCENARIOS[example_id]
-        game = preset(*scenario.game)
-        batch = reproduce.scenario_runs(scenario, game)
-        solved = rest_point(game, scenario.eps)
-        report = reproduce.ExampleReport(example_id, scenario.title)
-        scenario.checks(report, game, solved, batch, str(tmp_path))
-        rows = [{key: getattr(row, key) for key in ("label", "expected", "tolerance", "outcome")}
-                for row in report.rows]
-        if rows != pinned[example_id]:
-            failures.append(f"{example_id}: rows {rows}, committed {pinned[example_id]}")
-        cases = [(scheme, status, block) for scheme, status, block in zip(
-            ("first-order", "higher-order"), expected,
-            (None, reproduce._filter(game))) if status is not None]
-        for (scheme, status, block), trajs in zip(cases, batch, strict=True):
+        _, scenario, game, solved, runs = catalogue.plans[example_id]
+        statuses_expected = [status for status in expected if status is not None]
+        for run, status, trajs in zip(runs, statuses_expected, catalogue.batches[example_id],
+                                      strict=True):
+            scheme = "first-order" if run.block is None else "higher-order"
             x_star = solved.x_star if status == "converged" else None
             statuses = [convergence_report(t, x_star=x_star).status for t in trajs]
-            excess = max(score_bound_excess(t, game, block=block) for t in trajs)
+            excess = max(score_bound_excess(t, game, block=run.block) for t in trajs)
             label = f"{game.name} eps={scenario.eps:g} {scheme}"
             if any(s != status for s in statuses):
                 failures.append(f"{label}: statuses {statuses}, expected "
@@ -495,17 +466,6 @@ def test_criterion_7_property_suites():
                 failures.append(f"{game.name} {mode} estimator bias "
                                 f"{float((gap - 3.0 * se).max()):.2e} past "
                                 f"3 SE over 1e5 draws")
-
-    for name, prm, eps, scheme in (("rps", {"l": 8.0}, 1.0, "first-order"),
-                                   ("shapley", None, 0.1, "first-order"),
-                                   ("modified_jordan", None, 0.1,
-                                    "higher-order")):
-        game = preset(name, prm)
-        trajs, block = _batch(game, eps, scheme, 60.0, seeds=(0, 1, 2))
-        excess = max(score_bound_excess(t, game, block=block) for t in trajs)
-        if excess > 0.0:
-            failures.append(f"{game.name} {scheme} eps={eps:g}: score bound "
-                            f"exceeded by {excess:.2e}")
 
     _conclude(7, "structural property suites", failures)
 
