@@ -46,7 +46,7 @@ def block_slices(counts: tuple[int, ...]) -> tuple[slice, ...]:
 def _check_eps(eps: float) -> float:
     eps = float(eps)
     if not 0.0 < eps < np.inf:
-        raise DomainError(f"temperature must be positive, got {eps!r}")
+        raise DomainError(f"temperature must be positive and finite, got {eps!r}")
     if 1.0 / eps == np.inf:
         raise DomainError(f"temperature eps={eps!r} is too small: 1/eps is not finite")
     return eps

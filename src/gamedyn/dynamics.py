@@ -42,7 +42,7 @@ class LearningParams:
 
     def __post_init__(self):
         if not (np.isfinite(self.gamma) and self.gamma > 0.0):
-            raise DomainError(f"gamma must be positive, got {self.gamma!r}")
+            raise DomainError(f"gamma must be positive and finite, got {self.gamma!r}")
         _check_eps(self.eps)
 
 

@@ -2,28 +2,29 @@
 
 SCENARIOS declares each worked example once: its game, its temperature eps,
 its runs (a first-order and, unless it has none, a filtered run from every
-seed, for each learning rate gamma) and its checks: classification numbers,
-solved rest points, convergence statuses and bifurcation thresholds.  plan,
-run and check turn scenarios into reports, a row per check; rows carry a
-note saying where the expected number comes from.  Rows whose expectation
-is known only to limited precision are recorded without being asserted.
-The rest point is solved at eps once for every check, and the speed and
-learning-rate rows read the runs behind the status rows.
+seed, for each learning rate gamma) and its report rows in order, each with
+a note saying where its expected number comes from.  plan, run and check
+turn scenarios into reports.  Most rows come from a small vocabulary: _close
+(one named observed value against its expectation), _classification,
+_status_rows and _recorded_status (the gamma-1 runs' statuses, unanimous or
+recorded), _terminal, _faster and _bifurcation.  Rows whose expectation is
+known only to limited precision are recorded without being asserted.  The
+rest point is solved at eps once for every row, classify runs at most once
+per scenario, and the timing rows read the runs behind the status rows.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 
 from .analysis import (bifurcation_epsilon, classify, convergence_report,
                        rest_point, time_to_tolerance)
-from .dynamics import (FeedbackBlock, LearningParams, SimulationRun,
-                       seeded_initial_scores, simulate_batch,
-                       write_trajectory_csv)
+from .dynamics import (FeedbackBlock, LearningParams, SimulationRun, seeded_initial_scores,
+                       simulate_batch, write_trajectory_csv)
 from .errors import IntegrationDivergedError, UsageError
 from .games import GameSpec
 from .presets import preset
@@ -93,18 +94,43 @@ def _status_text(statuses) -> str:
 @dataclass(frozen=True)
 class Scenario:
     """One catalogue entry: the game (a preset name and its parameters), the
-    runs integrated on it at eps, and checks(rep, game, rp, runs, out_dir),
-    which add the report's rows; rp is the rest point solved at eps.  For
-    each (gamma, seeds) there is a first-order run to t_end_fo and, unless
-    t_end_ho is None, a filtered run to t_end_ho."""
+    runs integrated on it at eps, and its rows.  For each (gamma, seeds)
+    there is a first-order run to t_end_fo and, unless t_end_ho is None, a
+    filtered run to t_end_ho.  Each row is called as row(report, observed),
+    observed being the scenario's _Observed, and adds its CheckRows."""
 
     title: str
     game: tuple
     eps: float
-    t_end_fo: float
-    t_end_ho: float | None
-    checks: Callable
+    rows: tuple
+    t_end_fo: float = T_END_SETTLED
+    t_end_ho: float | None = T_END_SETTLED
     gamma_seeds: tuple = ((1.0, SEEDS),)
+
+
+class _Observed:
+    """A scenario as its rows read it: the game, rest point rp, runs (a list of
+    trajectories per run, in plan order) and out_dir; cls is classified once."""
+
+    def __init__(self, game, rp, runs, out_dir):
+        self.game, self.rp, self.runs, self.out_dir = game, rp, runs, out_dir
+
+    @cached_property
+    def cls(self):
+        return classify(self.game)
+
+
+_SCHEMES = ("first-order", "higher-order")
+_OBSERVED = {  # the observed values a _close row can compare, by name
+    "tangent": lambda o: np.sort(o.cls.tangent_eigenvalues),
+    "full": lambda o: np.sort(o.cls.full_eigenvalues),
+    "aligned": lambda o: o.cls.aligned_eigenvalues,
+    "mu": lambda o: o.cls.mu,
+    "mu_aligned": lambda o: np.nan if o.cls.mu_aligned is None else o.cls.mu_aligned,
+    "z*": lambda o: o.rp.z_star,
+    "x*": lambda o: o.rp.x_star,
+    "terminal": lambda o: o.runs[1][0].strategies[-1],  # filtered, gamma 1, seed 0
+}
 
 
 def _filter(game: GameSpec) -> FeedbackBlock:
@@ -116,282 +142,213 @@ def _statuses(trajs, rp):
     return [convergence_report(t, x_star=x_star).status for t in trajs]
 
 
-def _dichotomy(rep, rp, runs, fo_expected, ho_expected, note_fo="", note_ho=""):
-    """Check the statuses at rp.eps of the first-order runs[0] and, unless
-    ho_expected is None, of the filtered runs[1]."""
-    rep.check_status(f"first-order status, eps={rp.eps:g}", fo_expected,
-                     _statuses(runs[0], rp), note_fo)
-    if ho_expected is not None:
-        rep.check_status(f"higher-order status, eps={rp.eps:g}", ho_expected,
-                         _statuses(runs[1], rp), note_ho)
+def _close(label, observed, expected, tol, note=""):
+    return lambda rep, o: rep.check(label, expected, _OBSERVED[observed](o), tol, note)
 
 
-def _speed_rows(rep, trajs_fo, trajs_ho, x_star, label):
+def _classification(expected, note=""):
+    def row(rep, o):
+        found = o.cls.monotonicity_class
+        rep.check_true("classification", expected, found, found == expected, note)
+    return row
+
+
+def _status_rows(*expected, notes=("", "")):
+    """A unanimous-status row per expected status: first-order, then filtered."""
+    def rows(rep, o):
+        for scheme, want, trajs, note in zip(_SCHEMES, expected, o.runs, notes):
+            rep.check_status(f"{scheme} status, eps={o.rp.eps:g}", want,
+                             _statuses(trajs, o.rp), note)
+    return rows
+
+
+def _recorded_status(scheme, expected, note):
+    def row(rep, o):
+        statuses = _statuses(o.runs[_SCHEMES.index(scheme)], o.rp)
+        rep.record(f"{scheme} status, eps={o.rp.eps:g}", expected, _status_text(statuses), note)
+    return row
+
+
+def _terminal(rep, o):
+    rep.check("terminal strategies match solved fixed point", o.rp.x_star,
+              _OBSERVED["terminal"](o), 1e-6, "internal consistency between solver and integrator")
+
+
+def _faster(rep, o):
+    """A seed is a win if its filtered run settles first, or settles while
+    its first-order partner never does."""
     wins = 0
-    for traj_fo, traj_ho in zip(trajs_fo, trajs_ho):
-        t_fo = time_to_tolerance(traj_fo, x_star)
-        t_ho = time_to_tolerance(traj_ho, x_star)
-        if t_ho is not None and (t_fo is None or t_ho < t_fo):
-            wins += 1
-    n = len(trajs_fo)
-    rep.check_true(label, f"faster for > {n // 2} of {n} seeds",
-                   f"faster for {wins} of {n} seeds", wins > n // 2,
-                   "ordinal check: time to reach max-norm strategy error 1e-3")
+    for traj_fo, traj_ho in zip(*o.runs[:2]):
+        t_fo = time_to_tolerance(traj_fo, o.rp.x_star)
+        t_ho = time_to_tolerance(traj_ho, o.rp.x_star)
+        wins += t_ho is not None and (t_fo is None or t_ho < t_fo)
+    n = len(o.runs[0])
+    rep.check_true("filtered scheme reaches the rest point first",
+                   f"faster for > {n // 2} of {n} seeds", f"faster for {wins} of {n} seeds",
+                   wins > n // 2, "ordinal check: time to reach max-norm strategy error 1e-3")
 
 
-def _check_terminal(rep, rp, trajs_ho):
-    rep.check("terminal strategies match solved fixed point", rp.x_star,
-              trajs_ho[0].strategies[-1], 1e-6,
-              "internal consistency between solver and integrator")
+def _bifurcation(scheme, expected, tol, eps_range, note):
+    def row(rep, o):
+        block = _filter(o.game) if scheme == "higher-order" else None
+        res = bifurcation_epsilon(o.game, LearningParams(), block=block, eps_range=eps_range)
+        rep.check(f"{scheme} bifurcation eps*", expected,
+                  np.nan if res.eps_star is None else res.eps_star, tol, note)
+    return row
 
 
-def _check_bifurcation(rep, game, scheme, expected, tol, eps_range, note):
-    block = _filter(game) if scheme == "higher-order" else None
-    res = bifurcation_epsilon(game, LearningParams(1.0, 1.0), block=block,
-                              eps_range=eps_range)
-    rep.check(f"{scheme} bifurcation eps*", expected,
-              res.eps_star if res.eps_star is not None else np.nan, tol, note)
+_CONVERGED = _status_rows("converged", "converged")
+_DICHOTOMY = _status_rows("limit-cycle", "converged")
 
 
-def _checks_1(l: float) -> Callable:
-    def checks(rep, game, rp, runs, out_dir):
-        cls = classify(game)
-        rep.check("tangent eigenvalues", [l - 1.0, l - 1.0],
-                  np.sort(cls.tangent_eigenvalues), 1e-9,
-                  "closed form: both tangent-space eigenvalues of A + A^T equal l-1")
-        z_star = np.full(3, (1.0 - l) / 3.0)
-        rep.check("rest point scores", z_star, rp.z_star, 1e-8,
-                  "closed form (1-l)/3 * ones; the uniform point is fixed for every l")
-        if l < 7.0:
-            _dichotomy(rep, rp, runs, "converged", "converged")
-            if l > 1.0:
-                _speed_rows(rep, *runs, rp.x_star,
-                            "filtered scheme reaches the rest point first")
-        else:
-            _dichotomy(rep, rp, runs, "limit-cycle", "converged",
-                       note_ho="weakly damped near the threshold, long horizon")
-            _check_bifurcation(rep, game, "first-order", 7.0 / 6.0, 1e-3, (0.5, 3.0),
-                               "closed form (l-1)/6 from the rest-point Jacobian")
-            _check_bifurcation(rep, game, "higher-order", 0.86, 0.02, (0.1, 3.0),
-                               "reference value quoted as approximate; computed 0.8695")
-    return checks
+def _rps_rows(l: float) -> tuple:
+    """Single-population RPS: closed-form spectrum and rest point; both
+    schemes settle below l=7, and above it only the filtered one does."""
+    rows = (_close("tangent eigenvalues", "tangent", [l - 1.0, l - 1.0], 1e-9,
+                   "closed form: both tangent-space eigenvalues of A + A^T equal l-1"),
+            _close("rest point scores", "z*", np.full(3, (1.0 - l) / 3.0), 1e-8,
+                   "closed form (1-l)/3 * ones; the uniform point is fixed for every l"))
+    if l < 7.0:
+        return rows + (_CONVERGED,) + ((_faster,) if l > 1.0 else ())
+    return rows + (
+        _status_rows("limit-cycle", "converged",
+                     notes=("", "weakly damped near the threshold, long horizon")),
+        _bifurcation("first-order", 7.0 / 6.0, 1e-3, (0.5, 3.0),
+                     "closed form (l-1)/6 from the rest-point Jacobian"),
+        _bifurcation("higher-order", 0.86, 0.02, (0.1, 3.0),
+                     "reference value quoted as approximate; computed 0.8695"))
 
 
-def _checks_2(rep, game, rp, runs, out_dir):
-    cls = classify(game)
-    rep.check_true("classification", "strictly-monotone", cls.monotonicity_class,
-                   cls.monotonicity_class == "strictly-monotone",
-                   "concave-potential game; tangent eigenvalues are negative")
-    rep.check("fixed point at eps=1", [0.40, 0.32, 0.27], rp.x_star, 0.005,
-              "reference distribution quoted to two decimals; computed fixed "
-              "point (0.40720, 0.32160, 0.27121)")
-    nash = np.array([6.0, 3.0, 2.0]) / 11.0
-    rp01 = rest_point(game, 0.1)
-    rep.check("eps=0.1 fixed point near exact equilibrium", nash, rp01.x_star,
-              0.01, "computed gap 0.0329 at eps=0.1; the gap falls below 0.01 "
-              "only near eps=0.03 (0.0038 at eps=0.01)")
-    _dichotomy(rep, rp, runs, "converged", "converged")
+def _eps01_near_nash(rep, o):
+    rep.check("eps=0.1 fixed point near exact equilibrium", np.array([6.0, 3.0, 2.0]) / 11.0,
+              rest_point(o.game, 0.1).x_star, 0.01, "computed gap 0.0329 at eps=0.1; the "
+              "gap falls below 0.01 only near eps=0.03 (0.0038 at eps=0.01)")
 
 
-def _checks_3(rep, game, rp, runs, out_dir):
-    cls = classify(game)
-    rep.check("mu", 0.0, cls.mu, 1e-12, "Phi + Phi^T = 0 for zero-sum games")
-    rep.check_true("classification", "null-monotone", cls.monotonicity_class,
-                   cls.monotonicity_class == "null-monotone", "")
-    rep.check("fixed point", np.full(4, 0.5), rp.x_star, 1e-8,
-              "uniform equilibrium; scores vanish so the choice map is uniform")
-    _dichotomy(rep, rp, runs, "converged", "converged")
-    for scheme, trajs, fast in zip(("first-order", "higher-order"), runs[:2], runs[2:]):
+def _gamma4_faster(rep, o):
+    """A seed is a win only if both its runs settle, the gamma=4 one first."""
+    for scheme, trajs, fast in zip(_SCHEMES, o.runs[:2], o.runs[2:]):
         wins = 0
         for traj_1, traj_4 in zip(trajs, fast):
-            t1 = time_to_tolerance(traj_1, rp.x_star)
-            t4 = time_to_tolerance(traj_4, rp.x_star)
-            if t4 is not None and t1 is not None and t4 < t1:
-                wins += 1
-        rep.check_true(f"gamma=4 reaches tolerance first ({scheme})",
-                       "3 of 3 seeds", f"{wins} of 3 seeds", wins == 3,
+            t1 = time_to_tolerance(traj_1, o.rp.x_star)
+            t4 = time_to_tolerance(traj_4, o.rp.x_star)
+            wins += t4 is not None and t1 is not None and t4 < t1
+        rep.check_true(f"gamma=4 reaches tolerance first ({scheme})", "3 of 3 seeds",
+                       f"{wins} of 3 seeds", wins == 3,
                        "higher learning rate speeds up convergence")
 
 
-def _checks_4_l1(rep, game, rp, runs, out_dir):
-    cls = classify(game)
-    rep.check("full eigenvalues", np.zeros(6), np.sort(cls.full_eigenvalues),
-              1e-9, "zero-sum case: Phi + Phi^T = 0")
-    _dichotomy(rep, rp, runs, "converged", "converged")
-
-
-def _checks_4_l5(rep, game, rp, runs, out_dir):
-    cls = classify(game)
-    expect = np.sort([8.0, -8.0, -4.0, -4.0, 4.0, 4.0])
-    rep.check("full eigenvalues", expect, np.sort(cls.full_eigenvalues),
-              1e-9, "closed form {+-2(l-1), +-(1-l), +-(1-l)}")
-    rep.check("mu", 2.0, cls.mu, 1e-9, "mu = |l-1|/2")
-    _dichotomy(rep, rp, runs, "converged", "converged")
-
-
-def _checks_4_l5_eps05(rep, game, rp, runs, out_dir):
-    _dichotomy(rep, rp, runs, "limit-cycle", "converged")
-    _check_bifurcation(rep, game, "first-order", 2.0 / 3.0, 1e-3, (0.2, 2.0),
-                       "closed form (l-1)/6 per population")
-    _check_bifurcation(rep, game, "higher-order", 0.347, 5e-3, (0.05, 2.0),
-                       "reference value 0.347; computed 0.34722")
-
-
-def _checks_5(rep, game, rp, runs, out_dir):
-    cls = classify(game)
-    rep.check("mu", 0.5, cls.mu, 1e-9,
-              "the l=0 analogue of two-player RPS, mu = |l-1|/2 = 0.5")
-    _dichotomy(rep, rp, runs, "converged", "converged")
-
-
-def _checks_5_eps01(rep, game, rp, runs, out_dir):
-    _dichotomy(rep, rp, runs, "limit-cycle", None,
-               "closed orbit around the uniform point")
-    if out_dir is not None:
+def _orbit_csv(rep, o):
+    if o.out_dir is not None:
         # named relative to out_dir, so the report does not depend on it
         name = "shapley_eps0.1_seed0.csv"
-        write_trajectory_csv(os.path.join(out_dir, name), runs[0][0],
-                             game.action_counts, ternary=True)
-        rep.record("orbit trace", "2-simplex projection columns",
-                   f"written to {name}",
+        write_trajectory_csv(os.path.join(o.out_dir, name), o.runs[0][0],
+                             o.game.action_counts, ternary=True)
+        rep.record("orbit trace", "2-simplex projection columns", f"written to {name}",
                    "triangular orbit, plottable from the ternary columns")
 
 
-def _checks_6(rep, game, rp, runs, out_dir):
-    cls = classify(game)
-    rep.check("mu", 0.0, cls.mu, 1e-12, "pairwise zero-sum: Phi + Phi^T = 0")
-    rep.check("fixed point", np.full(6, 0.5), rp.x_star, 1e-8,
-              "uniform equilibrium on every edge game")
-    _dichotomy(rep, rp, runs, "converged", "converged")
-
-
-def _checks_7(rep, game, rp, runs, out_dir):
-    cls = classify(game)
-    rep.check("full eigenvalues", np.sort([-4.0, 2.0, 2.0, 0.0, 0.0, 0.0]),
-              np.sort(cls.full_eigenvalues), 1e-9,
-              "spectrum of the symmetrized linear payoff map")
-    rep.check("mu", 1.0, cls.mu, 1e-9, "half the largest tangent eigenvalue")
-    rep.check("fixed point", np.full(6, 0.5), rp.x_star, 1e-8,
-              "uniform equilibrium, unchanged by the temperature")
-    rep.record("first-order status, eps=1", "observed status recorded",
-               _status_text(_statuses(runs[0], rp)),
-               "eps=1 sits on the guarantee boundary (mu=1), so the status is "
-               "recorded rather than asserted")
-    rep.record("higher-order status, eps=1", "observed status recorded",
-               _status_text(_statuses(runs[1], rp)),
-               "same boundary note as the first-order run")
-
-
-def _checks_8_A(rep, game, rp, runs, out_dir):
-    cls = classify(game)
-    rep.check("full eigenvalues", np.sort([3.3723, -2.3723, -1.0]),
-              np.sort(cls.full_eigenvalues), 1e-3, "quoted spectrum of A + A^T")
-    rep.check("tangent-aligned eigenvalue", [-1.0], cls.aligned_eigenvalues,
-              1e-3, "the eigenvalue whose eigenvector lies in the tangent space")
-    rep.check_true("classification", "strictly-monotone", cls.monotonicity_class,
-                   cls.monotonicity_class == "strictly-monotone", "")
-    rep.check("fixed point at eps=1", [0.379, 0.2997, 0.3213], rp.x_star, 1e-3,
-              "reference distribution; computed fixed point "
-              "(0.37848, 0.29801, 0.32351)")
-    _dichotomy(rep, rp, runs, "converged", "converged")
-    _check_terminal(rep, rp, runs[1])
-
-
-def _checks_8_A_eps02(rep, game, rp, runs, out_dir):
-    rep.check("fixed point at eps=0.2", [0.4025, 0.3024, 0.2951], rp.x_star,
-              1e-3, "reference distribution; computed fixed point "
-              "(0.40393, 0.30391, 0.29217)")
-    _dichotomy(rep, rp, runs, "converged", "converged")
-    _check_terminal(rep, rp, runs[1])
-
-
-def _checks_8_Abar(rep, game, rp, runs, out_dir):
-    cls = classify(game)
-    rep.check("full eigenvalues", np.sort([-3.3723, 2.3723, 1.0]),
-              np.sort(cls.full_eigenvalues), 1e-3, "quoted spectrum of A + A^T")
-    rep.check("tangent-aligned eigenvalue", [1.0], cls.aligned_eigenvalues,
-              1e-3, "")
-    rep.check("mu from the aligned eigenvalue", 0.5,
-              cls.mu_aligned if cls.mu_aligned is not None else np.nan,
-              1e-3, "half the aligned eigenvalue")
-    rep.check("fixed point at eps=1", [0.2741, 0.3647, 0.3612], rp.x_star,
-              1e-3, "reference distribution")
-    _dichotomy(rep, rp, runs, "converged", "converged")
-
-
-def _checks_8_Abar_eps02(rep, game, rp, runs, out_dir):
-    _dichotomy(rep, rp, runs, "limit-cycle", "converged")
-    rep.check("higher-order terminal distribution", [0.2653, 0.3237, 0.4109],
-              runs[1][0].strategies[-1], 1e-3,
-              "reference distribution; computed fixed point "
-              "(0.27199, 0.32457, 0.40345), which the run reaches to 1e-9")
-    _check_terminal(rep, rp, runs[1])
-
-
-def _checks_8_Abar_eps01(rep, game, rp, runs, out_dir):
-    _dichotomy(rep, rp, runs, "limit-cycle", None)
-    rep.record("higher-order status, eps=0.1",
-               "reference reports a cycle; observed status recorded",
-               _status_text(_statuses(runs[1], rp)),
-               "with gain 1 and cutoff 1 the filtered run settles onto the "
-               "fixed point, so the quoted cycle does not reproduce")
-
-
-def _checks_9(rep, game, rp, runs, out_dir):
-    _dichotomy(rep, rp, runs, "limit-cycle", "converged")
-    _check_terminal(rep, rp, runs[1])
+def _nash_distance(rep, o):
     nash = np.array([0.25, 0.75, 2.0 / 3.0, 1.0 / 3.0, 0.5, 0.5])
-    rep.record("distance to exact equilibrium",
-               "close to (1/4, 3/4, 2/3, 1/3, 1/2, 1/2)",
-               f"{np.abs(rp.x_star - nash).max():.4f}",
+    rep.record("distance to exact equilibrium", "close to (1/4, 3/4, 2/3, 1/3, 1/2, 1/2)",
+               f"{np.abs(o.rp.x_star - nash).max():.4f}",
                "no tolerance quoted, so the gap is recorded only")
 
 
 SCENARIOS = {
     "1-l1": Scenario("single-population RPS, l=1, eps=1", ("rps", {"l": 1.0}), 1.0,
-                     T_END_SETTLED, T_END_SETTLED, _checks_1(1.0)),
+                     _rps_rows(1.0)),
     "1-l2.5": Scenario("single-population RPS, l=2.5, eps=1", ("rps", {"l": 2.5}), 1.0,
-                       T_END_SETTLED, T_END_SETTLED, _checks_1(2.5)),
+                       _rps_rows(2.5)),
     "1-l5": Scenario("single-population RPS, l=5, eps=1", ("rps", {"l": 5.0}), 1.0,
-                     T_END_SETTLED, T_END_SETTLED, _checks_1(5.0)),
-    # the filtered run is weakly damped near the threshold: a long horizon
+                     _rps_rows(5.0)),
     "1-l8": Scenario("single-population RPS, l=8, eps=1", ("rps", {"l": 8.0}), 1.0,
-                     T_END_CYCLE, 450.0, _checks_1(8.0)),
-    "2": Scenario("123 anti-coordination, eps=1 and eps=0.1", ("anticoord123", None),
-                  1.0, T_END_SETTLED, T_END_SETTLED, _checks_2),
+                     _rps_rows(8.0), T_END_CYCLE, 450.0),
+    "2": Scenario("123 anti-coordination, eps=1 and eps=0.1", ("anticoord123", None), 1.0, (
+        _classification("strictly-monotone",
+                        "concave-potential game; tangent eigenvalues are negative"),
+        _close("fixed point at eps=1", "x*", [0.40, 0.32, 0.27], 0.005, "reference distribution "
+               "quoted to two decimals; computed fixed point (0.40720, 0.32160, 0.27121)"),
+        _eps01_near_nash, _CONVERGED)),
     "3": Scenario("two-player matching pennies, eps=1, gamma 1 vs 4",
-                  ("matching_pennies", None), 1.0, T_END_SETTLED, T_END_SETTLED,
-                  _checks_3, gamma_seeds=((1.0, SEEDS), (4.0, SEEDS[:3]))),
-    "4-l1": Scenario("two-player RPS, l=1, eps=1", ("two_player_rps", {"l": 1.0}), 1.0,
-                     T_END_SETTLED, T_END_SETTLED, _checks_4_l1),
-    "4-l5": Scenario("two-player RPS, l=5, eps=1", ("two_player_rps", {"l": 5.0}), 1.0,
-                     T_END_SETTLED, T_END_SETTLED, _checks_4_l5),
+                  ("matching_pennies", None), 1.0, (
+        _close("mu", "mu", 0.0, 1e-12, "Phi + Phi^T = 0 for zero-sum games"),
+        _classification("null-monotone"),
+        _close("fixed point", "x*", np.full(4, 0.5), 1e-8,
+               "uniform equilibrium; scores vanish so the choice map is uniform"),
+        _CONVERGED, _gamma4_faster), gamma_seeds=((1.0, SEEDS), (4.0, SEEDS[:3]))),
+    "4-l1": Scenario("two-player RPS, l=1, eps=1", ("two_player_rps", {"l": 1.0}), 1.0, (
+        _close("full eigenvalues", "full", np.zeros(6), 1e-9, "zero-sum case: Phi + Phi^T = 0"),
+        _CONVERGED)),
+    "4-l5": Scenario("two-player RPS, l=5, eps=1", ("two_player_rps", {"l": 5.0}), 1.0, (
+        _close("full eigenvalues", "full", np.sort([8.0, -8.0, -4.0, -4.0, 4.0, 4.0]), 1e-9,
+               "closed form {+-2(l-1), +-(1-l), +-(1-l)}"),
+        _close("mu", "mu", 2.0, 1e-9, "mu = |l-1|/2"), _CONVERGED)),
     "4-l5-eps0.5": Scenario("two-player RPS, l=5, eps=0.5", ("two_player_rps", {"l": 5.0}),
-                            0.5, T_END_CYCLE, T_END_SETTLED, _checks_4_l5_eps05),
-    "5": Scenario("two-player Shapley game, eps=1", ("shapley", None), 1.0,
-                  T_END_SETTLED, T_END_SETTLED, _checks_5),
-    "5-eps0.1": Scenario("two-player Shapley game, eps=0.1", ("shapley", None), 0.1,
-                         T_END_CYCLE, None, _checks_5_eps01),
+                            0.5, (_DICHOTOMY,
+        _bifurcation("first-order", 2.0 / 3.0, 1e-3, (0.2, 2.0),
+                     "closed form (l-1)/6 per population"),
+        _bifurcation("higher-order", 0.347, 5e-3, (0.05, 2.0),
+                     "reference value 0.347; computed 0.34722")), T_END_CYCLE),
+    "5": Scenario("two-player Shapley game, eps=1", ("shapley", None), 1.0, (
+        _close("mu", "mu", 0.5, 1e-9, "the l=0 analogue of two-player RPS, mu = |l-1|/2 = 0.5"),
+        _CONVERGED)),
+    "5-eps0.1": Scenario("two-player Shapley game, eps=0.1", ("shapley", None), 0.1, (
+        _status_rows("limit-cycle", notes=("closed orbit around the uniform point",)),
+        _orbit_csv), T_END_CYCLE, None),
     "6": Scenario("three-player network zero-sum pennies, eps=1",
-                  ("network_zero_sum_mp", None), 1.0, T_END_SETTLED, T_END_SETTLED,
-                  _checks_6),
-    "7": Scenario("three-player Jordan pennies, eps=1", ("jordan_mp", None), 1.0,
-                  T_END_SETTLED, T_END_SETTLED, _checks_7),
-    "8-A": Scenario("modified RPS (stable variant), eps=1", ("modified_rps_A", None),
-                    1.0, T_END_SETTLED, T_END_SETTLED, _checks_8_A),
-    "8-A-eps0.2": Scenario("modified RPS (stable variant), eps=0.2",
-                           ("modified_rps_A", None), 0.2, T_END_SETTLED, T_END_SETTLED,
-                           _checks_8_A_eps02),
-    "8-Abar": Scenario("modified RPS (cyclic variant), eps=1", ("modified_rps_Abar", None),
-                       1.0, T_END_SETTLED, T_END_SETTLED, _checks_8_Abar),
+                  ("network_zero_sum_mp", None), 1.0, (
+        _close("mu", "mu", 0.0, 1e-12, "pairwise zero-sum: Phi + Phi^T = 0"),
+        _close("fixed point", "x*", np.full(6, 0.5), 1e-8,
+               "uniform equilibrium on every edge game"),
+        _CONVERGED)),
+    "7": Scenario("three-player Jordan pennies, eps=1", ("jordan_mp", None), 1.0, (
+        _close("full eigenvalues", "full", np.sort([-4.0, 2.0, 2.0, 0.0, 0.0, 0.0]), 1e-9,
+               "spectrum of the symmetrized linear payoff map"),
+        _close("mu", "mu", 1.0, 1e-9, "half the largest tangent eigenvalue"),
+        _close("fixed point", "x*", np.full(6, 0.5), 1e-8,
+               "uniform equilibrium, unchanged by the temperature"),
+        _recorded_status("first-order", "observed status recorded", "eps=1 sits on the guarantee "
+                         "boundary (mu=1), so the status is recorded rather than asserted"),
+        _recorded_status("higher-order", "observed status recorded",
+                         "same boundary note as the first-order run"))),
+    "8-A": Scenario("modified RPS (stable variant), eps=1", ("modified_rps_A", None), 1.0, (
+        _close("full eigenvalues", "full", np.sort([3.3723, -2.3723, -1.0]), 1e-3,
+               "quoted spectrum of A + A^T"),
+        _close("tangent-aligned eigenvalue", "aligned", [-1.0], 1e-3,
+               "the eigenvalue whose eigenvector lies in the tangent space"),
+        _classification("strictly-monotone"),
+        _close("fixed point at eps=1", "x*", [0.379, 0.2997, 0.3213], 1e-3,
+               "reference distribution; computed fixed point (0.37848, 0.29801, 0.32351)"),
+        _CONVERGED, _terminal)),
+    "8-A-eps0.2": Scenario("modified RPS (stable variant), eps=0.2", ("modified_rps_A", None),
+                           0.2, (
+        _close("fixed point at eps=0.2", "x*", [0.4025, 0.3024, 0.2951], 1e-3,
+               "reference distribution; computed fixed point (0.40393, 0.30391, 0.29217)"),
+        _CONVERGED, _terminal)),
+    "8-Abar": Scenario("modified RPS (cyclic variant), eps=1", ("modified_rps_Abar", None), 1.0, (
+        _close("full eigenvalues", "full", np.sort([-3.3723, 2.3723, 1.0]), 1e-3,
+               "quoted spectrum of A + A^T"),
+        _close("tangent-aligned eigenvalue", "aligned", [1.0], 1e-3),
+        _close("mu from the aligned eigenvalue", "mu_aligned", 0.5, 1e-3,
+               "half the aligned eigenvalue"),
+        _close("fixed point at eps=1", "x*", [0.2741, 0.3647, 0.3612], 1e-3,
+               "reference distribution"),
+        _CONVERGED)),
     "8-Abar-eps0.2": Scenario("modified RPS (cyclic variant), eps=0.2",
-                              ("modified_rps_Abar", None), 0.2, T_END_CYCLE,
-                              T_END_SETTLED, _checks_8_Abar_eps02),
+                              ("modified_rps_Abar", None), 0.2, (_DICHOTOMY,
+        _close("higher-order terminal distribution", "terminal", [0.2653, 0.3237, 0.4109],
+               1e-3, "reference distribution; computed fixed point "
+               "(0.27199, 0.32457, 0.40345), which the run reaches to 1e-9"),
+        _terminal), T_END_CYCLE),
     "8-Abar-eps0.1": Scenario("modified RPS (cyclic variant), eps=0.1",
-                              ("modified_rps_Abar", None), 0.1, T_END_CYCLE,
-                              T_END_CYCLE, _checks_8_Abar_eps01),
+                              ("modified_rps_Abar", None), 0.1, (_status_rows("limit-cycle"),
+        _recorded_status("higher-order", "reference reports a cycle; observed status recorded",
+                         "with gain 1 and cutoff 1 the filtered run settles onto the "
+                         "fixed point, so the quoted cycle does not reproduce")),
+        T_END_CYCLE, T_END_CYCLE),
     "9": Scenario("modified three-player Jordan game, eps=0.1", ("modified_jordan", None),
-                  0.1, T_END_CYCLE, T_END_SETTLED, _checks_9),
+                  0.1, (_DICHOTOMY, _terminal, _nash_distance), T_END_CYCLE),
 }
 
 EXAMPLE_IDS = tuple(SCENARIOS)
@@ -432,12 +389,14 @@ def run(plans) -> list:
 
 
 def check(plans, batches, out_dir: str | None = None) -> list:
-    """Create out_dir, then run each plan's checks on its batch: one report each."""
+    """Create out_dir, then add each plan's rows, read off its batch: one report each."""
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     reports = [ExampleReport(example_id, scenario.title) for example_id, scenario, *_ in plans]
     for report, (_, scenario, game, rp, _), trajs in zip(reports, plans, batches, strict=True):
-        scenario.checks(report, game, rp, trajs, out_dir)
+        observed = _Observed(game, rp, trajs, out_dir)
+        for row in scenario.rows:
+            row(report, observed)
     return reports
 
 

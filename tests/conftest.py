@@ -18,11 +18,11 @@ def catalogue(tmp_path_factory):
     process, into a fresh out_dir: its plans, batches and reports by id.
     log[id] lists the work done on that scenario's game: its "integrate"
     calls (RK4 loops), the "rows" it integrated, keyed by what determines
-    each result, and its rest-point "solves", keyed by (game, eps).  Work
-    on no scenario's game is logged under None."""
+    each result, its rest-point "solves", keyed by (game, eps), and its
+    "classify" calls.  Work on no scenario's game is logged under None."""
     events, batch_game = [], [None]  # events: (kind, game, key)
-    simulate_batch, integrate, solve = (reproduce.simulate_batch, dynamics.integrate,
-                                        reproduce.rest_point)
+    simulate_batch, integrate, solve, classify = (reproduce.simulate_batch, dynamics.integrate,
+                                                  reproduce.rest_point, reproduce.classify)
 
     def logged_batch(game, runs, **kwargs):
         events.extend(("rows", game, (game.name, run.params, run.block is None, kwargs["dt"],
@@ -41,11 +41,16 @@ def catalogue(tmp_path_factory):
         events.append(("solves", game, (game.name, eps)))
         return solve(game, eps, *args, **kwargs)
 
+    def counted_classify(game, *args, **kwargs):
+        events.append(("classify", game, None))
+        return classify(game, *args, **kwargs)
+
     out_dir = tmp_path_factory.mktemp("catalogue")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reproduce, "simulate_batch", logged_batch)
         mp.setattr(dynamics, "integrate", counted_integrate)
         mp.setattr(reproduce, "rest_point", rest_point)
+        mp.setattr(reproduce, "classify", counted_classify)
         plans = reproduce.plan(reproduce.EXAMPLE_IDS)
         batches = reproduce.run(plans)
         reports = reproduce.check(plans, batches, str(out_dir))

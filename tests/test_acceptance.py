@@ -26,7 +26,7 @@ from gamedyn import (FeedbackBlock, LearningParams, SimulationRun,
                      score_bound_excess, seeded_initial_scores,
                      simulate_batch, simulate_first_order,
                      simulate_higher_order, softmax,
-                     storage_matrix, tangent_mode_abscissa, time_to_tolerance)
+                     storage_matrix, time_to_tolerance)
 
 SEEDS10 = tuple(range(10))
 DT = 0.02

@@ -30,6 +30,13 @@ def test_temperature_must_be_positive():
         softmax(np.zeros(3), -1.0, (3,))
     with pytest.raises(DomainError):
         softmax(np.array([np.nan, 0.0]), 1.0, (2,))
+    # an infinite or nan eps or gamma is refused as not finite, not as not positive
+    for eps in (np.inf, np.nan):
+        with pytest.raises(DomainError,
+                           match=f"temperature must be positive and finite, got {eps}"):
+            softmax(np.zeros(3), eps, (3,))
+    with pytest.raises(DomainError, match="gamma must be positive and finite, got inf"):
+        LearningParams(gamma=np.inf)
 
 
 def test_temperature_too_small_for_its_reciprocal():

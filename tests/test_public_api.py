@@ -1,5 +1,9 @@
 """The package's public surface, pinned: a change that adds or drops a
-public name has to change this list too."""
+public name has to change this list too.  No module of the package or of
+the tests imports a name it never reads."""
+
+import ast
+from pathlib import Path
 
 import gamedyn
 
@@ -28,3 +32,26 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(gamedyn.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(gamedyn, name), name
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """A name counts as read if the module loads it anywhere or lists it in
+    __all__; from __future__ imports are skipped."""
+    root = Path(__file__).resolve().parents[1]
+    unread = []
+    for path in sorted([*root.glob("src/gamedyn/*.py"), *root.glob("tests/*.py")]):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unread += [f"{path.relative_to(root)}:{node.lineno} {name}"
+                           for name in names if name not in read]
+    assert unread == []

@@ -11,35 +11,43 @@ import pytest
 from gamedyn import reproduce
 
 
-# rows integrated, row outcomes and timing rows, for three scenarios
+# rows integrated, row outcomes, and the observed text of the timing rows and
+# of the recorded rows, whose outcome does not pin it
 PINNED = {
     "1-l2.5": (10, {"pass": 5}, {"filtered scheme reaches the rest point first":
                                  "faster for 5 of 5 seeds"}),
+    "1-l5": (10, {"pass": 5}, {"filtered scheme reaches the rest point first":
+                               "faster for 5 of 5 seeds"}),
     "3": (16, {"pass": 7}, {"gamma=4 reaches tolerance first (first-order)": "3 of 3 seeds",
                             "gamma=4 reaches tolerance first (higher-order)": "3 of 3 seeds"}),
-    "9": (10, {"pass": 3, "recorded": 1}, {}),
+    "7": (10, {"pass": 3, "recorded": 2}, {"first-order status, eps=1": "converged",
+                                           "higher-order status, eps=1": "converged"}),
+    "8-Abar-eps0.1": (10, {"pass": 1, "recorded": 1}, {"higher-order status, eps=0.1":
+                                                       "converged"}),
+    "9": (10, {"pass": 3, "recorded": 1}, {"distance to exact equilibrium": "0.0426"}),
 }
 
 
 @pytest.mark.parametrize("example_id", reproduce.EXAMPLE_IDS)
 def test_scenario_integrates_and_solves_once(catalogue, example_id):
-    """One lockstep batch per scenario: one RK4 loop, and no row integrated
-    twice nor (game, eps) solved twice anywhere in the catalogue, which does
-    no work outside its scenarios.  Scenario 9 ends its two schemes at
-    different horizons."""
+    """One lockstep batch per scenario: one RK4 loop, at most one classify
+    call, and no row integrated twice nor (game, eps) solved twice anywhere
+    in the catalogue, which does no work outside its scenarios.  Scenario 9
+    ends its two schemes at different horizons."""
     log = catalogue.log
     assert set(log) == set(reproduce.EXAMPLE_IDS)
     assert len(log[example_id]["integrate"]) == 1
+    assert len(log[example_id]["classify"]) <= 1
     for kind in ("rows", "solves"):
         done = Counter(key for work in log.values() for key in work[kind])
         assert all(done[key] == 1 for key in log[example_id][kind])
     if example_id in PINNED:
-        rows, outcomes, timing_rows = PINNED[example_id]
+        rows, outcomes, observed_text = PINNED[example_id]
         report = catalogue.reports[example_id]
         assert len(log[example_id]["rows"]) == rows
         assert Counter(r.outcome for r in report.rows) == outcomes
         observed = {r.label: r.observed for r in report.rows}
-        for label, text in timing_rows.items():
+        for label, text in observed_text.items():
             assert observed[label] == text
 
 
