@@ -78,44 +78,68 @@ def softmax(z, eps: float, action_counts: Sequence[int]) -> np.ndarray:
     counts = _check_counts(action_counts)
     _check_length(z, sum(counts))
     _check_finite(z)
-    return _bind_softmax(eps, counts, z, np.empty(z.shape))()
+    out = np.empty(z.shape)
+    _bind_softmax(eps, counts, np.moveaxis(z, -1, 0), np.moveaxis(out, -1, 0))()
+    return out
+
+
+# numpy's last-axis add.reduce adds blocks at least this wide pairwise
+_PAIRWISE_WIDTH = 8
 
 
 def _bind_softmax(eps: float, counts: tuple[int, ...], z: np.ndarray, out: np.ndarray):
     """The per-player soft-max of scores z into an output out of the same
-    shape, for a validated eps and block layout.  Returns a zero-argument
-    evaluation that writes sigma(z) into out and returns it: the block views
-    of z and out, the scratch and eps as a 0-d array are made once, so the
-    evaluation reads whatever z holds when it is called, checks nothing and
-    is not re-entrant.
+    shape, for a validated eps and block layout.  Both are coordinate-major,
+    scores along the first axis: a batch is (n, rows), so that each score
+    is one contiguous row.  Returns a zero-argument evaluation that writes
+    sigma(z) into out and returns it: the block views of z and out, the
+    scratch and eps as a 0-d array are made once, so the evaluation reads
+    whatever z holds when it is called, checks nothing and is not
+    re-entrant.
 
-    Equal blocks are reshaped and reduced together, unequal ones block by
-    block.  Each block is shifted by its maximum, divided by eps (left out
-    at eps == 1, where it is exact), exponentiated and divided by its sum,
-    the arithmetic of the plain expression.  The work runs in place in a
-    contiguous array (the block view of out when that is contiguous), as
-    ufuncs on strided views cost more per call, and the last division
-    writes into out.
+    Equal blocks are split into (players, width, rows) and run together,
+    unequal ones block by block as (1, width, rows).  Each block is shifted
+    by its maximum, divided by eps (left out at eps == 1, where it is
+    exact), exponentiated and divided by its sum: bit for bit the
+    arithmetic of the plain expression over a last axis.  The maximum and
+    the sum reduce the action axis in one call each, which numpy runs as
+    one pass per action row over the contiguous rows, adding left to
+    right: the order of its last-axis add.reduce up to 7 terms.  From
+    _PAIRWISE_WIDTH actions that add.reduce adds pairwise, so a wider block
+    is copied action-last and summed along its last axis.  The work runs in
+    place in a contiguous array (the block view of out when that is
+    contiguous), as ufuncs on strided views cost more per call, and the
+    last division writes into out.
     """
     if len(set(counts)) == 1:
-        # splitting the last axis always gives a view, of z as of out
-        shape = out.shape[:-1] + (len(counts), counts[0])
+        # splitting the first axis always gives a view, of z as of out
+        shape = (len(counts), counts[0]) + out.shape[1:]
         views = [(z.reshape(shape), out.reshape(shape))]
     else:
-        views = [(z[..., sl], out[..., sl]) for sl in block_slices(counts)]
-    parts = [(zb, view, view if view.flags.c_contiguous else np.empty(view.shape),
-              np.empty(view.shape[:-1] + (1,))) for zb, view in views]
+        views = [(z[sl][None], out[sl][None]) for sl in block_slices(counts)]
+    parts = []
+    for zb, view in views:
+        w = view if view.flags.c_contiguous else np.empty(view.shape)
+        col = np.empty(view.shape[:1] + view.shape[2:])
+        last = np.moveaxis(w, 1, -1)
+        wide = np.empty(last.shape) if view.shape[1] >= _PAIRWISE_WIDTH else None
+        parts.append((zb, view, w, col, col[:, None], last, wide))
     scale = None if eps == 1.0 else np.array(eps, dtype=float)
+    subtract, divide, exp = np.subtract, np.divide, np.exp
 
     def sigma() -> np.ndarray:
-        for zb, view, w, col in parts:
-            _max(zb, axis=-1, keepdims=True, out=col)
-            np.subtract(zb, col, w)
+        for zb, view, w, col, spread, last, wide in parts:
+            _max(zb, axis=1, out=col)
+            subtract(zb, spread, w)
             if scale is not None:
-                np.divide(w, scale, w)
-            np.exp(w, w)
-            _sum(w, axis=-1, keepdims=True, out=col)
-            np.divide(w, col, view)
+                divide(w, scale, w)
+            exp(w, w)
+            if wide is None:
+                _sum(w, axis=1, out=col)
+            else:
+                np.copyto(wide, last)
+                _sum(wide, axis=-1, out=col)
+            divide(w, spread, view)
         return out
 
     return sigma

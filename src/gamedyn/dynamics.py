@@ -12,7 +12,15 @@ filter (A, B, C, D) with zero DC gain before it reaches the score:
 
 Every score field, including the increment of the discrete scheme, comes
 from one bound kernel, _Field, in which the filter is an option of a group
-of rows.
+of rows.  The kernel and the RK4 loop hold a batch coordinate-major, as
+(d, rows), the transpose of the (rows, d) that callers pass and get back:
+each coordinate is one contiguous row, so the soft-max, the score update
+and the RK4 stages run on contiguous slabs.  Every value keeps the bits of
+the row-major arithmetic: the soft-max sums in numpy's last-axis order for
+every block width, a group of several rows is one product on its column
+range while the BLAS rounds that as the row-major product (up to
+_VIEW_WIDTH coordinates), and one-row groups and wider products go through
+row-major copies (see _Field).
 """
 
 from __future__ import annotations
@@ -203,42 +211,62 @@ def _filter_matrix(game: GameSpec, block: FeedbackBlock) -> np.ndarray:
     return np.block([[top, block.b_mat.T], [-block.c_mat.T, block.a_mat.T]])
 
 
+# products on operands at most this wide take column views of the batch;
+# wider ones go through row-major copies (see _Field)
+_VIEW_WIDTH = 12
+
+
 class _Field:
     """The score field of consecutive row groups (rows, filtered, gamma)
     that share the game, eps and the validated block, with everything that
     is fixed across RK4 stages bound once.  A filtered group evaluates
     gamma (U - z - v) and xidot, a first-order group gamma (U - z).
 
-    One group takes a state of any leading shape.  Several groups take the
-    rows of any leading groups, so rows can leave a batch at group
-    boundaries.  The field checks nothing: a non-finite state gives a
-    non-finite result, which integrate finds at its next recorded sample.
+    The bound field works in coordinate-major layout: a batch is held as
+    (d, rows), the transpose of the (rows, d) that field(state) takes and
+    returns, so the scores z = state[:n], the filter state state[n:] and
+    each player's block are contiguous slabs, on which the soft-max,
+    dz - z and the gamma scale run as whole-slab ufuncs.  One group takes
+    any number of rows.  Several groups take the rows of any leading
+    groups, so rows can leave a batch at group boundaries.  The field
+    checks nothing: a non-finite state gives a non-finite result, which
+    integrate finds at its next recorded sample.
 
-    bind(state, out) returns a zero-argument evaluation that writes the
-    field at whatever state holds into out.  Everything else is fixed at
-    the bind: the row plan, the views of state and out, the product operand
-    [sigma(z), xi] (sigma(z) alone without a filter) into which the bound
-    soft-max writes, the soft-max's own views and scratch, and gamma as a
-    0-d array (left out at gamma == 1, where it is exact).  First-order rows
-    next to filtered ones carry a zero filter state, so the bind zeroes
-    their xidot in out once and the evaluation never writes it.  An
-    evaluation is not re-entrant; it never writes into state.  Calling the
-    field, field(state), binds afresh and returns a new array.
+    bind(state, out) takes two C-contiguous (d, rows) buffers and returns
+    a zero-argument evaluation that writes the field at whatever state
+    holds into out.  Everything else is fixed at the bind: the row plan,
+    the views of state and out, the product operand [sigma(z), xi]
+    (sigma(z) alone without a filter) into which the bound soft-max
+    writes, the soft-max's own views and scratch, and gamma as a 0-d array
+    or a per-row vector (left out at gamma == 1, where it is exact).
+    First-order rows next to filtered ones carry a zero filter state, so
+    the bind zeroes their xidot in out once and the evaluation never
+    writes it.  An evaluation is not re-entrant; it never writes into
+    state.  Calling the field, field(state), binds afresh on a
+    coordinate-major copy of the state's rows (row by row for a state of
+    shape (..., 1, d), which numpy multiplies as one gemv each) and
+    returns a new array of the state's shape.
 
     The payoff map is games._bind_payoff; filtered rows multiply
     [sigma(z), xi] by the stacked W of _filter_matrix and add U(sigma(z))
-    when the game has no linear map.  Every row gets the arithmetic of a
-    separate run of its group.  BLAS rounds a one-row product (gemv)
-    differently from a product over several rows (gemm), and a wider or
-    zero-padded product differently again, so each stage multiplies every
-    group by its own map: filtered rows by W, first-order rows by Phi^T (or
-    U(x) without a linear map).  Neighbouring groups of one scheme that
-    each have several rows share one product, since gemm rounds each row of
-    such a product alike.  One-row groups are multiplied as stacked
-    products, rows lifted to (rows, 1, d), and neighbouring ones of one
-    scheme (the seeds of simulate) share one: numpy computes it as one gemv
-    per row, the bits of their separate runs (tests/test_dynamics.py pins
-    this for the BLAS at hand).
+    when the game has no linear map, whose tensor contraction reads a
+    row-major copy of sigma(z).  Every row gets the arithmetic of a
+    separate row-major run of its group.  BLAS rounds a one-row product
+    (gemv) differently from a product over several rows (gemm), and a
+    wider or zero-padded product differently again, so each stage
+    multiplies every group by its own map M: filtered rows by W,
+    first-order rows by Phi^T (or U(x) without a linear map).  Neighbouring
+    groups of one scheme that each have several rows share one product,
+    M^T @ X[:, cols] on their column range, as gemm rounds each row of it
+    alike and as the row-major X[:, cols]^T @ M.  Past _VIEW_WIDTH
+    coordinates this BLAS no longer rounds the two alike, and such rows are
+    multiplied on a row-major (rows, d) copy.  One-row groups are
+    multiplied as stacked products on a contiguous (rows, 1, d) copy of
+    their rows, each writing into its column of the output (in a one-row
+    batch, the column is that row already), and neighbouring ones of one
+    scheme (the seeds of simulate) share one: numpy computes it as one
+    gemv per row, the bits of their separate runs.
+    tests/test_dynamics.py pins these facts for the BLAS at hand.
     """
 
     def __init__(self, game: GameSpec, eps: float, block: FeedbackBlock | None,
@@ -254,14 +282,9 @@ class _Field:
             else:
                 segments.append([start, stop, filtered, rows > 1])
             gammas += [gamma] * rows
-            g = gammas[0] if len(set(gammas)) == 1 else np.array(gammas)[:, None]
-            segs = []
-            for a, b, f, several in segments:
-                span = slice(a, b)
-                # a stacked one-row product takes its rows as (rows, 1, d)
-                segs.append((span, f, span if several else (span, None)))
-            self.plans[stop] = (segs, g)
-        self.single = ([(..., groups[0][1], ...)], groups[0][2]) if len(groups) == 1 else None
+            g = gammas[0] if len(set(gammas)) == 1 else np.array(gammas)
+            self.plans[stop] = ([(slice(a, b), f, several) for a, b, f, several in segments], g)
+        self.single = groups[0][1:] if len(groups) == 1 else None
         self.n = game.total_actions
         self.eps = eps
         self.counts = game.action_counts
@@ -271,48 +294,82 @@ class _Field:
         self.w_mat = None if block is None else _filter_matrix(game, block)
 
     def __call__(self, state: np.ndarray) -> np.ndarray:
-        out = np.empty(state.shape)
-        self.bind(state, out)()
-        return out
+        if state.ndim > 1 and state.shape[-2] == 1:
+            # numpy multiplies a (..., 1, d) state row by row
+            return np.stack([self(row) for row in state.reshape(-1, state.shape[-1])]
+                            ).reshape(state.shape)
+        rows = np.ascontiguousarray(state.reshape(-1, state.shape[-1]).T)
+        out = np.empty(rows.shape)
+        self.bind(rows, out)()
+        return out.T.reshape(state.shape)
 
     def bind(self, state: np.ndarray, out: np.ndarray) -> Callable[[], None]:
-        segs, g = self.single or self.plans[state.shape[0]]
+        height = state.shape[1]
+        if self.single is None:
+            segs, g = self.plans[height]
+        else:
+            filtered, g = self.single
+            segs = [(slice(0, height), filtered, height > 1)]
         n, w_mat, phi_t, payoff = self.n, self.w_mat, self.phi_t, self.payoff
         scale = None if np.isscalar(g) and g == 1.0 else np.asarray(g, dtype=float)
         operand = np.empty(state.shape)
         if w_mat is None:
             z, dz, xi, x, tail = state, out, None, operand, None
         else:
-            z, dz, xi = state[..., :n], out[..., :n], state[..., n:]
-            x, tail = operand[..., :n], operand[..., n:]
+            z, dz, xi = state[:n], out[:n], state[n:]
+            x, tail = operand[:n], operand[n:]
         sigma = _bind_softmax(self.eps, self.counts, z, x)
-        products = []
-        u_rows = []
-        for rows, filtered, index in segs:
+        loads, products, stores, u_rows = [], [], [], []
+        for cols, filtered, several in segs:
             if filtered:
-                products.append((operand[index], w_mat, out[index]))
+                src, m, dst = operand, w_mat, out
             else:
                 if w_mat is not None:
-                    out[rows, n:] = 0.0  # a first-order row's xidot
-                if phi_t is not None:
-                    products.append((x[index], phi_t, dz[index]))
+                    out[n:, cols] = 0.0  # a first-order row's xidot
+                src, m, dst = x, phi_t, dz
+            if m is None:
+                pass  # U(x) of a game without a linear map, below
+            elif several and len(m) <= _VIEW_WIDTH:
+                products.append((m.T, src[:, cols], dst[:, cols]))
+            elif height == 1:
+                products.append((src.T, m, dst.T))  # the one column is a (1, d) row
+            elif several:
+                # a row-major (rows, d) copy for gemm, its product copied back
+                rows = (cols.stop - cols.start, len(m))
+                a, o = np.empty(rows), np.empty(rows)
+                loads.append((a, src[:, cols].T))
+                products.append((a, m, o))
+                stores.append((dst[:, cols], o.T))
+            else:
+                # a contiguous (rows, 1, d) copy, whose gemv each writes its column
+                a = np.empty((cols.stop - cols.start, 1, len(m)))
+                loads.append((a[:, 0], src[:, cols].T))
+                products.append((a, m, dst[:, cols].T[:, None]))
             if payoff is not None:
-                u_rows.append((rows, filtered, dz[rows]))
-        matmul, add, subtract, multiply = np.matmul, np.add, np.subtract, np.multiply
+                u_rows.append((cols, filtered, dz[:, cols]))
+        # the tensor contraction reads a row-major x, as strided as the operand
+        x_rows = np.empty(operand.shape[::-1])[:, :n] if payoff is not None else None
+        matmul, add, subtract, multiply, copyto = (np.matmul, np.add, np.subtract,
+                                                   np.multiply, np.copyto)
 
         def evaluate() -> None:
             if xi is not None:
-                tail[...] = xi
+                copyto(tail, xi)
             sigma()
+            for dst, src in loads:
+                copyto(dst, src)
             for a, m, o in products:
                 matmul(a, m, o)
+            for dst, src in stores:
+                copyto(dst, src)
             if u_rows:
-                u = payoff(x)
-                for rows, filtered, d in u_rows:
+                copyto(x_rows, x.T)
+                u = payoff(x_rows)
+                for cols, filtered, d in u_rows:
                     if filtered:
-                        add(d, u[rows], d)
+                        add(d, u[cols].T, d)
                     else:
-                        d[...] = u[rows]
+                        copyto(d, u[cols].T)
             subtract(dz, z, dz)
             if scale is not None:
                 multiply(dz, scale, dz)
@@ -505,15 +562,19 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
     remain.  The loop steps from sample to sample and checks nothing else:
     a row that overflows stays in the batch, non-finite, and fails there.
 
-    The two state buffers, the stage input and k1..k4 are allocated once,
-    and five evaluations of field are bound to them: k1 from either state
-    buffer, k2..k4 from the stage input, bound again only when rows leave.
-    A bound field (_Field) evaluates straight into its k buffer; any
-    other callable is called on the buffer and its result copied in.  The
-    stages and their weighted sum run in the order of the plain
-    s + dt/6 (k1 + 2 k2 + 2 k3 + k4), with every output passed
-    positionally and every constant a 0-d array of the same double, so
-    every value is the same bit for bit.
+    The state is held coordinate-major, as (d, rows) (one column for a
+    state0 of shape (d,)), so each coordinate is one contiguous row.  The
+    two state buffers, the stage input and k1..k4 are allocated once, and
+    five evaluations of field are bound to them: k1 from either state
+    buffer, k2..k4 from the stage input.  When rows leave, the live
+    columns are copied into new contiguous buffers and bound again.  A
+    bound field (_Field) evaluates straight into its k buffer; any other
+    callable is called on a row-major copy of the buffer, (rows, d) or
+    (d,) as state0 is, and its result copied in.  The stages and their
+    weighted sum run in the order of the plain
+    s + dt/6 (k1 + 2 k2 + 2 k3 + k4), elementwise, with every output
+    passed positionally and every constant a 0-d array of the same double,
+    so every value is the same bit for bit.
 
     field must be a pure function of the state, and give each row the same
     result whichever rows share the batch: a recorded step that repeats the
@@ -537,13 +598,16 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
                               "longest first, the first equal to t_end")
     rec = _Recorder(s, row_steps, record_every, dt, "non-finite state at t={:.6g}")
     rows = len(row_steps)
+    vector = s.ndim == 1
+    s = np.ascontiguousarray(s.reshape(-1, s.shape[-1]).T)
     half, full, two, sixth = (np.array(c) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
+
     # acc holds the weighted stage sum, then the new state; afterwards the
     # previous one
     acc, stage, k1, k2, k3, k4 = (np.empty_like(s) for _ in range(6))
 
     def bind() -> list:
-        return [_evaluation(field, state, k) for state, k in
+        return [_evaluation(field, state, k, vector) for state, k in
                 ((s, k1), (acc, k1), (stage, k2), (stage, k3), (stage, k4))]
 
     f1, f1_next, f2, f3, f4 = bind()
@@ -570,27 +634,35 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], state0, dt: float,
                 add(s, acc, acc)
                 s, acc = acc, s
                 f1, f1_next = f1_next, f1
-            stepping = rec.take(s, acc)
+            stepping = rec.take(_row_major(s, vector), _row_major(acc, vector))
             if not stepping:
                 break
             if stepping < rows:
                 rows = stepping
-                s, acc, stage, k1, k2, k3, k4 = (
-                    a[:rows] for a in (s, acc, stage, k1, k2, k3, k4))
+                # the live columns, in contiguous buffers
+                s = np.ascontiguousarray(s[:, :rows])
+                acc, stage, k1, k2, k3, k4 = (np.empty_like(s) for _ in range(6))
                 f1, f1_next, f2, f3, f4 = bind()
     return rec.result()
 
 
+def _row_major(buffer: np.ndarray, vector: bool) -> np.ndarray:
+    """The (rows, d) view of a coordinate-major (d, rows) buffer, or the
+    (d,) view of its one column for a vector state."""
+    return buffer[:, 0] if vector else buffer.T
+
+
 def _evaluation(field: Callable[[np.ndarray], np.ndarray], state: np.ndarray,
-                out: np.ndarray) -> Callable[[], None]:
-    """A zero-argument evaluation of field at whatever state holds, into
-    out: the bound evaluation of a _Field, or a call whose result is
-    copied into out."""
+                out: np.ndarray, vector: bool) -> Callable[[], None]:
+    """A zero-argument evaluation of field at whatever the coordinate-major
+    state holds, into out: the bound evaluation of a _Field, or a call on
+    a row-major copy, (d,) for a vector state, whose result is copied into
+    out."""
     if isinstance(field, _Field):
         return field.bind(state, out)
 
     def evaluate() -> None:
-        out[...] = field(state)
+        _row_major(out, vector)[...] = field(_row_major(state, vector).copy())
 
     return evaluate
 
@@ -843,17 +915,19 @@ def run_discrete(game: GameSpec, params: LearningParams, z0, alpha: float,
     if z.ndim > 2:
         raise DomainError("z0 must be a vector or a batch of vectors")
     rows = len(z) if z.ndim == 2 else 1
+    rec = _Recorder(z, [steps] * rows, record_every)
+    vector = z.ndim == 1
+    z = np.ascontiguousarray(z.reshape(-1, z.shape[-1]).T)
     inc = np.empty_like(z)
     # an empty batch still binds one group; it has no row to step
     f = _Field(game, params.eps, None, [(1, False, 1.0)] * max(rows, 1)).bind(z, inc)
-    rec = _Recorder(z, [steps] * rows, record_every)
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop in pairwise(map(int, rec.steps)):
             for _ in range(start, stop):
                 f()
                 np.multiply(inc, rate, inc)
                 np.add(z, inc, z)
-            if not rec.take(z):
+            if not rec.take(_row_major(z, vector)):
                 break
     return rec.result(lambda zs: softmax(zs, params.eps, game.action_counts))
 

@@ -674,6 +674,183 @@ def test_stacked_one_row_products_are_separate_gemv(n, b):
     assert np.array_equal(out[:, :n].view(np.uint64), separate.view(np.uint64))
 
 
+@pytest.mark.parametrize("b", [2, 5, 16, 100])
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 9, 12])
+def test_column_range_products_are_row_major_gemm(d, b):
+    """_Field keeps a batch coordinate-major, (d, rows), and multiplies a
+    group of b >= 2 rows in place as M^T @ X[:, cols], on a column range of
+    the wider buffer, into the same columns of its output.  The BLAS must
+    give every row the bits of the row-major product X[:, cols]^T @ M, for
+    M stored as the field stores W (C-contiguous) and Phi^T (a transposed
+    view), so that the layout moves no bit."""
+    rng = np.random.default_rng(1000 * d + b)
+    for m in (rng.standard_normal((d, d)), rng.standard_normal((d, d)).T):
+        big = rng.standard_normal((d, b + 9))
+        out = np.full(big.shape, np.nan)
+        cols = slice(4, 4 + b)
+        np.matmul(m.T, big[:, cols], out=out[:, cols])
+        expect = np.ascontiguousarray(big[:, cols].T) @ m
+        assert np.array_equal(out[:, cols].T.view(np.uint64), expect.view(np.uint64))
+
+
+@pytest.mark.parametrize("b", [1, 2, 5, 16])
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 9, 12, 16])
+def test_one_row_products_from_a_row_copy_are_separate_gemv(d, b):
+    """_Field multiplies one-row groups on a contiguous (rows, 1, d) copy
+    of their columns, writing each product into its column of the wider
+    output, and a one-column batch through its own (1, d) view.  Either
+    must give every row the bits of its own one-row product (gemv)."""
+    rng = np.random.default_rng(100 * d + b)
+    for m in (rng.standard_normal((d, d)), rng.standard_normal((d, d)).T):
+        big = rng.standard_normal((d, b + 3))
+        separate = np.stack([big[:, 2 + i].copy() @ m for i in range(b)])
+        rows, out = np.empty((b, 1, d)), np.full(big.shape, np.nan)
+        np.copyto(rows[:, 0], big[:, 2:2 + b].T)
+        np.matmul(rows, m, out=out[:, 2:2 + b].T[:, None])
+        assert np.array_equal(out[:, 2:2 + b].T.view(np.uint64), separate.view(np.uint64))
+        column, result = big[:, 2:3].copy(), np.empty((d, 1))
+        np.matmul(column.T, m, out=result.T)
+        assert np.array_equal(result[:, 0].view(np.uint64), separate[0].view(np.uint64))
+
+
+def _plain_softmax(z, eps, counts):
+    """The row-major soft-max arithmetic, block by block over the last axis:
+    maximum, shift, division by eps unless 1, exp, add.reduce, division."""
+    out = np.empty(z.shape)
+    start = 0
+    for c in counts:
+        zb = z[..., start:start + c]
+        w = zb - np.maximum.reduce(zb, axis=-1, keepdims=True)
+        if eps != 1.0:
+            w = w / eps
+        w = np.exp(w)
+        out[..., start:start + c] = w / np.add.reduce(w, axis=-1, keepdims=True)
+        start += c
+    return out
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.3])
+@pytest.mark.parametrize("height", [1, 2, 5, 16])
+@pytest.mark.parametrize("counts", [(2,), (3,), (7,), (8,), (9,), (16,), (3, 3),
+                                    (2, 3, 2), (8, 3)])
+def test_softmax_sums_in_the_row_major_order(counts, height, eps):
+    """softmax and the bound field's soft-max give, bit for bit, the
+    row-major arithmetic over the last axis, whose add.reduce sums left to
+    right up to 7 terms and pairwise from 8.  The field's soft-max is read
+    exactly from the filter derivative xidot = x of the block A = -I,
+    B = I, C = D = 0 at xi = 0."""
+    rng = np.random.default_rng(height)
+    n = sum(counts)
+    z = 4.0 * rng.standard_normal((height, n))
+    expect = _plain_softmax(z, eps, counts)
+    assert np.array_equal(softmax(z, eps, counts).view(np.uint64), expect.view(np.uint64))
+    assert np.array_equal(softmax(z[0], eps, counts).view(np.uint64),
+                          expect[0].view(np.uint64))
+    game = random_tensor_game(counts, 1)
+    eye = np.eye(n)
+    block = FeedbackBlock(-eye, eye, 0.0 * eye, 0.0 * eye)
+    field = _Field(game, eps, block, [(height, True, 1.0)])
+    state = np.concatenate([z, np.zeros(z.shape)], axis=1)
+    assert np.array_equal(field(state)[:, n:].view(np.uint64), expect.view(np.uint64))
+
+
+def _row_major_field(game, params, block, state):
+    """The score field of one run in row-major arithmetic, written out:
+    the plain soft-max, one product of the run's rows (gemv for a vector,
+    gemm for a batch) by Phi^T or the stacked filter matrix W, then
+    gamma (U - z [- v])."""
+    n = game.total_actions
+    z = state[..., :n]
+    x = _plain_softmax(z, params.eps, game.action_counts)
+    phi_t = game.linear_map.T
+    if block is None:
+        out = x @ phi_t
+    else:
+        w_mat = np.block([[phi_t - block.d_mat.T, block.b_mat.T],
+                          [-block.c_mat.T, block.a_mat.T]])
+        out = np.concatenate([x, state[..., n:]], axis=-1) @ w_mat
+    out[..., :n] -= z
+    if params.gamma != 1.0:
+        out[..., :n] *= params.gamma
+    return out
+
+
+def _row_major_rk4(field, state, dt, steps, record_every):
+    """Samples of the plain RK4 expression, as integrate records them."""
+    samples = [state]
+    for k in range(steps):
+        k1 = field(state)
+        k2 = field(state + 0.5 * dt * k1)
+        k3 = field(state + 0.5 * dt * k2)
+        k4 = field(state + dt * k3)
+        state = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (k + 1) % record_every == 0 or k + 1 == steps:
+            samples.append(state)
+    return np.stack(samples, axis=-2)
+
+
+CATALOGUE_LAYOUTS = {
+    "(3,)": lambda: preset("rps", {"l": 5.0}),
+    "(2, 2)": lambda: preset("matching_pennies"),
+    "(3, 3)": lambda: preset("shapley"),
+    "(2, 2, 2)": lambda: preset("jordan_mp"),
+}
+
+
+@pytest.mark.parametrize("layout", list(CATALOGUE_LAYOUTS))
+def test_batches_match_a_row_major_reference(layout):
+    """simulate_batch records, bit for bit, a row-major RK4 reference
+    written out here in the arithmetic of each run alone, on a mixed batch
+    of one catalogue layout: first-order and filtered rows, gamma 1 and 4,
+    one-row and several-row runs, and two horizons, so rows leave.  Unlike
+    the comparison of a batch with separate runs, this sees a change that
+    moves every row alike.  run_discrete matches the plain recursion on a
+    3-row batch, and a plain callable integrated over a batch gives each
+    row what it gives that row alone (its matrix holds powers of two, so
+    each product is exact and gemv and gemm agree)."""
+    game = CATALOGUE_LAYOUTS[layout]()
+    assert game.action_counts == eval(layout)
+    n = game.total_actions
+    block = coupled_block(n, 3)
+    rng = np.random.default_rng(len(layout))
+    dt, record_every = 0.1, 4
+    runs = []
+    for filtered, gamma, t_end, rows in [(False, 1.0, 6.0, 3), (True, 4.0, 6.0, 2),
+                                         (False, 4.0, 3.0, 1), (True, 1.0, 3.0, 1),
+                                         (True, 1.0, 6.0, 1), (False, 4.0, 3.0, 2)]:
+        z0 = rng.uniform(-1, 1, (rows, n) if rows > 1 else n)
+        xi0 = rng.uniform(-1, 1, z0.shape) if filtered else None
+        runs.append(SimulationRun(LearningParams(gamma, 0.5), z0, t_end,
+                                  block if filtered else None, xi0))
+    got = simulate_batch(game, runs, dt=dt, record_every=record_every)
+    for run, trajs in zip(runs, got):
+        state = run.z0 if run.block is None else np.concatenate([run.z0, run.xi0], axis=-1)
+        expect = _row_major_rk4(
+            lambda s, r=run: _row_major_field(game, r.params, r.block, s), state, dt,
+            round(run.t_end / dt), record_every)
+        if isinstance(trajs, Trajectory):
+            trajs, expect = [trajs], [expect]
+        for traj, states in zip(trajs, expect):
+            assert traj.times[-1] == pytest.approx(run.t_end)
+            assert traj.states.tobytes() == states[:, :n].tobytes()
+            if run.block is not None:
+                assert traj.filter_state.tobytes() == states[:, n:].tobytes()
+    params = LearningParams(1.0, 0.5)
+    z0 = rng.uniform(-1, 1, (3, n))
+    for row, traj in zip(z0, run_discrete(game, params, z0, 0.3, 40, 3)):
+        z, states = row, [row]
+        for k in range(40):
+            z = z + 0.3 * _row_major_field(game, params, None, z)
+            if (k + 1) % 3 == 0 or k + 1 == 40:
+                states.append(z)
+        assert traj.states.tobytes() == np.stack(states).tobytes()
+    m = np.array([[-0.25, -1.0], [1.0, -0.5]])
+    batch = rng.uniform(-1, 1, (3, 2))
+    trajs = integrate(lambda s: s @ m.T, batch, 0.1, 3.0, 4)
+    for row, traj in zip(batch, trajs):
+        _assert_same_trajectories([traj], [integrate(lambda s: s @ m.T, row, 0.1, 3.0, 4)])
+
+
 @pytest.mark.parametrize("n", [2, 3, 6, 9])
 def test_stacked_spectra_and_solves_are_separate_calls(n):
     """classify takes every tangent spectrum in one e^T @ stack @ e and one
@@ -1023,17 +1200,19 @@ def test_bound_evaluation_is_the_field(game_key):
     field = _Field(game, 0.5, block, groups)
     rng = np.random.default_rng(11)
     for height in (6, 5, 3):
-        state = np.empty((height, 2 * n))
+        # bind takes coordinate-major (d, rows) buffers
+        state = np.empty((2 * n, height))
         out = np.full(state.shape, np.nan)
         evaluate = field.bind(state, out)
         for _ in range(3):
-            state[...] = rng.uniform(-2, 2, state.shape)
-            state[first_order[:height], n:] = 0.0
+            rows = rng.uniform(-2, 2, (height, 2 * n))
+            rows[first_order[:height], n:] = 0.0
+            state[...] = rows.T
             before = state.tobytes()
             evaluate()
             assert state.tobytes() == before
-            assert out.tobytes() == field(state).tobytes()
-            assert not out[first_order[:height], n:].view(np.uint64).any()
+            assert out.T.tobytes() == field(rows).tobytes()
+            assert not out[n:, first_order[:height]].view(np.uint64).any()
     state0 = rng.uniform(-1, 1, (6, 2 * n))
     state0[first_order, n:] = 0.0
     row_t_end = [6.0, 6.0, 6.0, 4.0, 4.0, 2.0]
