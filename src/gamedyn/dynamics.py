@@ -234,7 +234,8 @@ class _Field:
 
     bind(state, out) takes two C-contiguous (d, rows) buffers and returns
     a zero-argument evaluation that writes the field at whatever state
-    holds into out.  Everything else is fixed at the bind: the row plan,
+    holds into out; several=False takes the rows of a one-group field as
+    one-row groups.  Everything else is fixed at the bind: the row plan,
     the views of state and out, the product operand [sigma(z), xi]
     (sigma(z) alone without a filter) into which the bound soft-max
     writes, the soft-max's own views and scratch, and gamma as a 0-d array
@@ -243,9 +244,9 @@ class _Field:
     the bind zeroes their xidot in out once and the evaluation never
     writes it.  An evaluation is not re-entrant; it never writes into
     state.  Calling the field, field(state), binds afresh on a
-    coordinate-major copy of the state's rows (row by row for a state of
-    shape (..., 1, d), which numpy multiplies as one gemv each) and
-    returns a new array of the state's shape.
+    coordinate-major copy of the state's rows, as one-row groups for a
+    state of shape (..., 1, d), which numpy multiplies as one gemv each,
+    and returns a new array of the state's shape.
 
     The payoff map is games._bind_payoff; filtered rows multiply
     [sigma(z), xi] by the stacked W of _filter_matrix and add U(sigma(z))
@@ -262,9 +263,8 @@ class _Field:
     coordinates this BLAS no longer rounds the two alike, and such rows are
     multiplied on a row-major (rows, d) copy.  One-row groups are
     multiplied as stacked products on a contiguous (rows, 1, d) copy of
-    their rows, each writing into its column of the output (in a one-row
-    batch, the column is that row already), and neighbouring ones of one
-    scheme (the seeds of simulate) share one: numpy computes it as one
+    their rows, each writing into its column of the output, and
+    neighbouring ones of one scheme (the seeds of simulate) share one: numpy computes it as one
     gemv per row, the bits of their separate runs.
     tests/test_dynamics.py pins these facts for the BLAS at hand.
     """
@@ -294,22 +294,20 @@ class _Field:
         self.w_mat = None if block is None else _filter_matrix(game, block)
 
     def __call__(self, state: np.ndarray) -> np.ndarray:
-        if state.ndim > 1 and state.shape[-2] == 1:
-            # numpy multiplies a (..., 1, d) state row by row
-            return np.stack([self(row) for row in state.reshape(-1, state.shape[-1])]
-                            ).reshape(state.shape)
         rows = np.ascontiguousarray(state.reshape(-1, state.shape[-1]).T)
         out = np.empty(rows.shape)
-        self.bind(rows, out)()
+        # numpy multiplies a (..., 1, d) state as one gemv per row
+        self.bind(rows, out, state.ndim > 1 and state.shape[-2] > 1)()
         return out.T.reshape(state.shape)
 
-    def bind(self, state: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+    def bind(self, state: np.ndarray, out: np.ndarray,
+             several: bool = True) -> Callable[[], None]:
         height = state.shape[1]
         if self.single is None:
             segs, g = self.plans[height]
         else:
             filtered, g = self.single
-            segs = [(slice(0, height), filtered, height > 1)]
+            segs = [(slice(0, height), filtered, several and height > 1)]
         n, w_mat, phi_t, payoff = self.n, self.w_mat, self.phi_t, self.payoff
         scale = None if np.isscalar(g) and g == 1.0 else np.asarray(g, dtype=float)
         operand = np.empty(state.shape)
@@ -331,8 +329,6 @@ class _Field:
                 pass  # U(x) of a game without a linear map, below
             elif several and len(m) <= _VIEW_WIDTH:
                 products.append((m.T, src[:, cols], dst[:, cols]))
-            elif height == 1:
-                products.append((src.T, m, dst.T))  # the one column is a (1, d) row
             elif several:
                 # a row-major (rows, d) copy for gemm, its product copied back
                 rows = (cols.stop - cols.start, len(m))
