@@ -3,7 +3,6 @@ search, Lyapunov monitoring, and trajectory verdicts."""
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -220,8 +219,6 @@ def _converged_starts(game: GameSpec, eps: float, n_starts: int, seed: int):
     """The converged rest points of multi_start_rest_points' starts, in start
     order and solved one at a time as they are taken; the starts are drawn
     at the first one."""
-    if isinstance(n_starts, numbers.Real) and n_starts < 1:
-        raise DomainError(f"n_starts must be at least 1, got {n_starts!r}")
     n_starts = _check_whole(n_starts, "n_starts", 1)
     rng = np.random.default_rng(seed)
     bound = game.max_abs_payoff() + 1.0
@@ -271,11 +268,14 @@ def tangent_mode_abscissa(jac: np.ndarray, action_counts: Sequence[int]) -> floa
     the block ones direction; those modes never cross and are excluded.  A
     Jacobian that is not finite is a NumericsError.
     """
+    e_t = tangent_basis(action_counts).T
+    n = e_t.shape[1]
+    if np.shape(jac) not in ((n, n), (2 * n, 2 * n)):
+        raise DomainError(f"Jacobian shape {np.shape(jac)} is neither {(n, n)} nor {(2 * n,) * 2}")
     if not np.isfinite(jac).all():
         raise NumericsError("the Jacobian has non-finite entries")
-    e_t = tangent_basis(action_counts).T
     eigvals, eigvecs = np.linalg.eig(jac)
-    scores = eigvecs[:e_t.shape[1]]
+    scores = eigvecs[:n]
     # real and imaginary parts apart: a complex product (zgemm) touches ~0.25 MB
     # more of the BLAS buffers, which shows in the process's peak memory
     tangential = np.hypot(np.linalg.norm(e_t @ scores.real, axis=0),
@@ -304,7 +304,7 @@ def bifurcation_epsilon(game: GameSpec, params: LearningParams,
                         tol: float = 1e-4) -> BifurcationResult:
     """Bisect for the temperature where the tangent-mode spectral abscissa
     of the linearization (at the eps-dependent rest point) crosses zero."""
-    lo, hi = float(eps_range[0]), float(eps_range[1])
+    lo, hi = map(float, _check_vector(eps_range, 2, "eps range"))
     if not (0.0 < lo < hi):
         raise DomainError(f"invalid eps range {eps_range!r}")
     tol = float(tol)
@@ -430,7 +430,10 @@ def composite_lyapunov_trace(traj: Trajectory, z_star: np.ndarray, eps: float,
     if traj.filter_state is None:
         raise DomainError("trajectory does not carry a filter state")
     p_mat = storage_matrix(block) if p_mat is None else np.asarray(p_mat, dtype=float)
-    if np.abs(p_mat - p_mat.T).max() > 1e-12 or np.linalg.eigvalsh(p_mat).min() <= 0.0:
+    if p_mat.shape != (block.dim, block.dim):
+        raise DomainError(f"storage matrix P has shape {p_mat.shape}, expected {(block.dim,) * 2}")
+    if (not np.isfinite(p_mat).all() or np.abs(p_mat - p_mat.T).max() > 1e-12
+            or np.linalg.eigvalsh(p_mat).min() <= 0.0):
         raise ConfigurationError("storage matrix P must be symmetric positive definite")
     values, _ = lyapunov_trace(traj, z_star, eps, action_counts)
     xi_star = block.equilibrium_filter_state(softmax(z_star, eps, action_counts))

@@ -223,30 +223,27 @@ class _Field:
     gamma (U - z - v) and xidot, a first-order group gamma (U - z).
 
     The bound field works in coordinate-major layout: a batch is held as
-    (d, rows), the transpose of the (rows, d) that field(state) takes and
-    returns, so the scores z = state[:n], the filter state state[n:] and
-    each player's block are contiguous slabs, on which the soft-max,
-    dz - z and the gamma scale run as whole-slab ufuncs.  One group takes
-    any number of rows.  Several groups take the rows of any leading
-    groups, so rows can leave a batch at group boundaries.  The field
-    checks nothing: a non-finite state gives a non-finite result, which
-    integrate finds at its next recorded sample.
+    (d, rows), the transpose of the (rows, d) that callers pass and get
+    back, so the scores z = state[:n], the filter state state[n:] and each
+    player's block are contiguous slabs, on which the soft-max, dz - z and
+    the gamma scale run as whole-slab ufuncs.  The field keeps, once, the
+    merged segments [start, stop, filtered, several] of neighbouring groups
+    and the per-row gammas.  It checks nothing: a non-finite state gives a
+    non-finite result, which integrate finds at its next recorded sample.
 
     bind(state, out) takes two C-contiguous (d, rows) buffers and returns
     a zero-argument evaluation that writes the field at whatever state
-    holds into out; several=False takes the rows of a one-group field as
-    one-row groups.  Everything else is fixed at the bind: the row plan,
-    the views of state and out, the product operand [sigma(z), xi]
-    (sigma(z) alone without a filter) into which the bound soft-max
-    writes, the soft-max's own views and scratch, and gamma as a 0-d array
-    or a per-row vector (left out at gamma == 1, where it is exact).
-    First-order rows next to filtered ones carry a zero filter state, so
-    the bind zeroes their xidot in out once and the evaluation never
-    writes it.  An evaluation is not re-entrant; it never writes into
-    state.  Calling the field, field(state), binds afresh on a
-    coordinate-major copy of the state's rows, as one-row groups for a
-    state of shape (..., 1, d), which numpy multiplies as one gemv each,
-    and returns a new array of the state's shape.
+    holds into out.  A bind takes the segments and gammas of the leading
+    state.shape[1] rows; rows leave a batch only at group boundaries, so a
+    cut segment is still made of whole groups and keeps its product form.
+    Everything else is fixed at the bind: the views of state and out, the
+    product operand [sigma(z), xi] (sigma(z) alone without a filter) into
+    which the bound soft-max writes, the soft-max's own views and scratch,
+    and gamma as a 0-d array or a per-row vector (left out at gamma == 1,
+    where it is exact).  First-order rows next to filtered ones carry a
+    zero filter state, so the bind zeroes their xidot in out once and the
+    evaluation never writes it.  An evaluation is not re-entrant; it never
+    writes into state.
 
     The payoff map is games._bind_payoff; filtered rows multiply
     [sigma(z), xi] by the stacked W of _filter_matrix and add U(sigma(z))
@@ -256,35 +253,28 @@ class _Field:
     (gemv) differently from a product over several rows (gemm), and a
     wider or zero-padded product differently again, so each stage
     multiplies every group by its own map M: filtered rows by W,
-    first-order rows by Phi^T (or U(x) without a linear map).  Neighbouring
-    groups of one scheme that each have several rows share one product,
-    M^T @ X[:, cols] on their column range, as gemm rounds each row of it
-    alike and as the row-major X[:, cols]^T @ M.  Past _VIEW_WIDTH
-    coordinates this BLAS no longer rounds the two alike, and such rows are
-    multiplied on a row-major (rows, d) copy.  One-row groups are
-    multiplied as stacked products on a contiguous (rows, 1, d) copy of
-    their rows, each writing into its column of the output, and
-    neighbouring ones of one scheme (the seeds of simulate) share one: numpy computes it as one
-    gemv per row, the bits of their separate runs.
+    first-order rows by Phi^T (or U(x) without a linear map).  Each segment
+    is one product: several-row groups as M^T @ X[:, cols] on their column
+    range, as gemm rounds each row of it alike and as the row-major
+    X[:, cols]^T @ M, or, past _VIEW_WIDTH coordinates where this BLAS no
+    longer rounds the two alike, on a row-major (rows, d) copy; one-row
+    groups (the seeds of simulate) as stacked products on a contiguous
+    (rows, 1, d) copy, each writing its column of the output, which numpy
+    computes as one gemv per row, the bits of their separate runs.
     tests/test_dynamics.py pins these facts for the BLAS at hand.
     """
 
     def __init__(self, game: GameSpec, eps: float, block: FeedbackBlock | None,
                  groups: Sequence[tuple[int, bool, float]]):
-        self.plans = {}
-        segments: list[list] = []
-        gammas: list[float] = []
+        self.segments: list[list] = []
         stop = 0
         for rows, filtered, gamma in groups:
             start, stop = stop, stop + rows
-            if segments and segments[-1][2:] == [filtered, rows > 1]:
-                segments[-1][1] = stop
+            if self.segments and self.segments[-1][2:] == [filtered, rows > 1]:
+                self.segments[-1][1] = stop
             else:
-                segments.append([start, stop, filtered, rows > 1])
-            gammas += [gamma] * rows
-            g = gammas[0] if len(set(gammas)) == 1 else np.array(gammas)
-            self.plans[stop] = ([(slice(a, b), f, several) for a, b, f, several in segments], g)
-        self.single = groups[0][1:] if len(groups) == 1 else None
+                self.segments.append([start, stop, filtered, rows > 1])
+        self.gammas = np.repeat([float(g) for _, _, g in groups], [k for k, _, _ in groups])
         self.n = game.total_actions
         self.eps = eps
         self.counts = game.action_counts
@@ -293,23 +283,11 @@ class _Field:
         self.payoff = _bind_payoff(game) if phi is None else None
         self.w_mat = None if block is None else _filter_matrix(game, block)
 
-    def __call__(self, state: np.ndarray) -> np.ndarray:
-        rows = np.ascontiguousarray(state.reshape(-1, state.shape[-1]).T)
-        out = np.empty(rows.shape)
-        # numpy multiplies a (..., 1, d) state as one gemv per row
-        self.bind(rows, out, state.ndim > 1 and state.shape[-2] > 1)()
-        return out.T.reshape(state.shape)
-
-    def bind(self, state: np.ndarray, out: np.ndarray,
-             several: bool = True) -> Callable[[], None]:
+    def bind(self, state: np.ndarray, out: np.ndarray) -> Callable[[], None]:
         height = state.shape[1]
-        if self.single is None:
-            segs, g = self.plans[height]
-        else:
-            filtered, g = self.single
-            segs = [(slice(0, height), filtered, several and height > 1)]
+        g = self.gammas[:height]
+        scale = None if (g == 1.0).all() else np.asarray(g[0] if (g == g[0]).all() else g)
         n, w_mat, phi_t, payoff = self.n, self.w_mat, self.phi_t, self.payoff
-        scale = None if np.isscalar(g) and g == 1.0 else np.asarray(g, dtype=float)
         operand = np.empty(state.shape)
         if w_mat is None:
             z, dz, xi, x, tail = state, out, None, operand, None
@@ -318,7 +296,10 @@ class _Field:
             x, tail = operand[:n], operand[n:]
         sigma = _bind_softmax(self.eps, self.counts, z, x)
         loads, products, stores, u_rows = [], [], [], []
-        for cols, filtered, several in segs:
+        for start, stop, filtered, several in self.segments:
+            if start >= height:
+                break
+            cols = slice(start, min(stop, height))
             if filtered:
                 src, m, dst = operand, w_mat, out
             else:
@@ -375,20 +356,32 @@ class _Field:
 
 def first_order_field(z, game: GameSpec, params: LearningParams) -> np.ndarray:
     """zdot = gamma (U(sigma(z)) - z)."""
-    z = np.asarray(z, dtype=float)
-    _check_length(z, game.total_actions)
-    _check_finite(z)
-    return _Field(game, params.eps, None, [(1, False, params.gamma)])(z)
+    return _field_at(z, game, params, None)
 
 
 def higher_order_field(state, game: GameSpec, params: LearningParams,
                        block: FeedbackBlock) -> np.ndarray:
     """Combined (z, xi) field of the filtered score dynamics."""
     block.ensure_valid()
+    return _field_at(state, game, params, block)
+
+
+def _field_at(state, game: GameSpec, params: LearningParams,
+              block: FeedbackBlock | None) -> np.ndarray:
+    """The field of one run at every row of a finite state (..., d), as a
+    new array of its shape, bound once on a coordinate-major copy of the
+    rows as one group, or as one one-row group per row of a (d,) or
+    (..., 1, d) state, which numpy multiplies as one gemv each."""
     state = np.asarray(state, dtype=float)
-    _check_length(state, 2 * game.total_actions, "state")
+    width = game.total_actions if block is None else 2 * game.total_actions
+    _check_length(state, width, "score vector" if block is None else "state")
     _check_finite(state)
-    return _Field(game, params.eps, block, [(1, True, params.gamma)])(state)
+    rows = np.ascontiguousarray(state.reshape(-1, state.shape[-1]).T)
+    sizes = [1] * rows.shape[1] if state.ndim == 1 or state.shape[-2] == 1 else [rows.shape[1]]
+    out = np.empty(rows.shape)
+    groups = [(k, block is not None, params.gamma) for k in sizes]
+    _Field(game, params.eps, block, groups).bind(rows, out)()
+    return out.T.reshape(state.shape)
 
 
 def induced_strategy_field(z, game: GameSpec, params: LearningParams) -> np.ndarray:
@@ -881,6 +874,7 @@ def payoff_estimate(game: GameSpec, x, rng, mode: str = "full-info",
     bandit = _bandit(mode)
     x = np.asarray(x, dtype=float)
     _check_length(x, game.total_actions, "profile")
+    _check_vector(x, game.total_actions, "profile")
     if not (_all(np.isfinite(x), axis=None) and _all(x >= 0.0, axis=None)) or any(
             abs(x[sl].sum() - 1.0) > _PROFILE_TOL for sl in game.block_slices):
         raise DomainError("profile must be finite and non-negative, each block summing to 1")
@@ -915,8 +909,7 @@ def run_discrete(game: GameSpec, params: LearningParams, z0, alpha: float,
     vector = z.ndim == 1
     z = np.ascontiguousarray(z.reshape(-1, z.shape[-1]).T)
     inc = np.empty_like(z)
-    # an empty batch still binds one group; it has no row to step
-    f = _Field(game, params.eps, None, [(1, False, 1.0)] * max(rows, 1)).bind(z, inc)
+    f = _Field(game, params.eps, None, [(1, False, 1.0)] * rows).bind(z, inc)
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop in pairwise(map(int, rec.steps)):
             for _ in range(start, stop):

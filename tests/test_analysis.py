@@ -568,6 +568,10 @@ def test_composite_lyapunov_trace_validation():
     with pytest.raises(ConfigurationError):
         composite_lyapunov_trace(wide, np.zeros(3), 1.0, block, game.action_counts,
                                  p_mat=-np.eye(3))
+    # a NaN P raised LinAlgError from its eigenvalues
+    with pytest.raises(ConfigurationError, match="storage matrix P must be symmetric"):
+        composite_lyapunov_trace(wide, np.zeros(3), 1.0, block, game.action_counts,
+                                 p_mat=np.full((3, 3), np.nan))
     narrow = Trajectory(times, np.zeros((4, 3)))
     with pytest.raises(DomainError):
         composite_lyapunov_trace(narrow, np.zeros(3), 1.0, block, game.action_counts)
@@ -674,6 +678,18 @@ BOUNDARY_CALLS = {
                                          np.zeros(3), 1.0,
                                          FeedbackBlock.high_pass(1.0, 1.0, (2,)), (3,)),
         "feedback block has dimension 2, expected 3"),
+    "composite_lyapunov_trace-storage-shape": (
+        lambda: composite_lyapunov_trace(
+            Trajectory(np.arange(4.0), np.zeros((4, 3)), filter_state=np.zeros((4, 3))),
+            np.zeros(3), 1.0, FeedbackBlock.high_pass(1.0, 1.0, (3,)), (3,), p_mat=np.eye(2)),
+        r"storage matrix P has shape \(2, 2\), expected \(3, 3\)"),
+    "bifurcation_epsilon-one-bound": (
+        lambda: bifurcation_epsilon(preset("rps", {"l": 2.5}), LearningParams(),
+                                    eps_range=(0.1,)),
+        r"eps range has shape \(1,\), expected \(2,\)"),
+    "tangent_mode_abscissa-shape": (
+        lambda: tangent_mode_abscissa(np.eye(4), (3,)),
+        r"Jacobian shape \(4, 4\) is neither \(3, 3\) nor \(6, 6\)"),
     "score_bound-length": (
         lambda: score_bound(preset("rps", {"l": 2.5}), [1.0, 2.0]), "z0 has shape"),
     "score_bound-block": (
@@ -708,7 +724,9 @@ def test_public_analysis_inputs_are_refused_at_the_boundary(call, message):
     scalar x_star, a 2-entry score bound, a bound from a 2-dimensional
     block, a 3-score run read as 6 scores or as 2) or read as undetermined
     (a non-finite x_star); a step count that is a string raised TypeError,
-    and one that is a boolean ran a step."""
+    and one that is a boolean ran a step.  A storage matrix of the wrong
+    width raised einsum's ValueError, a one-bound eps range IndexError, and
+    a Jacobian of neither the (n, n) nor the (2n, 2n) layout gave a float."""
     with pytest.raises(DomainError, match=message):
         call()
 

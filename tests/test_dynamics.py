@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -652,6 +653,33 @@ def _assert_same_trajectories(got, expect):
             assert x is None or np.array_equal(x, y), field.name
 
 
+def _at(field, state):
+    """The bound field at every row of state (..., d), as a new array of
+    its shape: one bind on a coordinate-major copy of the rows, which the
+    field's leading groups must cover."""
+    rows = np.ascontiguousarray(state.reshape(-1, state.shape[-1]).T)
+    out = np.empty(rows.shape)
+    field.bind(rows, out)()
+    return out.T.reshape(state.shape)
+
+
+def test_field_plan_is_linear_in_the_groups():
+    """_Field keeps its merged segments and per-row gammas once, whatever
+    height a bind takes, so building it for 4,000 one-row groups of
+    alternating gamma 1 and 2 stays within 1 MiB.  A plan per group
+    boundary, each with a gamma vector over the rows before it, peaks at
+    about 63 MiB here."""
+    game = preset("rps", {"l": 5.0})
+    groups = [(1, False, 1.0 + k % 2) for k in range(4000)]
+    tracemalloc.start()
+    try:
+        _Field(game, 0.5, None, groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
 @pytest.mark.parametrize("b", [1, 2, 5, 16])
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 12])
 def test_stacked_one_row_products_are_separate_gemv(n, b):
@@ -748,7 +776,7 @@ def test_softmax_sums_in_the_row_major_order(counts, height, eps):
     block = FeedbackBlock(-eye, eye, 0.0 * eye, 0.0 * eye)
     field = _Field(game, eps, block, [(height, True, 1.0)])
     state = np.concatenate([z, np.zeros(z.shape)], axis=1)
-    assert np.array_equal(field(state)[:, n:].view(np.uint64), expect.view(np.uint64))
+    assert np.array_equal(_at(field, state)[:, n:].view(np.uint64), expect.view(np.uint64))
 
 
 def _row_major_field(game, params, block, state):
@@ -1157,23 +1185,23 @@ def test_bound_field_returns_fresh_arrays(game_key):
     binds = [
         (block, [(2, True, 4.0), (1, True, 1.0), (2, False, 1.0)], [(5,), (5,), (3,), (2,)]),
         (None, [(3, False, 4.0), (1, False, 1.0)], [(4,), (3,), (4,)]),
-        (None, [(1, False, 1.0)], [(), (4,), ()]),
-        (block, [(1, True, 1.0)], [(4,), (), (2, 3)]),
+        (None, [(1, False, 1.0), (3, False, 1.0)], [(), (4,), ()]),
+        (block, [(1, True, 1.0), (3, True, 1.0), (2, True, 1.0)], [(4,), (), (2, 3)]),
     ]
     for bound_block, groups, leads in binds:
         d = n if bound_block is None else 2 * n
         field = _Field(game, 0.5, bound_block, groups)
         states = [rng.uniform(-2, 2, lead + (d,)) for lead in leads]
         inputs = [s.copy() for s in states]
-        results = [field(s) for s in states]
+        results = [_at(field, s) for s in states]
         copies = [r.copy() for r in results]
-        results.append(field(states[0]))
+        results.append(_at(field, states[0]))
         for state, before in zip(states, inputs):
             assert np.array_equal(state, before)
         for result, copy in zip(results, copies):
             assert np.array_equal(result, copy)
         for state, result in zip(states, results):
-            fresh = _Field(game, 0.5, bound_block, groups)(state)
+            fresh = _at(_Field(game, 0.5, bound_block, groups), state)
             assert result.shape == fresh.shape
             assert np.array_equal(result, fresh)
         assert np.array_equal(results[-1], results[0])
@@ -1182,11 +1210,11 @@ def test_bound_field_returns_fresh_arrays(game_key):
 
 @pytest.mark.parametrize("game_key", list(BATCH_GAMES))
 def test_bound_evaluation_is_the_field(game_key):
-    """bind(state, out) fixes the row plan, the views and the scratch once:
-    every call of the evaluation writes into out, bit for bit, what
-    field(state) returns for whatever state holds then, also after binding
-    again at a smaller height once rows have left.  It never writes into
-    state, and the filter derivative of first-order rows stays exactly 0.0.
+    """bind(state, out) fixes the views and the scratch once: every call of
+    the evaluation writes into out, bit for bit, what a bind on a copy of
+    whatever state holds then returns, also after binding again at a
+    smaller height once rows have left.  It never writes into state, and
+    the filter derivative of first-order rows stays exactly 0.0.
     integrate gives the same samples over a plain callable wrapping the
     field as over the bound field."""
     game = BATCH_GAMES[game_key]()
@@ -1208,13 +1236,13 @@ def test_bound_evaluation_is_the_field(game_key):
             before = state.tobytes()
             evaluate()
             assert state.tobytes() == before
-            assert out.T.tobytes() == field(rows).tobytes()
+            assert out.T.tobytes() == _at(field, rows).tobytes()
             assert not out[n:, first_order[:height]].view(np.uint64).any()
     state0 = rng.uniform(-1, 1, (6, 2 * n))
     state0[first_order, n:] = 0.0
     row_t_end = [6.0, 6.0, 6.0, 4.0, 4.0, 2.0]
     bound = integrate(field, state0, 0.25, 6.0, 3, row_t_end=row_t_end)
-    plain = integrate(lambda s: field(s), state0, 0.25, 6.0, 3, row_t_end=row_t_end)
+    plain = integrate(lambda s: _at(field, s), state0, 0.25, 6.0, 3, row_t_end=row_t_end)
     for a, b in zip(bound, plain):
         assert a.times.tobytes() == b.times.tobytes()
         assert a.states.tobytes() == b.states.tobytes()

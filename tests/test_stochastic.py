@@ -103,17 +103,27 @@ def test_sampler_rejects_profile_of_wrong_length(name, length, rng):
         payoff_estimate(game, x, rng)
 
 
+DISTRIBUTION = "profile must be finite and non-negative"
+
+
 @pytest.mark.parametrize("mode", ["full-info", "bandit"])
-@pytest.mark.parametrize("name, x", [
-    ("rps", [np.nan, 0.5, 0.5]), ("rps", [2.0, -1.0, 0.0]), ("rps", [0.1, 0.1, 0.1]),
-    ("jordan_mp", [0.7, 0.7, 0.3, 0.3, 0.5, 0.5]),
-], ids=["nan", "negative", "sum-0.3", "block-sums-1.4-0.6"])
-def test_payoff_estimate_refuses_a_profile_that_is_not_a_distribution(name, x, mode, rng):
+@pytest.mark.parametrize("name, x, message", [
+    ("rps", [np.nan, 0.5, 0.5], DISTRIBUTION), ("rps", [2.0, -1.0, 0.0], DISTRIBUTION),
+    ("rps", [0.1, 0.1, 0.1], DISTRIBUTION),
+    ("jordan_mp", [0.7, 0.7, 0.3, 0.3, 0.5, 0.5], DISTRIBUTION),
+    ("rps", [[1 / 3, 1 / 3, 1 / 3]], r"profile has shape \(1, 3\), expected \(3,\)"),
+    ("jordan_mp", [[0.5] * 6], r"profile has shape \(1, 6\), expected \(6,\)"),
+], ids=["nan", "negative", "sum-0.3", "block-sums-1.4-0.6", "rps-row-1x3", "jordan_mp-row-1x6"])
+def test_payoff_estimate_refuses_a_profile_that_is_not_a_distribution(name, x, message,
+                                                                      mode, rng):
     """A profile must be finite and non-negative with each block summing to
-    1; the last one sums to 3 over three blocks, but not per block."""
+    1; the fourth sums to 3 over three blocks, but not per block.  It must
+    also be one vector: a (1, n) row ran in full-info mode, raised numpy's
+    IndexError in bandit mode, and a jordan_mp row failed the block sums,
+    which sliced its first axis."""
     game = preset(name, {"l": 2.0} if name == "rps" else None)
     for size in (None, 3):
-        with pytest.raises(DomainError, match="profile must be finite and non-negative"):
+        with pytest.raises(DomainError, match=message):
             payoff_estimate(game, np.array(x), rng, mode, size)
 
 
